@@ -31,7 +31,7 @@ from .panel import (
     write_tags_csv,
 )
 from .pipeline import PipelineConfig, granger_filter, pipeline_fit, pipeline_predict
-from .regressors import elm_fit, elm_predict, kelm_fit, kelm_predict
+from .regressors import regressor_fit, regressor_predict
 from .synth import SynthSpec, synth_generate
 
 METHODS = (
@@ -193,25 +193,23 @@ def _load_run_panel(config: dict) -> FeaturePanel:
     raise CliError("config needs either panel = <csv> or synth_seed = <int>")
 
 
-def _univariate_rolling(model, predict_fn, y_norm: np.ndarray, n_train: int, lags: int) -> np.ndarray:
-    rows = np.stack(
-        [y_norm[t - lags : t][::-1] for t in range(n_train, y_norm.size)]
-    )
-    return predict_fn(model, rows)
+def _run_forecast(config: dict, panel: FeaturePanel, n_train: int,
+                  mu: float, sd: float) -> tuple[np.ndarray, dict]:
+    """Forecast the test rows; returns raw-scale values plus echo extras.
 
-
-def _run_forecast(config: dict, panel: FeaturePanel, n_train: int) -> tuple[np.ndarray, dict]:
-    """Forecast the test rows; returns raw-scale values plus echo extras."""
-    method = config["method"]
-    target = panel.target_name
-    y = panel.columns[target]
+    ``mu`` and ``sd`` are the training target's mean and (non-zero)
+    standard deviation, which scale the univariate regressor baselines.
+    """
+    # "kmeans+kpca+kelm" -> stages ["kmeans", "kpca"], head "kelm"
+    *stages, head = config["method"].split("+")
+    y = panel.columns[panel.target_name]
     y_train = y[:n_train]
     n_test = panel.n_rows - n_train
     extras: dict = {}
 
-    if method == "naive":
+    if head == "naive":
         return naive_forecast(y_train, n_test), extras
-    if method == "ar":
+    if head == "ar":
         model = ar_fit(
             y_train,
             max_p=config["ar_max_p"],
@@ -220,35 +218,25 @@ def _run_forecast(config: dict, panel: FeaturePanel, n_train: int) -> tuple[np.n
         )
         extras["ar_p_selected"] = model.p
         return ar_forecast(model, y_train, n_test), extras
-    if method in ("elm", "kelm"):
+    if not stages:
         lags = config["uni_lags"]
         if n_train <= lags + 1:
             raise CliError(f"uni_lags={lags} needs more than {lags + 1} training rows")
-        mu, sd = float(y_train.mean()), float(y_train.std())
-        if sd == 0.0:
-            raise CliError("target is constant over the training window")
         y_norm = (y - mu) / sd
         x_tr, z_tr = univariate_lag_features(y_norm[:n_train], lags=lags)
-        if method == "kelm":
-            model = kelm_fit(x_tr, z_tr, c=config["c"], sigma=config["sigma"])
-            z_hat = _univariate_rolling(model, kelm_predict, y_norm, n_train, lags)
-        else:
-            model = elm_fit(
-                x_tr, z_tr, n_hidden=config["n_hidden"], c=config["c"], seed=config["seed"]
-            )
-            z_hat = _univariate_rolling(model, elm_predict, y_norm, n_train, lags)
-        return z_hat * sd + mu, extras
+        model = regressor_fit(head, x_tr, z_tr, c=config["c"], sigma=config["sigma"],
+                              n_hidden=config["n_hidden"], seed=config["seed"])
+        rows = np.stack([y_norm[t - lags : t][::-1] for t in range(n_train, y.size)])
+        return regressor_predict(model, rows) * sd + mu, extras
 
-    # multivariate pipeline variants
-    clustered = method.startswith("kmeans+")
     pipeline_config = PipelineConfig(
-        k=(config["k"] if clustered else 1),
+        k=(config["k"] if "kmeans" in stages else 1),
         k_range=(config["k_lo"], config["k_hi"]),
         n_components=config["n_components"],
         theta=(None if config["n_components"] is not None else config["theta"]),
         sigma=config["sigma"],
         c=config["c"],
-        regressor=("elm" if method.endswith("+elm") else "kelm"),
+        regressor=head,
         n_hidden=config["n_hidden"],
         lag=config["lag"],
         seed=config["seed"],
@@ -290,14 +278,13 @@ def cmd_run(args) -> int:
     train, test = train_test_split(panel, config["split"])
     if test.n_rows < 2:
         raise CliError(f"split leaves {test.n_rows} test rows; need at least 2")
-    n_train = train.n_rows
-
-    forecast_raw, extras = _run_forecast(config, panel, n_train)
-    actual = test.columns[panel.target_name]
     mu = float(train.columns[panel.target_name].mean())
     sd = float(train.columns[panel.target_name].std())
     if sd == 0.0:
         raise CliError("target is constant over the training window")
+
+    forecast_raw, extras = _run_forecast(config, panel, train.n_rows, mu, sd)
+    actual = test.columns[panel.target_name]
     forecast_norm = (forecast_raw - mu) / sd
 
     label = config["label"] or f"{config['method']}:{config['mode']}"
@@ -511,20 +498,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except CliError as err:
+    except (CliError, ValueError, OSError, NumericalError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as err:
-        code = _exit_code_for(err)
-        print(f"error: {err}", file=sys.stderr)
-        return code
-    except NumericalError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except RuntimeError as err:
-        code = _exit_code_for(err)
-        print(f"error: {err}", file=sys.stderr)
-        return code
+        return _exit_code_for(err)
 
 
 if __name__ == "__main__":

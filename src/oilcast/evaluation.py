@@ -1,4 +1,4 @@
-"""Forecast accuracy metrics, improvement rates, and MAE grid search.
+"""Forecast accuracy metrics, improvement rates, and report serialization.
 
 Directional accuracy follows the printed convention exactly: transition
 t is correct when (y(t+1) - y(t)) * (yhat(t+1) - y(t)) >= 0, i.e. the
@@ -177,64 +177,3 @@ def parse_report(text: str) -> EvalReport:
         points=points,
     )
 
-
-# --- hyperparameter grid search ----------------------------------------------
-
-
-def grid_search(panel, grid, validation_fraction: float = 0.2, seed: int | None = None, evaluate_fn=None):
-    """Pick the config with the lowest validation MAE.
-
-    The panel's rows (training data) are split chronologically: the last
-    ``validation_fraction`` become the validation window. Each config is
-    fitted on the earlier rows and scored by MAE on the validation rows;
-    failures are recorded per config and only fatal when every config
-    fails. Ties keep the first config in grid order. A ``seed`` overrides
-    each config's own seed so the whole search is governed by one value.
-
-    Returns ``(best_config, table)`` where table rows are dicts with
-    ``config``, ``mae`` (None on failure) and ``error``.
-    """
-    grid = list(grid)
-    if not grid:
-        raise ValueError("config grid is empty")
-    if not (0.0 < validation_fraction <= 0.5):
-        raise ValueError(f"validation fraction must lie in (0, 0.5], got {validation_fraction}")
-    n = panel.n_rows
-    n_val = max(1, int(round(validation_fraction * n)))
-    if n_val >= n:
-        raise ValueError(f"validation window of {n_val} rows leaves no fitting rows")
-    if evaluate_fn is None:
-        evaluate_fn = _pipeline_validation_mae
-
-    table = []
-    for config in grid:
-        if seed is not None and hasattr(config, "seed"):
-            config = dataclasses.replace(config, seed=seed)
-        try:
-            score = float(evaluate_fn(panel, n_val, config))
-            table.append({"config": config, "mae": score, "error": None})
-        except Exception as err:  # noqa: BLE001 - per-config failures are data
-            table.append({"config": config, "mae": None, "error": str(err)})
-    scored = [row for row in table if row["mae"] is not None]
-    if not scored:
-        details = "; ".join(str(row["error"]) for row in table[:3])
-        raise RuntimeError(f"every config in the grid failed to fit: {details}")
-    best = min(scored, key=lambda row: row["mae"])
-    return best["config"], table
-
-
-def _pipeline_validation_mae(panel, n_val: int, config) -> float:
-    """Default grid-search scorer: hybrid pipeline MAE on the validation tail."""
-    from .pipeline import pipeline_fit, pipeline_predict
-
-    fit_panel = panel.row_slice(slice(0, panel.n_rows - n_val))
-    model = pipeline_fit(fit_panel, config)
-    lag = config.lag
-    val_rows = range(panel.n_rows - n_val, panel.n_rows)
-    origin_rows = [r - lag for r in val_rows]
-    if origin_rows[0] < 0:
-        raise ValueError("validation window starts before any usable forecast origin")
-    forecasts = pipeline_predict(model, panel.row_slice(origin_rows))
-    target = panel.target_name
-    actual = panel.columns[target][list(val_rows)]
-    return mae(actual, forecasts)

@@ -189,7 +189,8 @@ def train_test_split(panel: FeaturePanel, split_date: str) -> tuple[FeaturePanel
     """Rows dated on or before ``split_date`` go to train, the rest to test."""
     cut = month_index(split_date)
     train_rows = [i for i, d in enumerate(panel.dates) if month_index(d) <= cut]
-    test_rows = [i for i in range(panel.n_rows) if i not in set(train_rows)]
+    # dates strictly increase, so the training rows are a prefix
+    test_rows = range(len(train_rows), panel.n_rows)
     if not train_rows:
         raise ValueError(f"split {split_date} leaves no training rows")
     if not test_rows:
@@ -247,12 +248,6 @@ def normalize_invert(params: NormalizationParams, name: str, values) -> np.ndarr
     """Undo the min-max map for one column."""
     lo, hi = params.column(name)
     return np.asarray(values, dtype=float) * (hi - lo) + lo
-
-
-def normalize_values(params: NormalizationParams, name: str, values) -> np.ndarray:
-    """Apply the min-max map for one column to a plain array."""
-    lo, hi = params.column(name)
-    return (np.asarray(values, dtype=float) - lo) / (hi - lo)
 
 
 # --- CSV external interfaces -------------------------------------------------

@@ -8,7 +8,6 @@ change the model.
 
 from __future__ import annotations
 
-import dataclasses
 import warnings
 from dataclasses import dataclass, field
 
@@ -18,13 +17,11 @@ import scipy.stats
 from .clustering import ClusterModel, elbow_select, kmeans_fit
 from .kpca import GaussianKernel, KpcaModel, kpca_fit, kpca_transform
 from .panel import FeaturePanel, NormalizationParams, normalize_apply, normalize_fit, normalize_invert
-from .regressors import elm_fit, elm_predict, kelm_fit, kelm_predict
+from .regressors import REGRESSORS, regressor_fit, regressor_predict
 
 DEFAULT_MAX_LAG = 3
 DEFAULT_P_THRESHOLD = 0.1
 MIN_TRAIN_ROWS = 24
-
-REGRESSORS = ("kelm", "elm")
 
 
 class PipelineStageError(RuntimeError):
@@ -243,11 +240,8 @@ def pipeline_fit(panel: FeaturePanel, config: PipelineConfig) -> PipelineModel:
         raise PipelineStageError("features", ValueError(
             f"lag {config.lag} leaves {x.shape[0]} supervised pairs"))
 
-    if config.regressor == "kelm":
-        regressor = _stage("regressor", kelm_fit, x, y, c=config.c, sigma=config.sigma)
-    else:
-        regressor = _stage("regressor", elm_fit, x, y, n_hidden=config.n_hidden,
-                           c=config.c, seed=config.seed)
+    regressor = _stage("regressor", regressor_fit, config.regressor, x, y, c=config.c,
+                       sigma=config.sigma, n_hidden=config.n_hidden, seed=config.seed)
 
     return PipelineModel(
         norm=norm, lag=config.lag, target_name=target, indicator_names=indicators,
@@ -257,14 +251,18 @@ def pipeline_fit(panel: FeaturePanel, config: PipelineConfig) -> PipelineModel:
 
 
 def pipeline_predict(model: PipelineModel, panel: FeaturePanel) -> np.ndarray:
-    """Forecast the target, one value per input row, in original units."""
-    missing = [n for n in model.indicator_names if n not in panel.columns]
-    if missing:
-        raise ValueError(f"panel is missing columns: {missing}")
-    normed = normalize_apply(model.norm, panel.select(model.indicator_names))
+    """Forecast the target, one value per input row, in original units.
+
+    Rejects a missing indicator column, or a non-finite value in one, by
+    name (and date) before any stage runs.
+    """
+    selected = panel.select(model.indicator_names)
+    bad = np.argwhere(~np.isfinite(selected.matrix(model.indicator_names)))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"column {model.indicator_names[col]!r} is not finite at "
+                         f"forecast origin {panel.dates[row]}")
+    normed = normalize_apply(model.norm, selected)
     features = _cluster_features(model.kpca_models, model.cluster_members, normed)
-    if model.config.regressor == "kelm":
-        yhat_norm = kelm_predict(model.regressor, features)
-    else:
-        yhat_norm = elm_predict(model.regressor, features)
-    return normalize_invert(model.norm, model.target_name, yhat_norm)
+    return normalize_invert(model.norm, model.target_name,
+                            regressor_predict(model.regressor, features))

@@ -4,6 +4,8 @@ ELM draws a fixed random hidden layer and solves only the output weights
 with a ridge penalty. KELM replaces the random features with a kernel
 matrix and solves the dual system directly, so it has no randomness.
 Targets may be a vector (m = 1) or a matrix of stacked outputs.
+``regressor_fit`` and ``regressor_predict`` are the one place that
+chooses between them.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from .numerics import ridge_pinv, solve_spd
 
 DEFAULT_C = 100.0
 DEFAULT_N_HIDDEN = 100
+
+REGRESSORS = ("kelm", "elm")
 
 
 def _as_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -110,3 +114,26 @@ def kelm_predict(model: KelmModel, x) -> np.ndarray:
     rows, single = _as_eval_rows(x, model.x_train.shape[1])
     out = model.kernel(rows, model.x_train) @ model.alpha
     return out[0] if single else out
+
+
+# The dispatch calls the fit/predict functions through their module-level
+# names at call time, so a caller that rebinds those names (a profiler, a
+# test double) sees every regressor call.
+def regressor_fit(name: str, x, y, c: float = DEFAULT_C, sigma: float | None = None,
+                  n_hidden: int = DEFAULT_N_HIDDEN, seed: int = 0) -> KelmModel | ElmModel:
+    """Fit the regressor ``name`` (one of ``REGRESSORS``).
+
+    KELM uses ``c`` and ``sigma``; ELM uses ``c``, ``n_hidden`` and ``seed``.
+    """
+    if name == "kelm":
+        return kelm_fit(x, y, c=c, sigma=sigma)
+    if name == "elm":
+        return elm_fit(x, y, n_hidden=n_hidden, c=c, seed=seed)
+    raise ValueError(f"regressor must be one of {REGRESSORS}, got {name!r}")
+
+
+def regressor_predict(model: KelmModel | ElmModel, x) -> np.ndarray:
+    """Predict with a model from ``regressor_fit``; the model's type picks the path."""
+    if isinstance(model, KelmModel):
+        return kelm_predict(model, x)
+    return elm_predict(model, x)

@@ -265,15 +265,34 @@ class TestRunOutputs:
         )
 
     def test_every_method_runs(self, tmp_path, capsys):
+        for mode in ("E", "G", "H"):
+            for method in cli.METHODS:
+                label = f"{method}:{mode}"
+                conf = write_config(
+                    tmp_path / "c.conf", method=method, mode=mode, k=3, seed=5, label=label
+                )
+                code, stdout, err = run_cli(
+                    ["run", "--config", conf, "--out-dir", str(tmp_path / mode / method)],
+                    capsys,
+                )
+                assert code == 0, f"{label}: {err}"
+                assert f"{label}: n=12" in stdout
+
+    def test_constant_target_rejected_for_every_method(self, tmp_path, capsys):
+        run_cli(["synth", "--seed", "0", "--out", str(tmp_path / "p")], capsys)
+        panel = read_panel_csv(str(tmp_path / "p.csv"))
+        panel.columns["price"] = np.full(panel.n_rows, 60.0)
+        write_panel_csv(panel, str(tmp_path / "p.csv"))
         for method in cli.METHODS:
             conf = write_config(
-                tmp_path / "c.conf", method=method, k=3, seed=5, label=method
+                tmp_path / "c.conf", synth_seed="", panel=str(tmp_path / "p.csv"),
+                method=method, k=3,
             )
-            code, stdout, err = run_cli(
-                ["run", "--config", conf, "--out-dir", str(tmp_path / method)], capsys
+            code, _, err = run_cli(
+                ["run", "--config", conf, "--out-dir", str(tmp_path / "out")], capsys
             )
-            assert code == 0, f"{method}: {err}"
-            assert f"{method}: n=12" in stdout
+            assert code == 1, f"{method}: {err}"
+            assert "target is constant" in err, f"{method}: {err}"
 
     def test_granger_extras_recorded(self, tmp_path, capsys):
         conf = write_config(
@@ -441,7 +460,37 @@ class TestCompare:
         assert "missing fields" in err
 
 
+def _caused_by(err, cause):
+    err.__cause__ = cause
+    return err
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "err, expected",
+        [
+            (cli.CliError("bad input"), 1),
+            (ValueError("bad input"), 1),
+            (OSError("bad input"), 1),
+            (NumericalError("bad input"), 2),
+            (_caused_by(ValueError("bad input"), NumericalError("singular")), 2),
+            (RuntimeError("bad input"), 1),
+            (_caused_by(PipelineStageError("kpca[0]", NumericalError("bad input")),
+                        NumericalError("bad input")), 2),
+        ],
+        ids=["cli", "value", "os", "numerical", "value-from-numerical", "runtime",
+             "stage-numerical"],
+    )
+    def test_handled_exception_exit_code(self, err, expected, tmp_path, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise err
+
+        monkeypatch.setattr(cli, "pipeline_fit", boom)
+        conf = write_config(tmp_path / "c.conf", method="kpca+kelm")
+        code, _, stderr = run_cli(["run", "--config", conf, "--out-dir", str(tmp_path)], capsys)
+        assert code == expected
+        assert stderr.startswith("error: ") and "bad input" in stderr
+
     def test_no_arguments(self, capsys):
         assert run_cli([], capsys)[0] == 1
 

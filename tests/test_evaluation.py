@@ -1,4 +1,4 @@
-"""Metric arithmetic, improvement rates, report serialization, grid search."""
+"""Metric arithmetic, improvement rates, report serialization."""
 
 import numpy as np
 import pytest
@@ -9,14 +9,12 @@ from oilcast.evaluation import (
     direction_hits,
     evaluate,
     format_report,
-    grid_search,
     improvement_rate,
     mae,
     mape,
     parse_report,
     rmse,
 )
-from oilcast.panel import FeaturePanel, month_range
 
 
 def reference_da(y, yhat):
@@ -151,69 +149,3 @@ class TestReportSerialization:
         with pytest.raises(ValueError, match="missing fields"):
             parse_report("label = x\nn = 3\n")
 
-
-class TestGridSearch:
-    @staticmethod
-    def tiny_panel(n=40):
-        rng = np.random.default_rng(3)
-        dates = month_range("2010-01", n)
-        x = rng.standard_normal(n).cumsum()
-        return FeaturePanel(
-            dates=dates,
-            columns={"x": x, "px": 50.0 + 0.5 * x + 0.1 * rng.standard_normal(n)},
-            tags={"x": "economic", "px": "target"},
-        )
-
-    def test_single_config_returned_with_table(self):
-        panel = self.tiny_panel()
-        calls = []
-
-        def fake_eval(p, n_val, config):
-            calls.append((n_val, config))
-            return 1.23
-
-        best, table = grid_search(panel, ["only"], validation_fraction=0.25, evaluate_fn=fake_eval)
-        assert best == "only"
-        assert table == [{"config": "only", "mae": 1.23, "error": None}]
-        assert calls[0][0] == 10  # 25% of 40 rows
-
-    def test_argmin_with_tie_keeps_first(self):
-        panel = self.tiny_panel()
-        scores = {"a": 2.0, "b": 1.0, "c": 1.0}
-        best, table = grid_search(
-            panel, ["a", "b", "c"], evaluate_fn=lambda p, v, c: scores[c]
-        )
-        assert best == "b"
-        assert [row["mae"] for row in table] == [2.0, 1.0, 1.0]
-
-    def test_selected_config_beats_every_other_in_the_table(self):
-        panel = self.tiny_panel()
-        rng = np.random.default_rng(4)
-        scores = {f"c{i}": float(rng.uniform(1, 5)) for i in range(6)}
-        best, table = grid_search(panel, list(scores), evaluate_fn=lambda p, v, c: scores[c])
-        assert scores[best] == min(scores.values())
-
-    def test_failures_recorded_not_fatal(self):
-        panel = self.tiny_panel()
-
-        def flaky(p, v, config):
-            if config == "bad":
-                raise ValueError("boom")
-            return 1.0
-
-        best, table = grid_search(panel, ["bad", "good"], evaluate_fn=flaky)
-        assert best == "good"
-        assert table[0]["mae"] is None and "boom" in table[0]["error"]
-
-    def test_all_failures_fatal(self):
-        panel = self.tiny_panel()
-        with pytest.raises(RuntimeError, match="every config"):
-            grid_search(panel, ["a"], evaluate_fn=lambda p, v, c: 1 / 0)
-
-    def test_validation_fraction_bounds(self):
-        panel = self.tiny_panel()
-        for bad in (0.0, 0.6, -0.1):
-            with pytest.raises(ValueError, match="fraction"):
-                grid_search(panel, ["a"], validation_fraction=bad, evaluate_fn=lambda p, v, c: 1.0)
-        with pytest.raises(ValueError, match="empty"):
-            grid_search(panel, [], evaluate_fn=lambda p, v, c: 1.0)

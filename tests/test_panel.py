@@ -11,7 +11,6 @@ from oilcast.panel import (
     normalize_apply,
     normalize_fit,
     normalize_invert,
-    normalize_values,
     read_panel_csv,
     read_tags_csv,
     train_test_split,
@@ -149,8 +148,10 @@ class TestNormalization:
             dates=month_range("2010-01", 3), columns={"a": np.array([0.0, 1.0, 2.0])}
         )
         params = normalize_fit(train)
-        assert normalize_values(params, "a", np.array([4.0]))[0] == pytest.approx(2.0)
-        assert normalize_values(params, "a", np.array([-2.0]))[0] == pytest.approx(-1.0)
+        later = FeaturePanel(
+            dates=month_range("2010-04", 2), columns={"a": np.array([4.0, -2.0])}
+        )
+        np.testing.assert_allclose(normalize_apply(params, later).columns["a"], [2.0, -1.0])
 
     def test_constant_column_rejected(self):
         panel = FeaturePanel(

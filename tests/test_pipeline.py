@@ -311,6 +311,15 @@ class TestPipelineFit:
         with pytest.raises(ValueError, match="f0s0"):
             pipeline_predict(model, crippled)
 
+    def test_predict_non_finite_origin_named(self):
+        panel, _, _ = synth_generate(SynthSpec(seed=0))
+        train = panel.row_slice(range(168))
+        model = pipeline_fit(train, PipelineConfig(k=3, theta=0.95, seed=5))
+        rows = panel.row_slice(range(167, 179))
+        rows.columns["f0s3"][2] = np.nan
+        with pytest.raises(ValueError, match=r"'f0s3' is not finite at forecast origin 2018-02"):
+            pipeline_predict(model, rows)
+
     def test_cluster_stage_error_wrapped(self):
         panel, _, _ = synth_generate(SynthSpec(seed=0))
         train = panel.row_slice(range(168))
