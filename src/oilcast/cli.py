@@ -278,6 +278,10 @@ def cmd_run(args) -> int:
     train, test = train_test_split(panel, config["split"])
     if test.n_rows < 2:
         raise CliError(f"split leaves {test.n_rows} test rows; need at least 2")
+    missing = np.flatnonzero(~np.isfinite(panel.columns[panel.target_name]))
+    if missing.size:
+        raise CliError(f"target column {panel.target_name!r} is not finite at "
+                       f"{panel.dates[missing[0]]}")
     mu = float(train.columns[panel.target_name].mean())
     sd = float(train.columns[panel.target_name].std())
     if sd == 0.0:

@@ -1,10 +1,12 @@
 """Kernel principal component analysis with a Gaussian kernel.
 
 The kernel Gram matrix is double-centered (so the eigenproblem really
-operates on centered feature-space data), eigendecomposed, and the top
-components kept either as a fixed count or by retained variance
-fraction. Out-of-sample points are projected by centering their kernel
-row against the stored training statistics.
+operates on centered feature-space data), its leading eigenpairs are
+computed, and the top components kept either as a fixed count or by
+retained variance fraction. A fit computes the training distances once and
+derives both the median-heuristic width and the Gram matrix from them, and
+keeps the training rows' scores. Out-of-sample points are projected by
+centering their kernel row against the stored training statistics.
 """
 
 from __future__ import annotations
@@ -12,15 +14,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .numerics import NumericalError, sym_eig
+from .numerics import NumericalError, sq_distances, sym_eig
 
 # Components with eigenvalue at or below EIGENVALUE_FLOOR_RATIO * lambda_max
 # are treated as numerical rank deficiency and never retained.
 EIGENVALUE_FLOOR_RATIO = 1e-10
 
 DEFAULT_THETA = 0.95
+
+# The variance-fraction rule first asks for this many leading eigenpairs and
+# doubles the request until the fraction is reached.
+FIRST_REQUEST = 4
 
 
 class DegenerateKernelError(NumericalError):
@@ -37,30 +42,60 @@ class GaussianKernel:
         if not (np.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError(f"Gaussian kernel width must be positive, got {self.sigma}")
 
-    def __call__(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        sq = cdist(np.atleast_2d(x), np.atleast_2d(z), "sqeuclidean")
-        return np.exp(-sq / (2.0 * self.sigma**2))
+    def __call__(self, x: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
+        """Kernel values between the rows of x and of z (x itself when z is None)."""
+        z = None if z is None else np.atleast_2d(z)
+        return self.of_sq_distances(sq_distances(np.atleast_2d(x), z))
+
+    def of_sq_distances(self, sq: np.ndarray) -> np.ndarray:
+        """The kernel of squared distances, computed in place over ``sq``."""
+        sq /= -2.0 * self.sigma**2
+        return np.exp(sq, out=sq)
 
 
 @dataclass(frozen=True)
 class LinearKernel:
     """k(x, z) = x . z; used to cross-check against classical PCA."""
 
-    def __call__(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(x) @ np.atleast_2d(z).T
+    def __call__(self, x: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
+        # x x' of a contiguous x is a symmetric rank-k update: exactly symmetric
+        x = np.ascontiguousarray(np.atleast_2d(x))
+        return x @ (x if z is None else np.atleast_2d(z)).T
 
 
 def median_heuristic(x) -> float:
     """Median pairwise Euclidean distance between sample rows."""
-    x = _as_samples(x, "median_heuristic input")
-    if x.shape[0] < 2:
+    return _median_distance(sq_distances(_as_samples(x, "median_heuristic input")))
+
+
+def _median_distance(sq: np.ndarray) -> float:
+    """Median pairwise distance from a squared-distance matrix of one sample set.
+
+    Off the (exactly 0) diagonal each of the P = n(n-1)/2 pairs appears
+    twice, and no entry is negative, so the two middle pairs sit at ranks
+    n + P - 1 and n + P of the whole flattened matrix; one partition finds
+    them without gathering the upper triangle.
+    """
+    n = sq.shape[0]
+    if n < 2:
         raise ValueError("median heuristic needs at least 2 samples")
-    sq = cdist(x, x, "sqeuclidean")
-    pairs = np.sqrt(sq[np.triu_indices_from(sq, k=1)])
-    med = float(np.median(pairs))
+    mid = n + n * (n - 1) // 2
+    ranked = np.partition(sq, mid - 1, axis=None)
+    med = float((np.sqrt(ranked[mid - 1]) + np.sqrt(ranked[mid:].min())) / 2.0)
     if med <= 0.0:
         raise DegenerateKernelError("median pairwise distance is 0 (duplicated samples)")
     return med
+
+
+def gaussian_gram(x, sigma: float | None = None) -> tuple[np.ndarray, GaussianKernel]:
+    """Gram matrix of the sample rows under a Gaussian kernel, and that kernel.
+
+    ``sigma`` None takes the median heuristic of the same distances, so one
+    distance matrix serves both and becomes the Gram matrix in place.
+    """
+    sq = sq_distances(_as_samples(x, "gaussian_gram input"))
+    kernel = GaussianKernel(_median_distance(sq) if sigma is None else sigma)
+    return kernel.of_sq_distances(sq), kernel
 
 
 def _as_samples(x, name: str) -> np.ndarray:
@@ -74,9 +109,7 @@ def _as_samples(x, name: str) -> np.ndarray:
 
 def kernel_matrix(x, kernel) -> np.ndarray:
     """Symmetric Gram matrix of the sample rows under ``kernel``."""
-    x = _as_samples(x, "kernel_matrix input")
-    k = kernel(x, x)
-    return (k + k.T) / 2.0
+    return kernel(_as_samples(x, "kernel_matrix input"))
 
 
 def center_kernel(k) -> tuple[np.ndarray, np.ndarray, float]:
@@ -84,16 +117,17 @@ def center_kernel(k) -> tuple[np.ndarray, np.ndarray, float]:
 
     Returns ``(k_centered, column_means, grand_mean)``; the means are the
     statistics needed to center out-of-sample kernel rows consistently.
+    Symmetry is not checked here: centering changes ``k[i, j] - k[j, i]``
+    by rounding only, and ``sym_eig`` checks the centered matrix.
     """
     k = np.asarray(k, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValueError(f"kernel matrix must be square, got shape {k.shape}")
-    gap = float(np.max(np.abs(k - k.T))) if k.size else 0.0
-    if gap > 1e-10:
-        raise ValueError(f"kernel matrix is not symmetric (max gap {gap:.3e})")
     col_means = k.mean(axis=0)
     grand_mean = float(k.mean())
-    k_c = k - col_means[None, :] - col_means[:, None] + grand_mean
+    k_c = k - col_means[None, :]
+    k_c -= col_means[:, None]
+    k_c += grand_mean
     return k_c, col_means, grand_mean
 
 
@@ -103,6 +137,7 @@ class KpcaModel:
     kernel: GaussianKernel | LinearKernel
     eigenvalues: np.ndarray
     alphas: np.ndarray  # (N, n_components), scaled so lambda_j * |alpha_j|^2 = 1
+    train_scores: np.ndarray  # (N, n_components) training rows' projection, v_j * sqrt(lambda_j)
     col_means: np.ndarray
     grand_mean: float
     n_components: int
@@ -127,47 +162,84 @@ def kpca_fit(x, kernel=None, n_components: int | None = None, theta: float | Non
         raise ValueError(f"n_components must lie in [1, {n}], got {n_components}")
     if theta is not None and not (0.0 < theta <= 1.0):
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
+    if n_components is None and theta is None:
+        theta = DEFAULT_THETA
     if kernel is None:
-        kernel = GaussianKernel(median_heuristic(x))
-
-    k = kernel_matrix(x, kernel)
+        k, kernel = gaussian_gram(x)
+    else:
+        k = kernel_matrix(x, kernel)
     k_c, col_means, grand_mean = center_kernel(k)
-    values, vectors = sym_eig(k_c)
+    del k  # free the Gram matrix before the eigensolve
+    values, vectors, keep = _leading_components(k_c, n_components, theta)
 
+    lam = values[:keep].copy()
+    root = np.sqrt(lam)[None, :]
+    return KpcaModel(
+        x_train=x.copy(),
+        kernel=kernel,
+        eigenvalues=lam,
+        alphas=vectors[:, :keep] / root,
+        train_scores=vectors[:, :keep] * root,
+        col_means=col_means,
+        grand_mean=grand_mean,
+        n_components=keep,
+    )
+
+
+def _usable_count(values: np.ndarray) -> tuple[int, float]:
+    """How many of the (descending) eigenvalues clear the floor, and the floor."""
     lam_max = float(values[0])
     if lam_max <= 0.0:
         raise DegenerateKernelError("degenerate kernel: centered Gram has no positive eigenvalue")
     floor = EIGENVALUE_FLOOR_RATIO * lam_max
-    usable = int(np.sum(values > floor))
-    if usable == 0:
-        raise DegenerateKernelError("degenerate kernel: all eigenvalues at or below the floor")
+    return int(np.sum(values > floor)), floor
 
+
+def _leading_components(k_c: np.ndarray, n_components: int | None,
+                        theta: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Leading eigenpairs of the centered Gram matrix and the count to keep.
+
+    A fixed ``n_components`` asks ``sym_eig`` for that many pairs. The
+    ``theta`` rule asks for ``FIRST_REQUEST`` pairs and doubles the request
+    until the cumulative share of ``trace(k_c)`` passes theta. The trace is
+    the whole spectrum's sum; for a positive semi-definite kernel it differs
+    from the sum of the usable eigenvalues by less than ``n`` times the
+    floor, so ``tol`` below bounds the change to any share. When a share
+    lies within ``tol`` of theta, or the floor comes before theta, the full
+    spectrum is computed and the usable sum decides, as it always did.
+    """
     if n_components is not None:
+        values, vectors = sym_eig(k_c, n_components)
+        usable, floor = _usable_count(values)
         if n_components > usable:
             raise ValueError(
                 f"requested {n_components} components but only {usable} eigenvalues "
                 f"clear the floor {floor:.3e}"
             )
-        keep = n_components
-    else:
-        if theta is None:
-            theta = DEFAULT_THETA
-        spectrum = values[:usable]
-        fractions = np.cumsum(spectrum) / spectrum.sum()
-        keep = int(np.searchsorted(fractions, theta - 1e-12) + 1)
-        keep = min(keep, usable)
+        return values, vectors, n_components
 
-    lam = values[:keep].copy()
-    alphas = vectors[:, :keep] / np.sqrt(lam)[None, :]
-    return KpcaModel(
-        x_train=x.copy(),
-        kernel=kernel,
-        eigenvalues=lam,
-        alphas=alphas,
-        col_means=col_means,
-        grand_mean=grand_mean,
-        n_components=keep,
-    )
+    n = k_c.shape[0]
+    tol = 1e-9 + n * EIGENVALUE_FLOOR_RATIO
+    target = theta - 1e-12
+    trace = float(np.trace(k_c))
+    count = min(FIRST_REQUEST, n)
+    while True:
+        values, vectors = sym_eig(k_c, count)
+        usable, _ = _usable_count(values)
+        spectrum = values[:usable]
+        if count == n:
+            fractions = np.cumsum(spectrum) / spectrum.sum()
+            return values, vectors, min(int(np.searchsorted(fractions, target)) + 1, usable)
+        shares = np.cumsum(spectrum) / trace
+        j = int(np.searchsorted(shares, target))
+        if j < usable:
+            if shares[j] - target > tol and (j == 0 or target - shares[j - 1] > tol):
+                return values, vectors, j + 1
+            count = n
+        elif usable < count:
+            count = n
+        else:
+            count = min(2 * count, n)
 
 
 def kpca_transform(model: KpcaModel, x) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Dense symmetric linear algebra with explicit failure modes.
 
-Thin wrappers around LAPACK that enforce input contracts (symmetry,
-positive definiteness, finiteness) instead of silently returning garbage.
+Thin wrappers around LAPACK and ARPACK that enforce input contracts
+(symmetry, positive definiteness, finiteness) instead of silently returning
+garbage, plus the one squared-distance computation every kernel uses.
 Matrices are float64 numpy arrays; samples/equations are rows.
 """
 
@@ -9,9 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import lapack
+from scipy.sparse.linalg import ArpackError, eigsh
 
 # Absolute tolerance for the symmetry check max |A[i,j] - A[j,i]|.
 SYMMETRY_ATOL = 1e-10
+
+# Below this order sym_eig always uses the full solver.
+PARTIAL_MIN_ORDER = 8
 
 
 class NumericalError(Exception):
@@ -38,7 +43,8 @@ def _as_matrix(a, name: str) -> np.ndarray:
 
 
 def _check_symmetric(a: np.ndarray, name: str) -> None:
-    gap = np.abs(a - a.T)
+    gap = a - a.T
+    np.abs(gap, out=gap)
     i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
     if gap[i, j] > SYMMETRY_ATOL:
         raise ValueError(
@@ -47,7 +53,32 @@ def _check_symmetric(a: np.ndarray, name: str) -> None:
         )
 
 
-def sym_eig(a) -> tuple[np.ndarray, np.ndarray]:
+def sq_distances(x, z=None) -> np.ndarray:
+    """Squared Euclidean distances between the rows of ``x`` and of ``z``.
+
+    Uses the GEMM form ``|x|^2 + |z|^2 - 2 x z'`` clamped at 0. With ``z``
+    omitted the rows of ``x`` are paired with themselves: the product
+    ``x x'`` is then a symmetric rank-k update, so the result is exactly
+    symmetric, and its diagonal is exactly 0.
+    """
+    x = np.ascontiguousarray(x, dtype=float)
+    norms = np.einsum("ij,ij->i", x, x)
+    if z is None:
+        sq = np.add.outer(norms, norms)
+        cross = x @ x.T
+    else:
+        z = np.asarray(z, dtype=float)
+        sq = np.add.outer(norms, np.einsum("ij,ij->i", z, z))
+        cross = x @ z.T
+    cross *= 2.0
+    sq -= cross
+    np.maximum(sq, 0.0, out=sq)
+    if z is None:
+        np.fill_diagonal(sq, 0.0)
+    return sq
+
+
+def sym_eig(a, count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues sorted in
@@ -55,23 +86,47 @@ def sym_eig(a) -> tuple[np.ndarray, np.ndarray]:
     with its largest-magnitude entry made positive (first such entry on
     magnitude ties) so the decomposition is reproducible across runs.
 
+    With ``count``, only the ``count`` largest eigenpairs are returned. They
+    come from implicitly restarted Lanczos (ARPACK) started from a fixed
+    vector, so reruns are identical; the full solver serves the request
+    instead when ``count`` reaches half the order, the order is below
+    ``PARTIAL_MIN_ORDER`` or ARPACK fails.
+
     Raises ``ValueError`` for non-square, non-finite or non-symmetric
     input and ``NumericalError`` if the eigensolver fails to converge.
     """
     a = _as_matrix(a, "sym_eig input")
     _check_symmetric(a, "sym_eig input")
-    try:
-        values, vectors = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as err:
-        raise NumericalError(f"eigendecomposition failed: {err}") from err
-    order = np.argsort(values)[::-1]
+    n = a.shape[0]
+    if count is not None and not 1 <= count <= n:
+        raise ValueError(f"eigenpair count must lie in [1, {n}], got {count}")
+    pairs = None
+    if count is not None and 2 * count < n and n >= PARTIAL_MIN_ORDER:
+        pairs = _lanczos(a, count)
+    if pairs is None:
+        try:
+            pairs = np.linalg.eigh(a)
+        except np.linalg.LinAlgError as err:
+            raise NumericalError(f"eigendecomposition failed: {err}") from err
+    values, vectors = pairs
+    order = np.argsort(values)[::-1][:count]
     values = values[order]
     vectors = vectors[:, order]
-    for col in range(vectors.shape[1]):
-        lead = int(np.argmax(np.abs(vectors[:, col])))
-        if vectors[lead, col] < 0:
-            vectors[:, col] = -vectors[:, col]
+    lead = np.argmax(np.abs(vectors), axis=0)
+    vectors *= np.where(vectors[lead, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
     return values, vectors
+
+
+def _lanczos(a: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The ``count`` largest eigenpairs by ARPACK, or None when it breaks down."""
+    # any fixed start works except the constant vector, which a centered
+    # Gram matrix maps to 0; a zero matrix maps every start to 0 and
+    # ARPACK gives up, leaving the full solver to decide
+    start = np.random.default_rng(0).standard_normal(a.shape[0])
+    try:
+        return eigsh(a, k=count, which="LA", v0=start, tol=0.0)
+    except ArpackError:
+        return None
 
 
 def solve_spd(a, b) -> np.ndarray:

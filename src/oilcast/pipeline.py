@@ -208,6 +208,9 @@ def pipeline_fit(panel: FeaturePanel, config: PipelineConfig) -> PipelineModel:
         raise ValueError("panel has no indicator columns")
     if panel.n_rows < MIN_TRAIN_ROWS:
         raise ValueError(f"need at least {MIN_TRAIN_ROWS} training rows, got {panel.n_rows}")
+    if panel.n_rows - config.lag < 2:
+        raise ValueError(f"lag {config.lag} leaves fewer than 2 supervised pairs in "
+                         f"{panel.n_rows} training rows")
 
     norm = _stage("normalize", normalize_fit, panel)
     normed = normalize_apply(norm, panel)
@@ -233,12 +236,10 @@ def pipeline_fit(panel: FeaturePanel, config: PipelineConfig) -> PipelineModel:
         )
     widths = [m.n_components for m in kpca_models]
 
-    features = _stage("features", _cluster_features, kpca_models, members, normed)
+    # each fit already holds its training rows' projection
+    features = _stage("features", np.hstack, [m.train_scores for m in kpca_models])
     x = features[: panel.n_rows - config.lag]
     y = normed.columns[target][config.lag :]
-    if x.shape[0] < 2:
-        raise PipelineStageError("features", ValueError(
-            f"lag {config.lag} leaves {x.shape[0]} supervised pairs"))
 
     regressor = _stage("regressor", regressor_fit, config.regressor, x, y, c=config.c,
                        sigma=config.sigma, n_hidden=config.n_hidden, seed=config.seed)

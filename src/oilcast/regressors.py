@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .kpca import GaussianKernel, LinearKernel, kernel_matrix, median_heuristic
+from .kpca import GaussianKernel, LinearKernel, gaussian_gram, kernel_matrix
 from .numerics import ridge_pinv, solve_spd
 
 DEFAULT_C = 100.0
@@ -99,11 +99,9 @@ def kelm_fit(x, y, c: float = DEFAULT_C, sigma: float | None = None, kernel=None
     if not (np.isfinite(c) and c > 0):
         raise ValueError(f"penalty C must be positive, got {c}")
     if kernel is None:
-        if sigma is not None and not (np.isfinite(sigma) and sigma > 0):
-            raise ValueError(f"kernel width must be positive, got {sigma}")
-        kernel = GaussianKernel(sigma if sigma is not None else median_heuristic(x))
-    omega = kernel_matrix(x, kernel)
-    system = omega.copy()
+        system, kernel = gaussian_gram(x, sigma)
+    else:
+        system = kernel_matrix(x, kernel)
     system[np.diag_indices_from(system)] += 1.0 / c
     alpha = solve_spd(system, y)
     return KelmModel(x_train=x.copy(), kernel=kernel, alpha=alpha, c=c)

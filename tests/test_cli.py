@@ -322,6 +322,33 @@ class TestRunOutputs:
         assert code == 1
         assert "at least 2" in err
 
+    def test_lag_beyond_training_rows_rejected(self, tmp_path, capsys):
+        for method in ("kpca+kelm", "kmeans+kpca+elm"):
+            conf = write_config(tmp_path / "c.conf", method=method, lag=200)
+            code, _, err = run_cli(
+                ["run", "--config", conf, "--out-dir", str(tmp_path)], capsys
+            )
+            assert code == 1, f"{method}: {err}"
+            assert "lag 200" in err and "168 training rows" in err, f"{method}: {err}"
+            assert "stage" not in err, f"{method}: {err}"
+
+    def test_missing_test_target_named(self, tmp_path, capsys):
+        run_cli(["synth", "--seed", "7", "--out", str(tmp_path / "p")], capsys)
+        panel = read_panel_csv(str(tmp_path / "p.csv"))
+        panel.columns["price"][panel.dates.index("2018-05")] = np.nan
+        write_panel_csv(panel, str(tmp_path / "p.csv"))
+        for method in ("naive", "kmeans+kpca+kelm"):
+            conf = write_config(
+                tmp_path / "c.conf", synth_seed="", panel=str(tmp_path / "p.csv"),
+                method=method,
+            )
+            code, _, err = run_cli(
+                ["run", "--config", conf, "--out-dir", str(tmp_path / "out")], capsys
+            )
+            assert code == 1, f"{method}: {err}"
+            assert "target column 'price' is not finite at 2018-05" in err, f"{method}: {err}"
+            assert not (tmp_path / "out" / "predictions.csv").exists()
+
     def test_unknown_mode_rejected(self, tmp_path, capsys):
         conf = write_config(tmp_path / "c.conf", mode="X")
         code, _, err = run_cli(["run", "--config", conf, "--out-dir", str(tmp_path)], capsys)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oilcast import kpca, numerics
 from oilcast.kpca import (
     DegenerateKernelError,
     GaussianKernel,
@@ -13,6 +14,9 @@ from oilcast.kpca import (
     kpca_transform,
     median_heuristic,
 )
+from oilcast.panel import normalize_apply, normalize_fit
+from oilcast.pipeline import PipelineConfig, pipeline_fit
+from oilcast.synth import SynthSpec, synth_generate
 
 
 def pca_scores(x_train, x_eval, n_components):
@@ -23,6 +27,33 @@ def pca_scores(x_train, x_eval, n_components):
     values, vectors = np.linalg.eigh(cov)
     order = np.argsort(values)[::-1][:n_components]
     return (x_eval - mean) @ vectors[:, order]
+
+
+def full_spectrum_keep(x, theta):
+    """Component count of the theta rule over the whole spectrum (full eigh)."""
+    k_c, _, _ = center_kernel(kernel_matrix(x, GaussianKernel(median_heuristic(x))))
+    values = np.sort(np.linalg.eigvalsh(k_c))[::-1]
+    usable = values[values > 1e-10 * values[0]]
+    fractions = np.cumsum(usable) / usable.sum()
+    return min(int(np.searchsorted(fractions, theta - 1e-12)) + 1, usable.size), fractions
+
+
+def record_requests(monkeypatch):
+    """Counts passed to sym_eig by kpca_fit, and k passed to the partial solver."""
+    counts, lanczos = [], []
+    real_eig, real_eigsh = kpca.sym_eig, numerics.eigsh
+
+    def spy_eig(a, count=None):
+        counts.append(count)
+        return real_eig(a, count)
+
+    def spy_eigsh(a, k, **kwargs):
+        lanczos.append(k)
+        return real_eigsh(a, k=k, **kwargs)
+
+    monkeypatch.setattr(kpca, "sym_eig", spy_eig)
+    monkeypatch.setattr(numerics, "eigsh", spy_eigsh)
+    return counts, lanczos
 
 
 def align_signs(reference, candidate):
@@ -96,9 +127,14 @@ class TestCenterKernel:
         k_c, _, _ = center_kernel(k)
         np.testing.assert_allclose(k_c, k, atol=1e-10)
 
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            center_kernel(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    def test_asymmetric_gram_rejected_after_centering(self):
+        # centering keeps k - k.T, so sym_eig's one check on the centered
+        # matrix rejects an asymmetric kernel inside kpca_fit
+        k = np.array([[1.0, 2.0], [0.0, 1.0]])
+        k_c, _, _ = center_kernel(k)
+        np.testing.assert_allclose(k_c - k_c.T, k - k.T, atol=1e-15)
+        with pytest.raises(ValueError, match="not symmetric"):
+            kpca_fit(np.zeros((2, 1)), kernel=lambda x: k, n_components=1)
 
 
 class TestKpcaFit:
@@ -114,6 +150,12 @@ class TestKpcaFit:
         x = np.tile(np.array([1.0, 2.0, 3.0]), (5, 1))
         with pytest.raises(DegenerateKernelError, match="degenerate kernel"):
             kpca_fit(x, kernel=GaussianKernel(1.0), n_components=2)
+
+    def test_duplicated_samples_are_degenerate_for_any_request(self):
+        x = np.tile(np.array([1.0, 2.0, 3.0]), (30, 1))
+        for selection in ({"n_components": 2}, {"theta": 0.95}):
+            with pytest.raises(DegenerateKernelError, match="degenerate kernel"):
+                kpca_fit(x, kernel=GaussianKernel(1.0), **selection)
 
     def test_theta_one_keeps_the_full_usable_rank(self):
         rng = np.random.default_rng(5)
@@ -178,7 +220,69 @@ class TestKpcaFit:
             kpca_fit(x, kernel=LinearKernel(), n_components=3)
 
 
+class TestPartialEigensolve:
+    def test_same_keep_as_full_spectrum_on_paper_scale_clusters(self):
+        checked = 0
+        for seed in range(5):
+            panel, _, _ = synth_generate(
+                SynthSpec(seed=seed, months=180, factors=7, series_per_factor=10))
+            train = panel.row_slice(range(168))
+            model = pipeline_fit(train, PipelineConfig(k=6, theta=0.95))
+            normed = normalize_apply(normalize_fit(train), train)
+            for names, kmodel in zip(model.cluster_members, model.kpca_models):
+                keep, _ = full_spectrum_keep(normed.matrix(names), 0.95)
+                assert kmodel.n_components == keep, (seed, names)
+                checked += 1
+        assert checked == 30
+
+    def test_doubles_the_request_until_half_the_order(self, monkeypatch):
+        x = np.random.default_rng(20).random((40, 12))
+        keep, _ = full_spectrum_keep(x, 0.9)
+        assert keep == 17  # more than the third request holds
+        counts, lanczos = record_requests(monkeypatch)
+        model = kpca_fit(x, theta=0.9)
+        assert model.n_components == keep
+        # the fourth request reaches N/2, so the full solver serves it
+        assert counts == [4, 8, 16, 32]
+        assert lanczos == [4, 8, 16]
+
+    def test_share_within_tolerance_of_theta_takes_the_full_spectrum(self, monkeypatch):
+        x = np.random.default_rng(22).random((120, 5))
+        _, fractions = full_spectrum_keep(x, 0.5)
+        theta = float(fractions[2])  # a share sits exactly on theta
+        counts, _ = record_requests(monkeypatch)
+        model = kpca_fit(x, theta=theta)
+        assert counts == [4, 120]
+        assert model.n_components == full_spectrum_keep(x, theta)[0]
+
+    def test_small_sample_uses_the_full_solver(self, monkeypatch):
+        x = np.random.default_rng(23).random((7, 3))
+        _, lanczos = record_requests(monkeypatch)
+        model = kpca_fit(x, theta=0.95)
+        assert lanczos == []
+        assert model.n_components == full_spectrum_keep(x, 0.95)[0]
+
+    def test_fixed_count_asks_for_that_many_pairs(self, monkeypatch):
+        x = np.random.default_rng(24).random((80, 6))
+        counts, lanczos = record_requests(monkeypatch)
+        model = kpca_fit(x, n_components=3)
+        assert counts == [3] and lanczos == [3]
+        assert model.n_components == 3
+
+    def test_two_fits_are_byte_identical(self):
+        x = np.random.default_rng(25).random((300, 8))
+        first, second = kpca_fit(x, theta=0.95), kpca_fit(x.copy(), theta=0.95)
+        for field in ("eigenvalues", "alphas", "train_scores", "col_means"):
+            assert getattr(first, field).tobytes() == getattr(second, field).tobytes()
+        assert first.kernel == second.kernel and first.grand_mean == second.grand_mean
+
+
 class TestKpcaTransform:
+    def test_stored_training_scores_equal_the_projection(self):
+        x = np.random.default_rng(16).random((200, 6))
+        model = kpca_fit(x, theta=0.95)
+        np.testing.assert_allclose(model.train_scores, kpca_transform(model, x), atol=1e-10)
+
     def test_training_rows_reproduce_training_projection(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((16, 4))

@@ -2,14 +2,60 @@
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
+from oilcast import numerics
 from oilcast.numerics import (
     NotPositiveDefiniteError,
     NumericalError,
     ridge_pinv,
     solve_spd,
+    sq_distances,
     sym_eig,
 )
+
+
+def centered_gaussian_gram(n, d, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.random((n, d))
+    k = np.exp(-cdist(x, x, "sqeuclidean") / d)
+    k -= k.mean(axis=0)[None, :]
+    k -= k.mean(axis=1)[:, None]
+    return (k + k.T) / 2.0
+
+
+def no_lanczos(*args, **kwargs):
+    raise AssertionError("the partial solver was used")
+
+
+class TestSqDistances:
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 1), (40, 7), (300, 33)])
+    def test_symmetric_zero_diagonal_and_matches_cdist(self, shape):
+        rng = np.random.default_rng(shape[0])
+        x = rng.standard_normal(shape) * 3.0 + 1.0
+        sq = sq_distances(x)
+        assert np.all(sq >= 0.0)
+        assert np.array_equal(sq, sq.T)
+        assert np.all(np.diag(sq) == 0.0)
+        scale = np.max(np.sum(x * x, axis=1))
+        np.testing.assert_allclose(sq, cdist(x, x, "sqeuclidean"), rtol=0, atol=1e-12 * scale)
+
+    def test_strided_input_is_still_exactly_symmetric(self):
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((200, 66))[:, ::2]
+        sq = sq_distances(x)
+        assert np.array_equal(sq, sq.T)
+        assert np.array_equal(sq, sq_distances(np.ascontiguousarray(x)))
+
+    def test_two_sets_match_cdist_and_clamp_at_zero(self):
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((9, 4))
+        z = np.vstack([x[:3], rng.standard_normal((5, 4))])
+        sq = sq_distances(x, z)
+        assert sq.shape == (9, 8)
+        assert np.all(sq >= 0.0)
+        scale = max(np.max(np.sum(x * x, axis=1)), np.max(np.sum(z * z, axis=1)))
+        np.testing.assert_allclose(sq, cdist(x, z, "sqeuclidean"), rtol=0, atol=1e-12 * scale)
 
 
 class TestSymEig:
@@ -50,6 +96,60 @@ class TestSymEig:
             sym_eig(np.ones((2, 3)))
         with pytest.raises(ValueError, match="finite"):
             sym_eig([[np.nan, 0.0], [0.0, 1.0]])
+
+
+class TestPartialSymEig:
+    @pytest.mark.parametrize("n, count", [(60, 1), (200, 5), (400, 12)])
+    def test_leading_pairs_match_full_solver(self, n, count):
+        a = centered_gaussian_gram(n, 6, seed=n)
+        values, vectors = sym_eig(a, count)
+        full_values, full_vectors = sym_eig(a)
+        assert values.shape == (count,) and vectors.shape == (n, count)
+        np.testing.assert_allclose(values, full_values[:count], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(vectors, full_vectors[:, :count], rtol=0, atol=1e-10)
+        lead = np.argmax(np.abs(vectors), axis=0)
+        assert np.all(vectors[lead, np.arange(count)] > 0)
+
+    def test_reruns_are_byte_identical(self):
+        a = centered_gaussian_gram(150, 4, seed=3)
+        first = sym_eig(a, 6)
+        second = sym_eig(a.copy(), 6)
+        assert first[0].tobytes() == second[0].tobytes()
+        assert first[1].tobytes() == second[1].tobytes()
+
+    def test_half_the_order_uses_the_full_solver(self, monkeypatch):
+        a = centered_gaussian_gram(20, 3, seed=4)
+        expected = sym_eig(a)
+        monkeypatch.setattr(numerics, "eigsh", no_lanczos)
+        values, vectors = sym_eig(a, 10)
+        assert np.array_equal(values, expected[0][:10])
+        assert np.array_equal(vectors, expected[1][:, :10])
+
+    def test_small_order_uses_the_full_solver(self, monkeypatch):
+        a = centered_gaussian_gram(7, 2, seed=5)
+        expected = sym_eig(a)
+        monkeypatch.setattr(numerics, "eigsh", no_lanczos)
+        values, vectors = sym_eig(a, 1)
+        assert np.array_equal(values, expected[0][:1])
+        assert np.array_equal(vectors, expected[1][:, :1])
+
+    def test_zero_matrix_falls_back_to_the_full_solver(self):
+        # every start vector maps to 0, which ARPACK refuses
+        values, vectors = sym_eig(np.zeros((12, 12)), 2)
+        assert np.array_equal(values, np.zeros(2))
+        np.testing.assert_allclose(vectors.T @ vectors, np.eye(2), atol=1e-12)
+
+    def test_count_must_lie_in_range(self):
+        with pytest.raises(ValueError, match="count"):
+            sym_eig(np.eye(3), 0)
+        with pytest.raises(ValueError, match="count"):
+            sym_eig(np.eye(3), 4)
+
+    def test_still_rejects_non_symmetric(self):
+        a = centered_gaussian_gram(30, 3, seed=6)
+        a[0, 1] += 1e-6
+        with pytest.raises(ValueError, match=r"A\[0,1\]"):
+            sym_eig(a, 2)
 
 
 class TestSolveSpd:

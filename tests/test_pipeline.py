@@ -8,7 +8,7 @@ against.
 import numpy as np
 import pytest
 
-from oilcast.kpca import GaussianKernel, kpca_fit, kpca_transform, median_heuristic
+from oilcast.kpca import kpca_fit, kpca_transform
 from oilcast.panel import (
     FeaturePanel,
     month_range,
@@ -234,10 +234,8 @@ class TestPipelineFit:
         norm = normalize_fit(panel)
         normed = normalize_apply(norm, panel)
         x_all = normed.matrix(names)
-        kp = kpca_fit(
-            x_all, kernel=GaussianKernel(median_heuristic(x_all)), theta=0.95
-        )
-        features = kpca_transform(kp, x_all)
+        kp = kpca_fit(x_all, theta=0.95)
+        features = kp.train_scores
         y_norm = normed.columns["price"]
         km = kelm_fit(features[:-1], y_norm[1:], c=config.c)
         z = kelm_predict(
