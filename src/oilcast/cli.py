@@ -26,6 +26,7 @@ from .panel import (
     fuse,
     read_panel_csv,
     read_tags_csv,
+    require_finite,
     train_test_split,
     write_panel_csv,
     write_tags_csv,
@@ -245,6 +246,7 @@ def _run_forecast(config: dict, panel: FeaturePanel, n_train: int,
     if not names:
         raise CliError(f"no indicator columns for mode {config['mode']}")
     train = panel.row_slice(range(n_train))
+    require_finite(train.matrix(names), names, train.dates)
     if config["granger"]:
         result = granger_filter(
             train, names, max_lag=config["max_lag"], p_threshold=config["p_threshold"]
@@ -275,6 +277,9 @@ def cmd_run(args) -> int:
     panel = _load_run_panel(config)
     if panel.target_name is None:
         raise CliError("panel has no target column")
+    gap = panel.calendar_gap()
+    if gap is not None:
+        raise CliError(f"months jump from {gap[0]} to {gap[1]}; run needs consecutive months")
     train, test = train_test_split(panel, config["split"])
     if test.n_rows < 2:
         raise CliError(f"split leaves {test.n_rows} test rows; need at least 2")

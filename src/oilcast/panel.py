@@ -128,9 +128,13 @@ class FeaturePanel:
             tags={n: self.tags[n] for n in names if n in self.tags},
         )
 
-    def is_monthly_contiguous(self) -> bool:
+    def calendar_gap(self) -> tuple[str, str] | None:
+        """The first pair of adjacent rows that are not consecutive months, if any."""
         idx = [month_index(d) for d in self.dates]
-        return all(idx[i + 1] - idx[i] == 1 for i in range(len(idx) - 1))
+        for i in range(len(idx) - 1):
+            if idx[i + 1] - idx[i] != 1:
+                return self.dates[i], self.dates[i + 1]
+        return None
 
 
 def fuse(fragments) -> FeaturePanel:
@@ -177,7 +181,7 @@ def fuse(fragments) -> FeaturePanel:
     dates = [d for d, k in zip(dates, keep) if k]
     columns = {name: values[keep] for name, values in columns.items()}
     fused = FeaturePanel(dates=dates, columns=columns, tags=tags)
-    if not fused.is_monthly_contiguous():
+    if fused.calendar_gap() is not None:
         warnings.warn(
             "fused panel has calendar gaps; lag alignment will treat rows as consecutive",
             stacklevel=2,
@@ -200,26 +204,53 @@ def train_test_split(panel: FeaturePanel, split_date: str) -> tuple[FeaturePanel
 
 @dataclass(frozen=True)
 class NormalizationParams:
-    """Per-column min/max learned from training rows."""
+    """Per-column min/max learned from training rows.
+
+    ``positions`` maps each name to its index in ``names``, ``mins`` and
+    ``maxs``; it is built once, so finding a column costs O(1).
+    """
 
     names: tuple[str, ...]
     mins: np.ndarray
     maxs: np.ndarray
+    positions: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "positions", {name: i for i, name in enumerate(self.names)})
+
+    def position(self, name: str) -> int:
+        try:
+            return self.positions[name]
+        except KeyError:
+            raise ValueError(f"no normalization parameters for column {name!r}") from None
 
     def column(self, name: str) -> tuple[float, float]:
-        try:
-            i = self.names.index(name)
-        except ValueError:
-            raise ValueError(f"no normalization parameters for column {name!r}") from None
+        i = self.position(name)
         return float(self.mins[i]), float(self.maxs[i])
+
+    def apply(self, x: np.ndarray, names) -> np.ndarray:
+        """Map a (rows, len(names)) matrix to [0, 1] on the training range, by column."""
+        idx = [self.position(name) for name in names]
+        lo = self.mins[idx]
+        return (x - lo) / (self.maxs[idx] - lo)
+
+
+def require_finite(values: np.ndarray, names, dates, where: str = "") -> None:
+    """Reject a (rows, len(names)) matrix holding NaN or inf, naming the first bad cell.
+
+    The earliest row wins, then the first column in ``names`` order.
+    """
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"column {names[col]!r} is not finite at {where}{dates[row]}")
 
 
 def normalize_fit(panel: FeaturePanel, names=None) -> NormalizationParams:
-    """Min/max per column over the panel's rows; rejects constant columns."""
+    """Min/max per column over the panel's rows; rejects non-finite and constant columns."""
     names = list(panel.columns) if names is None else list(names)
     values = panel.matrix(names)
-    if np.isnan(values).any():
-        raise ValueError("cannot fit normalization with missing values present")
+    require_finite(values, names, panel.dates)
     mins = values.min(axis=0)
     maxs = values.max(axis=0)
     flat = [names[i] for i in np.flatnonzero(maxs - mins <= 0.0)]
@@ -234,13 +265,10 @@ def normalize_apply(params: NormalizationParams, panel: FeaturePanel) -> Feature
     Values outside the training range map outside [0, 1]; there is no
     clipping. Columns without parameters pass through unchanged.
     """
-    columns = {}
-    for name, values in panel.columns.items():
-        if name in params.names:
-            lo, hi = params.column(name)
-            columns[name] = (values - lo) / (hi - lo)
-        else:
-            columns[name] = values.copy()
+    names = [name for name in panel.columns if name in params.positions]
+    scaled = dict(zip(names, params.apply(panel.matrix(names), names).T)) if names else {}
+    columns = {name: scaled[name] if name in scaled else values.copy()
+               for name, values in panel.columns.items()}
     return FeaturePanel(dates=list(panel.dates), columns=columns, tags=dict(panel.tags))
 
 

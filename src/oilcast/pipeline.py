@@ -16,7 +16,7 @@ import scipy.stats
 
 from .clustering import ClusterModel, elbow_select, kmeans_fit
 from .kpca import GaussianKernel, KpcaModel, kpca_fit, kpca_transform
-from .panel import FeaturePanel, NormalizationParams, normalize_apply, normalize_fit, normalize_invert
+from .panel import FeaturePanel, NormalizationParams, normalize_fit, normalize_invert, require_finite
 from .regressors import REGRESSORS, regressor_fit, regressor_predict
 
 DEFAULT_MAX_LAG = 3
@@ -184,14 +184,6 @@ def _stage(name: str, fn, *args, **kwargs):
         raise PipelineStageError(name, err) from err
 
 
-def _cluster_features(model_kpca: list[KpcaModel], members: list[list[str]],
-                      panel: FeaturePanel) -> np.ndarray:
-    parts = []
-    for kmodel, names in zip(model_kpca, members):
-        parts.append(kpca_transform(kmodel, panel.matrix(names)))
-    return np.hstack(parts)
-
-
 def pipeline_fit(panel: FeaturePanel, config: PipelineConfig) -> PipelineModel:
     """Fit normalization, clustering, per-cluster KPCA and the final regressor.
 
@@ -213,8 +205,8 @@ def pipeline_fit(panel: FeaturePanel, config: PipelineConfig) -> PipelineModel:
                          f"{panel.n_rows} training rows")
 
     norm = _stage("normalize", normalize_fit, panel)
-    normed = normalize_apply(norm, panel)
-    series = normed.matrix(indicators).T  # one row per indicator series
+    normed = norm.apply(panel.matrix(indicators), indicators)
+    series = normed.T  # one row per indicator series
 
     elbow_curve: dict[int, float] = {}
     if config.k is None:
@@ -228,10 +220,10 @@ def pipeline_fit(panel: FeaturePanel, config: PipelineConfig) -> PipelineModel:
                for j in range(cluster.k)]
 
     kpca_models: list[KpcaModel] = []
-    for j, names in enumerate(members):
+    for j in range(cluster.k):
         kernel = GaussianKernel(config.sigma) if config.sigma is not None else None
         kpca_models.append(
-            _stage(f"kpca[{j}]", kpca_fit, normed.matrix(names), kernel=kernel,
+            _stage(f"kpca[{j}]", kpca_fit, normed[:, cluster.labels == j], kernel=kernel,
                    n_components=config.n_components, theta=config.theta)
         )
     widths = [m.n_components for m in kpca_models]
@@ -239,7 +231,7 @@ def pipeline_fit(panel: FeaturePanel, config: PipelineConfig) -> PipelineModel:
     # each fit already holds its training rows' projection
     features = _stage("features", np.hstack, [m.train_scores for m in kpca_models])
     x = features[: panel.n_rows - config.lag]
-    y = normed.columns[target][config.lag :]
+    y = norm.apply(panel.matrix([target]), [target])[config.lag :, 0]
 
     regressor = _stage("regressor", regressor_fit, config.regressor, x, y, c=config.c,
                        sigma=config.sigma, n_hidden=config.n_hidden, seed=config.seed)
@@ -257,13 +249,12 @@ def pipeline_predict(model: PipelineModel, panel: FeaturePanel) -> np.ndarray:
     Rejects a missing indicator column, or a non-finite value in one, by
     name (and date) before any stage runs.
     """
-    selected = panel.select(model.indicator_names)
-    bad = np.argwhere(~np.isfinite(selected.matrix(model.indicator_names)))
-    if bad.size:
-        row, col = bad[0]
-        raise ValueError(f"column {model.indicator_names[col]!r} is not finite at "
-                         f"forecast origin {panel.dates[row]}")
-    normed = normalize_apply(model.norm, selected)
-    features = _cluster_features(model.kpca_models, model.cluster_members, normed)
+    names = model.indicator_names
+    values = panel.matrix(names)
+    require_finite(values, names, panel.dates, where="forecast origin ")
+    normed = model.norm.apply(values, names)
+    labels = model.cluster.labels
+    features = np.hstack([kpca_transform(kmodel, normed[:, labels == j])
+                          for j, kmodel in enumerate(model.kpca_models)])
     return normalize_invert(model.norm, model.target_name,
                             regressor_predict(model.regressor, features))

@@ -349,6 +349,40 @@ class TestRunOutputs:
             assert "target column 'price' is not finite at 2018-05" in err, f"{method}: {err}"
             assert not (tmp_path / "out" / "predictions.csv").exists()
 
+    @pytest.mark.parametrize("granger", ["true", "false"])
+    def test_non_finite_training_indicator_named(self, granger, tmp_path, capsys):
+        run_cli(["synth", "--seed", "7", "--out", str(tmp_path / "p")], capsys)
+        panel = read_panel_csv(str(tmp_path / "p.csv"))
+        panel.columns["f0s3"][panel.dates.index("2007-04")] = np.nan
+        write_panel_csv(panel, str(tmp_path / "p.csv"))
+        conf = write_config(
+            tmp_path / "c.conf", synth_seed="", panel=str(tmp_path / "p.csv"),
+            method="kmeans+kpca+kelm", granger=granger,
+        )
+        code, _, err = run_cli(
+            ["run", "--config", conf, "--out-dir", str(tmp_path / "out")], capsys
+        )
+        assert code == 1, err
+        assert err == "error: column 'f0s3' is not finite at 2007-04\n"
+
+    def test_calendar_gap_rejected(self, tmp_path, capsys):
+        run_cli(["synth", "--seed", "7", "--out", str(tmp_path / "p")], capsys)
+        lines = (tmp_path / "p.csv").read_text().splitlines(keepends=True)
+        (tmp_path / "p.csv").write_text(
+            "".join(ln for ln in lines if not ln.startswith("2008-02,"))
+        )
+        conf = write_config(
+            tmp_path / "c.conf", synth_seed="", panel=str(tmp_path / "p.csv"),
+            method="kmeans+kpca+kelm",
+        )
+        code, _, err = run_cli(
+            ["run", "--config", conf, "--out-dir", str(tmp_path / "out")], capsys
+        )
+        assert code == 1, err
+        assert err == ("error: months jump from 2008-01 to 2008-03; "
+                       "run needs consecutive months\n")
+        assert not (tmp_path / "out" / "predictions.csv").exists()
+
     def test_unknown_mode_rejected(self, tmp_path, capsys):
         conf = write_config(tmp_path / "c.conf", mode="X")
         code, _, err = run_cli(["run", "--config", conf, "--out-dir", str(tmp_path)], capsys)

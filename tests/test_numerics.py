@@ -91,6 +91,29 @@ class TestSymEig:
         with pytest.raises(ValueError, match=r"A\[0,1\]"):
             sym_eig([[1.0, 2.0], [1.0, 1.0]])
 
+    @pytest.mark.parametrize("block", [1, 3, 7, numerics.SYMMETRY_BLOCK_ROWS])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_blocked_scan_reports_the_full_matrix_answer(self, block, seed, monkeypatch):
+        # small integer entries make tied gaps common; the reference is the
+        # first maximum of the whole |A - A'| in row-major order
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        a = rng.integers(-3, 4, size=(n, n)).astype(float)
+        if seed % 2:
+            a = (a + a.T) / 2.0
+            a[rng.integers(n, size=3), rng.integers(n, size=3)] += 1.0
+        gap = np.abs(a - a.T)
+        i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
+        expected = (f"|A[{i},{j}] - A[{j},{i}]| = {gap[i, j]:.3e} "
+                    f"exceeds {numerics.SYMMETRY_ATOL:.0e}")
+        monkeypatch.setattr(numerics, "SYMMETRY_BLOCK_ROWS", block)
+        if gap[i, j] == 0.0:
+            numerics._check_symmetric(a, "a")
+            return
+        with pytest.raises(ValueError) as excinfo:
+            numerics._check_symmetric(a, "a")
+        assert str(excinfo.value) == f"a is not symmetric: {expected}"
+
     def test_rejects_non_square_and_non_finite(self):
         with pytest.raises(ValueError, match="square"):
             sym_eig(np.ones((2, 3)))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oilcast.panel import (
     FeaturePanel,
@@ -17,6 +19,7 @@ from oilcast.panel import (
     write_panel_csv,
     write_tags_csv,
 )
+from oilcast.synth import SynthSpec, synth_generate
 
 
 def make_panel(start="2010-01", months=24, names=("a", "b"), tags=None, seed=0):
@@ -166,6 +169,34 @@ class TestNormalization:
         params = normalize_fit(panel)
         with pytest.raises(ValueError, match="no normalization parameters"):
             normalize_invert(params, "zzz", np.ones(3))
+        with pytest.raises(ValueError, match="no normalization parameters for column 'zzz'"):
+            params.apply(np.ones((2, 2)), ["a", "zzz"])
+
+    def test_non_finite_cell_named(self):
+        panel = make_panel(names=("a", "b", "c"))
+        panel.columns["c"][2] = np.inf
+        panel.columns["b"][2] = np.nan
+        panel.columns["a"][5] = np.nan
+        with pytest.raises(ValueError, match=r"^column 'b' is not finite at 2010-03$"):
+            normalize_fit(panel)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), data=st.data())
+    def test_matrix_map_equals_the_per_column_formula(self, seed, data):
+        panel, _, _ = synth_generate(SynthSpec(seed=seed, months=40, factors=2,
+                                               series_per_factor=4))
+        fitted = data.draw(st.lists(st.sampled_from(list(panel.columns)), min_size=1,
+                                    unique=True))
+        params = normalize_fit(panel, fitted)
+        scaled = params.apply(panel.matrix(fitted), fitted)
+        applied = normalize_apply(params, panel)
+        for j, name in enumerate(fitted):
+            lo, hi = params.column(name)
+            expected = (panel.columns[name] - lo) / (hi - lo)
+            assert scaled[:, j].tobytes() == expected.tobytes()
+            assert applied.columns[name].tobytes() == expected.tobytes()
+        for name in set(panel.columns) - set(fitted):
+            assert applied.columns[name].tobytes() == panel.columns[name].tobytes()
 
 
 class TestCsv:

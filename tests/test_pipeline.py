@@ -7,6 +7,8 @@ against.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oilcast.kpca import kpca_fit, kpca_transform
 from oilcast.panel import (
@@ -177,6 +179,16 @@ class TestPipelineConfig:
             PipelineConfig(**kwargs)
 
 
+@pytest.fixture(scope="module")
+def fitted_models():
+    models = []
+    for seed in range(3):
+        panel, _, _ = synth_generate(SynthSpec(seed=seed))
+        models.append((panel, pipeline_fit(panel.row_slice(range(168)),
+                                           PipelineConfig(k=3, theta=0.95, seed=5))))
+    return models
+
+
 class TestPipelineFit:
     def test_three_clusters_three_kpca(self):
         panel, _, _ = synth_generate(SynthSpec(seed=0))
@@ -299,6 +311,23 @@ class TestPipelineFit:
         forecasts = pipeline_predict(model, panel.row_slice(range(167, 179)))
         assert forecasts.shape == (12,)
         assert np.all(np.isfinite(forecasts))
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_predict_ignores_column_order_and_extra_columns(self, fitted_models, data):
+        # the origin panel is read by column name, so neither its column
+        # order nor untagged extra columns (even non-finite ones) matter
+        panel, model = fitted_models[data.draw(st.integers(0, len(fitted_models) - 1))]
+        rows = panel.row_slice(range(167, 179))
+        expected = pipeline_predict(model, rows)
+        order = data.draw(st.permutations(list(rows.columns)))
+        extra = data.draw(st.lists(st.sampled_from([0.0, -1e6, 3.5, np.nan, np.inf]),
+                                   max_size=3))
+        columns = {name: rows.columns[name] for name in order}
+        columns.update({f"extra{i}": np.full(rows.n_rows, v) for i, v in enumerate(extra)})
+        tags = {name: tag for name, tag in rows.tags.items() if name in columns}
+        shuffled = FeaturePanel(dates=rows.dates, columns=columns, tags=tags)
+        assert pipeline_predict(model, shuffled).tobytes() == expected.tobytes()
 
     def test_predict_missing_column_named(self):
         panel, _, _ = synth_generate(SynthSpec(seed=0))
