@@ -15,8 +15,7 @@ import numpy as np
 
 from .numerics import NumericalError
 
-DEFAULT_MAX_ITER = 300
-DEFAULT_TOL = 1e-6
+MAX_ITER = 300
 
 # Relative slack for the per-iteration objective check. The mean update
 # is not the exact minimizer of summed correlation distance, but on
@@ -37,21 +36,6 @@ def _standardized_rows(x: np.ndarray, what: str) -> np.ndarray:
     if bad.size:
         raise DegenerateSeriesError(f"{what} {bad[0]} is constant; correlation distance is undefined")
     return centered / norms[:, None]
-
-
-def correlation_distance(x, y) -> float:
-    """``1 - pearson_r(x, y)``; raises on constant input series."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
-        raise ValueError(f"series must be 1-D and equal length, got {x.shape} and {y.shape}")
-    if x.size < 2:
-        raise ValueError("correlation distance needs at least 2 observations")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("correlation distance input contains non-finite values")
-    pair = _standardized_rows(np.vstack([x, y]), "series")
-    r = float(np.clip(pair[0] @ pair[1], -1.0, 1.0))
-    return 1.0 - r
 
 
 @dataclass
@@ -98,19 +82,15 @@ def _repair_empty_clusters(dist: np.ndarray, labels: np.ndarray, k: int) -> np.n
     return labels
 
 
-def kmeans_fit(
-    series,
-    k: int,
-    seed: int = 0,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-) -> ClusterModel:
+def kmeans_fit(series, k: int, seed: int = 0) -> ClusterModel:
     """Cluster series rows into ``k`` groups under correlation distance.
 
     Centroids start as a seeded uniform draw of ``k`` distinct series and
     are recomputed as plain member means. Ties in assignment go to the
     lowest cluster index; an emptied cluster is re-seeded from the series
-    that fits its own cluster worst. Deterministic for a given seed.
+    that fits its own cluster worst. The fit stops when an assignment pass
+    repeats the previous labels (the centroids, being member means, then
+    repeat too) or after ``MAX_ITER`` passes. Deterministic for a given seed.
     """
     series = np.asarray(series, dtype=float)
     if series.ndim != 2:
@@ -127,25 +107,23 @@ def kmeans_fit(
     rng = np.random.default_rng(seed)
     centroids = series[rng.choice(n, size=k, replace=False)].copy()
 
-    labels = np.zeros(n, dtype=int)
+    labels = None
     history: list[float] = []
     n_iter = 0
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, MAX_ITER + 1):
         dist = _distance_matrix(series_std, centroids)
-        labels = np.argmin(dist, axis=1)
-        labels = _repair_empty_clusters(dist, labels, k)
-        wcss = float(dist[np.arange(n), labels].sum())
+        assigned = _repair_empty_clusters(dist, np.argmin(dist, axis=1), k)
+        wcss = float(dist[np.arange(n), assigned].sum())
         if history and wcss > history[-1] + _WCSS_SLACK * max(1.0, history[-1]):
             raise NumericalError(
                 f"within-cluster distance increased from {history[-1]:.6e} to {wcss:.6e} "
                 f"at iteration {n_iter}; series scales are too disparate for the mean update"
             )
         history.append(wcss)
-        new_centroids = np.vstack([series[labels == j].mean(axis=0) for j in range(k)])
-        movement = float(np.max(np.abs(new_centroids - centroids)))
-        centroids = new_centroids
-        if movement <= tol:
+        if labels is not None and np.array_equal(assigned, labels):
             break
+        labels = assigned
+        centroids = np.vstack([series[labels == j].mean(axis=0) for j in range(k)])
 
     return ClusterModel(
         k=k,
@@ -158,38 +136,20 @@ def kmeans_fit(
     )
 
 
-def assign(model: ClusterModel, x) -> int:
-    """0-based index of the nearest centroid; ties go to the lowest index."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != model.centroids.shape[1]:
-        raise ValueError(
-            f"series length {x.shape} does not match centroid length {model.centroids.shape[1]}"
-        )
-    x_std = _standardized_rows(x[None, :], "series")
-    dist = _distance_matrix(x_std, model.centroids)[0]
-    return int(np.argmin(dist))
-
-
-def elbow_select(
-    series,
-    k_range,
-    seed: int = 0,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-) -> tuple[int, dict[int, float]]:
+def elbow_select(series, k_range, seed: int = 0) -> tuple[int, dict[int, ClusterModel]]:
     """Pick k at the sharpest bend of the WCSS curve.
 
-    Runs ``kmeans_fit`` for every k in ``k_range`` (ascending, at least 3
-    distinct values) and returns the interior k maximizing the second
-    difference ``wcss(prev) - 2 wcss(k) + wcss(next)``, together with the
-    full curve. A flat curve has no elbow; the smallest interior k is
-    returned with a warning.
+    Runs ``kmeans_fit`` once for every k in ``k_range`` (ascending, at
+    least 3 distinct values) and returns the interior k maximizing the
+    second difference ``wcss(prev) - 2 wcss(k) + wcss(next)``, together
+    with every fit by k. A flat curve has no elbow; the smallest interior
+    k is returned with a warning.
     """
     ks = sorted(set(int(k) for k in np.atleast_1d(k_range)))
     if len(ks) < 3:
         raise ValueError(f"k_range needs at least 3 distinct values, got {ks}")
-    curve = {k: kmeans_fit(series, k, seed=seed, max_iter=max_iter, tol=tol).wcss for k in ks}
-    return _pick_elbow(ks, [curve[k] for k in ks]), curve
+    fits = {k: kmeans_fit(series, k, seed=seed) for k in ks}
+    return _pick_elbow(ks, [fits[k].wcss for k in ks]), fits
 
 
 def _pick_elbow(ks: list[int], wcss_values: list[float]) -> int:

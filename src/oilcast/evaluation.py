@@ -53,12 +53,6 @@ def direction_hits(y, yhat) -> np.ndarray:
     return (product >= 0.0).astype(int)
 
 
-def da(y, yhat) -> float:
-    """Directional accuracy over the N-1 transitions, in percent."""
-    hits = direction_hits(y, yhat)
-    return float(hits.sum() / hits.size * 100.0)
-
-
 @dataclass
 class EvalReport:
     """Metrics for one forecast run plus the per-point detail behind them.

@@ -44,8 +44,7 @@ class GaussianKernel:
 
     def __call__(self, x: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
         """Kernel values between the rows of x and of z (x itself when z is None)."""
-        z = None if z is None else np.atleast_2d(z)
-        return self.of_sq_distances(sq_distances(np.atleast_2d(x), z))
+        return self.of_sq_distances(sq_distances(x, z))
 
     def of_sq_distances(self, sq: np.ndarray) -> np.ndarray:
         """The kernel of squared distances, computed in place over ``sq``."""
@@ -59,13 +58,8 @@ class LinearKernel:
 
     def __call__(self, x: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
         # x x' of a contiguous x is a symmetric rank-k update: exactly symmetric
-        x = np.ascontiguousarray(np.atleast_2d(x))
-        return x @ (x if z is None else np.atleast_2d(z)).T
-
-
-def median_heuristic(x) -> float:
-    """Median pairwise Euclidean distance between sample rows."""
-    return _median_distance(sq_distances(_as_samples(x, "median_heuristic input")))
+        x = np.ascontiguousarray(x)
+        return x @ (x if z is None else z).T
 
 
 def _median_distance(sq: np.ndarray) -> float:
@@ -105,11 +99,6 @@ def _as_samples(x, name: str) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{name} contains non-finite values")
     return x
-
-
-def kernel_matrix(x, kernel) -> np.ndarray:
-    """Symmetric Gram matrix of the sample rows under ``kernel``."""
-    return kernel(_as_samples(x, "kernel_matrix input"))
 
 
 def center_kernel(k) -> tuple[np.ndarray, np.ndarray, float]:
@@ -167,7 +156,7 @@ def kpca_fit(x, kernel=None, n_components: int | None = None, theta: float | Non
     if kernel is None:
         k, kernel = gaussian_gram(x)
     else:
-        k = kernel_matrix(x, kernel)
+        k = kernel(x)
     k_c, col_means, grand_mean = center_kernel(k)
     del k  # free the Gram matrix before the eigensolve
     values, vectors, keep = _leading_components(k_c, n_components, theta)
@@ -243,16 +232,13 @@ def _leading_components(k_c: np.ndarray, n_components: int | None,
 
 
 def kpca_transform(model: KpcaModel, x) -> np.ndarray:
-    """Project sample(s) onto the retained components.
+    """Project sample rows onto the retained components.
 
-    Accepts one sample (1-D) or stacked rows (2-D); returns a matching
-    (n_components,) vector or (m, n_components) matrix. The raw kernel
-    row is centered with the stored training statistics before applying
-    the coefficient columns.
+    Returns an (m, n_components) matrix for m rows. The raw kernel rows
+    are centered with the stored training statistics before applying the
+    coefficient columns.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    rows = _as_samples(x[None, :] if single else x, "kpca_transform input")
+    rows = _as_samples(x, "kpca_transform input")
     if rows.shape[1] != model.x_train.shape[1]:
         raise ValueError(
             f"sample dimension {rows.shape[1]} does not match training dimension "
@@ -265,5 +251,4 @@ def kpca_transform(model: KpcaModel, x) -> np.ndarray:
         - model.col_means[None, :]
         + model.grand_mean
     )
-    scores = k_c @ model.alphas
-    return scores[0] if single else scores
+    return k_c @ model.alphas

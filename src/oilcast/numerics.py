@@ -179,7 +179,7 @@ def ridge_pinv(h, y, c: float) -> np.ndarray:
     ``c > 0`` is the regularization constant. As ``c`` grows the result
     approaches the minimum-norm least-squares solution of ``H beta = y``.
     """
-    h = np.asarray(h, dtype=float)
+    h = np.ascontiguousarray(h, dtype=float)
     y = np.asarray(y, dtype=float)
     if h.ndim != 2:
         raise ValueError(f"design matrix must be 2-D, got shape {h.shape}")
@@ -191,8 +191,7 @@ def ridge_pinv(h, y, c: float) -> np.ndarray:
         raise ValueError(f"regularization constant must be positive, got {c}")
     if not np.all(np.isfinite(h)) or not np.all(np.isfinite(y)):
         raise ValueError("ridge_pinv input contains non-finite entries")
-    gram = h @ h.T
-    gram = (gram + gram.T) / 2.0
+    gram = h @ h.T  # a symmetric rank-k update of a contiguous h: exactly symmetric
     gram[np.diag_indices_from(gram)] += 1.0 / c
     alpha = solve_spd(gram, y)
     return h.T @ alpha

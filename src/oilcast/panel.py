@@ -229,7 +229,10 @@ class NormalizationParams:
         return float(self.mins[i]), float(self.maxs[i])
 
     def apply(self, x: np.ndarray, names) -> np.ndarray:
-        """Map a (rows, len(names)) matrix to [0, 1] on the training range, by column."""
+        """Map a (rows, len(names)) matrix to [0, 1] on the training range, by column.
+
+        Values outside the training range map outside [0, 1]; there is no clipping.
+        """
         idx = [self.position(name) for name in names]
         lo = self.mins[idx]
         return (x - lo) / (self.maxs[idx] - lo)
@@ -246,9 +249,9 @@ def require_finite(values: np.ndarray, names, dates, where: str = "") -> None:
         raise ValueError(f"column {names[col]!r} is not finite at {where}{dates[row]}")
 
 
-def normalize_fit(panel: FeaturePanel, names=None) -> NormalizationParams:
+def normalize_fit(panel: FeaturePanel) -> NormalizationParams:
     """Min/max per column over the panel's rows; rejects non-finite and constant columns."""
-    names = list(panel.columns) if names is None else list(names)
+    names = list(panel.columns)
     values = panel.matrix(names)
     require_finite(values, names, panel.dates)
     mins = values.min(axis=0)
@@ -257,19 +260,6 @@ def normalize_fit(panel: FeaturePanel, names=None) -> NormalizationParams:
     if flat:
         raise ValueError(f"constant columns cannot be normalized: {flat}")
     return NormalizationParams(names=tuple(names), mins=mins, maxs=maxs)
-
-
-def normalize_apply(params: NormalizationParams, panel: FeaturePanel) -> FeaturePanel:
-    """Map each parameterized column to [0, 1] on the training range.
-
-    Values outside the training range map outside [0, 1]; there is no
-    clipping. Columns without parameters pass through unchanged.
-    """
-    names = [name for name in panel.columns if name in params.positions]
-    scaled = dict(zip(names, params.apply(panel.matrix(names), names).T)) if names else {}
-    columns = {name: scaled[name] if name in scaled else values.copy()
-               for name, values in panel.columns.items()}
-    return FeaturePanel(dates=list(panel.dates), columns=columns, tags=dict(panel.tags))
 
 
 def normalize_invert(params: NormalizationParams, name: str, values) -> np.ndarray:
@@ -356,13 +346,10 @@ def read_panel_csv(path: str) -> FeaturePanel:
         raise ValueError(f"{path}: {err}") from None
 
 
-def write_panel_csv(panel: FeaturePanel, path: str, preamble: str = "") -> None:
-    """Write the canonical panel CSV, optionally preceded by '#' comment lines."""
-    lines = []
-    if preamble:
-        lines.extend(f"# {ln}" for ln in preamble.splitlines())
+def write_panel_csv(panel: FeaturePanel, path: str) -> None:
+    """Write the canonical panel CSV."""
     names = list(panel.columns)
-    lines.append(",".join(["date"] + names))
+    lines = [",".join(["date"] + names)]
     for i, date in enumerate(panel.dates):
         cells = [date] + [_format_value(panel.columns[n][i]) for n in names]
         lines.append(",".join(cells))

@@ -152,6 +152,9 @@ class PipelineConfig:
         lo, hi = self.k_range
         if lo < 1 or hi < lo:
             raise ValueError(f"k_range bounds must satisfy 1 <= lo <= hi, got {self.k_range}")
+        if self.k is None and hi - lo < 2:
+            raise ValueError(f"k_range {self.k_range} holds {hi - lo + 1} k values; "
+                             f"the elbow needs 3 candidates; widen it or pin k")
         if self.c <= 0:
             raise ValueError(f"regularization c must be positive, got {self.c}")
 
@@ -159,7 +162,6 @@ class PipelineConfig:
 @dataclass
 class PipelineModel:
     norm: NormalizationParams
-    lag: int
     target_name: str
     indicator_names: list[str]
     cluster: ClusterModel
@@ -169,10 +171,6 @@ class PipelineModel:
     regressor: object
     config: PipelineConfig
     elbow_curve: dict[int, float] = field(default_factory=dict)
-
-    @property
-    def feature_width(self) -> int:
-        return sum(self.widths)
 
 
 def _stage(name: str, fn, *args, **kwargs):
@@ -203,6 +201,11 @@ def pipeline_fit(panel: FeaturePanel, config: PipelineConfig) -> PipelineModel:
     if panel.n_rows - config.lag < 2:
         raise ValueError(f"lag {config.lag} leaves fewer than 2 supervised pairs in "
                          f"{panel.n_rows} training rows")
+    if config.k is None:
+        lo, hi = config.k_range[0], min(config.k_range[1], len(indicators))
+        if hi - lo < 2:  # k cannot exceed the series count
+            raise ValueError(f"{len(indicators)} indicator series leave k in [{lo}, {hi}]; "
+                             f"the elbow needs 3 candidates; pin k")
 
     norm = _stage("normalize", normalize_fit, panel)
     normed = norm.apply(panel.matrix(indicators), indicators)
@@ -210,12 +213,11 @@ def pipeline_fit(panel: FeaturePanel, config: PipelineConfig) -> PipelineModel:
 
     elbow_curve: dict[int, float] = {}
     if config.k is None:
-        lo, hi = config.k_range
-        ks = range(lo, min(hi, len(indicators)) + 1)  # k cannot exceed the series count
-        k, elbow_curve = _stage("cluster", elbow_select, series, ks, seed=config.seed)
+        k, fits = _stage("cluster", elbow_select, series, range(lo, hi + 1), seed=config.seed)
+        cluster = fits[k]
+        elbow_curve = {j: fit.wcss for j, fit in fits.items()}
     else:
-        k = config.k
-    cluster = _stage("cluster", kmeans_fit, series, k, seed=config.seed)
+        cluster = _stage("cluster", kmeans_fit, series, config.k, seed=config.seed)
     members = [[indicators[i] for i in np.flatnonzero(cluster.labels == j)]
                for j in range(cluster.k)]
 
@@ -237,7 +239,7 @@ def pipeline_fit(panel: FeaturePanel, config: PipelineConfig) -> PipelineModel:
                        sigma=config.sigma, n_hidden=config.n_hidden, seed=config.seed)
 
     return PipelineModel(
-        norm=norm, lag=config.lag, target_name=target, indicator_names=indicators,
+        norm=norm, target_name=target, indicator_names=indicators,
         cluster=cluster, cluster_members=members, kpca_models=kpca_models,
         widths=widths, regressor=regressor, config=config, elbow_curve=elbow_curve,
     )

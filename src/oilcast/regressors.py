@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .kpca import GaussianKernel, LinearKernel, gaussian_gram, kernel_matrix
+from .kpca import GaussianKernel, LinearKernel, gaussian_gram
 from .numerics import ridge_pinv, solve_spd
 
 DEFAULT_C = 100.0
@@ -36,15 +36,15 @@ def _as_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _as_eval_rows(x, dim: int) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    rows = x[None, :] if single else x
-    if rows.ndim != 2 or rows.shape[1] != dim:
-        raise ValueError(f"sample dimension {x.shape} does not match model dimension {dim}")
+def _as_eval_rows(x, dim: int) -> np.ndarray:
+    rows = np.asarray(x, dtype=float)
+    if rows.ndim != 2:
+        raise ValueError(f"prediction input must be 2-D (samples as rows), got shape {rows.shape}")
+    if rows.shape[1] != dim:
+        raise ValueError(f"sample dimension {rows.shape[1]} does not match model dimension {dim}")
     if not np.all(np.isfinite(rows)):
         raise ValueError("prediction input contains non-finite values")
-    return rows, single
+    return rows
 
 
 @dataclass
@@ -73,10 +73,9 @@ def elm_fit(x, y, n_hidden: int = DEFAULT_N_HIDDEN, c: float = DEFAULT_C, seed: 
 
 
 def elm_predict(model: ElmModel, x) -> np.ndarray:
-    """Apply the fixed hidden layer and output weights to sample row(s)."""
-    rows, single = _as_eval_rows(x, model.weights.shape[1])
-    out = expit(rows @ model.weights.T + model.biases) @ model.beta
-    return out[0] if single else out
+    """Apply the fixed hidden layer and output weights to sample rows."""
+    rows = _as_eval_rows(x, model.weights.shape[1])
+    return expit(rows @ model.weights.T + model.biases) @ model.beta
 
 
 @dataclass
@@ -101,17 +100,16 @@ def kelm_fit(x, y, c: float = DEFAULT_C, sigma: float | None = None, kernel=None
     if kernel is None:
         system, kernel = gaussian_gram(x, sigma)
     else:
-        system = kernel_matrix(x, kernel)
+        system = kernel(x)
     system[np.diag_indices_from(system)] += 1.0 / c
     alpha = solve_spd(system, y)
     return KelmModel(x_train=x.copy(), kernel=kernel, alpha=alpha, c=c)
 
 
 def kelm_predict(model: KelmModel, x) -> np.ndarray:
-    """Kernel row against the training inputs times the dual coefficients."""
-    rows, single = _as_eval_rows(x, model.x_train.shape[1])
-    out = model.kernel(rows, model.x_train) @ model.alpha
-    return out[0] if single else out
+    """Kernel rows against the training inputs times the dual coefficients."""
+    rows = _as_eval_rows(x, model.x_train.shape[1])
+    return model.kernel(rows, model.x_train) @ model.alpha
 
 
 # The dispatch calls the fit/predict functions through their module-level

@@ -10,7 +10,7 @@ from oilcast.baselines import (
     naive_forecast,
     univariate_lag_features,
 )
-from oilcast.evaluation import da
+from oilcast.evaluation import evaluate
 
 
 def simulate_ar1(phi, n, seed, mean=0.0):
@@ -41,7 +41,7 @@ class TestNaive:
         yhat[0] = naive_forecast([0.4, 0.9], 1)[0]
         for t in range(1, y.size):
             yhat[t] = naive_forecast(y[:t], 1)[0]
-        assert da(y, yhat) == 100.0
+        assert evaluate(y, yhat).da_pct == 100.0
 
 
 class TestArFit:

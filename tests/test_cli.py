@@ -9,7 +9,7 @@ from oilcast import cli
 from oilcast.cli import CONFIG_KEYS, load_config, main
 from oilcast.evaluation import parse_report
 from oilcast.numerics import NumericalError
-from oilcast.panel import FeaturePanel, read_panel_csv, write_panel_csv
+from oilcast.panel import FeaturePanel, read_panel_csv, write_panel_csv, write_tags_csv
 from oilcast.pipeline import PipelineStageError
 from oilcast.synth import SynthSpec, synth_generate
 
@@ -331,6 +331,30 @@ class TestRunOutputs:
             assert code == 1, f"{method}: {err}"
             assert "lag 200" in err and "168 training rows" in err, f"{method}: {err}"
             assert "stage" not in err, f"{method}: {err}"
+
+    def test_series_count_truncating_the_elbow_named(self, tmp_path, capsys):
+        panel, _, _ = synth_generate(SynthSpec(seed=7))
+        pair = panel.select(["f0s0", "f1s0", "price"])
+        write_panel_csv(pair, str(tmp_path / "p.csv"))
+        write_tags_csv(pair.tags, str(tmp_path / "p.tags.csv"))
+        conf = write_config(tmp_path / "c.conf", synth_seed="", panel=str(tmp_path / "p.csv"),
+                            method="kmeans+kpca+kelm")
+        code, _, err = run_cli(["run", "--config", conf, "--out-dir", str(tmp_path)], capsys)
+        assert code == 1, err
+        assert err == ("error: 2 indicator series leave k in [1, 2]; "
+                       "the elbow needs 3 candidates; pin k\n")
+
+    def test_narrow_k_range_rejected_before_granger(self, tmp_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the Granger screen ran before the k_range check")
+
+        monkeypatch.setattr(cli, "granger_filter", unreachable)
+        conf = write_config(tmp_path / "c.conf", method="kmeans+kpca+kelm", granger="true",
+                            k_lo=3, k_hi=4)
+        code, _, err = run_cli(["run", "--config", conf, "--out-dir", str(tmp_path)], capsys)
+        assert code == 1, err
+        assert err == ("error: k_range (3, 4) holds 2 k values; "
+                       "the elbow needs 3 candidates; widen it or pin k\n")
 
     def test_missing_test_target_named(self, tmp_path, capsys):
         run_cli(["synth", "--seed", "7", "--out", str(tmp_path / "p")], capsys)

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from oilcast.clustering import (
-    ClusterModel,
     DegenerateSeriesError,
+    _distance_matrix,
     _pick_elbow,
-    assign,
-    correlation_distance,
+    _standardized_rows,
     elbow_select,
     kmeans_fit,
 )
@@ -43,35 +42,51 @@ def purity(found, truth):
     return correct / len(truth)
 
 
+def corr_distance(x, y):
+    """The k-means distance between series x and a centroid y."""
+    x_std = _standardized_rows(np.asarray([x], dtype=float), "series")
+    return float(_distance_matrix(x_std, np.asarray([y], dtype=float))[0, 0])
+
+
+def nearest_centroids(series, centroids):
+    """One assignment pass: the nearest centroid of each series row."""
+    return np.argmin(_distance_matrix(_standardized_rows(series, "series"), centroids), axis=1)
+
+
 class TestCorrelationDistance:
     def test_hand_value(self):
         # pearson_r([1,2,3], [1,3,2]) = 0.5, so the distance is 0.5
-        assert correlation_distance([1.0, 2.0, 3.0], [1.0, 3.0, 2.0]) == pytest.approx(0.5)
+        assert corr_distance([1.0, 2.0, 3.0], [1.0, 3.0, 2.0]) == pytest.approx(0.5)
 
     def test_positive_affine_copy_is_at_distance_zero(self):
         x = np.array([0.3, 1.7, -0.2, 0.9, 2.4])
-        assert correlation_distance(x, 3.0 * x + 7.0) == pytest.approx(0.0, abs=1e-12)
+        assert corr_distance(x, 3.0 * x + 7.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_negated_series_is_at_distance_two(self):
         x = np.array([1.0, 2.0, 4.0, 3.0])
-        assert correlation_distance(x, -x) == pytest.approx(2.0, abs=1e-12)
+        assert corr_distance(x, -x) == pytest.approx(2.0, abs=1e-12)
 
     def test_symmetric_and_bounded(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             x = rng.standard_normal(12)
             y = rng.standard_normal(12)
-            d_xy = correlation_distance(x, y)
-            assert d_xy == pytest.approx(correlation_distance(y, x), abs=1e-12)
+            d_xy = corr_distance(x, y)
+            assert d_xy == pytest.approx(corr_distance(y, x), abs=1e-12)
             assert 0.0 <= d_xy <= 2.0
 
     def test_constant_series_rejected(self):
         with pytest.raises(DegenerateSeriesError, match="constant"):
-            correlation_distance([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+            corr_distance([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+        with pytest.raises(DegenerateSeriesError, match="centroid"):
+            corr_distance([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            correlation_distance([1.0, 2.0], [1.0, 2.0, 3.0])
+        # k-means takes equal-length series as the rows of one matrix
+        with pytest.raises(ValueError, match="2-D"):
+            kmeans_fit(np.array([1.0, 2.0, 3.0]), 1)
+        with pytest.raises(ValueError, match="at least 2 observations"):
+            kmeans_fit(np.ones((3, 1)), 1)
 
 
 class TestKmeansFit:
@@ -93,6 +108,19 @@ class TestKmeansFit:
         model = kmeans_fit(series, 4, seed=1)
         assert model.labels.shape == (len(series),)
         assert set(np.unique(model.labels)) == set(range(4))
+
+    def test_last_two_passes_assign_equal_labels(self):
+        # the fit stops when an assignment pass repeats the previous labels:
+        # the centroids are then the member means of the final labels, and
+        # one more pass against them reproduces those labels
+        for seed in range(6):
+            series, _ = planted_series(noise=0.3, seed=seed)
+            for k in (2, 3, 5):
+                model = kmeans_fit(series, k, seed=seed)
+                assert model.n_iter >= 2 and model.n_iter == len(model.wcss_history)
+                means = np.vstack([series[model.labels == j].mean(axis=0) for j in range(k)])
+                np.testing.assert_array_equal(model.centroids, means)
+                np.testing.assert_array_equal(nearest_centroids(series, means), model.labels)
 
     def test_wcss_history_monotone_on_noise_and_planted_data(self):
         for seed in range(10):
@@ -143,29 +171,25 @@ class TestKmeansFit:
 
 
 class TestAssign:
+    """The assignment pass of ``kmeans_fit``."""
+
     def test_series_equal_to_a_centroid_goes_to_it(self):
         series, _ = planted_series(noise=0.0, seed=4)
         model = kmeans_fit(series, 3, seed=0)
-        for j in range(3):
-            assert assign(model, model.centroids[j]) == j
+        np.testing.assert_array_equal(nearest_centroids(model.centroids, model.centroids),
+                                      np.arange(3))
 
     def test_exact_tie_goes_to_lowest_index(self):
-        # x = [0, 1, 0] is uncorrelated with both centroids, so both
-        # distances are exactly 1.0 and the tie must break to cluster 0.
-        model = ClusterModel(
-            k=2,
-            centroids=np.array([[1.0, 0.0, -1.0], [-1.0, 0.0, 1.0]]),
-            labels=np.array([0, 1]),
-            wcss=0.0,
-            wcss_history=[0.0],
-        )
-        assert assign(model, np.array([0.0, 1.0, 0.0])) == 0
-
-    def test_length_mismatch_rejected(self):
-        series, _ = planted_series(seed=0)
-        model = kmeans_fit(series, 2, seed=0)
-        with pytest.raises(ValueError, match="length"):
-            assign(model, np.ones(7))
+        # a and -a are uncorrelated with c and -c, so when the fit starts
+        # from c and -c (seeds 0 and 5) both of their distances are exactly
+        # 1.0 on every pass, and the tie must break to cluster 0
+        a = np.array([1.0, 0.0, -1.0, 0.0])
+        c = np.array([0.0, 1.0, 0.0, -1.0])
+        series = np.array([a, -a, c, -c])
+        for seed in (0, 5):
+            labels = kmeans_fit(series, 2, seed=seed).labels
+            assert labels[2] != labels[3]  # c and -c seeded the two clusters
+            assert labels[0] == labels[1] == 0
 
 
 class TestElbow:
@@ -179,25 +203,30 @@ class TestElbow:
 
     def test_planted_three_groups_select_three(self):
         series, _ = planted_series(noise=0.05, seed=0)
-        k, curve = elbow_select(series, range(1, 7), seed=0)
+        k, fits = elbow_select(series, range(1, 7), seed=0)
         assert k == 3
-        assert set(curve) == {1, 2, 3, 4, 5, 6}
+        assert set(fits) == {1, 2, 3, 4, 5, 6}
+        # each k is fitted once, and the selected fit is the plain k-means fit
+        assert all(fit.k == j for j, fit in fits.items())
+        np.testing.assert_array_equal(fits[3].labels, kmeans_fit(series, 3, seed=0).labels)
 
     def test_affine_invariance_of_assignment(self):
-        series, _ = planted_series(noise=0.05, seed=7)
-        model = kmeans_fit(series, 3, seed=0)
+        # correlation ignores each series' level and positive scale, so on
+        # separated groups a per-series positive affine map keeps the labels
         rng = np.random.default_rng(0)
-        for x in series[::5]:
-            a = float(rng.uniform(0.1, 10.0))
-            b = float(rng.uniform(-5.0, 5.0))
-            assert assign(model, a * x + b) == assign(model, x)
+        for seed in range(5):
+            series, _ = planted_series(noise=0.05, seed=seed)
+            a = rng.uniform(0.1, 10.0, size=(len(series), 1))
+            b = rng.uniform(-5.0, 5.0, size=(len(series), 1))
+            np.testing.assert_array_equal(kmeans_fit(a * series + b, 3, seed=seed).labels,
+                                          kmeans_fit(series, 3, seed=seed).labels)
 
     def test_flat_curve_warns_and_returns_smallest_interior_k(self):
         series = np.tile(np.array([1.0, 3.0, 2.0, 5.0, 4.0, 6.0]), (6, 1))
         with pytest.warns(UserWarning, match="no elbow"):
-            k, curve = elbow_select(series, [1, 2, 3, 4], seed=0)
+            k, fits = elbow_select(series, [1, 2, 3, 4], seed=0)
         assert k == 2
-        assert all(v == pytest.approx(0.0, abs=1e-12) for v in curve.values())
+        assert all(fit.wcss == pytest.approx(0.0, abs=1e-12) for fit in fits.values())
 
     def test_too_few_k_values_rejected(self):
         series, _ = planted_series(seed=0)

@@ -5,7 +5,6 @@ import pytest
 
 from oilcast.evaluation import (
     EvalReport,
-    da,
     direction_hits,
     evaluate,
     format_report,
@@ -33,7 +32,7 @@ class TestPointMetrics:
         assert mape(y, y) == 0.0
         assert rmse(y, y) == 0.0
         assert mae(y, y) == 0.0
-        assert da(y, y) == 100.0
+        assert evaluate(y, y).da_pct == 100.0
 
     def test_mape_hand_values(self):
         assert mape([100.0, 100.0], [90.0, 110.0]) == pytest.approx(10.0)
@@ -68,18 +67,18 @@ class TestDirectionalAccuracy:
             yhat[t + 1] = y[t] - 0.5
         hits = direction_hits(y, yhat)
         assert hits.sum() == 8 and hits.size == 11
-        assert da(y, yhat) == pytest.approx(72.73, abs=0.01)
+        assert evaluate(y, yhat).da_pct == pytest.approx(72.73, abs=0.01)
 
     def test_tie_counts_as_correct(self):
         # Forecast stuck at y(1): the single transition's product is 0.
-        assert da([1.0, 2.0], [1.0, 1.0]) == 100.0
+        assert evaluate([1.0, 2.0], [1.0, 1.0]).da_pct == 100.0
 
     def test_matches_independent_sign_implementation(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             y = rng.standard_normal(12) + 5.0
             yhat = rng.standard_normal(12) + 5.0
-            assert da(y, yhat) == pytest.approx(reference_da(y, yhat))
+            assert evaluate(y, yhat).da_pct == pytest.approx(reference_da(y, yhat))
 
     def test_depends_only_on_move_signs(self):
         y = np.array([10.0, 11.0, 10.5, 12.0])
@@ -88,11 +87,11 @@ class TestDirectionalAccuracy:
         # crossing it: every (yhat(t+1) - y(t)) keeps its sign.
         stretched = yhat.copy()
         stretched[1:] = y[:-1] + 3.0 * (yhat[1:] - y[:-1])
-        assert da(y, stretched) == da(y, yhat)
+        assert evaluate(y, stretched).da_pct == evaluate(y, yhat).da_pct
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError, match="at least 2"):
-            da([1.0], [1.0])
+            evaluate([1.0], [1.0])
 
 
 class TestImprovementRate:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from oilcast import kpca, numerics
 from oilcast.kpca import (
@@ -9,12 +10,11 @@ from oilcast.kpca import (
     GaussianKernel,
     LinearKernel,
     center_kernel,
-    kernel_matrix,
+    gaussian_gram,
     kpca_fit,
     kpca_transform,
-    median_heuristic,
 )
-from oilcast.panel import normalize_apply, normalize_fit
+from oilcast.panel import normalize_fit
 from oilcast.pipeline import PipelineConfig, pipeline_fit
 from oilcast.synth import SynthSpec, synth_generate
 
@@ -31,7 +31,7 @@ def pca_scores(x_train, x_eval, n_components):
 
 def full_spectrum_keep(x, theta):
     """Component count of the theta rule over the whole spectrum (full eigh)."""
-    k_c, _, _ = center_kernel(kernel_matrix(x, GaussianKernel(median_heuristic(x))))
+    k_c, _, _ = center_kernel(gaussian_gram(x)[0])
     values = np.sort(np.linalg.eigvalsh(k_c))[::-1]
     usable = values[values > 1e-10 * values[0]]
     fractions = np.cumsum(usable) / usable.sum()
@@ -67,18 +67,18 @@ def align_signs(reference, candidate):
 
 class TestKernels:
     def test_gaussian_hand_value(self):
-        k = kernel_matrix(np.array([[0.0], [1.0]]), GaussianKernel(1.0))
+        k = GaussianKernel(1.0)(np.array([[0.0], [1.0]]))
         assert k[0, 1] == pytest.approx(np.exp(-0.5))
         assert k[0, 1] == pytest.approx(0.6065, abs=5e-5)
 
     def test_identical_samples_give_all_ones(self):
-        k = kernel_matrix(np.array([[2.0, 3.0], [2.0, 3.0]]), GaussianKernel(0.7))
+        k = GaussianKernel(0.7)(np.array([[2.0, 3.0], [2.0, 3.0]]))
         np.testing.assert_allclose(k, np.ones((2, 2)), atol=1e-15)
 
     def test_unit_diagonal_and_symmetry(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((15, 4))
-        k = kernel_matrix(x, GaussianKernel(2.0))
+        k = GaussianKernel(2.0)(x)
         np.testing.assert_allclose(np.diag(k), np.ones(15), atol=1e-15)
         np.testing.assert_allclose(k, k.T, atol=1e-15)
         assert np.all(k > 0.0) and np.all(k <= 1.0)
@@ -91,25 +91,26 @@ class TestKernels:
 
     def test_median_heuristic_hand_value(self):
         # pairwise distances of [0], [1], [3]: 1, 3, 2 -> median 2
-        assert median_heuristic(np.array([[0.0], [1.0], [3.0]])) == pytest.approx(2.0)
+        model = kpca_fit(np.array([[0.0], [1.0], [3.0]]), n_components=1)
+        assert model.kernel.sigma == 2.0
 
     def test_median_heuristic_rejects_duplicates_only(self):
         with pytest.raises(DegenerateKernelError, match="duplicated"):
-            median_heuristic(np.ones((4, 2)))
+            kpca_fit(np.ones((4, 2)))
 
 
 class TestCenterKernel:
     def test_rows_and_columns_sum_to_zero(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((12, 3))
-        k_c, _, _ = center_kernel(kernel_matrix(x, GaussianKernel(1.5)))
+        k_c, _, _ = center_kernel(GaussianKernel(1.5)(x))
         np.testing.assert_allclose(k_c.sum(axis=0), np.zeros(12), atol=1e-9)
         np.testing.assert_allclose(k_c.sum(axis=1), np.zeros(12), atol=1e-9)
 
     def test_idempotent_on_centered_input(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((8, 3))
-        k_c, _, _ = center_kernel(kernel_matrix(x, GaussianKernel(1.0)))
+        k_c, _, _ = center_kernel(GaussianKernel(1.0)(x))
         k_cc, _, _ = center_kernel(k_c)
         np.testing.assert_allclose(k_cc, k_c, atol=1e-12)
 
@@ -123,7 +124,7 @@ class TestCenterKernel:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((10, 3))
         x -= x.mean(axis=0)
-        k = kernel_matrix(x, LinearKernel())
+        k = LinearKernel()(x)
         k_c, _, _ = center_kernel(k)
         np.testing.assert_allclose(k_c, k, atol=1e-10)
 
@@ -161,7 +162,7 @@ class TestKpcaFit:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((12, 4))
         model = kpca_fit(x, kernel=GaussianKernel(2.0), theta=1.0)
-        k_c, _, _ = center_kernel(kernel_matrix(x, GaussianKernel(2.0)))
+        k_c, _, _ = center_kernel(GaussianKernel(2.0)(x))
         values = np.sort(np.linalg.eigvalsh(k_c))[::-1]
         expected = int(np.sum(values > 1e-10 * values[0]))
         assert model.n_components == expected
@@ -170,7 +171,7 @@ class TestKpcaFit:
         rng = np.random.default_rng(6)
         x = rng.standard_normal((20, 5))
         model = kpca_fit(x, kernel=GaussianKernel(1.5), theta=0.6)
-        k_c, _, _ = center_kernel(kernel_matrix(x, GaussianKernel(1.5)))
+        k_c, _, _ = center_kernel(GaussianKernel(1.5)(x))
         values = np.sort(np.linalg.eigvalsh(k_c))[::-1]
         usable = values[values > 1e-10 * values[0]]
         fractions = np.cumsum(usable) / usable.sum()
@@ -192,7 +193,7 @@ class TestKpcaFit:
         rng = np.random.default_rng(8)
         for sigma in (0.5, 2.0):
             x = rng.standard_normal((25, 4))
-            k_c, _, _ = center_kernel(kernel_matrix(x, GaussianKernel(sigma)))
+            k_c, _, _ = center_kernel(GaussianKernel(sigma)(x))
             values = np.linalg.eigvalsh(k_c)
             assert values.min() >= -1e-8 * values.max()
 
@@ -201,7 +202,7 @@ class TestKpcaFit:
         x = rng.standard_normal((10, 3))
         model = kpca_fit(x, theta=0.9)
         assert isinstance(model.kernel, GaussianKernel)
-        assert model.kernel.sigma == pytest.approx(median_heuristic(x))
+        assert model.kernel.sigma == pytest.approx(np.median(pdist(x)), rel=1e-12)
 
     def test_selection_argument_validation(self):
         rng = np.random.default_rng(10)
@@ -228,9 +229,9 @@ class TestPartialEigensolve:
                 SynthSpec(seed=seed, months=180, factors=7, series_per_factor=10))
             train = panel.row_slice(range(168))
             model = pipeline_fit(train, PipelineConfig(k=6, theta=0.95))
-            normed = normalize_apply(normalize_fit(train), train)
+            norm = normalize_fit(train)
             for names, kmodel in zip(model.cluster_members, model.kpca_models):
-                keep, _ = full_spectrum_keep(normed.matrix(names), 0.95)
+                keep, _ = full_spectrum_keep(norm.apply(train.matrix(names), names), 0.95)
                 assert kmodel.n_components == keep, (seed, names)
                 checked += 1
         assert checked == 30
@@ -312,12 +313,14 @@ class TestKpcaTransform:
         rng = np.random.default_rng(14)
         x = rng.standard_normal((10, 3))
         model = kpca_fit(x, kernel=GaussianKernel(1.0), n_components=2)
-        single = kpca_transform(model, x[3])
-        assert single.shape == (2,)
-        np.testing.assert_allclose(single, kpca_transform(model, x)[3], atol=1e-12)
+        single = kpca_transform(model, x[3:4])
+        assert single.shape == (1, 2)
+        np.testing.assert_allclose(single[0], kpca_transform(model, x)[3], atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(15)
         model = kpca_fit(rng.standard_normal((8, 3)), kernel=GaussianKernel(1.0), n_components=2)
         with pytest.raises(ValueError, match="dimension"):
-            kpca_transform(model, np.ones(4))
+            kpca_transform(model, np.ones((1, 4)))
+        with pytest.raises(ValueError, match="2-D"):
+            kpca_transform(model, np.ones(3))

@@ -58,6 +58,28 @@ class TestSqDistances:
         np.testing.assert_allclose(sq, cdist(x, z, "sqeuclidean"), rtol=0, atol=1e-12 * scale)
 
 
+class TestRidgeGramSymmetry:
+    @pytest.mark.parametrize("rows", [167, 155, 1187, 20])
+    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
+    def test_ridge_gram_is_exactly_symmetric(self, rows, layout, monkeypatch):
+        # ridge_pinv hands H H' + I/C to solve_spd unsymmetrized: a rank-k
+        # update of a contiguous H is exactly symmetric, so a strided H is
+        # made contiguous first
+        rng = np.random.default_rng(rows)
+        h = 1.0 / (1.0 + np.exp(-rng.standard_normal((rows, 200))))
+        if layout == "strided":
+            h = h[:, ::2]
+        seen = []
+
+        def spy(a, b):
+            seen.append(a.copy())
+            return solve_spd(a, b)
+
+        monkeypatch.setattr(numerics, "solve_spd", spy)
+        ridge_pinv(h, rng.standard_normal(rows), 100.0)
+        assert np.array_equal(seen[0], seen[0].T)
+
+
 class TestSymEig:
     def test_two_by_two_hand_values(self):
         # [[2, 1], [1, 2]] has eigenpairs (3, [1, 1]/sqrt(2)) and (1, [1, -1]/sqrt(2)).

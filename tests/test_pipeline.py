@@ -14,7 +14,6 @@ from oilcast.kpca import kpca_fit, kpca_transform
 from oilcast.panel import (
     FeaturePanel,
     month_range,
-    normalize_apply,
     normalize_fit,
     normalize_invert,
     train_test_split,
@@ -178,6 +177,11 @@ class TestPipelineConfig:
         with pytest.raises(ValueError):
             PipelineConfig(**kwargs)
 
+    def test_elbow_range_needs_three_candidates(self):
+        with pytest.raises(ValueError, match=r"k_range \(3, 4\) holds 2 k values"):
+            PipelineConfig(k_range=(3, 4))
+        PipelineConfig(k=3, k_range=(3, 4))  # a pinned k needs no elbow
+
 
 @pytest.fixture(scope="module")
 def fitted_models():
@@ -199,7 +203,6 @@ class TestPipelineFit:
         assert sorted(n for grp in model.cluster_members for n in grp) == sorted(
             model.indicator_names
         )
-        assert model.feature_width == sum(model.widths)
         assert model.widths == [m.n_components for m in model.kpca_models]
 
     def test_elbow_path_selects_three(self):
@@ -207,6 +210,7 @@ class TestPipelineFit:
         model = pipeline_fit(panel, PipelineConfig(theta=0.95, seed=5))
         assert len(model.kpca_models) == 3
         assert sorted(model.elbow_curve) == list(range(1, 9))
+        assert model.elbow_curve[3] == model.cluster.wcss
 
     def test_pinned_k_skips_elbow(self):
         panel, _, _ = synth_generate(SynthSpec(seed=0))
@@ -223,10 +227,10 @@ class TestPipelineFit:
                 panel, PipelineConfig(k=3, theta=0.95, sigma=2.0, seed=5)
             )
             position = {n: i for i, n in enumerate(model.indicator_names)}
-            normed = normalize_apply(model.norm, panel)
             dominants = []
             for kmodel, members in zip(model.kpca_models, model.cluster_members):
-                scores = kpca_transform(kmodel, normed.matrix(members))[:, 0]
+                normed = model.norm.apply(panel.matrix(members), members)
+                scores = kpca_transform(kmodel, normed)[:, 0]
                 member_labels = labels[[position[n] for n in members]]
                 dominant = int(np.bincount(member_labels).argmax())
                 dominants.append(dominant)
@@ -244,15 +248,11 @@ class TestPipelineFit:
 
         names = panel.indicator_names("H")
         norm = normalize_fit(panel)
-        normed = normalize_apply(norm, panel)
-        x_all = normed.matrix(names)
-        kp = kpca_fit(x_all, theta=0.95)
+        kp = kpca_fit(norm.apply(panel.matrix(names), names), theta=0.95)
         features = kp.train_scores
-        y_norm = normed.columns["price"]
+        y_norm = norm.apply(panel.matrix(["price"]), ["price"])[:, 0]
         km = kelm_fit(features[:-1], y_norm[1:], c=config.c)
-        z = kelm_predict(
-            km, kpca_transform(kp, normalize_apply(norm, rows).matrix(names))
-        )
+        z = kelm_predict(km, kpca_transform(kp, norm.apply(rows.matrix(names), names)))
         composed = normalize_invert(norm, "price", z)
         assert np.array_equal(via_pipeline, composed)
 
@@ -376,6 +376,18 @@ class TestPipelineFit:
         )
         with pytest.raises(ValueError, match="training rows"):
             pipeline_fit(panel, PipelineConfig(k=1, theta=0.95))
+
+    def test_series_count_truncating_the_elbow_named(self):
+        rng = np.random.default_rng(2)
+        panel = make_panel(
+            {"a": rng.standard_normal(40), "b": rng.standard_normal(40),
+             "price": rng.standard_normal(40) + 50},
+            {"a": "economic", "b": "gsvi", "price": "target"},
+        )
+        with pytest.raises(ValueError, match=r"^2 indicator series leave k in \[1, 2\]; "
+                                             r"the elbow needs 3 candidates; pin k$"):
+            pipeline_fit(panel, PipelineConfig(theta=0.95))
+        assert pipeline_fit(panel, PipelineConfig(k=2, theta=0.95)).cluster.k == 2
 
     def test_target_required(self):
         rng = np.random.default_rng(1)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oilcast.kpca import GaussianKernel, LinearKernel, kernel_matrix
+from oilcast.kpca import GaussianKernel, LinearKernel
 from oilcast.regressors import elm_fit, elm_predict, kelm_fit, kelm_predict
 
 
@@ -51,9 +51,9 @@ class TestElm:
     def test_prediction_is_continuous_in_x(self):
         x, y = smooth_1d_problem(5)
         model = elm_fit(x, y, n_hidden=50, c=1e6, seed=5)
-        base = elm_predict(model, x[4])
-        nudged = elm_predict(model, x[4] + 1e-9)
-        assert abs(float(nudged) - float(base)) < 1e-6
+        base = elm_predict(model, x[4:5])
+        nudged = elm_predict(model, x[4:5] + 1e-9)
+        assert abs(nudged[0] - base[0]) < 1e-6
 
     def test_multi_output_matches_column_fits(self):
         rng = np.random.default_rng(6)
@@ -73,7 +73,9 @@ class TestElm:
             elm_fit(x, y, n_hidden=0, c=1.0)
         model = elm_fit(x, y, n_hidden=10, c=1.0, seed=0)
         with pytest.raises(ValueError, match="dimension"):
-            elm_predict(model, np.ones(3))
+            elm_predict(model, np.ones((1, 3)))
+        with pytest.raises(ValueError, match="2-D"):
+            elm_predict(model, np.ones(1))
 
 
 class TestKelm:
@@ -81,7 +83,7 @@ class TestKelm:
         # A = y / (1/C + 1); prediction at the training point is A
         model = kelm_fit(np.array([[2.0]]), np.array([5.0]), c=1e8, sigma=1.0)
         np.testing.assert_allclose(model.alpha, [5.0 / (1e-8 + 1.0)])
-        assert float(kelm_predict(model, np.array([2.0]))) == pytest.approx(5.0, abs=1e-6)
+        assert kelm_predict(model, np.array([[2.0]]))[0] == pytest.approx(5.0, abs=1e-6)
 
     def test_constant_target_is_reproduced(self):
         rng = np.random.default_rng(1)
@@ -114,7 +116,7 @@ class TestKelm:
         y = rng.standard_normal(20)
         c = 50.0
         model = kelm_fit(x, y, c=c, sigma=1.2)
-        omega = kernel_matrix(x, model.kernel)
+        omega = model.kernel(x)
         resid = (omega + np.eye(20) / c) @ model.alpha - y
         assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(y)
 
@@ -133,7 +135,7 @@ class TestKelm:
         x = rng.standard_normal((10, 2))
         y = rng.uniform(1.0, 2.0, 10)
         model = kelm_fit(x, y, c=100.0, sigma=1.0)
-        pred = float(kelm_predict(model, np.array([1e4, 1e4])))
+        pred = kelm_predict(model, np.array([[1e4, 1e4]]))[0]
         assert abs(pred) < 1e-8
 
     def test_gaussian_kernel_used_by_default_with_explicit_sigma(self):
@@ -156,4 +158,6 @@ class TestKelm:
             kelm_fit(x, y[:3], c=1.0)
         model = kelm_fit(x, y, c=1.0, sigma=1.0)
         with pytest.raises(ValueError, match="dimension"):
-            kelm_predict(model, np.ones(5))
+            kelm_predict(model, np.ones((1, 5)))
+        with pytest.raises(ValueError, match="2-D"):
+            kelm_predict(model, np.ones(2))
