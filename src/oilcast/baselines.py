@@ -49,6 +49,12 @@ def _criterion_scores(t, sse, p):
     return {"aic": base + 2.0 * (p + 1), "sc": base + np.log(t) * (p + 1)}
 
 
+def _lag_matrix(z: np.ndarray, max_lag: int) -> np.ndarray:
+    """Column j holds lag j+1 of ``z`` over the rows max_lag.. that have every lag."""
+    t = z.size - max_lag
+    return np.column_stack([z[max_lag - j : max_lag - j + t] for j in range(1, max_lag + 1)])
+
+
 def ar_fit(y, max_p, d=1, criterion="aic"):
     """Fit AR models of order 1..max_p on the differenced series, keep the best.
 
@@ -69,8 +75,7 @@ def ar_fit(y, max_p, d=1, criterion="aic"):
     z = np.diff(y, n=d)
     t = z.size - max_p
     target = z[max_p:]
-    # lag matrix: column j holds lag j+1 of z over the common window
-    lag_cols = np.column_stack([z[max_p - j : max_p - j + t] for j in range(1, max_p + 1)])
+    lag_cols = _lag_matrix(z, max_p)
 
     scores: dict[int, dict[str, float]] = {}
     fits: dict[int, tuple[float, np.ndarray]] = {}
@@ -134,6 +139,4 @@ def univariate_lag_features(y, lags=12):
     if lags < 1:
         raise ValueError(f"lags must be >= 1, got {lags}")
     y = _as_series(y, lags + 1)
-    n = y.size - lags
-    x = np.column_stack([y[lags - j : lags - j + n] for j in range(1, lags + 1)])
-    return x, y[lags:].copy()
+    return _lag_matrix(y, lags), y[lags:].copy()

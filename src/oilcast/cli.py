@@ -165,19 +165,13 @@ def _config_preamble(config: dict, extras: dict) -> str:
 
 def _load_run_panel(config: dict) -> FeaturePanel:
     if config["panel"]:
-        try:
-            panel = read_panel_csv(config["panel"])
-        except OSError as err:
-            raise CliError(str(err)) from None
+        panel = read_panel_csv(config["panel"])
         tags_path = config["tags"] or f"{os.path.splitext(config['panel'])[0]}.tags.csv"
-        try:
-            tags = read_tags_csv(tags_path)
-        except OSError as err:
-            raise CliError(str(err)) from None
+        tags = read_tags_csv(tags_path)
         untagged = [name for name in panel.columns if name not in tags]
         if untagged:
             raise CliError(f"{tags_path}: no tag for columns {untagged}")
-        return FeaturePanel(dates=panel.dates, columns=panel.columns, tags=tags)
+        return panel.with_tags(tags)
     if config["synth_seed"] is not None:
         spec = SynthSpec(
             seed=config["synth_seed"],
@@ -194,16 +188,15 @@ def _load_run_panel(config: dict) -> FeaturePanel:
     raise CliError("config needs either panel = <csv> or synth_seed = <int>")
 
 
-def _run_forecast(config: dict, panel: FeaturePanel, n_train: int,
+def _run_forecast(config: dict, panel: FeaturePanel, y: np.ndarray, n_train: int,
                   mu: float, sd: float) -> tuple[np.ndarray, dict]:
-    """Forecast the test rows; returns raw-scale values plus echo extras.
+    """Forecast the test rows of the target ``y``; returns raw-scale values plus echo extras.
 
     ``mu`` and ``sd`` are the training target's mean and (non-zero)
     standard deviation, which scale the univariate regressor baselines.
     """
     # "kmeans+kpca+kelm" -> stages ["kmeans", "kpca"], head "kelm"
     *stages, head = config["method"].split("+")
-    y = panel.columns[panel.target_name]
     y_train = y[:n_train]
     n_test = panel.n_rows - n_train
     extras: dict = {}
@@ -227,7 +220,7 @@ def _run_forecast(config: dict, panel: FeaturePanel, n_train: int,
         x_tr, z_tr = univariate_lag_features(y_norm[:n_train], lags=lags)
         model = regressor_fit(head, x_tr, z_tr, c=config["c"], sigma=config["sigma"],
                               n_hidden=config["n_hidden"], seed=config["seed"])
-        rows = np.stack([y_norm[t - lags : t][::-1] for t in range(n_train, y.size)])
+        rows, _ = univariate_lag_features(y_norm[n_train - lags :], lags=lags)
         return regressor_predict(model, rows) * sd + mu, extras
 
     pipeline_config = PipelineConfig(
@@ -283,17 +276,18 @@ def cmd_run(args) -> int:
     train, test = train_test_split(panel, config["split"])
     if test.n_rows < 2:
         raise CliError(f"split leaves {test.n_rows} test rows; need at least 2")
-    missing = np.flatnonzero(~np.isfinite(panel.columns[panel.target_name]))
+    y = panel.columns[panel.target_name]
+    missing = np.flatnonzero(~np.isfinite(y))
     if missing.size:
         raise CliError(f"target column {panel.target_name!r} is not finite at "
                        f"{panel.dates[missing[0]]}")
-    mu = float(train.columns[panel.target_name].mean())
-    sd = float(train.columns[panel.target_name].std())
+    mu = float(y[: train.n_rows].mean())
+    sd = float(y[: train.n_rows].std())
     if sd == 0.0:
         raise CliError("target is constant over the training window")
 
-    forecast_raw, extras = _run_forecast(config, panel, train.n_rows, mu, sd)
-    actual = test.columns[panel.target_name]
+    forecast_raw, extras = _run_forecast(config, panel, y, train.n_rows, mu, sd)
+    actual = y[train.n_rows :]
     forecast_norm = (forecast_raw - mu) / sd
 
     label = config["label"] or f"{config['method']}:{config['mode']}"
@@ -318,38 +312,26 @@ def cmd_run(args) -> int:
 
 
 def _read_fragment(path: str, tag: str) -> FeaturePanel:
-    try:
-        fragment = read_panel_csv(path)
-    except OSError as err:
-        raise CliError(str(err)) from None
+    fragment = read_panel_csv(path)
     if tag == "target" and len(fragment.columns) != 1:
         raise CliError(
             f"{path}: target file must hold exactly one column, "
             f"got {list(fragment.columns)}"
         )
-    tags = {name: tag for name in fragment.columns}
-    return FeaturePanel(dates=fragment.dates, columns=fragment.columns, tags=tags)
+    return fragment.with_tags({name: tag for name in fragment.columns})
 
 
 def cmd_ingest(args) -> int:
-    fragments = []
-    sources = []
-    for path in args.economic or []:
-        fragments.append(_read_fragment(path, "economic"))
-        sources.append((path, fragments[-1]))
-    for path in args.gsvi or []:
-        fragments.append(_read_fragment(path, "gsvi"))
-        sources.append((path, fragments[-1]))
-    target_fragment = _read_fragment(args.target, "target")
-    fragments.append(target_fragment)
-    sources.append((args.target, target_fragment))
+    sources = [(path, "economic") for path in args.economic or []]
+    sources += [(path, "gsvi") for path in args.gsvi or []] + [(args.target, "target")]
+    fragments = [_read_fragment(path, tag) for path, tag in sources]
     if len(fragments) < 2:
         raise CliError("ingest needs a target plus at least one indicator file")
 
     panel = fuse(fragments)
     write_panel_csv(panel, f"{args.out}.csv")
     write_tags_csv(panel.tags, f"{args.out}.tags.csv")
-    for path, fragment in sources:
+    for (path, _), fragment in zip(sources, fragments):
         dropped = fragment.n_rows - panel.n_rows
         print(f"{path}: {fragment.n_rows} rows, {len(fragment.columns)} columns, {dropped} dropped")
     print(
@@ -402,8 +384,6 @@ def cmd_compare(args) -> int:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 reports.append(parse_report(fh.read()))
-        except OSError as err:
-            raise CliError(str(err)) from None
         except ValueError as err:
             raise CliError(f"{path}: {err}") from None
 
@@ -432,10 +412,7 @@ def cmd_compare(args) -> int:
                     f"method-pairs expects same mode, different method; got "
                     f"{first.label!r} vs {second.label!r}"
                 )
-        try:
-            rates = improvement_rate(first, second)
-        except ValueError as err:
-            raise CliError(str(err)) from None
+        rates = improvement_rate(first, second)
         rows.append(
             f"{first.label} vs {second.label},{rates.ir_mape_pct!r},"
             f"{rates.ir_rmse_pct!r},{rates.ir_da_pct!r}"

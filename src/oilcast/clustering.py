@@ -53,7 +53,6 @@ class ClusterModel:
     wcss: float
     wcss_history: list[float] = field(repr=False)
     n_iter: int = 0
-    seed: int = 0
 
 
 def _distance_matrix(series_std: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -132,7 +131,6 @@ def kmeans_fit(series, k: int, seed: int = 0) -> ClusterModel:
         wcss=history[-1],
         wcss_history=history,
         n_iter=n_iter,
-        seed=seed,
     )
 
 

@@ -10,10 +10,14 @@ calendar gaps is flagged with a warning rather than silently shifted.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import warnings
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -43,45 +47,73 @@ def month_range(start: str, count: int) -> list[str]:
     return [month_string(first + i) for i in range(count)]
 
 
-@dataclass
-class FeaturePanel:
-    """Named monthly series sharing one date axis.
+def _check_increasing(dates: list[str], months: np.ndarray, where: str = "") -> None:
+    bad = np.flatnonzero(np.diff(months) <= 0)
+    if bad.size:
+        later, earlier = dates[bad[0] + 1], dates[bad[0]]
+        raise ValueError(f"{where}dates must be strictly increasing; {later!r} follows {earlier!r}")
 
-    ``columns`` preserves insertion order; ``tags`` maps every column to
-    its provenance. NaN entries are allowed only in pre-fuse fragments.
+
+def _check_tags(positions: dict[str, int], tags: dict[str, str]) -> None:
+    for name, tag in tags.items():
+        if name not in positions:
+            raise ValueError(f"tag given for unknown column {name!r}")
+        if tag not in TAGS:
+            raise ValueError(f"unknown tag {tag!r} for column {name!r}; expected one of {TAGS}")
+    targets = [name for name, tag in tags.items() if tag == "target"]
+    if len(targets) > 1:
+        raise ValueError(f"multiple target columns: {targets}")
+
+
+class FeaturePanel:
+    """Named monthly series sharing one date axis, held as one read-only matrix.
+
+    The matrix has shape (n_rows, n_columns); ``columns`` maps each name to a
+    read-only view of its column, in column order, and ``tags`` maps columns
+    to their provenance. Dates are parsed into month indices once; slices
+    carry them along. A row slice over a contiguous range is a view of the
+    parent's matrix; other row lists, ``select`` and ``matrix`` gather once.
+    NaN entries are allowed only in pre-fuse fragments.
     """
 
-    dates: list[str]
-    columns: dict[str, np.ndarray] = field(repr=False)
-    tags: dict[str, str] = field(default_factory=dict)
+    def __init__(self, dates, columns, tags=None):
+        dates = list(dates)
+        months = np.array([month_index(d) for d in dates], dtype=np.int64)
+        _check_increasing(dates, months)
+        values = np.empty((len(dates), len(columns)))
+        for j, (name, column) in enumerate(columns.items()):
+            column = np.asarray(column, dtype=float)
+            if column.shape != (len(dates),):
+                raise ValueError(
+                    f"column {name!r} has {column.shape[0] if column.ndim == 1 else '?'} "
+                    f"values for {len(dates)} dates"
+                )
+            values[:, j] = column
+        positions = {name: j for j, name in enumerate(columns)}
+        tags = dict(tags or {})
+        _check_tags(positions, tags)
+        self._adopt(values, positions, dates, months, tags)
 
-    def __post_init__(self):
-        indices = [month_index(d) for d in self.dates]
-        for i in range(1, len(indices)):
-            if indices[i] <= indices[i - 1]:
-                raise ValueError(
-                    f"dates must be strictly increasing; {self.dates[i]!r} follows "
-                    f"{self.dates[i - 1]!r}"
-                )
-        n = len(self.dates)
-        clean = {}
-        for name, values in self.columns.items():
-            arr = np.asarray(values, dtype=float)
-            if arr.shape != (n,):
-                raise ValueError(
-                    f"column {name!r} has {arr.shape[0] if arr.ndim == 1 else '?'} values "
-                    f"for {n} dates"
-                )
-            clean[name] = arr
-        self.columns = clean
-        for name, tag in self.tags.items():
-            if name not in self.columns:
-                raise ValueError(f"tag given for unknown column {name!r}")
-            if tag not in TAGS:
-                raise ValueError(f"unknown tag {tag!r} for column {name!r}; expected one of {TAGS}")
-        targets = [name for name, tag in self.tags.items() if tag == "target"]
-        if len(targets) > 1:
-            raise ValueError(f"multiple target columns: {targets}")
+    def _adopt(self, values, positions, dates, months, tags) -> FeaturePanel:
+        values.flags.writeable = False
+        self._values, self._positions, self.dates, self._months, self.tags = (
+            values, positions, dates, months, tags)
+        self._columns = None
+        return self
+
+    @classmethod
+    def _share(cls, values, positions, dates, months, tags) -> FeaturePanel:
+        """A panel over parts that are already valid; ``values`` is made read-only."""
+        return cls.__new__(cls)._adopt(values, positions, dates, months, tags)
+
+    @property
+    def columns(self) -> Mapping[str, np.ndarray]:
+        """Read-only views of the columns by name, in column order."""
+        if self._columns is None:
+            self._columns = MappingProxyType(
+                {name: self._values[:, j] for name, j in self._positions.items()}
+            )
+        return self._columns
 
     @property
     def n_rows(self) -> int:
@@ -99,42 +131,52 @@ class FeaturePanel:
         wanted = {"E": ("economic",), "G": ("gsvi",), "H": ("economic", "gsvi")}.get(mode)
         if wanted is None:
             raise ValueError(f"unknown dataset mode {mode!r}; expected E, G or H")
-        return [name for name in self.columns if self.tags.get(name) in wanted]
+        return [name for name in self._positions if self.tags.get(name) in wanted]
 
     def matrix(self, names) -> np.ndarray:
-        """Columns stacked as a (n_rows, len(names)) matrix."""
-        missing = [n for n in names if n not in self.columns]
+        """The named columns as a new (n_rows, len(names)) matrix."""
+        missing = [n for n in names if n not in self._positions]
         if missing:
             raise ValueError(f"panel is missing columns: {missing}")
-        return np.column_stack([self.columns[n] for n in names])
+        return np.take(self._values, [self._positions[n] for n in names], axis=1)
 
     def row_slice(self, rows) -> FeaturePanel:
-        """New panel restricted to the given row indices/slice."""
-        idx = np.arange(self.n_rows)[rows]
-        return FeaturePanel(
-            dates=[self.dates[i] for i in idx],
-            columns={name: values[idx] for name, values in self.columns.items()},
-            tags=dict(self.tags),
-        )
+        """Panel restricted to the given rows: a view for a slice or contiguous range."""
+        n = self.n_rows
+        if isinstance(rows, range) and rows.step == 1 and 0 <= rows.start <= rows.stop <= n:
+            rows = slice(rows.start, rows.stop)
+        if isinstance(rows, slice):
+            dates = self.dates[rows]
+        else:
+            rows = np.arange(n)[rows]
+            dates = [self.dates[i] for i in rows]
+            _check_increasing(dates, self._months[rows])
+        return FeaturePanel._share(self._values[rows], self._positions, dates,
+                                   self._months[rows], dict(self.tags))
 
     def select(self, names) -> FeaturePanel:
-        """New panel keeping only the named columns, in the given order."""
-        missing = [n for n in names if n not in self.columns]
-        if missing:
-            raise ValueError(f"panel is missing columns: {missing}")
-        return FeaturePanel(
-            dates=list(self.dates),
-            columns={n: self.columns[n] for n in names},
-            tags={n: self.tags[n] for n in names if n in self.tags},
+        """Panel keeping only the named columns, in the given order."""
+        names = list(dict.fromkeys(names))
+        return FeaturePanel._share(
+            self.matrix(names),
+            {name: j for j, name in enumerate(names)},
+            list(self.dates),
+            self._months,
+            {n: self.tags[n] for n in names if n in self.tags},
         )
+
+    def with_tags(self, tags: dict[str, str]) -> FeaturePanel:
+        """The same rows and columns under new tags; the matrix is shared."""
+        _check_tags(self._positions, tags)
+        return FeaturePanel._share(self._values, self._positions, list(self.dates),
+                                   self._months, tags)
 
     def calendar_gap(self) -> tuple[str, str] | None:
         """The first pair of adjacent rows that are not consecutive months, if any."""
-        idx = [month_index(d) for d in self.dates]
-        for i in range(len(idx) - 1):
-            if idx[i + 1] - idx[i] != 1:
-                return self.dates[i], self.dates[i + 1]
-        return None
+        gaps = np.flatnonzero(np.diff(self._months) != 1)
+        if not gaps.size:
+            return None
+        return self.dates[gaps[0]], self.dates[gaps[0] + 1]
 
 
 def fuse(fragments) -> FeaturePanel:
@@ -147,40 +189,34 @@ def fuse(fragments) -> FeaturePanel:
     fragments = list(fragments)
     if not fragments:
         raise ValueError("fuse needs at least one fragment")
-    seen: dict[str, int] = {}
-    duplicates = []
-    for i, frag in enumerate(fragments):
-        for name in frag.columns:
-            if name in seen:
-                duplicates.append(name)
-            seen[name] = i
+    names = [name for frag in fragments for name in frag.columns]
+    duplicates = sorted(name for name, count in Counter(names).items() if count > 1)
     if duplicates:
-        raise ValueError(f"duplicate column names across fragments: {sorted(set(duplicates))}")
+        raise ValueError(f"duplicate column names across fragments: {duplicates}")
+    positions = {name: j for j, name in enumerate(names)}
+    tags = {name: frag.tags[name] for frag in fragments for name in frag.columns
+            if name in frag.tags}
+    _check_tags(positions, tags)
 
     common = set(fragments[0].dates)
     for frag in fragments[1:]:
         common &= set(frag.dates)
     if not common:
         raise ValueError("empty intersection of dates across fragments")
-    dates = sorted(common, key=month_index)
+    month_of = dict(zip(fragments[0].dates, fragments[0]._months.tolist()))
+    dates = sorted(common, key=month_of.__getitem__)
 
-    columns: dict[str, np.ndarray] = {}
-    tags: dict[str, str] = {}
+    blocks = []
     for frag in fragments:
         pos = {d: i for i, d in enumerate(frag.dates)}
-        rows = [pos[d] for d in dates]
-        for name, values in frag.columns.items():
-            columns[name] = values[rows]
-            if name in frag.tags:
-                tags[name] = frag.tags[name]
-
-    stacked = np.column_stack(list(columns.values()))
-    keep = ~np.isnan(stacked).any(axis=1)
+        blocks.append(frag._values[[pos[d] for d in dates]])
+    values = np.hstack(blocks)
+    keep = ~np.isnan(values).any(axis=1)
     if not keep.any():
         raise ValueError("all joined rows contain missing values")
-    dates = [d for d, k in zip(dates, keep) if k]
-    columns = {name: values[keep] for name, values in columns.items()}
-    fused = FeaturePanel(dates=dates, columns=columns, tags=tags)
+    months = np.array([month_of[d] for d in dates], dtype=np.int64)
+    fused = FeaturePanel._share(values[keep], positions, [d for d, k in zip(dates, keep) if k],
+                                months[keep], tags)
     if fused.calendar_gap() is not None:
         warnings.warn(
             "fused panel has calendar gaps; lag alignment will treat rows as consecutive",
@@ -191,15 +227,13 @@ def fuse(fragments) -> FeaturePanel:
 
 def train_test_split(panel: FeaturePanel, split_date: str) -> tuple[FeaturePanel, FeaturePanel]:
     """Rows dated on or before ``split_date`` go to train, the rest to test."""
-    cut = month_index(split_date)
-    train_rows = [i for i, d in enumerate(panel.dates) if month_index(d) <= cut]
     # dates strictly increase, so the training rows are a prefix
-    test_rows = range(len(train_rows), panel.n_rows)
-    if not train_rows:
+    n_train = int(np.searchsorted(panel._months, month_index(split_date), side="right"))
+    if n_train == 0:
         raise ValueError(f"split {split_date} leaves no training rows")
-    if not test_rows:
+    if n_train == panel.n_rows:
         raise ValueError(f"split {split_date} leaves no test rows")
-    return panel.row_slice(train_rows), panel.row_slice(test_rows)
+    return panel.row_slice(range(n_train)), panel.row_slice(range(n_train, panel.n_rows))
 
 
 @dataclass(frozen=True)
@@ -207,16 +241,14 @@ class NormalizationParams:
     """Per-column min/max learned from training rows.
 
     ``positions`` maps each name to its index in ``names``, ``mins`` and
-    ``maxs``; it is built once, so finding a column costs O(1).
+    ``maxs``; it is the fitted panel's own name map, so finding a column
+    costs O(1).
     """
 
     names: tuple[str, ...]
     mins: np.ndarray
     maxs: np.ndarray
-    positions: dict[str, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "positions", {name: i for i, name in enumerate(self.names)})
+    positions: dict[str, int] = field(repr=False, compare=False)
 
     def position(self, name: str) -> int:
         try:
@@ -252,14 +284,15 @@ def require_finite(values: np.ndarray, names, dates, where: str = "") -> None:
 def normalize_fit(panel: FeaturePanel) -> NormalizationParams:
     """Min/max per column over the panel's rows; rejects non-finite and constant columns."""
     names = list(panel.columns)
-    values = panel.matrix(names)
+    values = panel._values
     require_finite(values, names, panel.dates)
     mins = values.min(axis=0)
     maxs = values.max(axis=0)
     flat = [names[i] for i in np.flatnonzero(maxs - mins <= 0.0)]
     if flat:
         raise ValueError(f"constant columns cannot be normalized: {flat}")
-    return NormalizationParams(names=tuple(names), mins=mins, maxs=maxs)
+    return NormalizationParams(names=tuple(names), mins=mins, maxs=maxs,
+                               positions=panel._positions)
 
 
 def normalize_invert(params: NormalizationParams, name: str, values) -> np.ndarray:
@@ -277,10 +310,6 @@ def atomic_write_text(path: str, text: str) -> None:
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     os.replace(tmp, path)
-
-
-def _format_value(v: float) -> str:
-    return "" if np.isnan(v) else repr(float(v))
 
 
 def read_panel_csv(path: str) -> FeaturePanel:
@@ -311,6 +340,7 @@ def read_panel_csv(path: str) -> FeaturePanel:
         raise ValueError(f"{path}: line {header_line_no}: duplicate column names {dupes}")
 
     dates: list[str] = []
+    months: list[int] = []
     rows: list[list[float]] = []
     for lineno, line in numbered[1:]:
         cells = [c.strip() for c in line.split(",")]
@@ -319,7 +349,7 @@ def read_panel_csv(path: str) -> FeaturePanel:
                 f"{path}: line {lineno}: expected {len(header)} cells, got {len(cells)}"
             )
         try:
-            month_index(cells[0])
+            months.append(month_index(cells[0]))
         except ValueError as err:
             raise ValueError(f"{path}: line {lineno}: {err}") from None
         row = []
@@ -337,22 +367,17 @@ def read_panel_csv(path: str) -> FeaturePanel:
         rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    values = np.array(rows, dtype=float)
-    try:
-        return FeaturePanel(
-            dates=dates, columns={n: values[:, j] for j, n in enumerate(names)}
-        )
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
+    parsed = np.array(months, dtype=np.int64)
+    _check_increasing(dates, parsed, where=f"{path}: ")
+    return FeaturePanel._share(np.array(rows, dtype=float), {n: j for j, n in enumerate(names)},
+                               dates, parsed, {})
 
 
 def write_panel_csv(panel: FeaturePanel, path: str) -> None:
     """Write the canonical panel CSV."""
-    names = list(panel.columns)
-    lines = [",".join(["date"] + names)]
-    for i, date in enumerate(panel.dates):
-        cells = [date] + [_format_value(panel.columns[n][i]) for n in names]
-        lines.append(",".join(cells))
+    lines = [",".join(["date", *panel.columns])]
+    for date, row in zip(panel.dates, panel._values.tolist()):
+        lines.append(",".join([date] + ["" if math.isnan(v) else repr(v) for v in row]))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

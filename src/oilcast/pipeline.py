@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.stats
 
+from .baselines import _lag_matrix
 from .clustering import ClusterModel, elbow_select, kmeans_fit
 from .kpca import GaussianKernel, KpcaModel, kpca_fit, kpca_transform
 from .panel import FeaturePanel, NormalizationParams, normalize_fit, normalize_invert, require_finite
@@ -38,11 +39,6 @@ class GrangerResult:
     pvalues: dict[str, float]
     fstats: dict[str, float]
     inconclusive: list[str]
-
-
-def _lag_columns(values: np.ndarray, max_lag: int) -> np.ndarray:
-    t = values.size - max_lag
-    return np.column_stack([values[max_lag - j : max_lag - j + t] for j in range(1, max_lag + 1)])
 
 
 def _sse(design: np.ndarray, target: np.ndarray) -> float:
@@ -87,14 +83,14 @@ def granger_filter(panel: FeaturePanel, candidates, max_lag: int = DEFAULT_MAX_L
             f"for max_lag={max_lag}; need more data"
         )
     y_reg = y[max_lag:]
-    own = _lag_columns(y, max_lag)
+    own = _lag_matrix(y, max_lag)
     const = np.ones(t)
     sse_r = _sse(np.column_stack([own, const]), y_reg)
     zero_scale = 1e-12 * (float(y_reg @ y_reg) + 1.0)
 
     retained, pvalues, fstats, inconclusive = [], {}, {}, []
     for name in candidates:
-        x_lags = _lag_columns(panel.columns[name], max_lag)
+        x_lags = _lag_matrix(panel.columns[name], max_lag)
         sse_u = _sse(np.column_stack([own, x_lags, const]), y_reg)
         if not np.isfinite(sse_r) or not np.isfinite(sse_u):
             inconclusive.append(name)

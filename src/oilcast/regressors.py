@@ -52,8 +52,6 @@ class ElmModel:
     weights: np.ndarray  # (L, n) input weights, fixed after construction
     biases: np.ndarray  # (L,)
     beta: np.ndarray  # (L,) or (L, m) output weights
-    c: float
-    seed: int
 
 
 def elm_fit(x, y, n_hidden: int = DEFAULT_N_HIDDEN, c: float = DEFAULT_C, seed: int = 0) -> ElmModel:
@@ -69,7 +67,7 @@ def elm_fit(x, y, n_hidden: int = DEFAULT_N_HIDDEN, c: float = DEFAULT_C, seed: 
     biases = rng.uniform(-1.0, 1.0, size=n_hidden)
     hidden = expit(x @ weights.T + biases)
     beta = ridge_pinv(hidden, y, c)
-    return ElmModel(weights=weights, biases=biases, beta=beta, c=c, seed=seed)
+    return ElmModel(weights=weights, biases=biases, beta=beta)
 
 
 def elm_predict(model: ElmModel, x) -> np.ndarray:
@@ -83,7 +81,6 @@ class KelmModel:
     x_train: np.ndarray
     kernel: GaussianKernel | LinearKernel
     alpha: np.ndarray  # (N,) or (N, m) dual coefficients
-    c: float
 
 
 def kelm_fit(x, y, c: float = DEFAULT_C, sigma: float | None = None, kernel=None) -> KelmModel:
@@ -103,7 +100,7 @@ def kelm_fit(x, y, c: float = DEFAULT_C, sigma: float | None = None, kernel=None
         system = kernel(x)
     system[np.diag_indices_from(system)] += 1.0 / c
     alpha = solve_spd(system, y)
-    return KelmModel(x_train=x.copy(), kernel=kernel, alpha=alpha, c=c)
+    return KelmModel(x_train=x.copy(), kernel=kernel, alpha=alpha)
 
 
 def kelm_predict(model: KelmModel, x) -> np.ndarray:

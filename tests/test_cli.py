@@ -281,8 +281,8 @@ class TestRunOutputs:
     def test_constant_target_rejected_for_every_method(self, tmp_path, capsys):
         run_cli(["synth", "--seed", "0", "--out", str(tmp_path / "p")], capsys)
         panel = read_panel_csv(str(tmp_path / "p.csv"))
-        panel.columns["price"] = np.full(panel.n_rows, 60.0)
-        write_panel_csv(panel, str(tmp_path / "p.csv"))
+        columns = {**panel.columns, "price": np.full(panel.n_rows, 60.0)}
+        write_panel_csv(FeaturePanel(dates=panel.dates, columns=columns), str(tmp_path / "p.csv"))
         for method in cli.METHODS:
             conf = write_config(
                 tmp_path / "c.conf", synth_seed="", panel=str(tmp_path / "p.csv"),
@@ -359,8 +359,10 @@ class TestRunOutputs:
     def test_missing_test_target_named(self, tmp_path, capsys):
         run_cli(["synth", "--seed", "7", "--out", str(tmp_path / "p")], capsys)
         panel = read_panel_csv(str(tmp_path / "p.csv"))
-        panel.columns["price"][panel.dates.index("2018-05")] = np.nan
-        write_panel_csv(panel, str(tmp_path / "p.csv"))
+        price = panel.columns["price"].copy()
+        price[panel.dates.index("2018-05")] = np.nan
+        columns = {**panel.columns, "price": price}
+        write_panel_csv(FeaturePanel(dates=panel.dates, columns=columns), str(tmp_path / "p.csv"))
         for method in ("naive", "kmeans+kpca+kelm"):
             conf = write_config(
                 tmp_path / "c.conf", synth_seed="", panel=str(tmp_path / "p.csv"),
@@ -377,8 +379,10 @@ class TestRunOutputs:
     def test_non_finite_training_indicator_named(self, granger, tmp_path, capsys):
         run_cli(["synth", "--seed", "7", "--out", str(tmp_path / "p")], capsys)
         panel = read_panel_csv(str(tmp_path / "p.csv"))
-        panel.columns["f0s3"][panel.dates.index("2007-04")] = np.nan
-        write_panel_csv(panel, str(tmp_path / "p.csv"))
+        series = panel.columns["f0s3"].copy()
+        series[panel.dates.index("2007-04")] = np.nan
+        columns = {**panel.columns, "f0s3": series}
+        write_panel_csv(FeaturePanel(dates=panel.dates, columns=columns), str(tmp_path / "p.csv"))
         conf = write_config(
             tmp_path / "c.conf", synth_seed="", panel=str(tmp_path / "p.csv"),
             method="kmeans+kpca+kelm", granger=granger,
@@ -575,6 +579,21 @@ class TestExitCodes:
         code, _, stderr = run_cli(["run", "--config", conf, "--out-dir", str(tmp_path)], capsys)
         assert code == expected
         assert stderr.startswith("error: ") and "bad input" in stderr
+
+    @pytest.mark.parametrize("command", ["run", "ingest", "compare"])
+    def test_missing_input_file_named(self, command, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        if command == "run":
+            conf = write_config(tmp_path / "c.conf", synth_seed="", panel=str(missing))
+            argv = ["run", "--config", conf, "--out-dir", str(tmp_path / "out")]
+        elif command == "ingest":
+            argv = ["ingest", "--economic", str(missing), "--target", str(missing),
+                    "--out", str(tmp_path / "fused")]
+        else:
+            argv = ["compare", str(missing), str(missing), "--out", str(tmp_path / "ir.csv")]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
 
     def test_no_arguments(self, capsys):
         assert run_cli([], capsys)[0] == 1

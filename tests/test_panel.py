@@ -68,6 +68,43 @@ class TestFeaturePanel:
             panel.indicator_names("X")
 
 
+class TestSlicing:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), data=st.data())
+    def test_slices_and_selections_match_the_columns(self, seed, data):
+        panel, _, _ = synth_generate(SynthSpec(seed=seed, months=40, factors=2,
+                                               series_per_factor=3))
+        names = list(panel.columns)
+        before = panel.matrix(names).tobytes()
+        start = data.draw(st.integers(0, panel.n_rows))
+        stop = data.draw(st.integers(start, panel.n_rows))
+        picked = sorted(data.draw(st.sets(st.integers(0, panel.n_rows - 1), max_size=12)))
+        chosen = data.draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+        for rows, idx in ((range(start, stop), list(range(start, stop))),
+                          (slice(start, stop), list(range(start, stop))),
+                          (picked, picked)):
+            part = panel.row_slice(rows)
+            narrow = part.select(chosen)
+            got = narrow.matrix(chosen)
+            expected = np.column_stack([panel.columns[n][idx] for n in chosen])
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+            assert got.flags.c_contiguous  # as np.column_stack gives; BLAS results follow layout
+            assert part.dates == narrow.dates == [panel.dates[i] for i in idx]
+            assert part.tags == panel.tags
+            assert narrow.tags == {n: panel.tags[n] for n in chosen}
+
+            months = [month_index(d) for d in part.dates]
+            gaps = [(part.dates[i], part.dates[i + 1]) for i in range(len(months) - 1)
+                    if months[i + 1] - months[i] != 1]
+            assert part.calendar_gap() == (gaps[0] if gaps else None)
+
+            for view in (part.columns[chosen[0]], narrow.columns[chosen[0]]):
+                with pytest.raises(ValueError, match="read-only"):
+                    view[:] = 0.0
+            got[:] = 0.0  # a gathered matrix is the caller's own copy
+            assert panel.matrix(names).tobytes() == before
+
+
 class TestFuse:
     def test_union_of_columns_on_identical_dates(self):
         a = make_panel(names=("a1", "a2"), seed=1)
@@ -97,7 +134,9 @@ class TestFuse:
 
     def test_rows_with_missing_values_dropped_with_gap_warning(self):
         a = make_panel(months=6, names=("a",))
-        a.columns["a"][2] = np.nan
+        holed = a.columns["a"].copy()
+        holed[2] = np.nan
+        a = FeaturePanel(dates=a.dates, columns={"a": holed})
         b = make_panel(months=6, names=("b",), seed=3)
         with pytest.warns(UserWarning, match="calendar gaps"):
             fused = fuse([a, b])
@@ -174,9 +213,11 @@ class TestNormalization:
 
     def test_non_finite_cell_named(self):
         panel = make_panel(names=("a", "b", "c"))
-        panel.columns["c"][2] = np.inf
-        panel.columns["b"][2] = np.nan
-        panel.columns["a"][5] = np.nan
+        columns = {name: values.copy() for name, values in panel.columns.items()}
+        columns["c"][2] = np.inf
+        columns["b"][2] = np.nan
+        columns["a"][5] = np.nan
+        panel = FeaturePanel(dates=panel.dates, columns=columns)
         with pytest.raises(ValueError, match=r"^column 'b' is not finite at 2010-03$"):
             normalize_fit(panel)
 
@@ -209,7 +250,9 @@ class TestCsv:
 
     def test_missing_cells_roundtrip_as_nan(self, tmp_path):
         panel = make_panel(names=("a",), months=4)
-        panel.columns["a"][1] = np.nan
+        holed = panel.columns["a"].copy()
+        holed[1] = np.nan
+        panel = FeaturePanel(dates=panel.dates, columns={"a": holed})
         path = str(tmp_path / "panel.csv")
         write_panel_csv(panel, path)
         back = read_panel_csv(path)

@@ -343,7 +343,10 @@ class TestPipelineFit:
         train = panel.row_slice(range(168))
         model = pipeline_fit(train, PipelineConfig(k=3, theta=0.95, seed=5))
         rows = panel.row_slice(range(167, 179))
-        rows.columns["f0s3"][2] = np.nan
+        series = rows.columns["f0s3"].copy()
+        series[2] = np.nan
+        rows = FeaturePanel(dates=rows.dates, columns={**rows.columns, "f0s3": series},
+                            tags=rows.tags)
         with pytest.raises(ValueError, match=r"'f0s3' is not finite at forecast origin 2018-02"):
             pipeline_predict(model, rows)
 

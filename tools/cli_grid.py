@@ -1,0 +1,91 @@
+"""Fingerprint 48 ``oilcast run`` invocations, to show a refactor changes no output.
+
+The grid: one panel CSV from ``oilcast synth --seed 7``, split 2017-12,
+p_threshold 0.3, and every method x dataset mode (E, G, H) x Granger screen
+(off, on). Each run is a fresh ``python3 -m oilcast.cli`` process using the
+``src/`` of the checkout this script sits in. One line per run gives the exit
+code and the sha256 of ``predictions.csv``, ``metrics.txt``, stdout and
+stderr; the last line is one digest over all of them.
+
+Usage, from each of two checkouts on the same host:
+
+    python3 tools/cli_grid.py > grid.txt
+
+then ``diff`` the two files. Outputs go to one fixed directory (removed and
+rebuilt on every call), because the predictions preamble echoes the panel
+path, so two checkouts must write to the same place to be comparable. The
+BLAS thread count is inherited; keep it equal on both sides.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORK = os.path.join(tempfile.gettempdir(), "oilcast-cli-grid")
+METHODS = (
+    "naive",
+    "ar",
+    "elm",
+    "kelm",
+    "kpca+elm",
+    "kpca+kelm",
+    "kmeans+kpca+elm",
+    "kmeans+kpca+kelm",
+)
+MODES = ("E", "G", "H")
+
+
+def _cli(args: list[str]) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    return subprocess.run([sys.executable, "-m", "oilcast.cli", *args], env=env,
+                          capture_output=True, check=False)
+
+
+def _sha(data: bytes | None) -> str:
+    return "-" if data is None else hashlib.sha256(data).hexdigest()
+
+
+def _read(path: str) -> bytes | None:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        return None
+
+
+def main() -> int:
+    shutil.rmtree(WORK, ignore_errors=True)
+    os.makedirs(WORK)
+    prefix = os.path.join(WORK, "panel")
+    made = _cli(["synth", "--seed", "7", "--out", prefix])
+    if made.returncode != 0:
+        sys.stderr.write(made.stderr.decode())
+        return 1
+    total = hashlib.sha256()
+    for method in METHODS:
+        for mode in MODES:
+            for granger in ("false", "true"):
+                out = os.path.join(WORK, "out")
+                shutil.rmtree(out, ignore_errors=True)
+                done = _cli(["run", "--out-dir", out,
+                             "--set", f"panel={prefix}.csv", "--set", "split=2017-12",
+                             "--set", "p_threshold=0.3", "--set", f"method={method}",
+                             "--set", f"mode={mode}", "--set", f"granger={granger}"])
+                line = (f"{method} {mode} granger={granger} exit={done.returncode} "
+                        f"predictions={_sha(_read(os.path.join(out, 'predictions.csv')))} "
+                        f"metrics={_sha(_read(os.path.join(out, 'metrics.txt')))} "
+                        f"stdout={_sha(done.stdout)} stderr={_sha(done.stderr)}")
+                print(line, flush=True)
+                total.update(line.encode() + b"\n")
+    print(f"total {total.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
