@@ -14,12 +14,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 import numpy as np
 
-from .baselines import ar_fit, ar_forecast, naive_forecast, univariate_lag_features
+from .baselines import CRITERIA, ar_fit, ar_forecast, naive_forecast, univariate_lag_features
 from .evaluation import evaluate, format_report, improvement_rate, parse_report
-from .numerics import NumericalError
+from .numerics import NumericalError, one_blas_thread
 from .panel import (
     FeaturePanel,
     atomic_write_text,
@@ -101,6 +102,29 @@ CONFIG_KEYS = {
     "ar_criterion": (str, "aic"),
     "uni_lags": (int, 12),
     "seed": (int, 0),
+}
+
+
+def _at_least(low: int):
+    return (lambda value: value >= low), f">= {low}"
+
+
+_POSITIVE = (lambda value: np.isfinite(value) and value > 0), "positive and finite"
+
+# model key -> (test of a set value, the rule it states). cmd_run checks every
+# key whatever the method, so a key the method ignores cannot carry a bad
+# value into the echo; rules that need the data (k up to the series count)
+# stay where the data is.
+MODEL_KEY_RULES = {
+    **dict.fromkeys(("k", "k_lo", "k_hi", "n_components", "n_hidden", "lag", "max_lag",
+                     "ar_max_p", "uni_lags"), _at_least(1)),
+    "seed": _at_least(0),
+    "theta": ((lambda value: 0.0 < value <= 1.0), "in (0, 1]"),
+    "sigma": _POSITIVE,
+    "c": _POSITIVE,
+    "p_threshold": ((lambda value: 0.0 < value < 1.0), "in (0, 1)"),
+    "ar_d": ((lambda value: value in (0, 1)), "0 or 1"),
+    "ar_criterion": ((lambda value: value.lower() in CRITERIA), f"one of {CRITERIA}"),
 }
 
 
@@ -266,6 +290,11 @@ def cmd_run(args) -> int:
         raise CliError(f"unknown mode {config['mode']!r}; expected E, G or H")
     if not config["split"]:
         raise CliError("config needs split = YYYY-MM (last training month)")
+    for key, (valid, rule) in MODEL_KEY_RULES.items():
+        if config[key] is not None and not valid(config[key]):
+            raise CliError(f"{key} must be {rule}, got {_echo_value(config[key])}")
+    if config["k_hi"] < config["k_lo"]:
+        raise CliError(f"k_hi must be >= k_lo = {config['k_lo']}, got {config['k_hi']}")
 
     panel = _load_run_panel(config)
     if panel.target_name is None:
@@ -479,14 +508,22 @@ def _exit_code_for(err: BaseException) -> int:
     return 1
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
+@one_blas_thread()
 def main(argv=None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return args.fn(args)
-    except (CliError, ValueError, OSError, NumericalError, RuntimeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return _exit_code_for(err)
+    with warnings.catch_warnings():
+        # a library warning is one line, without the source location
+        warnings.showwarning = _print_warning
+        try:
+            args = parser.parse_args(argv)
+            return args.fn(args)
+        except (CliError, ValueError, OSError, NumericalError, RuntimeError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return _exit_code_for(err)
 
 
 if __name__ == "__main__":

@@ -2,11 +2,17 @@
 
 Thin wrappers around LAPACK and ARPACK that enforce input contracts
 (symmetry, positive definiteness, finiteness) instead of silently returning
-garbage, plus the one squared-distance computation every kernel uses.
+garbage, plus the one squared-distance computation every kernel uses, and
+``one_blas_thread``, which runs a call with OpenBLAS at one thread.
 Matrices are float64 numpy arrays; samples/equations are rows.
 """
 
 from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+import os
 
 import numpy as np
 from scipy.linalg import lapack
@@ -21,6 +27,66 @@ SYMMETRY_BLOCK_ROWS = 256
 
 # Below this order sym_eig always uses the full solver.
 PARTIAL_MIN_ORDER = 8
+
+# OpenBLAS thread-count entry points: scipy's wheels prefix them, and a
+# 64-bit-integer build (numpy's) adds a 64_ suffix
+_THREAD_SYMBOLS = [(f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+                   for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", "")]
+
+
+@functools.cache
+def _openblas_controls() -> tuple:
+    """``(get_num_threads, set_num_threads)`` of every OpenBLAS loaded in this process.
+
+    numpy and scipy each load their own build. They are found once, in the
+    process's memory map; where there is none (another BLAS, no ``/proc``)
+    the result is empty.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = dict.fromkeys(line.split()[-1] for line in fh)
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        if "openblas" not in os.path.basename(path).lower():
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, put = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
+                break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body (or, as a decorator, each call) with OpenBLAS at 1 thread.
+
+    Every matrix in the model is small, so a second thread only adds
+    synchronisation, and the last bits of a BLAS result can depend on how
+    many threads computed it. Each library's count is read on entry and put
+    back on exit, also when the body raises; a count already at 1 is left
+    alone, so a nested use only reads. The count is process-wide: Python
+    threads share it. Does nothing where no OpenBLAS is loaded.
+    """
+    changed = []
+    for get, put in _openblas_controls():
+        count = get()
+        if count != 1:
+            put(1)
+            changed.append((put, count))
+    try:
+        yield
+    finally:
+        for put, count in changed:
+            put(count)
 
 
 class NumericalError(Exception):

@@ -17,6 +17,7 @@ import scipy.stats
 from .baselines import _lag_matrix
 from .clustering import ClusterModel, elbow_select, kmeans_fit
 from .kpca import GaussianKernel, KpcaModel, kpca_fit, kpca_transform
+from .numerics import one_blas_thread
 from .panel import FeaturePanel, NormalizationParams, normalize_fit, normalize_invert, require_finite
 from .regressors import REGRESSORS, regressor_fit, regressor_predict
 
@@ -178,6 +179,7 @@ def _stage(name: str, fn, *args, **kwargs):
         raise PipelineStageError(name, err) from err
 
 
+@one_blas_thread()
 def pipeline_fit(panel: FeaturePanel, config: PipelineConfig) -> PipelineModel:
     """Fit normalization, clustering, per-cluster KPCA and the final regressor.
 
@@ -241,6 +243,7 @@ def pipeline_fit(panel: FeaturePanel, config: PipelineConfig) -> PipelineModel:
     )
 
 
+@one_blas_thread()
 def pipeline_predict(model: PipelineModel, panel: FeaturePanel) -> np.ndarray:
     """Forecast the target, one value per input row, in original units.
 

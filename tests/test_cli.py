@@ -1,6 +1,9 @@
 """End-to-end checks of the command line: ingest, synth, run, compare."""
 
+import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -151,6 +154,23 @@ class TestIngest:
         )
         assert code == 1
         assert "exactly one column" in err
+
+    def test_calendar_gap_warning_is_one_line(self, tmp_path, capsys):
+        panel, _, _ = synth_generate(SynthSpec(seed=3, months=48, factors=1, series_per_factor=2))
+        rows = [i for i in range(48) if i != 20]  # the economic file skips one month
+        for names, path, keep in ((["f0s0", "f0s1"], "econ.csv", rows),
+                                  (["price"], "price.csv", range(48))):
+            columns = {n: panel.columns[n][list(keep)] for n in names}
+            write_panel_csv(FeaturePanel(dates=[panel.dates[i] for i in keep], columns=columns),
+                            str(tmp_path / path))
+        code, _, err = run_cli(
+            ["ingest", "--economic", str(tmp_path / "econ.csv"),
+             "--target", str(tmp_path / "price.csv"), "--out", str(tmp_path / "fused")],
+            capsys,
+        )
+        assert code == 0
+        assert err == ("warning: fused panel has calendar gaps; "
+                       "lag alignment will treat rows as consecutive\n")
 
     def test_target_alone_rejected(self, tmp_path, capsys):
         b = tmp_path / "b.csv"
@@ -411,11 +431,83 @@ class TestRunOutputs:
                        "run needs consecutive months\n")
         assert not (tmp_path / "out" / "predictions.csv").exists()
 
+    @pytest.mark.parametrize(
+        "method, key, value, rule",
+        [
+            ("ar", "k", "0", ">= 1"),
+            ("ar", "c", "-1", "positive and finite"),
+            ("ar", "sigma", "nan", "positive and finite"),
+            ("ar", "theta", "nan", "in (0, 1]"),
+            ("ar", "n_components", "0", ">= 1"),
+            ("ar", "seed", "-1", ">= 0"),
+            ("elm", "k", "0", ">= 1"),
+            ("elm", "sigma", "-1", "positive and finite"),
+            ("elm", "lag", "0", ">= 1"),
+        ],
+    )
+    def test_bad_value_of_an_unused_key_rejected(self, method, key, value, rule, tmp_path,
+                                                 capsys):
+        conf = write_config(tmp_path / "c.conf", method=method, **{key: value})
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(["run", "--config", conf, "--out-dir", str(out)], capsys)
+        shown = repr(float(value)) if key in ("c", "sigma", "theta") else value
+        assert (code, stdout) == (1, "")
+        assert err == f"error: {key} must be {rule}, got {shown}\n"
+        assert not out.exists()
+
     def test_unknown_mode_rejected(self, tmp_path, capsys):
         conf = write_config(tmp_path / "c.conf", mode="X")
         code, _, err = run_cli(["run", "--config", conf, "--out-dir", str(tmp_path)], capsys)
         assert code == 1
         assert "mode" in err
+
+
+# Runs three methods in-process and prints, as one JSON line, the OpenBLAS
+# thread counts outside any call and the sha256 of each output file.
+THREAD_CHILD = """
+import hashlib, json, os, sys
+from oilcast import cli, numerics
+panel, out = sys.argv[1:]
+report = {"threads": [get() for get, _ in numerics._openblas_controls()], "sha256": {}}
+for method in ("kmeans+kpca+kelm", "kpca+elm", "kelm"):
+    target = os.path.join(out, method)
+    code = cli.main(["run", "--out-dir", target, "--set", f"panel={panel}",
+                     "--set", "split=2017-12", "--set", "granger=true",
+                     "--set", "p_threshold=0.3", "--set", f"method={method}"])
+    for name in ("predictions.csv", "metrics.txt"):
+        with open(os.path.join(target, name), "rb") as fh:
+            report["sha256"][f"{method}/{name}"] = (code, hashlib.sha256(fh.read()).hexdigest())
+print(json.dumps(report))
+"""
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, capsys):
+    assert run_cli(["synth", "--seed", "7", "--out", str(tmp_path / "panel")], capsys)[0] == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    children = {}
+    for threads in ("1", "2"):  # never more than 2
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        children[threads] = subprocess.Popen(
+            [sys.executable, "-c", THREAD_CHILD, str(tmp_path / "panel.csv"),
+             str(tmp_path / f"out-{threads}")],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    reports = {}
+    try:
+        for threads, child in children.items():
+            stdout, stderr = child.communicate(timeout=120)
+            assert child.returncode == 0, stderr
+            reports[threads] = json.loads(stdout.splitlines()[-1])
+    finally:
+        for child in children.values():
+            if child.poll() is None:
+                child.kill()
+                child.communicate()
+    if not reports["1"]["threads"]:
+        pytest.skip("no OpenBLAS is loaded, so the thread count cannot be varied")
+    if max(reports["2"]["threads"]) < 2:
+        pytest.skip("OpenBLAS runs 1 thread even when asked for 2 (a 1-core host)")
+    assert reports["1"]["sha256"] == reports["2"]["sha256"]
+    assert {code for code, _ in reports["1"]["sha256"].values()} == {0}
 
 
 def write_report(path, label, mape, rmse, da, n=12, echo="src=test"):

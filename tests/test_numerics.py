@@ -1,18 +1,22 @@
-"""Symmetric eigensolver, SPD solve and ridge pseudoinverse contracts."""
+"""Symmetric eigensolver, SPD solve, ridge pseudoinverse and BLAS thread contracts."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from oilcast import numerics
+from oilcast import cli, numerics, pipeline
 from oilcast.numerics import (
     NotPositiveDefiniteError,
     NumericalError,
+    one_blas_thread,
     ridge_pinv,
     solve_spd,
     sq_distances,
     sym_eig,
 )
+from oilcast.synth import SynthSpec, synth_generate
 
 
 def centered_gaussian_gram(n, d, seed):
@@ -287,3 +291,77 @@ class TestRidgePinv:
             ridge_pinv(np.eye(2), [1.0, 2.0], -3.0)
         with pytest.raises(ValueError, match="rows"):
             ridge_pinv(np.eye(2), [1.0, 2.0, 3.0], 1.0)
+
+
+def thread_counts(controls):
+    return [get() for get, _ in controls]
+
+
+@pytest.fixture()
+def blas():
+    """The loaded OpenBLAS libraries' thread controls, each set to 2 threads."""
+    controls = numerics._openblas_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS is loaded, so there is no thread count to check")
+    saved = thread_counts(controls)
+    for _, put in controls:
+        put(2)
+    yield controls
+    for (_, put), count in zip(controls, saved):
+        put(count)
+
+
+class TestOneBlasThread:
+    def test_one_thread_inside_and_restored_after(self, blas):
+        before = thread_counts(blas)
+        with one_blas_thread():
+            assert thread_counts(blas) == [1] * len(blas)
+        assert thread_counts(blas) == before
+
+    def test_restored_after_an_exception(self, blas):
+        before = thread_counts(blas)
+        with pytest.raises(KeyError, match="boom"):
+            with one_blas_thread():
+                raise KeyError("boom")
+        assert thread_counts(blas) == before
+
+    def test_nested_use_leaves_the_outer_state(self, blas):
+        before = thread_counts(blas)
+        with one_blas_thread():
+            with one_blas_thread():
+                assert thread_counts(blas) == [1] * len(blas)
+            assert thread_counts(blas) == [1] * len(blas)
+        assert thread_counts(blas) == before
+
+    def test_without_openblas_does_nothing(self, monkeypatch):
+        controls = numerics._openblas_controls()
+        before = thread_counts(controls)
+        monkeypatch.setattr(numerics, "_openblas_controls", lambda: ())
+        with one_blas_thread():
+            assert thread_counts(controls) == before
+        assert thread_counts(controls) == before
+
+    @pytest.mark.parametrize("entry", ["pipeline_fit", "pipeline_predict", "main"])
+    def test_entry_points_run_at_one_thread_and_restore(self, entry, blas, monkeypatch):
+        seen = []
+
+        def probe(*args, **kwargs):
+            seen.append(thread_counts(blas))
+            raise ValueError("probe")
+
+        panel, _, _ = synth_generate(SynthSpec(seed=0, months=48))
+        before = thread_counts(blas)
+        if entry == "pipeline_fit":
+            monkeypatch.setattr(pipeline, "normalize_fit", probe)
+            with pytest.raises(pipeline.PipelineStageError, match="probe"):
+                pipeline.pipeline_fit(panel, pipeline.PipelineConfig(k=1))
+        elif entry == "pipeline_predict":
+            monkeypatch.setattr(pipeline, "require_finite", probe)
+            model = SimpleNamespace(indicator_names=panel.indicator_names("H"))
+            with pytest.raises(ValueError, match="probe"):
+                pipeline.pipeline_predict(model, panel)
+        else:
+            monkeypatch.setattr(cli, "cmd_synth", probe)
+            assert cli.main(["synth", "--out", "unused"]) == 1  # handled, so main returns
+        assert seen == [[1] * len(blas)]
+        assert thread_counts(blas) == before

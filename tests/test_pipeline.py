@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oilcast.kpca import kpca_fit, kpca_transform
+from oilcast.numerics import one_blas_thread
 from oilcast.panel import (
     FeaturePanel,
     month_range,
@@ -247,13 +248,15 @@ class TestPipelineFit:
         via_pipeline = pipeline_predict(model, rows)
 
         names = panel.indicator_names("H")
-        norm = normalize_fit(panel)
-        kp = kpca_fit(norm.apply(panel.matrix(names), names), theta=0.95)
-        features = kp.train_scores
-        y_norm = norm.apply(panel.matrix(["price"]), ["price"])[:, 0]
-        km = kelm_fit(features[:-1], y_norm[1:], c=config.c)
-        z = kelm_predict(km, kpca_transform(kp, norm.apply(rows.matrix(names), names)))
-        composed = normalize_invert(norm, "price", z)
+        # the pipeline runs with one BLAS thread; so must its composition
+        with one_blas_thread():
+            norm = normalize_fit(panel)
+            kp = kpca_fit(norm.apply(panel.matrix(names), names), theta=0.95)
+            features = kp.train_scores
+            y_norm = norm.apply(panel.matrix(["price"]), ["price"])[:, 0]
+            km = kelm_fit(features[:-1], y_norm[1:], c=config.c)
+            z = kelm_predict(km, kpca_transform(kp, norm.apply(rows.matrix(names), names)))
+            composed = normalize_invert(norm, "price", z)
         assert np.array_equal(via_pipeline, composed)
 
     def test_no_leakage_from_test_rows(self):

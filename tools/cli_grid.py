@@ -14,7 +14,8 @@ Usage, from each of two checkouts on the same host:
 then ``diff`` the two files. Outputs go to one fixed directory (removed and
 rebuilt on every call), because the predictions preamble echoes the panel
 path, so two checkouts must write to the same place to be comparable. The
-BLAS thread count is inherited; keep it equal on both sides.
+BLAS thread count is inherited and does not change the output: CI runs the
+grid at ``OPENBLAS_NUM_THREADS=1`` and ``=2`` and diffs the two.
 """
 
 from __future__ import annotations
