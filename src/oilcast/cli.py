@@ -32,7 +32,14 @@ from .panel import (
     write_panel_csv,
     write_tags_csv,
 )
-from .pipeline import PipelineConfig, granger_filter, pipeline_fit, pipeline_predict
+from .pipeline import (
+    CONFIG_RULES,
+    PipelineConfig,
+    at_least,
+    granger_filter,
+    pipeline_fit,
+    pipeline_predict,
+)
 from .regressors import regressor_fit, regressor_predict
 from .synth import SynthSpec, synth_generate
 
@@ -105,23 +112,13 @@ CONFIG_KEYS = {
 }
 
 
-def _at_least(low: int):
-    return (lambda value: value >= low), f">= {low}"
-
-
-_POSITIVE = (lambda value: np.isfinite(value) and value > 0), "positive and finite"
-
 # model key -> (test of a set value, the rule it states). cmd_run checks every
 # key whatever the method, so a key the method ignores cannot carry a bad
 # value into the echo; rules that need the data (k up to the series count)
 # stay where the data is.
 MODEL_KEY_RULES = {
-    **dict.fromkeys(("k", "k_lo", "k_hi", "n_components", "n_hidden", "lag", "max_lag",
-                     "ar_max_p", "uni_lags"), _at_least(1)),
-    "seed": _at_least(0),
-    "theta": ((lambda value: 0.0 < value <= 1.0), "in (0, 1]"),
-    "sigma": _POSITIVE,
-    "c": _POSITIVE,
+    **CONFIG_RULES,
+    **dict.fromkeys(("k_lo", "k_hi", "max_lag", "ar_max_p", "uni_lags"), at_least(1)),
     "p_threshold": ((lambda value: 0.0 < value < 1.0), "in (0, 1)"),
     "ar_d": ((lambda value: value in (0, 1)), "0 or 1"),
     "ar_criterion": ((lambda value: value.lower() in CRITERIA), f"one of {CRITERIA}"),

@@ -47,11 +47,11 @@ def month_range(start: str, count: int) -> list[str]:
     return [month_string(first + i) for i in range(count)]
 
 
-def _check_increasing(dates: list[str], months: np.ndarray, where: str = "") -> None:
+def _check_increasing(dates: list[str], months: np.ndarray) -> None:
     bad = np.flatnonzero(np.diff(months) <= 0)
     if bad.size:
         later, earlier = dates[bad[0] + 1], dates[bad[0]]
-        raise ValueError(f"{where}dates must be strictly increasing; {later!r} follows {earlier!r}")
+        raise ValueError(f"dates must be strictly increasing; {later!r} follows {earlier!r}")
 
 
 def _check_tags(positions: dict[str, int], tags: dict[str, str]) -> None:
@@ -343,34 +343,41 @@ def read_panel_csv(path: str) -> FeaturePanel:
     months: list[int] = []
     rows: list[list[float]] = []
     for lineno, line in numbered[1:]:
-        cells = [c.strip() for c in line.split(",")]
+        cells = line.split(",")
         if len(cells) != len(header):
             raise ValueError(
                 f"{path}: line {lineno}: expected {len(header)} cells, got {len(cells)}"
             )
+        date = cells[0].strip()
         try:
-            months.append(month_index(cells[0]))
+            month = month_index(date)
         except ValueError as err:
             raise ValueError(f"{path}: line {lineno}: {err}") from None
-        row = []
-        for name, cell in zip(names, cells[1:]):
-            if cell == "":
-                row.append(np.nan)
-                continue
-            try:
-                row.append(float(cell))
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: non-numeric value {cell!r} in column {name!r}"
-                ) from None
-        dates.append(cells[0])
+        if months and month <= months[-1]:
+            raise ValueError(f"{path}: line {lineno}: dates must be strictly increasing; "
+                             f"{date!r} follows {dates[-1]!r}")
+        try:  # float() ignores surrounding whitespace itself
+            row = list(map(float, cells[1:]))
+        except ValueError:  # a missing or bad cell: convert cell by cell
+            row = []
+            for name, cell in zip(names, cells[1:]):
+                cell = cell.strip()
+                if cell == "":
+                    row.append(np.nan)
+                    continue
+                try:
+                    row.append(float(cell))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: line {lineno}: non-numeric value {cell!r} in column {name!r}"
+                    ) from None
+        dates.append(date)
+        months.append(month)
         rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    parsed = np.array(months, dtype=np.int64)
-    _check_increasing(dates, parsed, where=f"{path}: ")
     return FeaturePanel._share(np.array(rows, dtype=float), {n: j for j, n in enumerate(names)},
-                               dates, parsed, {})
+                               dates, np.array(months, dtype=np.int64), {})
 
 
 def write_panel_csv(panel: FeaturePanel, path: str) -> None:
@@ -384,11 +391,16 @@ def write_panel_csv(panel: FeaturePanel, path: str) -> None:
 def read_tags_csv(path: str) -> dict[str, str]:
     """Read the provenance sidecar: header ``name,tag`` then one row per column."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines or [c.strip() for c in lines[0].split(",")] != ["name", "tag"]:
-        raise ValueError(f"{path}: line 1: header must be 'name,tag'")
+        numbered = [
+            (no, ln.strip())
+            for no, ln in enumerate(fh, start=1)
+            if ln.strip() and not ln.lstrip().startswith("#")
+        ]
+    header_line_no, header_line = numbered[0] if numbered else (1, "")
+    if [c.strip() for c in header_line.split(",")] != ["name", "tag"]:
+        raise ValueError(f"{path}: line {header_line_no}: header must be 'name,tag'")
     tags: dict[str, str] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in numbered[1:]:
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != 2:
             raise ValueError(f"{path}: line {lineno}: expected 'name,tag'")

@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.stats
+from scipy.special import fdtrc
 
 from .baselines import _lag_matrix
 from .clustering import ClusterModel, elbow_select, kmeans_fit
@@ -89,7 +89,7 @@ def granger_filter(panel: FeaturePanel, candidates, max_lag: int = DEFAULT_MAX_L
     sse_r = _sse(np.column_stack([own, const]), y_reg)
     zero_scale = 1e-12 * (float(y_reg @ y_reg) + 1.0)
 
-    retained, pvalues, fstats, inconclusive = [], {}, {}, []
+    tested, fstats, inconclusive = [], {}, []
     for name in candidates:
         x_lags = _lag_matrix(panel.columns[name], max_lag)
         sse_u = _sse(np.column_stack([own, x_lags, const]), y_reg)
@@ -107,13 +107,32 @@ def granger_filter(panel: FeaturePanel, candidates, max_lag: int = DEFAULT_MAX_L
             f_stat = np.inf
         else:
             f_stat = max(0.0, ((sse_r - sse_u) / max_lag) / (sse_u / dof2))
-        p_value = float(scipy.stats.f.sf(f_stat, max_lag, dof2))
+        tested.append(name)
         fstats[name] = float(f_stat)
-        pvalues[name] = p_value
-        if p_value <= p_threshold:
-            retained.append(name)
+    # the F upper tail of every tested candidate in one call
+    tails = fdtrc(max_lag, dof2, np.array([fstats[name] for name in tested])).tolist()
+    pvalues = dict(zip(tested, tails))
+    retained = [name for name, p_value in zip(tested, tails) if p_value <= p_threshold]
     return GrangerResult(retained=retained, pvalues=pvalues, fstats=fstats,
                          inconclusive=inconclusive)
+
+
+def at_least(low: int):
+    """The rule that a value is at least ``low``: (test, stated rule)."""
+    return (lambda value: value >= low), f">= {low}"
+
+
+_POSITIVE = (lambda value: np.isfinite(value) and value > 0), "positive and finite"
+
+# PipelineConfig field -> (test of a set value, the rule it states); the CLI
+# applies the same rules to its model keys before reading any data
+CONFIG_RULES = {
+    **dict.fromkeys(("k", "n_components", "n_hidden", "lag"), at_least(1)),
+    "seed": at_least(0),
+    "theta": ((lambda value: 0.0 < value <= 1.0), "in (0, 1]"),
+    "sigma": _POSITIVE,
+    "c": _POSITIVE,
+}
 
 
 @dataclass(frozen=True)
@@ -140,20 +159,18 @@ class PipelineConfig:
     def __post_init__(self):
         if self.n_components is not None and self.theta is not None:
             raise ValueError("set n_components or theta, not both")
-        if self.lag < 1:
-            raise ValueError(f"lag must be >= 1, got {self.lag}")
+        for name, (valid, rule) in CONFIG_RULES.items():
+            value = getattr(self, name)
+            if value is not None and not valid(value):
+                raise ValueError(f"{name} must be {rule}, got {value!r}")
         if self.regressor not in REGRESSORS:
             raise ValueError(f"regressor must be one of {REGRESSORS}, got {self.regressor!r}")
-        if self.k is not None and self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
         lo, hi = self.k_range
         if lo < 1 or hi < lo:
             raise ValueError(f"k_range bounds must satisfy 1 <= lo <= hi, got {self.k_range}")
         if self.k is None and hi - lo < 2:
             raise ValueError(f"k_range {self.k_range} holds {hi - lo + 1} k values; "
                              f"the elbow needs 3 candidates; widen it or pin k")
-        if self.c <= 0:
-            raise ValueError(f"regularization c must be positive, got {self.c}")
 
 
 @dataclass

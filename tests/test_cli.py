@@ -1,18 +1,29 @@
 """End-to-end checks of the command line: ingest, synth, run, compare."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oilcast import cli
 from oilcast.cli import CONFIG_KEYS, load_config, main
 from oilcast.evaluation import parse_report
 from oilcast.numerics import NumericalError
-from oilcast.panel import FeaturePanel, read_panel_csv, write_panel_csv, write_tags_csv
+from oilcast.panel import (
+    FeaturePanel,
+    month_range,
+    read_panel_csv,
+    write_panel_csv,
+    write_tags_csv,
+)
 from oilcast.pipeline import PipelineStageError
 from oilcast.synth import SynthSpec, synth_generate
 
@@ -508,6 +519,109 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, capsys):
         pytest.skip("OpenBLAS runs 1 thread even when asked for 2 (a 1-core host)")
     assert reports["1"]["sha256"] == reports["2"]["sha256"]
     assert {code for code, _ in reports["1"]["sha256"].values()} == {0}
+
+
+def test_importing_the_cli_loads_no_scipy_stats():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = ("import sys, oilcast.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))")
+    child = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"
+
+
+PANEL_ROWS = 30
+PANEL_NAMES = ("a", "b", "price")
+TAG_ROWS = ("a,economic", "b,gsvi", "price,target")
+
+
+# corruption kind -> the first logical line it may hit (0 is the header, which
+# a header corruption always hits)
+PANEL_KINDS = {"header": 0, "cell_count": 1, "date": 1, "date_order": 2, "cell": 1}
+TAG_KINDS = {"header": 0, "cell_count": 1, "tag": 1, "duplicate": 2}
+
+
+def _panel_lines() -> list[str]:
+    rng = np.random.default_rng(0)
+    return [",".join(("date",) + PANEL_NAMES)] + [
+        ",".join([date, *map(repr, rng.standard_normal(len(PANEL_NAMES)).tolist())])
+        for date in month_range("2004-01", PANEL_ROWS)
+    ]
+
+
+def _corrupt_panel(lines: list[str], kind: str, row: int, data) -> None:
+    """Make one logical line of a valid panel CSV malformed; row 0 is the header."""
+    cells = lines[row].split(",")
+    if kind == "header":  # a first column other than date, or a repeated name
+        at, name = data.draw(st.sampled_from([(0, "month"), (2, "a")]))
+        cells[at] = name
+    elif kind == "cell_count":
+        cells = cells[:-1] if data.draw(st.booleans()) else cells + ["1.0"]
+    elif kind == "date":
+        cells[0] = data.draw(st.sampled_from(["2004-13", "2004/01", "", "04-01", "2004-1"]))
+    elif kind == "date_order":
+        cells[0] = lines[row - 1].split(",")[0]
+    else:  # a cell that is neither a number nor empty
+        cells[data.draw(st.integers(1, len(PANEL_NAMES)))] = data.draw(
+            st.sampled_from(["oops", "1.2.3", "--1", "1e", "0x10", "n a n"]))
+    lines[row] = ",".join(cells)
+
+
+def _corrupt_tags(lines: list[str], kind: str, row: int) -> None:
+    """Make one logical line of a valid tags CSV malformed; row 0 is the header."""
+    name = lines[row].split(",")[0]
+    lines[row] = {"header": "name,kind", "cell_count": f"{name},gsvi,x",
+                  "tag": f"{name},bogus", "duplicate": "a,gsvi"}[kind]
+
+
+def _with_noise(lines: list[str], noise: dict[int, str]) -> tuple[str, list[int]]:
+    """Put comment or blank lines before the logical lines in ``noise``; returns
+    the text and each logical line's physical number."""
+    out, numbers = [], []
+    for i, line in enumerate(lines):
+        if i in noise:
+            out.append(noise[i])
+        out.append(line)
+        numbers.append(len(out))
+    return "\n".join(out) + "\n", numbers
+
+
+class TestMalformedInputProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_one_line_error_naming_file_and_line(self, tmp_path_factory, data):
+        """A malformed panel or tags line ends `run` with exit 1 and one
+        `error: <path>: line N: ...` line, never a traceback or exit 2."""
+        work = tmp_path_factory.mktemp("malformed")
+        panel_lines, tag_lines = _panel_lines(), ["name,tag", *TAG_ROWS]
+        in_tags = data.draw(st.booleans())
+        kinds, last = (TAG_KINDS, len(TAG_ROWS)) if in_tags else (PANEL_KINDS, PANEL_ROWS)
+        kind = data.draw(st.sampled_from(list(kinds)))
+        row = 0 if kind == "header" else data.draw(st.integers(kinds[kind], last))
+        if in_tags:
+            _corrupt_tags(tag_lines, kind, row)
+        else:
+            _corrupt_panel(panel_lines, kind, row, data)
+        noise = st.dictionaries(st.integers(0, PANEL_ROWS), st.sampled_from(["# note", "", "  "]),
+                                max_size=4)
+        panel_text, panel_numbers = _with_noise(panel_lines, data.draw(noise))
+        tags_text, tag_numbers = _with_noise(tag_lines, data.draw(noise))
+        panel_path, tags_path = str(work / "p.csv"), str(work / "p.tags.csv")
+        with open(panel_path, "w", encoding="utf-8") as fh:
+            fh.write(panel_text)
+        with open(tags_path, "w", encoding="utf-8") as fh:
+            fh.write(tags_text)
+
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", "--set", f"panel={panel_path}", "--set", "split=2005-06",
+                         "--set", "method=naive", "--out-dir", str(work / "out")])
+        path, line = (tags_path, tag_numbers[row]) if in_tags else (panel_path,
+                                                                    panel_numbers[row])
+        assert (code, out.getvalue()) == (1, "")
+        assert re.fullmatch(rf"error: {re.escape(path)}: line {line}: [^\n]+\n", err.getvalue())
+        assert not (work / "out").exists()
 
 
 def write_report(path, label, mape, rmse, da, n=12, echo="src=test"):

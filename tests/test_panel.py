@@ -292,3 +292,78 @@ class TestCsv:
         bad.write_text("name,tag\ne1,mystery\n")
         with pytest.raises(ValueError, match="line 2.*'mystery'"):
             read_tags_csv(str(bad))
+
+    def test_tags_errors_count_comment_and_blank_lines(self, tmp_path):
+        bad = tmp_path / "bad.tags.csv"
+        bad.write_text("# note\n\nname,tag\nprice,target\nx,bogus\n")
+        with pytest.raises(ValueError, match=r": line 5: unknown tag 'bogus'"):
+            read_tags_csv(str(bad))
+        bad.write_text("# note\nname,kind\nprice,target\n")
+        with pytest.raises(ValueError, match=r": line 2: header must be 'name,tag'$"):
+            read_tags_csv(str(bad))
+        bad.write_text("# only a comment\n\n")
+        with pytest.raises(ValueError, match=r": line 1: header must be 'name,tag'$"):
+            read_tags_csv(str(bad))
+
+    def test_out_of_order_date_cites_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("date,a\n2010-01,1.0\n# gap\n2010-03,2.0\n2010-02,oops\n")
+        with pytest.raises(ValueError, match=r": line 5: dates must be strictly increasing; "
+                                             r"'2010-02' follows '2010-03'$"):
+            read_panel_csv(str(path))
+
+
+# A cell token the reader may meet: a number in any spelling float() takes,
+# an empty cell, or junk; the reference rule below decides what each means.
+CELL_TOKENS = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["nan", "-nan", "inf", "-Infinity", "+1.5", "1_0", "1e5", ".5", "5.", "-0"]),
+    st.just(""),
+    st.sampled_from(["oops", "1.2.3", "--1", "1e", "0x10", "1__0", "_1", "1 2", "n a n"]),
+    st.text(alphabet="1e.+-_xn", max_size=4),
+)
+# a bare '\r' ends a line in text mode, so it occurs only in CRLF line ends;
+# float() keeps '\x1f', which str.strip() removes, so it forces the cell-wise path
+PADDING = st.text(alphabet=" \t\x0b\x0c\xa0\x1f", max_size=2)
+
+
+def reference_cell(cell: str, where: str, name: str) -> float:
+    cell = cell.strip()
+    if cell == "":
+        return np.nan
+    try:
+        return float(cell)
+    except ValueError:
+        raise ValueError(f"{where}non-numeric value {cell!r} in column {name!r}") from None
+
+
+class TestReaderProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_cells_parse_like_the_per_cell_rule(self, tmp_path_factory, data):
+        n_rows = data.draw(st.integers(1, 5))
+        n_cols = data.draw(st.integers(1, 4))
+        names = [f"c{j}" for j in range(n_cols)]
+        cells = [[data.draw(PADDING) + data.draw(CELL_TOKENS) + data.draw(PADDING)
+                  for _ in names] for _ in range(n_rows)]
+        end = data.draw(st.sampled_from(["\n", "\r\n"]))
+        dates = month_range("2010-01", n_rows)
+        path = str(tmp_path_factory.mktemp("csv") / "p.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(end.join([",".join(["date", *names])]
+                              + [",".join([f" {d}\t", *row]) for d, row in zip(dates, cells)])
+                     + end)
+        try:
+            expected = np.array([[reference_cell(c, f"{path}: line {i + 2}: ", name)
+                                  for c, name in zip(row, names)]
+                                 for i, row in enumerate(cells)])
+        except ValueError as err:
+            with pytest.raises(ValueError) as raised:
+                read_panel_csv(path)
+            assert str(raised.value) == str(err)
+            return
+        panel = read_panel_csv(path)
+        assert panel.dates == dates
+        got = panel.matrix(names)
+        assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()

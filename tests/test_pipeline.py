@@ -7,6 +7,7 @@ against.
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -148,6 +149,27 @@ class TestGrangerFilter:
         with pytest.raises(ValueError, match="target"):
             granger_filter(no_target, ["x"], max_lag=2)
 
+    def test_pvalues_equal_the_f_distribution_tail_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        t, max_lag = 90, 3
+        x = rng.standard_normal(t)
+        y = np.empty(t)
+        y[0] = 0.0
+        y[1:] = x[:-1]  # "x" fits the target exactly: F = inf
+        columns = {f"n{i}": rng.standard_normal(t).cumsum() for i in range(12)}
+        columns.update(x=x, price=y)
+        panel = make_panel(columns, {**dict.fromkeys(columns, "economic"), "price": "target"})
+        candidates = [name for name in columns if name != "price"]
+        result = granger_filter(panel, candidates, max_lag=max_lag, p_threshold=0.3)
+        dof2 = t - max_lag - 2 * max_lag - 1
+        assert list(result.pvalues) == candidates
+        assert result.fstats["x"] == np.inf and result.pvalues["x"] == 0.0
+        for name in candidates:
+            tail = scipy.stats.f.sf(result.fstats[name], max_lag, dof2)
+            assert np.float64(result.pvalues[name]).tobytes() == np.float64(tail).tobytes()
+        assert result.retained == [n for n in candidates if result.pvalues[n] <= 0.3]
+        assert 1 < len(result.retained) < len(candidates)
+
     def test_too_few_rows_for_dof(self):
         rng = np.random.default_rng(7)
         panel = make_panel(
@@ -177,6 +199,25 @@ class TestPipelineConfig:
     def test_bad_field_rejected(self, kwargs):
         with pytest.raises(ValueError):
             PipelineConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field, value, rule",
+        [
+            ("c", np.nan, "positive and finite"),
+            ("c", np.inf, "positive and finite"),
+            ("sigma", 0.0, "positive and finite"),
+            ("sigma", -1.0, "positive and finite"),
+            ("n_components", 0, ">= 1"),
+            ("theta", np.nan, "in (0, 1]"),
+            ("theta", 1.5, "in (0, 1]"),
+            ("seed", -1, ">= 0"),
+            ("n_hidden", 0, ">= 1"),
+        ],
+    )
+    def test_out_of_range_field_named(self, field, value, rule):
+        with pytest.raises(ValueError) as raised:
+            PipelineConfig(**{field: value})
+        assert str(raised.value) == f"{field} must be {rule}, got {value!r}"
 
     def test_elbow_range_needs_three_candidates(self):
         with pytest.raises(ValueError, match=r"k_range \(3, 4\) holds 2 k values"):
