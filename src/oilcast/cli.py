@@ -192,7 +192,10 @@ def _load_run_panel(config: dict) -> FeaturePanel:
         untagged = [name for name in panel.columns if name not in tags]
         if untagged:
             raise CliError(f"{tags_path}: no tag for columns {untagged}")
-        return panel.with_tags(tags)
+        try:
+            return panel.with_tags(tags)
+        except ValueError as err:  # a tag for a column the panel lacks
+            raise CliError(f"{tags_path}: {err}") from None
     if config["synth_seed"] is not None:
         spec = SynthSpec(
             seed=config["synth_seed"],

@@ -15,13 +15,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NumericalError, sq_distances, sym_eig
+from .numerics import BLOCK_ROWS, NumericalError, sq_distances, sym_eig
 
 # Components with eigenvalue at or below EIGENVALUE_FLOOR_RATIO * lambda_max
 # are treated as numerical rank deficiency and never retained.
 EIGENVALUE_FLOOR_RATIO = 1e-10
 
 DEFAULT_THETA = 0.95
+
+# Up to this many samples the median heuristic partitions a copy of the
+# distance matrix (about 2 MB at most, and faster than the bracket); above, it
+# brackets the middle pairs with a sample of MEDIAN_SAMPLE_PER_ROW pairs per
+# sample row, widened by MEDIAN_BRACKET_SDS standard deviations each side.
+MEDIAN_COPY_MAX_ROWS = 512
+MEDIAN_SAMPLE_PER_ROW = 16
+MEDIAN_BRACKET_SDS = 8.0
 
 # The variance-fraction rule first asks for this many leading eigenpairs and
 # doubles the request until the fraction is reached.
@@ -65,29 +73,97 @@ class LinearKernel:
 def _median_distance(sq: np.ndarray) -> float:
     """Median pairwise distance from a squared-distance matrix of one sample set.
 
-    Off the (exactly 0) diagonal each of the P = n(n-1)/2 pairs appears
-    twice, and no entry is negative, so the two middle pairs sit at ranks
-    n + P - 1 and n + P of the whole flattened matrix; one partition finds
-    them without gathering the upper triangle.
+    Up to ``MEDIAN_COPY_MAX_ROWS`` samples one partition of a copy of the
+    whole matrix finds the two middle pairs: off the (exactly 0) diagonal
+    each of the P = n(n-1)/2 pairs appears twice, and no entry is negative,
+    so they sit at ranks n + P - 1 and n + P of the flattened matrix. Above
+    that the copy would be a second large matrix, so they are selected
+    from the matrix itself: a fixed sample of pairs brackets them, one pass
+    over the upper triangle counts the pairs on either side of the bracket
+    and gathers those inside it, and a partition of those finds them.
+    Should the bracket miss them, the copy is made after all.
     """
     n = sq.shape[0]
     if n < 2:
         raise ValueError("median heuristic needs at least 2 samples")
-    mid = n + n * (n - 1) // 2
-    ranked = np.partition(sq, mid - 1, axis=None)
-    med = float((np.sqrt(ranked[mid - 1]) + np.sqrt(ranked[mid:].min())) / 2.0)
+    picked = None
+    if n > MEDIAN_COPY_MAX_ROWS:
+        pairs = n * (n - 1) // 2
+        ranks = [(pairs - 1) // 2, pairs // 2]
+        picked = _select_pairs(sq, ranks, *_median_bracket(sq, ranks))
+    if picked is None:
+        mid = n + n * (n - 1) // 2
+        ranked = np.partition(sq, mid - 1, axis=None)
+        picked = ranked[mid - 1], ranked[mid:].min()
+    low, high = picked
+    med = float((np.sqrt(low) + np.sqrt(high)) / 2.0)
     if med <= 0.0:
         raise DegenerateKernelError("median pairwise distance is 0 (duplicated samples)")
     return med
 
 
-def gaussian_gram(x, sigma: float | None = None) -> tuple[np.ndarray, GaussianKernel]:
+def _median_bracket(sq: np.ndarray, ranks: list[int]) -> tuple[float, float]:
+    """Values that hold the pairs at ``ranks`` between them with near certainty.
+
+    They come from ``MEDIAN_SAMPLE_PER_ROW * n`` pairs drawn with a fixed
+    seed, widened by ``MEDIAN_BRACKET_SDS`` binomial standard deviations on
+    each side (at most to the sample's ends).
+    """
+    n = sq.shape[0]
+    size = MEDIAN_SAMPLE_PER_ROW * n
+    rng = np.random.default_rng(0)
+    rows = rng.integers(0, n, size)
+    cols = rng.integers(0, n - 1, size)
+    cols += cols >= rows  # a column other than the row, uniformly
+    sample = np.sort(sq[rows, cols])
+    pairs = n * (n - 1) // 2
+    margin = MEDIAN_BRACKET_SDS * np.sqrt(size) / 2.0
+    first = int(np.floor(size * ranks[0] / pairs - margin))
+    last = int(np.ceil(size * (ranks[1] + 1) / pairs + margin))
+    return sample[max(first, 0)], sample[min(last, size - 1)]
+
+
+def _select_pairs(sq: np.ndarray, ranks: list[int], lo: float,
+                  hi: float) -> tuple[float, float] | None:
+    """The pair values at the two ``ranks`` if both lie in [lo, hi], else None.
+
+    Reads the strict upper triangle ``BLOCK_ROWS`` rows at a time: each
+    block's diagonal square through a mask, the rest of its rows whole.
+    """
+    n = sq.shape[0]
+    below = above = 0
+    inside = []
+    upper = np.triu(np.ones((BLOCK_ROWS, BLOCK_ROWS), dtype=bool), 1)
+    for start in range(0, n, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n)
+        square = sq[start:stop, start:stop][upper[: stop - start, : stop - start]]
+        for values in (square, sq[start:stop, stop:]):
+            keep = values >= lo
+            below += values.size - np.count_nonzero(keep)
+            under = values <= hi
+            above += values.size - np.count_nonzero(under)
+            if lo < hi:  # otherwise every value inside equals lo
+                keep &= under
+                inside.append(values[keep])
+    pairs = n * (n - 1) // 2
+    if ranks[0] < below or ranks[1] >= pairs - above:
+        return None
+    if lo == hi:
+        return lo, lo
+    inside = np.concatenate(inside)
+    first, second = ranks[0] - below, ranks[1] - below
+    inside.partition([first, second])
+    return float(inside[first]), float(inside[second])
+
+
+def gaussian_gram(x, sigma: float | None = None, out=None) -> tuple[np.ndarray, GaussianKernel]:
     """Gram matrix of the sample rows under a Gaussian kernel, and that kernel.
 
     ``sigma`` None takes the median heuristic of the same distances, so one
-    distance matrix serves both and becomes the Gram matrix in place.
+    distance matrix serves both and becomes the Gram matrix in place: in
+    ``out``, when given, an n x n float64 array.
     """
-    sq = sq_distances(_as_samples(x, "gaussian_gram input"))
+    sq = sq_distances(_as_samples(x, "gaussian_gram input"), out=out)
     kernel = GaussianKernel(_median_distance(sq) if sigma is None else sigma)
     return kernel.of_sq_distances(sq), kernel
 
@@ -102,22 +178,24 @@ def _as_samples(x, name: str) -> np.ndarray:
 
 
 def center_kernel(k) -> tuple[np.ndarray, np.ndarray, float]:
-    """Double-center a Gram matrix.
+    """Double-center a Gram matrix in place.
 
     Returns ``(k_centered, column_means, grand_mean)``; the means are the
     statistics needed to center out-of-sample kernel rows consistently.
-    Symmetry is not checked here: centering changes ``k[i, j] - k[j, i]``
-    by rounding only, and ``sym_eig`` checks the centered matrix.
+    ``k_centered`` is ``k`` itself, overwritten, when ``k`` is a float64
+    array, and a centered copy of any other input. Symmetry is not checked
+    here: centering changes ``k[i, j] - k[j, i]`` by rounding only, and
+    ``sym_eig`` checks the centered matrix.
     """
     k = np.asarray(k, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValueError(f"kernel matrix must be square, got shape {k.shape}")
     col_means = k.mean(axis=0)
     grand_mean = float(k.mean())
-    k_c = k - col_means[None, :]
-    k_c -= col_means[:, None]
-    k_c += grand_mean
-    return k_c, col_means, grand_mean
+    k -= col_means[None, :]
+    k -= col_means[:, None]
+    k += grand_mean
+    return k, col_means, grand_mean
 
 
 @dataclass
@@ -132,13 +210,17 @@ class KpcaModel:
     n_components: int
 
 
-def kpca_fit(x, kernel=None, n_components: int | None = None, theta: float | None = None) -> KpcaModel:
+def kpca_fit(x, kernel=None, n_components: int | None = None, theta: float | None = None,
+             out=None) -> KpcaModel:
     """Fit KPCA on sample rows.
 
     Component count comes from ``n_components`` (fixed) or ``theta``
     (smallest count reaching that fraction of the usable eigenvalue sum);
     giving both is an error, giving neither selects theta = 0.95. With no
-    kernel, a Gaussian kernel at the median-heuristic width is used.
+    kernel, a Gaussian kernel at the median-heuristic width is used; any
+    other kernel must return a new matrix, which the fit centers in place.
+    A Gaussian kernel's Gram matrix is built in ``out`` when one is given,
+    an n x n float64 array the fit overwrites and does not keep.
     Raises ``DegenerateKernelError`` when no eigenvalue clears the floor.
     """
     x = _as_samples(x, "kpca_fit input")
@@ -153,13 +235,13 @@ def kpca_fit(x, kernel=None, n_components: int | None = None, theta: float | Non
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
     if n_components is None and theta is None:
         theta = DEFAULT_THETA
-    if kernel is None:
-        k, kernel = gaussian_gram(x)
+    if kernel is None or isinstance(kernel, GaussianKernel):
+        k, kernel = gaussian_gram(x, None if kernel is None else kernel.sigma, out=out)
     else:
         k = kernel(x)
-    k_c, col_means, grand_mean = center_kernel(k)
-    del k  # free the Gram matrix before the eigensolve
-    values, vectors, keep = _leading_components(k_c, n_components, theta)
+    # the fit's one n x n matrix: the Gram matrix, centered in place
+    k, col_means, grand_mean = center_kernel(k)
+    values, vectors, keep = _leading_components(k, n_components, theta)
 
     lam = values[:keep].copy()
     root = np.sqrt(lam)[None, :]

@@ -21,9 +21,10 @@ from scipy.sparse.linalg import ArpackError, eigsh
 # Absolute tolerance for the symmetry check max |A[i,j] - A[j,i]|.
 SYMMETRY_ATOL = 1e-10
 
-# Rows per block of the symmetry scan; a matrix of this order or less is
-# scanned in one block.
-SYMMETRY_BLOCK_ROWS = 256
+# Rows per block of every whole-matrix pass that needs a temporary (the
+# finiteness and symmetry scans, the distance update, the median search), so
+# its scratch is BLOCK_ROWS x n entries, not another n x n matrix.
+BLOCK_ROWS = 64
 
 # Below this order sym_eig always uses the full solver.
 PARTIAL_MIN_ORDER = 8
@@ -107,8 +108,9 @@ def _as_matrix(a, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
+    for start in range(0, a.shape[0], BLOCK_ROWS):
+        if not np.isfinite(a[start:start + BLOCK_ROWS]).all():
+            raise ValueError(f"{name} contains non-finite entries")
     return a
 
 
@@ -118,8 +120,8 @@ def _check_symmetric(a: np.ndarray, name: str) -> None:
     # columns from the block's first row on finds it, first block first
     n = a.shape[0]
     worst, at = 0.0, (0, 0)
-    for start in range(0, n, SYMMETRY_BLOCK_ROWS):
-        stop = min(start + SYMMETRY_BLOCK_ROWS, n)
+    for start in range(0, n, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n)
         gap = a[start:stop, start:] - a[start:, start:stop].T
         np.abs(gap, out=gap)
         r, c = np.unravel_index(int(np.argmax(gap)), gap.shape)
@@ -133,26 +135,29 @@ def _check_symmetric(a: np.ndarray, name: str) -> None:
         )
 
 
-def sq_distances(x, z=None) -> np.ndarray:
+def sq_distances(x, z=None, out=None) -> np.ndarray:
     """Squared Euclidean distances between the rows of ``x`` and of ``z``.
 
-    Uses the GEMM form ``|x|^2 + |z|^2 - 2 x z'`` clamped at 0. With ``z``
-    omitted the rows of ``x`` are paired with themselves: the product
-    ``x x'`` is then a symmetric rank-k update, so the result is exactly
-    symmetric, and its diagonal is exactly 0.
+    Uses the GEMM form ``-2 x z' + (|x|^2 + |z|^2)`` clamped at 0: the
+    product is the result's only full-size matrix, and the norms are added
+    to it ``BLOCK_ROWS`` rows at a time. With ``z`` omitted the rows of
+    ``x`` are paired with themselves: the product ``x x'`` is then a
+    symmetric rank-k update, so the result is exactly symmetric, and its
+    diagonal is exactly 0. ``out``, a float64 array of the result's shape,
+    receives the result instead of a new matrix.
     """
     x = np.ascontiguousarray(x, dtype=float)
     norms = np.einsum("ij,ij->i", x, x)
     if z is None:
-        sq = np.add.outer(norms, norms)
-        cross = x @ x.T
+        sq, z_norms = np.matmul(x, x.T, out=out), norms
     else:
         z = np.asarray(z, dtype=float)
-        sq = np.add.outer(norms, np.einsum("ij,ij->i", z, z))
-        cross = x @ z.T
-    cross *= 2.0
-    sq -= cross
-    np.maximum(sq, 0.0, out=sq)
+        sq, z_norms = np.matmul(x, z.T, out=out), np.einsum("ij,ij->i", z, z)
+    sq *= -2.0
+    for start in range(0, sq.shape[0], BLOCK_ROWS):
+        block = sq[start:start + BLOCK_ROWS]
+        block += np.add.outer(norms[start:start + BLOCK_ROWS], z_norms)
+        np.maximum(block, 0.0, out=block)
     if z is None:
         np.fill_diagonal(sq, 0.0)
     return sq
@@ -209,13 +214,18 @@ def _lanczos(a: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray] | None:
         return None
 
 
-def solve_spd(a, b) -> np.ndarray:
+def solve_spd(a, b, overwrite_a: bool = False) -> np.ndarray:
     """Solve ``A x = b`` for symmetric positive definite ``A`` via Cholesky.
 
     ``b`` may be a vector or a matrix of stacked right-hand sides; the
     result has the same shape. Never forms an explicit inverse. Raises
     ``NotPositiveDefiniteError`` (with the failing pivot index) when the
     factorization breaks down.
+
+    With ``overwrite_a`` a C-ordered float64 ``a`` is factored in its own
+    memory and no longer holds ``A`` afterwards. The factor then comes from
+    the upper triangle instead of the lower one, so it equals the copying
+    path's bit for bit when ``a`` is exactly symmetric.
     """
     a = _as_matrix(a, "solve_spd matrix")
     _check_symmetric(a, "solve_spd matrix")
@@ -226,7 +236,8 @@ def solve_spd(a, b) -> np.ndarray:
         raise ValueError(
             f"right-hand side shape {b.shape} does not match matrix of order {a.shape[0]}"
         )
-    chol, info = lapack.dpotrf(a, lower=1)
+    # LAPACK is column-major: a C-ordered matrix is used in place only as its transpose
+    chol, info = lapack.dpotrf(a.T if overwrite_a else a, lower=1, overwrite_a=overwrite_a)
     if info > 0:
         raise NotPositiveDefiniteError(pivot=info - 1)
     if info < 0:
@@ -259,5 +270,5 @@ def ridge_pinv(h, y, c: float) -> np.ndarray:
         raise ValueError("ridge_pinv input contains non-finite entries")
     gram = h @ h.T  # a symmetric rank-k update of a contiguous h: exactly symmetric
     gram[np.diag_indices_from(gram)] += 1.0 / c
-    alpha = solve_spd(gram, y)
+    alpha = solve_spd(gram, y, overwrite_a=True)
     return h.T @ alpha

@@ -335,7 +335,7 @@ def read_panel_csv(path: str) -> FeaturePanel:
     names = header[1:]
     if not names:
         raise ValueError(f"{path}: line {header_line_no}: no data columns")
-    dupes = sorted({n for n in names if names.count(n) > 1})
+    dupes = sorted(name for name, count in Counter(names).items() if count > 1)
     if dupes:
         raise ValueError(f"{path}: line {header_line_no}: duplicate column names {dupes}")
 
@@ -383,8 +383,12 @@ def read_panel_csv(path: str) -> FeaturePanel:
 def write_panel_csv(panel: FeaturePanel, path: str) -> None:
     """Write the canonical panel CSV."""
     lines = [",".join(["date", *panel.columns])]
-    for date, row in zip(panel.dates, panel._values.tolist()):
-        lines.append(",".join([date] + ["" if math.isnan(v) else repr(v) for v in row]))
+    gaps = np.isnan(panel._values).any(axis=1).tolist()
+    for date, row, gap in zip(panel.dates, panel._values.tolist(), gaps):
+        if gap:  # a missing value is an empty cell
+            lines.append(",".join([date] + ["" if math.isnan(v) else repr(v) for v in row]))
+        else:
+            lines.append(",".join([date, *map(repr, row)]))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -400,6 +404,7 @@ def read_tags_csv(path: str) -> dict[str, str]:
     if [c.strip() for c in header_line.split(",")] != ["name", "tag"]:
         raise ValueError(f"{path}: line {header_line_no}: header must be 'name,tag'")
     tags: dict[str, str] = {}
+    target = None
     for lineno, line in numbered[1:]:
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != 2:
@@ -409,6 +414,11 @@ def read_tags_csv(path: str) -> dict[str, str]:
             raise ValueError(f"{path}: line {lineno}: unknown tag {tag!r}; expected one of {TAGS}")
         if name in tags:
             raise ValueError(f"{path}: line {lineno}: duplicate tag for column {name!r}")
+        if tag == "target":
+            if target is not None:
+                raise ValueError(f"{path}: line {lineno}: second target column {name!r}; "
+                                 f"{target!r} is already the target")
+            target = name
         tags[name] = tag
     return tags
 

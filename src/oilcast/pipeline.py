@@ -8,6 +8,8 @@ change the model.
 
 from __future__ import annotations
 
+import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -24,6 +26,11 @@ from .regressors import REGRESSORS, regressor_fit, regressor_predict
 DEFAULT_MAX_LAG = 3
 DEFAULT_P_THRESHOLD = 0.1
 MIN_TRAIN_ROWS = 24
+
+# Training windows of at least this many rows fit the clusters' KPCAs on
+# several threads. Below it a Gram matrix is small enough that contention
+# for the interpreter lock costs more than a second core returns.
+CONCURRENT_MIN_ROWS = 512
 
 
 class PipelineStageError(RuntimeError):
@@ -196,6 +203,61 @@ def _stage(name: str, fn, *args, **kwargs):
         raise PipelineStageError(name, err) from err
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_in_threads(task, count: int, scratch: list) -> list:
+    """``[task(0, ...), ..., task(count - 1, ...)]`` on one thread per ``scratch`` item.
+
+    The calling thread is one of them, and each thread passes its own item
+    as ``task``'s second argument. Each takes the next index no thread has
+    taken until none is left. When tasks raise, the error of the lowest
+    failing index is raised, as a loop in index order would raise it;
+    higher indices not yet started are skipped. Every helper has stopped
+    before this returns or raises.
+    """
+    results: list = [None] * count
+    failed: dict[int, Exception] = {}
+    indices = iter(range(count))
+    lock = threading.Lock()
+    stop = threading.Event()
+
+    def work(item):
+        while not stop.is_set():
+            with lock:
+                j = next(indices, None)
+                if j is None or (failed and j > min(failed)):
+                    return
+            try:
+                results[j] = task(j, item)
+            except Exception as err:
+                with lock:
+                    failed[j] = err
+
+    helpers = []
+    try:
+        for item in scratch[1:]:
+            helper = threading.Thread(target=work, args=(item,), name="oilcast-fit")
+            try:
+                helper.start()
+            except RuntimeError:  # no thread to be had: fewer workers, same result
+                break
+            helpers.append(helper)
+        work(scratch[0])
+    finally:
+        stop.set()
+        for helper in helpers:
+            helper.join()
+    if failed:
+        raise failed[min(failed)]
+    return results
+
+
 @one_blas_thread()
 def pipeline_fit(panel: FeaturePanel, config: PipelineConfig) -> PipelineModel:
     """Fit normalization, clustering, per-cluster KPCA and the final regressor.
@@ -203,7 +265,10 @@ def pipeline_fit(panel: FeaturePanel, config: PipelineConfig) -> PipelineModel:
     The panel must hold training rows only. Indicator series are clustered
     over the training window, each cluster's columns feed one KPCA, and the
     concatenated component scores at month t regress the normalized target
-    at month t + lag.
+    at month t + lag. From ``CONCURRENT_MIN_ROWS`` training rows on, the
+    clusters' KPCAs are fitted side by side, on up to one thread per CPU
+    the process may use; each fit's arithmetic is the same on any thread,
+    so the model does not depend on the thread count.
     """
     target = panel.target_name
     if target is None:
@@ -236,13 +301,19 @@ def pipeline_fit(panel: FeaturePanel, config: PipelineConfig) -> PipelineModel:
     members = [[indicators[i] for i in np.flatnonzero(cluster.labels == j)]
                for j in range(cluster.k)]
 
-    kpca_models: list[KpcaModel] = []
-    for j in range(cluster.k):
+    def fit_cluster(j: int, gram: np.ndarray) -> KpcaModel:
         kernel = GaussianKernel(config.sigma) if config.sigma is not None else None
-        kpca_models.append(
-            _stage(f"kpca[{j}]", kpca_fit, normed[:, cluster.labels == j], kernel=kernel,
-                   n_components=config.n_components, theta=config.theta)
-        )
+        return _stage(f"kpca[{j}]", kpca_fit, normed[:, cluster.labels == j], kernel=kernel,
+                      n_components=config.n_components, theta=config.theta, out=gram)
+
+    workers = 1
+    if panel.n_rows >= CONCURRENT_MIN_ROWS:
+        workers = min(cluster.k, _cpu_count())
+    # one Gram matrix per worker, allocated by this thread: a helper's own
+    # allocation would come from its own malloc arena and stay resident there
+    grams = [np.empty((panel.n_rows, panel.n_rows)) for _ in range(workers)]
+    kpca_models = _map_in_threads(fit_cluster, cluster.k, grams)
+    del grams  # freed before the regressor builds its own
     widths = [m.n_components for m in kpca_models]
 
     # each fit already holds its training rows' projection

@@ -89,7 +89,8 @@ def kelm_fit(x, y, c: float = DEFAULT_C, sigma: float | None = None, kernel=None
 
     The kernel is Gaussian with width ``sigma`` (median heuristic when
     omitted); passing ``kernel`` directly overrides it, which is how the
-    linear-kernel ridge cross-check is wired in.
+    linear-kernel ridge cross-check is wired in. Either way the fit owns
+    the kernel matrix and factors the system in it.
     """
     x, y = _as_xy(x, y)
     if not (np.isfinite(c) and c > 0):
@@ -99,7 +100,7 @@ def kelm_fit(x, y, c: float = DEFAULT_C, sigma: float | None = None, kernel=None
     else:
         system = kernel(x)
     system[np.diag_indices_from(system)] += 1.0 / c
-    alpha = solve_spd(system, y)
+    alpha = solve_spd(system, y, overwrite_a=True)
     return KelmModel(x_train=x.copy(), kernel=kernel, alpha=alpha)
 
 

@@ -347,6 +347,29 @@ class TestRunOutputs:
         assert code == 1
         assert "p.tags.csv" in err
 
+    def test_tag_for_unknown_column_names_the_tags_file(self, tmp_path, capsys):
+        run_cli(["synth", "--seed", "0", "--out", str(tmp_path / "p")], capsys)
+        tags = tmp_path / "p.tags.csv"
+        tags.write_text(tags.read_text() + "zz,gsvi\n")
+        conf = write_config(tmp_path / "c.conf", synth_seed="", panel=str(tmp_path / "p.csv"))
+        code, _, err = run_cli(["run", "--config", conf, "--out-dir", str(tmp_path)], capsys)
+        assert code == 1
+        assert err == f"error: {tags}: tag given for unknown column 'zz'\n"
+
+    def test_second_target_names_its_tags_line(self, tmp_path, capsys):
+        # the first indicator becomes a target too; price's row (line 32) is the second
+        run_cli(["synth", "--seed", "0", "--out", str(tmp_path / "p")], capsys)
+        tags = tmp_path / "p.tags.csv"
+        lines = tags.read_text().splitlines()
+        assert lines[1] == "f0s0,economic" and lines[31] == "price,target"
+        lines[1] = "f0s0,target"
+        tags.write_text("\n".join(lines) + "\n")
+        conf = write_config(tmp_path / "c.conf", synth_seed="", panel=str(tmp_path / "p.csv"))
+        code, _, err = run_cli(["run", "--config", conf, "--out-dir", str(tmp_path)], capsys)
+        assert code == 1
+        assert err == (f"error: {tags}: line 32: second target column 'price'; "
+                       f"'f0s0' is already the target\n")
+
     def test_short_test_window_rejected(self, tmp_path, capsys):
         conf = write_config(tmp_path / "c.conf", split="2018-11")
         code, _, err = run_cli(["run", "--config", conf, "--out-dir", str(tmp_path)], capsys)

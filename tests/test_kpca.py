@@ -1,7 +1,11 @@
 """Kernel PCA: kernels, centering, fit/transform, and the PCA oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
 from oilcast import kpca, numerics
@@ -14,8 +18,10 @@ from oilcast.kpca import (
     kpca_fit,
     kpca_transform,
 )
+from oilcast.numerics import sq_distances
 from oilcast.panel import normalize_fit
 from oilcast.pipeline import PipelineConfig, pipeline_fit
+from oilcast.regressors import kelm_fit
 from oilcast.synth import SynthSpec, synth_generate
 
 
@@ -99,6 +105,110 @@ class TestKernels:
             kpca_fit(np.ones((4, 2)))
 
 
+def upper_pairs_sorted(sq):
+    """The reference: every pair's squared distance, sorted."""
+    return np.sort(sq[np.triu_indices(sq.shape[0], 1)])
+
+
+# sample rows with many tied distances: few distinct small integers, and
+# rows repeated from the first ones
+SAMPLE_SETS = st.integers(2, 150).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(0, 3), min_size=2, max_size=2), min_size=n, max_size=n),
+    st.lists(st.integers(0, n - 1), max_size=n // 2),
+))
+
+
+def tied_rows(drawn):
+    rows, repeats = drawn
+    x = np.array(rows, dtype=float)
+    for i, j in enumerate(repeats):
+        x[j] = x[i % max(1, j)]
+    return x
+
+
+def median_of_sorted_pairs(sq):
+    ranked = upper_pairs_sorted(sq)
+    low, high = ranked[(ranked.size - 1) // 2], ranked[ranked.size // 2]
+    return float((np.sqrt(low) + np.sqrt(high)) / 2.0)
+
+
+class TestMedianHeuristic:
+    # a copy limit of 1 sends every sample set through the bracket
+    @pytest.mark.parametrize("copy_max", [1, kpca.MEDIAN_COPY_MAX_ROWS])
+    @settings(max_examples=80, deadline=None)
+    @given(drawn=SAMPLE_SETS, spread=st.booleans())
+    def test_equals_sorting_every_pair(self, copy_max, drawn, spread):
+        x = tied_rows(drawn)
+        if spread:  # break most ties
+            x = x + np.random.default_rng(len(x)).standard_normal(x.shape)
+        sq = sq_distances(x)
+        expected = median_of_sorted_pairs(sq)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kpca, "MEDIAN_COPY_MAX_ROWS", copy_max)
+            if expected == 0.0:
+                with pytest.raises(DegenerateKernelError):
+                    kpca._median_distance(sq)
+            else:
+                assert kpca._median_distance(sq) == expected
+        assert np.array_equal(sq, sq_distances(x))  # read, never written
+
+    def test_a_missed_bracket_falls_back_to_the_copy(self, monkeypatch):
+        sq = sq_distances(np.random.default_rng(5).standard_normal((40, 3)))
+        monkeypatch.setattr(kpca, "MEDIAN_COPY_MAX_ROWS", 1)
+        monkeypatch.setattr(kpca, "_median_bracket", lambda sq, ranks: (0.0, 0.0))
+        assert kpca._median_distance(sq) == median_of_sorted_pairs(sq)
+
+    @settings(max_examples=80, deadline=None)
+    @given(drawn=SAMPLE_SETS, ends=st.tuples(st.floats(0, 1), st.floats(0, 1)))
+    def test_any_bracket_selects_exactly_or_reports_a_miss(self, drawn, ends):
+        sq = sq_distances(tied_rows(drawn))
+        ranked = upper_pairs_sorted(sq)
+        ranks = [(ranked.size - 1) // 2, ranked.size // 2]
+        lo, hi = sorted(ranked[int(e * (ranked.size - 1))] for e in ends)
+        picked = kpca._select_pairs(sq, ranks, lo, hi)
+        if lo <= ranked[ranks[0]] and ranked[ranks[1]] <= hi:
+            assert picked == (ranked[ranks[0]], ranked[ranks[1]])
+        else:
+            assert picked is None
+
+    def test_two_and_three_samples(self):
+        assert kpca._median_distance(sq_distances(np.array([[0.0], [3.0]]))) == 3.0
+        assert kpca._median_distance(sq_distances(np.array([[0.0], [0.0], [3.0]]))) == 3.0
+
+
+class TestPeakMemory:
+    """One n x n matrix per fit: each peak stays below 1.5 n^2 doubles."""
+
+    N = 600
+
+    def peak_in_matrices(self, fit):
+        fit()  # let every lazy import and cache settle first
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fit()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        return peak / (8 * self.N**2)
+
+    def data(self):
+        rng = np.random.default_rng(0)
+        return rng.random((self.N, 5)), rng.random(self.N)
+
+    def test_gaussian_gram(self):
+        x, _ = self.data()
+        assert self.peak_in_matrices(lambda: gaussian_gram(x)) < 1.5
+
+    def test_kpca_fit_partial_eigensolve(self):
+        x, _ = self.data()
+        assert self.peak_in_matrices(lambda: kpca_fit(x, n_components=3)) < 1.5
+
+    def test_kelm_fit(self):
+        x, y = self.data()
+        assert self.peak_in_matrices(lambda: kelm_fit(x, y)) < 1.5
+
+
 class TestCenterKernel:
     def test_rows_and_columns_sum_to_zero(self):
         rng = np.random.default_rng(1)
@@ -111,7 +221,7 @@ class TestCenterKernel:
         rng = np.random.default_rng(2)
         x = rng.standard_normal((8, 3))
         k_c, _, _ = center_kernel(GaussianKernel(1.0)(x))
-        k_cc, _, _ = center_kernel(k_c)
+        k_cc, _, _ = center_kernel(k_c.copy())  # centering works in place
         np.testing.assert_allclose(k_cc, k_c, atol=1e-12)
 
     def test_all_ones_centers_to_zero(self):
@@ -125,17 +235,29 @@ class TestCenterKernel:
         x = rng.standard_normal((10, 3))
         x -= x.mean(axis=0)
         k = LinearKernel()(x)
-        k_c, _, _ = center_kernel(k)
+        k_c, _, _ = center_kernel(k.copy())
         np.testing.assert_allclose(k_c, k, atol=1e-10)
 
     def test_asymmetric_gram_rejected_after_centering(self):
         # centering keeps k - k.T, so sym_eig's one check on the centered
         # matrix rejects an asymmetric kernel inside kpca_fit
         k = np.array([[1.0, 2.0], [0.0, 1.0]])
-        k_c, _, _ = center_kernel(k)
+        k_c, _, _ = center_kernel(k.copy())
         np.testing.assert_allclose(k_c - k_c.T, k - k.T, atol=1e-15)
         with pytest.raises(ValueError, match="not symmetric"):
-            kpca_fit(np.zeros((2, 1)), kernel=lambda x: k, n_components=1)
+            kpca_fit(np.zeros((2, 1)), kernel=lambda x: k.copy(), n_components=1)
+
+    def test_float_input_is_centered_in_place_and_other_input_copied(self):
+        k = GaussianKernel(1.0)(np.random.default_rng(4).standard_normal((6, 2)))
+        expected = k - k.mean(axis=0)[None, :]
+        expected -= k.mean(axis=0)[:, None]
+        expected += k.mean()
+        k_c, _, _ = center_kernel(k)
+        assert k_c is k
+        assert np.array_equal(k_c, expected)
+        ints = np.arange(9).reshape(3, 3)
+        ints_c, _, _ = center_kernel(ints)
+        assert ints_c.dtype == float and np.array_equal(ints, np.arange(9).reshape(3, 3))
 
 
 class TestKpcaFit:

@@ -75,9 +75,9 @@ class TestRidgeGramSymmetry:
             h = h[:, ::2]
         seen = []
 
-        def spy(a, b):
+        def spy(a, b, **kwargs):
             seen.append(a.copy())
-            return solve_spd(a, b)
+            return solve_spd(a, b, **kwargs)
 
         monkeypatch.setattr(numerics, "solve_spd", spy)
         ridge_pinv(h, rng.standard_normal(rows), 100.0)
@@ -117,7 +117,8 @@ class TestSymEig:
         with pytest.raises(ValueError, match=r"A\[0,1\]"):
             sym_eig([[1.0, 2.0], [1.0, 1.0]])
 
-    @pytest.mark.parametrize("block", [1, 3, 7, numerics.SYMMETRY_BLOCK_ROWS])
+    # 256 rows exceed every order drawn here, so that case scans one block
+    @pytest.mark.parametrize("block", [1, 3, 7, 256])
     @pytest.mark.parametrize("seed", range(6))
     def test_blocked_scan_reports_the_full_matrix_answer(self, block, seed, monkeypatch):
         # small integer entries make tied gaps common; the reference is the
@@ -132,7 +133,7 @@ class TestSymEig:
         i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
         expected = (f"|A[{i},{j}] - A[{j},{i}]| = {gap[i, j]:.3e} "
                     f"exceeds {numerics.SYMMETRY_ATOL:.0e}")
-        monkeypatch.setattr(numerics, "SYMMETRY_BLOCK_ROWS", block)
+        monkeypatch.setattr(numerics, "BLOCK_ROWS", block)
         if gap[i, j] == 0.0:
             numerics._check_symmetric(a, "a")
             return

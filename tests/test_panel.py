@@ -283,6 +283,31 @@ class TestCsv:
         with pytest.raises(ValueError, match="duplicate column names"):
             read_panel_csv(str(path))
 
+    def test_wide_header_reports_every_duplicate_sorted(self, tmp_path):
+        names = [f"c{j}" for j in range(3000)]
+        names[2999], names[1500] = "c7", "c12"
+        path = tmp_path / "wide.csv"
+        path.write_text(",".join(["date", *names]) + "\n2010-01," + ",".join(["1.0"] * 3000) + "\n")
+        with pytest.raises(ValueError, match=r": line 1: duplicate column names \['c12', 'c7'\]$"):
+            read_panel_csv(str(path))
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.lists(st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2250738585072014e-308]),
+    ), min_size=3, max_size=3), min_size=1, max_size=6))
+    def test_written_rows_follow_the_per_cell_rule(self, tmp_path_factory, rows):
+        # the reference: every cell is repr(v), or empty for NaN
+        panel = FeaturePanel(dates=month_range("2010-01", len(rows)),
+                             columns={n: [row[j] for row in rows] for j, n in enumerate("abc")})
+        path = tmp_path_factory.mktemp("write") / "panel.csv"
+        write_panel_csv(panel, str(path))
+        expected = ["date,a,b,c"] + [
+            ",".join([date] + ["" if np.isnan(v) else repr(float(v)) for v in row])
+            for date, row in zip(panel.dates, rows)
+        ]
+        assert path.read_text() == "\n".join(expected) + "\n"
+
     def test_tags_roundtrip_and_validation(self, tmp_path):
         tags = {"e1": "economic", "g1": "gsvi", "px": "target"}
         path = str(tmp_path / "tags.csv")
@@ -303,6 +328,10 @@ class TestCsv:
             read_tags_csv(str(bad))
         bad.write_text("# only a comment\n\n")
         with pytest.raises(ValueError, match=r": line 1: header must be 'name,tag'$"):
+            read_tags_csv(str(bad))
+        bad.write_text("name,tag\nprice,target\n# note\nx,gsvi\nbrent,target\n")
+        with pytest.raises(ValueError, match=r": line 5: second target column 'brent'; "
+                                             r"'price' is already the target$"):
             read_tags_csv(str(bad))
 
     def test_out_of_order_date_cites_line(self, tmp_path):

@@ -5,12 +5,17 @@ the ground truth that cluster components and filter decisions are checked
 against.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oilcast import pipeline
+from oilcast.clustering import kmeans_fit
 from oilcast.kpca import kpca_fit, kpca_transform
 from oilcast.numerics import one_blas_thread
 from oilcast.panel import (
@@ -21,6 +26,7 @@ from oilcast.panel import (
     train_test_split,
 )
 from oilcast.pipeline import (
+    CONCURRENT_MIN_ROWS,
     GrangerResult,
     PipelineConfig,
     PipelineModel,
@@ -444,3 +450,111 @@ class TestPipelineFit:
         )
         with pytest.raises(ValueError, match="target"):
             pipeline_fit(panel, PipelineConfig(k=1, theta=0.95))
+
+
+class TestConcurrentClusterFits:
+    """Above CONCURRENT_MIN_ROWS training rows the clusters' KPCAs run on threads."""
+
+    @pytest.fixture()
+    def long_train(self):
+        panel, _, _ = synth_generate(SynthSpec(seed=3, months=CONCURRENT_MIN_ROWS + 40,
+                                               factors=3, series_per_factor=4))
+        return panel, panel.row_slice(range(CONCURRENT_MIN_ROWS + 20))
+
+    def test_equals_the_serial_composition_bit_for_bit(self, long_train, monkeypatch):
+        panel, train = long_train
+        # three workers whatever the host, and the first two fits must overlap
+        monkeypatch.setattr(pipeline, "_cpu_count", lambda: 3)
+        meet = threading.Barrier(2, timeout=60)
+        threads = []
+
+        def overlapping_fit(*args, **kwargs):
+            threads.append(threading.current_thread())
+            if len(threads) <= 2:
+                meet.wait()
+            return kpca_fit(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "kpca_fit", overlapping_fit)
+        config = PipelineConfig(k=3, theta=0.95, seed=5)
+        model = pipeline_fit(train, config)
+        assert len(set(threads[:2])) == 2
+        rows = panel.row_slice(range(train.n_rows - 1, panel.n_rows))
+        forecast = pipeline_predict(model, rows)
+
+        names = panel.indicator_names("H")
+        with one_blas_thread():
+            norm = normalize_fit(train)
+            normed = norm.apply(train.matrix(names), names)
+            labels = kmeans_fit(normed.T, 3, seed=5).labels
+            fits = [kpca_fit(normed[:, labels == j], theta=0.95) for j in range(3)]
+            features = np.hstack([fit.train_scores for fit in fits])
+            y = norm.apply(train.matrix(["price"]), ["price"])[:, 0]
+            km = kelm_fit(features[:-1], y[1:], c=config.c)
+            scaled = norm.apply(rows.matrix(names), names)
+            z = kelm_predict(km, np.hstack([kpca_transform(fit, scaled[:, labels == j])
+                                            for j, fit in enumerate(fits)]))
+            composed = normalize_invert(norm, "price", z)
+        assert np.array_equal(model.cluster.labels, labels)
+        assert model.widths == [fit.n_components for fit in fits]
+        for got, want in zip(model.kpca_models, fits):
+            assert got.kernel == want.kernel
+            assert np.array_equal(got.alphas, want.alphas)
+        assert np.array_equal(forecast, composed)
+
+    @pytest.mark.parametrize("rows", [168, CONCURRENT_MIN_ROWS + 20])
+    def test_lowest_failing_cluster_is_reported(self, rows, monkeypatch):
+        panel, _, _ = synth_generate(SynthSpec(seed=3, months=CONCURRENT_MIN_ROWS + 40,
+                                               factors=3, series_per_factor=4))
+        train = panel.row_slice(range(rows))
+        config = PipelineConfig(k=3, theta=0.95, seed=5)
+        # tell the clusters apart by their first column, as a fit made without failures saw them
+        names = train.indicator_names("H")
+        normed = normalize_fit(train).apply(train.matrix(names), names)
+        labels = pipeline_fit(train, config).cluster.labels
+        cluster_of = {normed[:, labels == j][:, 0].tobytes(): j for j in range(3)}
+        monkeypatch.setattr(pipeline, "_cpu_count", lambda: 3)
+        # on threads, cluster 1 fails only after cluster 2 has failed
+        second_failed = threading.Event()
+
+        def failing_fit(x, **kwargs):
+            j = cluster_of[np.ascontiguousarray(x[:, 0]).tobytes()]
+            if j == 0:
+                return kpca_fit(x, **kwargs)
+            if j == 1 and rows >= CONCURRENT_MIN_ROWS:
+                assert second_failed.wait(timeout=60)
+            if j == 2:
+                second_failed.set()
+            raise ValueError(f"cluster {j} fails")
+
+        monkeypatch.setattr(pipeline, "kpca_fit", failing_fit)
+        running = threading.active_count()
+        with pytest.raises(PipelineStageError, match=r"cluster 1 fails") as excinfo:
+            pipeline_fit(train, config)
+        assert excinfo.value.stage == "kpca[1]"
+        assert threading.active_count() == running
+
+
+def test_thread_map_runs_each_index_once_under_stress():
+    # more workers than cores and a short switch interval: a lost update in
+    # handing out indices would run one index twice or skip one
+    calls = [[] for _ in range(400)]
+    outcome = {}
+
+    def task(j, worker):
+        calls[j].append(worker)
+        return j * j
+
+    def run():
+        outcome["results"] = pipeline._map_in_threads(task, len(calls), list(range(8)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=run)
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert outcome["results"] == [j * j for j in range(len(calls))]
+    assert all(len(seen) == 1 for seen in calls)
