@@ -218,7 +218,7 @@ def kpca_fit(x, kernel=None, n_components: int | None = None, theta: float | Non
     (smallest count reaching that fraction of the usable eigenvalue sum);
     giving both is an error, giving neither selects theta = 0.95. With no
     kernel, a Gaussian kernel at the median-heuristic width is used; any
-    other kernel must return a new matrix, which the fit centers in place.
+    other kernel's matrix is copied before the fit centers it in place.
     A Gaussian kernel's Gram matrix is built in ``out`` when one is given,
     an n x n float64 array the fit overwrites and does not keep.
     Raises ``DegenerateKernelError`` when no eigenvalue clears the floor.
@@ -238,7 +238,7 @@ def kpca_fit(x, kernel=None, n_components: int | None = None, theta: float | Non
     if kernel is None or isinstance(kernel, GaussianKernel):
         k, kernel = gaussian_gram(x, None if kernel is None else kernel.sigma, out=out)
     else:
-        k = kernel(x)
+        k = np.array(kernel(x), dtype=float)
     # the fit's one n x n matrix: the Gram matrix, centered in place
     k, col_means, grand_mean = center_kernel(k)
     values, vectors, keep = _leading_components(k, n_components, theta)

@@ -214,7 +214,7 @@ def _lanczos(a: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray] | None:
         return None
 
 
-def solve_spd(a, b, overwrite_a: bool = False) -> np.ndarray:
+def solve_spd(a, b) -> np.ndarray:
     """Solve ``A x = b`` for symmetric positive definite ``A`` via Cholesky.
 
     ``b`` may be a vector or a matrix of stacked right-hand sides; the
@@ -222,10 +222,10 @@ def solve_spd(a, b, overwrite_a: bool = False) -> np.ndarray:
     ``NotPositiveDefiniteError`` (with the failing pivot index) when the
     factorization breaks down.
 
-    With ``overwrite_a`` a C-ordered float64 ``a`` is factored in its own
-    memory and no longer holds ``A`` afterwards. The factor then comes from
-    the upper triangle instead of the lower one, so it equals the copying
-    path's bit for bit when ``a`` is exactly symmetric.
+    A C-ordered float64 ``a`` is factored in its own memory and no longer
+    holds ``A`` afterwards; pass a copy to keep it. The factor comes from
+    the upper triangle, which equals the lower one when ``a`` is exactly
+    symmetric.
     """
     a = _as_matrix(a, "solve_spd matrix")
     _check_symmetric(a, "solve_spd matrix")
@@ -237,7 +237,7 @@ def solve_spd(a, b, overwrite_a: bool = False) -> np.ndarray:
             f"right-hand side shape {b.shape} does not match matrix of order {a.shape[0]}"
         )
     # LAPACK is column-major: a C-ordered matrix is used in place only as its transpose
-    chol, info = lapack.dpotrf(a.T if overwrite_a else a, lower=1, overwrite_a=overwrite_a)
+    chol, info = lapack.dpotrf(a.T, lower=1, overwrite_a=1)
     if info > 0:
         raise NotPositiveDefiniteError(pivot=info - 1)
     if info < 0:
@@ -270,5 +270,5 @@ def ridge_pinv(h, y, c: float) -> np.ndarray:
         raise ValueError("ridge_pinv input contains non-finite entries")
     gram = h @ h.T  # a symmetric rank-k update of a contiguous h: exactly symmetric
     gram[np.diag_indices_from(gram)] += 1.0 / c
-    alpha = solve_spd(gram, y, overwrite_a=True)
+    alpha = solve_spd(gram, y)
     return h.T @ alpha

@@ -32,6 +32,11 @@ MIN_TRAIN_ROWS = 24
 # for the interpreter lock costs more than a second core returns.
 CONCURRENT_MIN_ROWS = 512
 
+# At most this many threads fit KPCAs at once, whatever the CPU count: each
+# holds its own n x n Gram matrix, and speed and peak memory have been
+# measured at this count only.
+MAX_FIT_WORKERS = 2
+
 
 class PipelineStageError(RuntimeError):
     """A pipeline stage failed; the original error is the __cause__."""
@@ -267,8 +272,9 @@ def pipeline_fit(panel: FeaturePanel, config: PipelineConfig) -> PipelineModel:
     concatenated component scores at month t regress the normalized target
     at month t + lag. From ``CONCURRENT_MIN_ROWS`` training rows on, the
     clusters' KPCAs are fitted side by side, on up to one thread per CPU
-    the process may use; each fit's arithmetic is the same on any thread,
-    so the model does not depend on the thread count.
+    the process may use and at most ``MAX_FIT_WORKERS``; each fit's
+    arithmetic is the same on any thread, so the model does not depend on
+    the thread count.
     """
     target = panel.target_name
     if target is None:
@@ -308,7 +314,7 @@ def pipeline_fit(panel: FeaturePanel, config: PipelineConfig) -> PipelineModel:
 
     workers = 1
     if panel.n_rows >= CONCURRENT_MIN_ROWS:
-        workers = min(cluster.k, _cpu_count())
+        workers = min(cluster.k, _cpu_count(), MAX_FIT_WORKERS)
     # one Gram matrix per worker, allocated by this thread: a helper's own
     # allocation would come from its own malloc arena and stay resident there
     grams = [np.empty((panel.n_rows, panel.n_rows)) for _ in range(workers)]

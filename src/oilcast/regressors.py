@@ -89,8 +89,9 @@ def kelm_fit(x, y, c: float = DEFAULT_C, sigma: float | None = None, kernel=None
 
     The kernel is Gaussian with width ``sigma`` (median heuristic when
     omitted); passing ``kernel`` directly overrides it, which is how the
-    linear-kernel ridge cross-check is wired in. Either way the fit owns
-    the kernel matrix and factors the system in it.
+    linear-kernel ridge cross-check is wired in. The fit factors the
+    system in its Gaussian Gram matrix, or in a copy of what ``kernel``
+    returns.
     """
     x, y = _as_xy(x, y)
     if not (np.isfinite(c) and c > 0):
@@ -98,9 +99,9 @@ def kelm_fit(x, y, c: float = DEFAULT_C, sigma: float | None = None, kernel=None
     if kernel is None:
         system, kernel = gaussian_gram(x, sigma)
     else:
-        system = kernel(x)
+        system = np.array(kernel(x), dtype=float)
     system[np.diag_indices_from(system)] += 1.0 / c
-    alpha = solve_spd(system, y, overwrite_a=True)
+    alpha = solve_spd(system, y)
     return KelmModel(x_train=x.copy(), kernel=kernel, alpha=alpha)
 
 

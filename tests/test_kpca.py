@@ -245,7 +245,8 @@ class TestCenterKernel:
         k_c, _, _ = center_kernel(k.copy())
         np.testing.assert_allclose(k_c - k_c.T, k - k.T, atol=1e-15)
         with pytest.raises(ValueError, match="not symmetric"):
-            kpca_fit(np.zeros((2, 1)), kernel=lambda x: k.copy(), n_components=1)
+            kpca_fit(np.zeros((2, 1)), kernel=lambda x: k, n_components=1)
+        assert np.array_equal(k, [[1.0, 2.0], [0.0, 1.0]])  # the fit centered a copy
 
     def test_float_input_is_centered_in_place_and_other_input_copied(self):
         k = GaussianKernel(1.0)(np.random.default_rng(4).standard_normal((6, 2)))

@@ -27,6 +27,7 @@ from oilcast.panel import (
 )
 from oilcast.pipeline import (
     CONCURRENT_MIN_ROWS,
+    MAX_FIT_WORKERS,
     GrangerResult,
     PipelineConfig,
     PipelineModel,
@@ -463,7 +464,7 @@ class TestConcurrentClusterFits:
 
     def test_equals_the_serial_composition_bit_for_bit(self, long_train, monkeypatch):
         panel, train = long_train
-        # three workers whatever the host, and the first two fits must overlap
+        # two workers whatever the host, and the first two fits must overlap
         monkeypatch.setattr(pipeline, "_cpu_count", lambda: 3)
         meet = threading.Barrier(2, timeout=60)
         threads = []
@@ -532,6 +533,26 @@ class TestConcurrentClusterFits:
             pipeline_fit(train, config)
         assert excinfo.value.stage == "kpca[1]"
         assert threading.active_count() == running
+
+
+    @pytest.mark.parametrize("rows, cpus, workers", [
+        (168, 8, 1),
+        (CONCURRENT_MIN_ROWS + 20, 1, 1),
+        (CONCURRENT_MIN_ROWS + 20, 8, MAX_FIT_WORKERS),
+    ])
+    def test_worker_count(self, long_train, rows, cpus, workers, monkeypatch):
+        panel, _ = long_train
+        monkeypatch.setattr(pipeline, "_cpu_count", lambda: cpus)
+        seen = []
+
+        def counting_map(task, count, scratch):
+            seen.append(len(scratch))
+            return map_in_threads(task, count, scratch)
+
+        map_in_threads = pipeline._map_in_threads
+        monkeypatch.setattr(pipeline, "_map_in_threads", counting_map)
+        pipeline_fit(panel.row_slice(range(rows)), PipelineConfig(k=3, theta=0.95, seed=5))
+        assert seen == [workers]
 
 
 def test_thread_map_runs_each_index_once_under_stress():

@@ -110,6 +110,14 @@ class TestKelm:
             beta = np.linalg.solve(x.T @ x + np.eye(5) / 1e8, x.T @ y)
             np.testing.assert_allclose(kelm_predict(model, x_test), x_test @ beta, atol=1e-4)
 
+    def test_kernel_matrix_is_left_unchanged(self):
+        # the fit factors a copy of what a given kernel returns
+        x = np.random.default_rng(6).standard_normal((12, 3))
+        k = LinearKernel()(x) + np.eye(12)
+        kept = k.copy()
+        kelm_fit(x, np.ones(12), c=10.0, kernel=lambda rows: k)
+        assert np.array_equal(k, kept)
+
     def test_dual_system_residual(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((20, 4))
