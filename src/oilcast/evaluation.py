@@ -153,13 +153,16 @@ def parse_report(text: str) -> EvalReport:
     if missing:
         raise ValueError(f"report is missing fields: {missing}")
     points: list[tuple[int, float, float, int | None]] = []
-    rest = [ln for ln in lines[i:] if ln.strip()]
+    rest = [(no, ln) for no, ln in enumerate(lines[i:], start=i + 1) if ln.strip()]
     if rest:
-        if rest[0].strip() != _POINTS_HEADER:
-            raise ValueError(f"expected per-point header {_POINTS_HEADER!r}, got {rest[0]!r}")
-        for ln in rest[1:]:
-            t, y, yhat, d = ln.split(",")
-            points.append((int(t), float(y), float(yhat), int(d) if d != "" else None))
+        if rest[0][1].strip() != _POINTS_HEADER:
+            raise ValueError(f"expected per-point header {_POINTS_HEADER!r}, got {rest[0][1]!r}")
+        for no, ln in rest[1:]:
+            try:
+                t, y, yhat, d = ln.split(",")
+                points.append((int(t), float(y), float(yhat), int(d) if d != "" else None))
+            except ValueError:
+                raise ValueError(f"line {no}: expected {_POINTS_HEADER}, got {ln!r}") from None
     return EvalReport(
         label=fields["label"],
         n=int(fields["n"]),

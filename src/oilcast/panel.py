@@ -10,6 +10,8 @@ calendar gaps is flagged with a warning rather than silently shifted.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import math
 import os
 import re
@@ -23,12 +25,12 @@ import numpy as np
 
 TAGS = ("economic", "gsvi", "target")
 
-_MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
+_MONTH_RE = re.compile(r"(\d{4})-(\d{2})", re.ASCII)
 
 
 def month_index(date: str) -> int:
     """Months since year 0 for a 'YYYY-MM' string; rejects malformed input."""
-    m = _MONTH_RE.match(date)
+    m = _MONTH_RE.fullmatch(date)
     if not m:
         raise ValueError(f"malformed month {date!r}; expected YYYY-MM")
     year, month = int(m.group(1)), int(m.group(2))
@@ -312,18 +314,56 @@ def atomic_write_text(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def read_panel_csv(path: str) -> FeaturePanel:
-    """Read a panel CSV: header ``date,<name>...``, dates as YYYY-MM.
+# The last parse of each reader: parser -> (SHA-256 of the file's bytes, parts).
+# A kept entry is replaced whole, by one assignment of an immutable tuple.
+_last_parse: dict = {}
 
-    Empty cells become NaN (missing, to be dropped at fuse time); any
-    other unparsable cell is rejected with its line number and column.
+
+def _parse_once(path: str, parse) -> tuple:
+    """``parse(path, numbered)`` of the file's content lines, once per distinct content.
+
+    The file is opened once, in binary mode; the digest of those bytes is the
+    key, so a same-size rewrite within the mtime granularity is never served
+    stale. A miss decodes the same bytes under the rules of
+    ``open(path, "r", encoding="utf-8")``. ``numbered`` holds (line number,
+    line without its newline) for every line that is neither blank nor a
+    ``#`` comment. A parse that raises keeps nothing.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    digest = hashlib.sha256(data).digest()
+    kept = _last_parse.get(parse)
+    if kept is not None and kept[0] == digest:
+        return kept[1]
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
+        del data  # closing the wrapper releases the bytes before the cells are converted
         numbered = [
             (no, ln.rstrip("\n"))
             for no, ln in enumerate(fh, start=1)
             if ln.strip() and not ln.lstrip().startswith("#")
         ]
+    parts = parse(path, numbered)
+    _last_parse[parse] = (digest, parts)
+    return parts
+
+
+def read_panel_csv(path: str) -> FeaturePanel:
+    """Read a panel CSV: header ``date,<name>...``, dates as YYYY-MM.
+
+    Empty cells become NaN (missing, to be dropped at fuse time); any
+    other unparsable cell is rejected with its line number and column.
+    Content read before in this process is not parsed again: the panel
+    shares the kept read-only matrix and month array, and gets its own
+    name map and dates list.
+    """
+    values, names, dates, months = _parse_once(path, _parse_panel)
+    return FeaturePanel._share(values, {n: j for j, n in enumerate(names.split(","))},
+                               dates.split(","), months, {})
+
+
+def _parse_panel(path: str, numbered: list) -> tuple:
+    """(matrix, names, dates, month array); names and dates are each one
+    ``,``-joined string, exact because neither can hold ``,`` or a newline."""
     if not numbered:
         raise ValueError(f"{path}: empty file")
     header_line_no, header_line = numbered[0]
@@ -376,8 +416,11 @@ def read_panel_csv(path: str) -> FeaturePanel:
         rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return FeaturePanel._share(np.array(rows, dtype=float), {n: j for j, n in enumerate(names)},
-                               dates, np.array(months, dtype=np.int64), {})
+    values = np.array(rows, dtype=float)
+    values.flags.writeable = False
+    months = np.array(months, dtype=np.int64)
+    months.flags.writeable = False
+    return values, ",".join(names), ",".join(dates), months
 
 
 def write_panel_csv(panel: FeaturePanel, path: str) -> None:
@@ -393,13 +436,16 @@ def write_panel_csv(panel: FeaturePanel, path: str) -> None:
 
 
 def read_tags_csv(path: str) -> dict[str, str]:
-    """Read the provenance sidecar: header ``name,tag`` then one row per column."""
-    with open(path, "r", encoding="utf-8") as fh:
-        numbered = [
-            (no, ln.strip())
-            for no, ln in enumerate(fh, start=1)
-            if ln.strip() and not ln.lstrip().startswith("#")
-        ]
+    """Read the provenance sidecar: header ``name,tag`` then one row per column.
+
+    Content read before in this process is not parsed again; every call
+    returns a new dict.
+    """
+    return dict(_parse_once(path, _parse_tags))
+
+
+def _parse_tags(path: str, numbered: list) -> tuple:
+    """The (name, tag) pairs in file order."""
     header_line_no, header_line = numbered[0] if numbered else (1, "")
     if [c.strip() for c in header_line.split(",")] != ["name", "tag"]:
         raise ValueError(f"{path}: line {header_line_no}: header must be 'name,tag'")
@@ -420,7 +466,7 @@ def read_tags_csv(path: str) -> dict[str, str]:
                                  f"{target!r} is already the target")
             target = name
         tags[name] = tag
-    return tags
+    return tuple(tags.items())
 
 
 def write_tags_csv(tags: dict[str, str], path: str) -> None:

@@ -777,6 +777,19 @@ class TestCompare:
         assert code == 1
         assert "missing fields" in err
 
+    @pytest.mark.parametrize("row", ["3,oops", "x,1.0,2.0,1", "3,1.0,2.0,1,0", "3,1.0,2.0,z"])
+    def test_malformed_point_row_names_its_line(self, tmp_path, capsys, row):
+        bad = tmp_path / "b" / "metrics.txt"
+        bad.parent.mkdir()
+        write_report(bad, "m2", 5.0, 2.0, 75.0)
+        with open(bad, "a", encoding="utf-8") as fh:
+            fh.write(f"\nt,y,yhat,d\n1,1.0,1.5,1\n\n{row}\n2,2.0,2.5,\n")
+        good = write_report(tmp_path / "a.txt", "m1", 5.0, 2.0, 75.0)
+        code, _, err = run_cli(["compare", good, str(bad), "--out", str(tmp_path / "o.csv")],
+                               capsys)
+        assert code == 1
+        assert err.splitlines() == [f"error: {bad}: line 12: expected t,y,yhat,d, got {row!r}"]
+
 
 def _caused_by(err, cause):
     err.__cause__ = cause

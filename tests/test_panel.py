@@ -1,5 +1,7 @@
 """FeaturePanel: fuse, split, normalization, CSV round-trips."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from oilcast.panel import (
     fuse,
     month_index,
     month_range,
+    month_string,
     normalize_fit,
     normalize_invert,
     read_panel_csv,
@@ -37,9 +40,19 @@ class TestMonthHelpers:
         assert month_index("2018-01") - month_index("2017-12") == 1
 
     def test_malformed_months_rejected(self):
-        for bad in ("2018-13", "2018-0", "18-01", "2018/01", "2018-01-01"):
+        for bad in ("2018-13", "2018-0", "18-01", "2018/01", "2018-01-01",
+                    "2004-01\n", "\u0662\u0660\u0660\u0664-\u0660\u0661"):
             with pytest.raises(ValueError, match="malformed"):
                 month_index(bad)
+
+    @settings(max_examples=200, deadline=None)
+    @given(date=st.one_of(st.text(max_size=9), st.from_regex(r"\d{4}-\d{2}\s?", fullmatch=True)))
+    def test_every_accepted_month_roundtrips(self, date):
+        try:
+            index = month_index(date)
+        except ValueError:
+            return
+        assert month_string(index) == date
 
 
 class TestFeaturePanel:
@@ -342,6 +355,87 @@ class TestCsv:
             read_panel_csv(str(path))
 
 
+class TestReaderMemo:
+    """Each reader keeps its last parse, keyed by the SHA-256 of the file's bytes."""
+
+    def test_same_size_rewrite_with_restored_mtime_is_read_again(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("date,a\n2010-01,1.0\n2010-02,2.0\n")
+        stat = os.stat(path)
+        assert read_panel_csv(str(path)).columns["a"].tolist() == [1.0, 2.0]
+        path.write_text("date,a\n2010-01,3.0\n2010-02,4.0\n")
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert os.stat(path).st_size == stat.st_size
+        assert read_panel_csv(str(path)).columns["a"].tolist() == [3.0, 4.0]
+
+        tags = tmp_path / "p.tags.csv"
+        tags.write_text("name,tag\na,gsvi\n")
+        stat = os.stat(tags)
+        assert read_tags_csv(str(tags)) == {"a": "gsvi"}
+        tags.write_text("name,tag\nb,gsvi\n")
+        os.utime(tags, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert read_tags_csv(str(tags)) == {"b": "gsvi"}
+
+    def test_malformed_file_fails_on_every_read(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("date,a\n2010-01,1.0\n2010-02,oops\n")
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r": line 3: non-numeric value 'oops'"):
+                read_panel_csv(str(path))
+        path.write_text("date,a\n2010-01,1.0\n2010-02,2.0\n")
+        read_panel_csv(str(path))
+        path.write_text("date,a\n2010-01,1.0\n2010-02,oops\n")
+        with pytest.raises(ValueError, match=r": line 3: non-numeric value 'oops'"):
+            read_panel_csv(str(path))
+
+        tags = tmp_path / "p.tags.csv"
+        tags.write_text("name,tag\na,gsvi\n")
+        read_tags_csv(str(tags))
+        tags.write_text("name,tag\na,bogus\n")
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r": line 2: unknown tag 'bogus'"):
+                read_tags_csv(str(tags))
+
+    def test_callers_cannot_change_a_later_read(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("date,a,b\n2010-01,1.0,2.0\n2010-02,3.0,4.0\n")
+        first = read_panel_csv(str(path))
+        with pytest.raises(ValueError, match="read-only"):
+            first.columns["a"][0] = 9.0
+        with pytest.raises(ValueError, match="read-only"):
+            first._months[0] = 0
+        first.dates.append("2010-03")
+        first._positions["c"] = 2
+        again = read_panel_csv(str(path))
+        assert again.dates == ["2010-01", "2010-02"]
+        assert list(again.columns) == ["a", "b"]
+        assert again.matrix(["a", "b"]).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+        tags = tmp_path / "p.tags.csv"
+        tags.write_text("name,tag\na,gsvi\nb,target\n")
+        read_tags_csv(str(tags))["a"] = "economic"
+        read_tags_csv(str(tags)).clear()
+        assert read_tags_csv(str(tags)) == {"a": "gsvi", "b": "target"}
+
+    def test_same_content_at_another_path_reports_that_path(self, tmp_path):
+        text = "date,a\n2010-01,1.0\n2010-01,2.0\n"
+        for name in ("one.csv", "two.csv"):
+            (tmp_path / name).write_text(text)
+            with pytest.raises(ValueError, match=f"{name}: line 3: dates must be strictly"):
+                read_panel_csv(str(tmp_path / name))
+
+    def test_decode_error_matches_a_text_mode_read(self, tmp_path):
+        path = tmp_path / "p.csv"
+        # the bad byte sits past the first 8 KiB chunk of the decoder
+        path.write_bytes(b"date,a\n" + b"# pad\n" * 2000 + b"2010-01,\xff\n")
+        with pytest.raises(UnicodeDecodeError) as direct:
+            with open(path, "r", encoding="utf-8") as fh:
+                list(fh)
+        with pytest.raises(UnicodeDecodeError) as raised:
+            read_panel_csv(str(path))
+        assert str(raised.value) == str(direct.value)
+
+
 # A cell token the reader may meet: a number in any spelling float() takes,
 # an empty cell, or junk; the reference rule below decides what each means.
 CELL_TOKENS = st.one_of(
@@ -388,11 +482,13 @@ class TestReaderProperties:
                                   for c, name in zip(row, names)]
                                  for i, row in enumerate(cells)])
         except ValueError as err:
-            with pytest.raises(ValueError) as raised:
-                read_panel_csv(path)
-            assert str(raised.value) == str(err)
+            for _ in range(2):  # the second read parses again and fails the same way
+                with pytest.raises(ValueError) as raised:
+                    read_panel_csv(path)
+                assert str(raised.value) == str(err)
             return
-        panel = read_panel_csv(path)
-        assert panel.dates == dates
-        got = panel.matrix(names)
-        assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+        for _ in range(2):  # the second read returns the kept parse: same bits, same NaNs
+            panel = read_panel_csv(path)
+            assert panel.dates == dates
+            got = panel.matrix(names)
+            assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()

@@ -16,11 +16,21 @@ rebuilt on every call), because the predictions preamble echoes the panel
 path, so two checkouts must write to the same place to be comparable. The
 BLAS thread count is inherited and does not change the output: CI runs the
 grid at ``OPENBLAS_NUM_THREADS=1`` and ``=2`` and diffs the two.
+
+    python3 tools/cli_grid.py --in-process > grid-in-process.txt
+
+makes the same runs through ``oilcast.cli.main`` in this one process, with
+stdout and stderr captured, so every run after the first reuses the panel
+and tags parses that ``oilcast.panel`` keeps. Its lines must equal the
+fresh-process ones; CI diffs the two.
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import hashlib
+import io
 import os
 import shutil
 import subprocess
@@ -42,10 +52,22 @@ METHODS = (
 MODES = ("E", "G", "H")
 
 
-def _cli(args: list[str]) -> subprocess.CompletedProcess:
+def _cli(args: list[str]) -> tuple[int, bytes, bytes]:
+    """Exit code, stdout and stderr of ``oilcast`` in a fresh process."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    return subprocess.run([sys.executable, "-m", "oilcast.cli", *args], env=env,
+    done = subprocess.run([sys.executable, "-m", "oilcast.cli", *args], env=env,
                           capture_output=True, check=False)
+    return done.returncode, done.stdout, done.stderr
+
+
+def _cli_in_process(args: list[str]) -> tuple[int, bytes, bytes]:
+    """Exit code, stdout and stderr of ``oilcast.cli.main`` called in this process."""
+    from oilcast.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    return code, out.getvalue().encode(), err.getvalue().encode()
 
 
 def _sha(data: bytes | None) -> str:
@@ -61,27 +83,34 @@ def _read(path: str) -> bytes | None:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--in-process", action="store_true",
+                        help="call oilcast.cli.main in this process instead of a fresh one per run")
+    cli = _cli
+    if parser.parse_args().in_process:
+        sys.path.insert(0, os.path.join(ROOT, "src"))
+        cli = _cli_in_process
     shutil.rmtree(WORK, ignore_errors=True)
     os.makedirs(WORK)
     prefix = os.path.join(WORK, "panel")
-    made = _cli(["synth", "--seed", "7", "--out", prefix])
-    if made.returncode != 0:
-        sys.stderr.write(made.stderr.decode())
+    code, _, err = cli(["synth", "--seed", "7", "--out", prefix])
+    if code != 0:
+        sys.stderr.write(err.decode())
         return 1
     total = hashlib.sha256()
     for method in METHODS:
         for mode in MODES:
             for granger in ("false", "true"):
-                out = os.path.join(WORK, "out")
-                shutil.rmtree(out, ignore_errors=True)
-                done = _cli(["run", "--out-dir", out,
-                             "--set", f"panel={prefix}.csv", "--set", "split=2017-12",
-                             "--set", "p_threshold=0.3", "--set", f"method={method}",
-                             "--set", f"mode={mode}", "--set", f"granger={granger}"])
-                line = (f"{method} {mode} granger={granger} exit={done.returncode} "
-                        f"predictions={_sha(_read(os.path.join(out, 'predictions.csv')))} "
-                        f"metrics={_sha(_read(os.path.join(out, 'metrics.txt')))} "
-                        f"stdout={_sha(done.stdout)} stderr={_sha(done.stderr)}")
+                out_dir = os.path.join(WORK, "out")
+                shutil.rmtree(out_dir, ignore_errors=True)
+                code, out, err = cli(["run", "--out-dir", out_dir,
+                                      "--set", f"panel={prefix}.csv", "--set", "split=2017-12",
+                                      "--set", "p_threshold=0.3", "--set", f"method={method}",
+                                      "--set", f"mode={mode}", "--set", f"granger={granger}"])
+                line = (f"{method} {mode} granger={granger} exit={code} "
+                        f"predictions={_sha(_read(os.path.join(out_dir, 'predictions.csv')))} "
+                        f"metrics={_sha(_read(os.path.join(out_dir, 'metrics.txt')))} "
+                        f"stdout={_sha(out)} stderr={_sha(err)}")
                 print(line, flush=True)
                 total.update(line.encode() + b"\n")
     print(f"total {total.hexdigest()}")
