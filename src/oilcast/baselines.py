@@ -38,7 +38,6 @@ class ArModel:
     p: int
     intercept: float
     coef: np.ndarray
-    criterion: str
     scores: dict[int, dict[str, float]]
 
 
@@ -94,8 +93,7 @@ def ar_fit(y, max_p, d=1, criterion="aic"):
 
     best_p = min(scores, key=lambda p: (scores[p][criterion], p))
     intercept, coef = fits[best_p]
-    return ArModel(d=d, p=best_p, intercept=intercept, coef=coef,
-                   criterion=criterion, scores=scores)
+    return ArModel(d=d, p=best_p, intercept=intercept, coef=coef, scores=scores)
 
 
 def ar_forecast(model, history, steps):

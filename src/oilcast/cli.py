@@ -15,13 +15,16 @@ import argparse
 import os
 import sys
 import warnings
+from dataclasses import fields
 
 import numpy as np
 
 from .baselines import CRITERIA, ar_fit, ar_forecast, naive_forecast, univariate_lag_features
 from .evaluation import evaluate, format_report, improvement_rate, parse_report
+from .kpca import DEFAULT_THETA
 from .numerics import NumericalError, one_blas_thread
 from .panel import (
+    MODES,
     FeaturePanel,
     atomic_write_text,
     fuse,
@@ -34,6 +37,8 @@ from .panel import (
 )
 from .pipeline import (
     CONFIG_RULES,
+    DEFAULT_MAX_LAG,
+    DEFAULT_P_THRESHOLD,
     PipelineConfig,
     at_least,
     granger_filter,
@@ -76,39 +81,37 @@ def _bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-# key -> (parser, default); declaration order is the echo order
+_PIPELINE = PipelineConfig()  # the library's defaults for the model keys
+
+# key -> (parser, default); declaration order is the echo order. Each
+# SynthSpec field is a synth_<field> key parsed by the type of its default,
+# except that synth_seed starts unset: setting it selects a synthetic draw.
 CONFIG_KEYS = {
     "panel": (str, ""),
     "tags": (str, ""),
-    "synth_seed": (_opt(int), None),
-    "synth_months": (int, 180),
-    "synth_factors": (int, 3),
-    "synth_series_per_factor": (int, 10),
-    "synth_noise": (float, 0.05),
-    "synth_target_noise": (float, 0.5),
-    "synth_lag": (int, 1),
-    "synth_start": (str, "2004-01"),
+    **{f"synth_{f.name}": (_opt(int), None) if f.name == "seed" else (type(f.default), f.default)
+       for f in fields(SynthSpec)},
     "split": (str, ""),
     "mode": (str, "H"),
     "method": (str, "kmeans+kpca+kelm"),
     "label": (str, ""),
-    "k": (_opt(int), None),
-    "k_lo": (int, 1),
-    "k_hi": (int, 8),
-    "n_components": (_opt(int), None),
-    "theta": (_opt(float), 0.95),
-    "sigma": (_opt(float), None),
-    "c": (float, 100.0),
-    "n_hidden": (int, 100),
-    "lag": (int, 1),
+    "k": (_opt(int), _PIPELINE.k),
+    "k_lo": (int, _PIPELINE.k_range[0]),
+    "k_hi": (int, _PIPELINE.k_range[1]),
+    "n_components": (_opt(int), _PIPELINE.n_components),
+    "theta": (_opt(float), DEFAULT_THETA),
+    "sigma": (_opt(float), _PIPELINE.sigma),
+    "c": (float, _PIPELINE.c),
+    "n_hidden": (int, _PIPELINE.n_hidden),
+    "lag": (int, _PIPELINE.lag),
     "granger": (_bool, False),
-    "max_lag": (int, 3),
-    "p_threshold": (float, 0.1),
+    "max_lag": (int, DEFAULT_MAX_LAG),
+    "p_threshold": (float, DEFAULT_P_THRESHOLD),
     "ar_d": (int, 1),
     "ar_max_p": (int, 12),
     "ar_criterion": (str, "aic"),
     "uni_lags": (int, 12),
-    "seed": (int, 0),
+    "seed": (int, _PIPELINE.seed),
 }
 
 
@@ -184,6 +187,11 @@ def _config_preamble(config: dict, extras: dict) -> str:
     return "\n".join(lines)
 
 
+def _synth_spec(values, prefix: str = "") -> SynthSpec:
+    """The spec whose fields are ``values[prefix + field]``."""
+    return SynthSpec(**{f.name: values[prefix + f.name] for f in fields(SynthSpec)})
+
+
 def _load_run_panel(config: dict) -> FeaturePanel:
     if config["panel"]:
         panel = read_panel_csv(config["panel"])
@@ -197,17 +205,7 @@ def _load_run_panel(config: dict) -> FeaturePanel:
         except ValueError as err:  # a tag for a column the panel lacks
             raise CliError(f"{tags_path}: {err}") from None
     if config["synth_seed"] is not None:
-        spec = SynthSpec(
-            seed=config["synth_seed"],
-            months=config["synth_months"],
-            factors=config["synth_factors"],
-            series_per_factor=config["synth_series_per_factor"],
-            noise=config["synth_noise"],
-            target_noise=config["synth_target_noise"],
-            lag=config["synth_lag"],
-            start=config["synth_start"],
-        )
-        panel, _, _ = synth_generate(spec)
+        panel, _, _ = synth_generate(_synth_spec(config, "synth_"))
         return panel
     raise CliError("config needs either panel = <csv> or synth_seed = <int>")
 
@@ -286,7 +284,7 @@ def cmd_run(args) -> int:
     config = load_config(args.config, args.set or [])
     if config["method"] not in METHODS:
         raise CliError(f"unknown method {config['method']!r}; expected one of {METHODS}")
-    if config["mode"] not in ("E", "G", "H"):
+    if config["mode"] not in MODES:
         raise CliError(f"unknown mode {config['mode']!r}; expected E, G or H")
     if not config["split"]:
         raise CliError("config needs split = YYYY-MM (last training month)")
@@ -371,17 +369,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = SynthSpec(
-        seed=args.seed,
-        months=args.months,
-        factors=args.factors,
-        series_per_factor=args.series_per_factor,
-        noise=args.noise,
-        target_noise=args.target_noise,
-        lag=args.lag,
-        start=args.start,
-    )
-    panel, _, labels = synth_generate(spec)
+    panel, _, labels = synth_generate(_synth_spec(vars(args)))
     write_panel_csv(panel, f"{args.out}.csv")
     write_tags_csv(panel.tags, f"{args.out}.tags.csv")
     names = panel.indicator_names("H")
@@ -395,12 +383,16 @@ def cmd_synth(args) -> int:
 
 
 def _echo_fields(report) -> dict:
-    fields = {}
+    echo = {}
     for part in report.config_echo.split(";"):
         if "=" in part:
             key, _, value = part.partition("=")
-            fields[key] = value
-    return fields
+            echo[key] = value
+    return echo
+
+
+# pairing -> (echo field a pair shares, echo field that differs within it)
+PAIRINGS = {"dataset-pairs": ("method", "mode"), "method-pairs": ("mode", "method")}
 
 
 def cmd_compare(args) -> int:
@@ -426,21 +418,14 @@ def cmd_compare(args) -> int:
                 f"incompatible test windows for {first.label!r} vs {second.label!r}: "
                 f"{window_a} vs {window_b}"
             )
-        if "method" in fa and "method" in fb:
-            if args.pairing == "dataset-pairs" and (
-                fa["method"] != fb["method"] or fa.get("mode") == fb.get("mode")
-            ):
-                raise CliError(
-                    f"dataset-pairs expects same method, different mode; got "
-                    f"{first.label!r} vs {second.label!r}"
-                )
-            if args.pairing == "method-pairs" and (
-                fa.get("mode") != fb.get("mode") or fa["method"] == fb["method"]
-            ):
-                raise CliError(
-                    f"method-pairs expects same mode, different method; got "
-                    f"{first.label!r} vs {second.label!r}"
-                )
+        same, different = PAIRINGS[args.pairing]
+        if "method" in fa and "method" in fb and (
+            fa.get(same) != fb.get(same) or fa.get(different) == fb.get(different)
+        ):
+            raise CliError(
+                f"{args.pairing} expects same {same}, different {different}; got "
+                f"{first.label!r} vs {second.label!r}"
+            )
         rates = improvement_rate(first, second)
         rows.append(
             f"{first.label} vs {second.label},{rates.ir_mape_pct!r},"
@@ -470,14 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.set_defaults(fn=cmd_ingest)
 
     synth = sub.add_parser("synth", help="write a synthetic panel")
-    synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--months", type=int, default=180)
-    synth.add_argument("--factors", type=int, default=3)
-    synth.add_argument("--series-per-factor", type=int, default=10)
-    synth.add_argument("--noise", type=float, default=0.05)
-    synth.add_argument("--target-noise", type=float, default=0.5)
-    synth.add_argument("--lag", type=int, default=1)
-    synth.add_argument("--start", default="2004-01")
+    for f in fields(SynthSpec):
+        synth.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default), default=f.default)
     synth.add_argument("--out", required=True, metavar="PREFIX")
     synth.set_defaults(fn=cmd_synth)
 
@@ -489,11 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser("compare", help="improvement-rate table from reports")
     compare.add_argument("reports", nargs="+", metavar="METRICS")
-    compare.add_argument(
-        "--pairing",
-        choices=("dataset-pairs", "method-pairs"),
-        default="method-pairs",
-    )
+    compare.add_argument("--pairing", choices=tuple(PAIRINGS), default="method-pairs")
     compare.add_argument("--out", required=True, metavar="CSV")
     compare.set_defaults(fn=cmd_compare)
     return parser

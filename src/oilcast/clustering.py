@@ -48,7 +48,6 @@ class ClusterModel:
     """
 
     k: int
-    centroids: np.ndarray
     labels: np.ndarray
     wcss: float
     wcss_history: list[float] = field(repr=False)
@@ -126,7 +125,6 @@ def kmeans_fit(series, k: int, seed: int = 0) -> ClusterModel:
 
     return ClusterModel(
         k=k,
-        centroids=centroids,
         labels=labels,
         wcss=history[-1],
         wcss_history=history,

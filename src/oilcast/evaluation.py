@@ -141,13 +141,13 @@ def format_report(report: EvalReport) -> str:
 
 def parse_report(text: str) -> EvalReport:
     lines = text.splitlines()
-    fields: dict[str, str] = {}
+    fields: dict[str, tuple[int, str]] = {}  # key -> (line number, raw value)
     i = 0
     while i < len(lines) and lines[i].strip():
         if " = " not in lines[i]:
             raise ValueError(f"malformed report line {i + 1}: {lines[i]!r}")
-        key, value = lines[i].split(" = ", 1)
-        fields[key.strip()] = value
+        key, raw = lines[i].split(" = ", 1)
+        fields[key.strip()] = (i + 1, raw)
         i += 1
     missing = [f for f in _REPORT_FIELDS if f not in fields]
     if missing:
@@ -163,14 +163,22 @@ def parse_report(text: str) -> EvalReport:
                 points.append((int(t), float(y), float(yhat), int(d) if d != "" else None))
             except ValueError:
                 raise ValueError(f"line {no}: expected {_POINTS_HEADER}, got {ln!r}") from None
+
+    def value(key, convert=str):
+        lineno, raw = fields[key]
+        try:
+            return convert(raw)
+        except ValueError:
+            raise ValueError(f"line {lineno}: bad value for {key!r}: {raw!r}") from None
+
     return EvalReport(
-        label=fields["label"],
-        n=int(fields["n"]),
-        mape_pct=float(fields["mape_pct"]),
-        rmse=float(fields["rmse"]),
-        mae=float(fields["mae"]),
-        da_pct=float(fields["da_pct"]),
-        config_echo=fields["config_echo"],
+        label=value("label"),
+        n=value("n", int),
+        mape_pct=value("mape_pct", float),
+        rmse=value("rmse", float),
+        mae=value("mae", float),
+        da_pct=value("da_pct", float),
+        config_echo=value("config_echo"),
         points=points,
     )
 

@@ -24,6 +24,8 @@ from types import MappingProxyType
 import numpy as np
 
 TAGS = ("economic", "gsvi", "target")
+# dataset mode -> the indicator tags it reads: E(conomic), G(svi), H(ybrid)
+MODES = {"E": ("economic",), "G": ("gsvi",), "H": ("economic", "gsvi")}
 
 _MONTH_RE = re.compile(r"(\d{4})-(\d{2})", re.ASCII)
 
@@ -129,8 +131,8 @@ class FeaturePanel:
         return None
 
     def indicator_names(self, mode: str = "H") -> list[str]:
-        """Indicator columns for a dataset mode: E(conomic), G(svi), H(ybrid)."""
-        wanted = {"E": ("economic",), "G": ("gsvi",), "H": ("economic", "gsvi")}.get(mode)
+        """Indicator columns for a dataset mode (a key of ``MODES``)."""
+        wanted = MODES.get(mode)
         if wanted is None:
             raise ValueError(f"unknown dataset mode {mode!r}; expected E, G or H")
         return [name for name in self._positions if self.tags.get(name) in wanted]
@@ -242,15 +244,14 @@ def train_test_split(panel: FeaturePanel, split_date: str) -> tuple[FeaturePanel
 class NormalizationParams:
     """Per-column min/max learned from training rows.
 
-    ``positions`` maps each name to its index in ``names``, ``mins`` and
+    ``positions`` maps each column name to its index in ``mins`` and
     ``maxs``; it is the fitted panel's own name map, so finding a column
     costs O(1).
     """
 
-    names: tuple[str, ...]
     mins: np.ndarray
     maxs: np.ndarray
-    positions: dict[str, int] = field(repr=False, compare=False)
+    positions: dict[str, int] = field(repr=False)
 
     def position(self, name: str) -> int:
         try:
@@ -293,8 +294,7 @@ def normalize_fit(panel: FeaturePanel) -> NormalizationParams:
     flat = [names[i] for i in np.flatnonzero(maxs - mins <= 0.0)]
     if flat:
         raise ValueError(f"constant columns cannot be normalized: {flat}")
-    return NormalizationParams(names=tuple(names), mins=mins, maxs=maxs,
-                               positions=panel._positions)
+    return NormalizationParams(mins=mins, maxs=maxs, positions=panel._positions)
 
 
 def normalize_invert(params: NormalizationParams, name: str, values) -> np.ndarray:

@@ -21,7 +21,7 @@ from .clustering import ClusterModel, elbow_select, kmeans_fit
 from .kpca import GaussianKernel, KpcaModel, kpca_fit, kpca_transform
 from .numerics import one_blas_thread
 from .panel import FeaturePanel, NormalizationParams, normalize_fit, normalize_invert, require_finite
-from .regressors import REGRESSORS, regressor_fit, regressor_predict
+from .regressors import DEFAULT_C, DEFAULT_N_HIDDEN, REGRESSORS, regressor_fit, regressor_predict
 
 DEFAULT_MAX_LAG = 3
 DEFAULT_P_THRESHOLD = 0.1
@@ -162,9 +162,9 @@ class PipelineConfig:
     n_components: int | None = None
     theta: float | None = None
     sigma: float | None = None
-    c: float = 100.0
+    c: float = DEFAULT_C
     regressor: str = "kelm"
-    n_hidden: int = 100
+    n_hidden: int = DEFAULT_N_HIDDEN
     lag: int = 1
     seed: int = 0
 

@@ -46,7 +46,6 @@ CONTRAST_WEIGHT = 2.0
 STAT_HOLDOUT = 12
 
 TARGET_NAME = "price"
-LINKS = ("tanh_mix",)
 STANDARD_SEEDS = tuple(range(10))
 
 
@@ -61,7 +60,6 @@ class SynthSpec:
     noise: float = 0.05
     target_noise: float = 0.5
     lag: int = 1
-    link: str = "tanh_mix"
     start: str = "2004-01"
 
     def __post_init__(self) -> None:
@@ -79,8 +77,6 @@ class SynthSpec:
             raise ValueError(f"target_noise must be >= 0, got {self.target_noise}")
         if self.lag < 1:
             raise ValueError(f"lag must be >= 1, got {self.lag}")
-        if self.link not in LINKS:
-            raise ValueError(f"unknown link {self.link!r}, expected one of {LINKS}")
 
 
 def _latent_factors(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:

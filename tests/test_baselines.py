@@ -125,33 +125,33 @@ class TestArFit:
 
 class TestArForecast:
     def test_zero_coefficients_yield_intercept(self):
-        model = ArModel(d=0, p=1, intercept=2.5, coef=np.zeros(1), criterion="aic", scores={})
+        model = ArModel(d=0, p=1, intercept=2.5, coef=np.zeros(1), scores={})
         out = ar_forecast(model, [1.0, 9.0], 4)
         assert out.tolist() == [2.5] * 4
 
     def test_degenerate_difference_model_equals_naive(self):
-        model = ArModel(d=1, p=1, intercept=0.0, coef=np.zeros(1), criterion="aic", scores={})
+        model = ArModel(d=1, p=1, intercept=0.0, coef=np.zeros(1), scores={})
         history = np.random.default_rng(2).uniform(40, 90, 24)
         assert ar_forecast(model, history, 6).tolist() == naive_forecast(history, 6).tolist()
 
     def test_three_step_hand_iteration(self):
-        model = ArModel(d=0, p=1, intercept=1.0, coef=np.array([0.6]), criterion="aic", scores={})
+        model = ArModel(d=0, p=1, intercept=1.0, coef=np.array([0.6]), scores={})
         out = ar_forecast(model, [0.0, 2.0], 3)
         assert np.allclose(out, [2.2, 2.32, 2.392], atol=1e-12)
 
     def test_difference_recursion_reintegrates_levels(self):
-        model = ArModel(d=1, p=1, intercept=0.0, coef=np.array([0.5]), criterion="aic", scores={})
+        model = ArModel(d=1, p=1, intercept=0.0, coef=np.array([0.5]), scores={})
         out = ar_forecast(model, [8.0, 10.0, 12.0], 3)
         # last difference 2 -> next differences 1, 0.5, 0.25
         assert np.allclose(out, [13.0, 13.5, 13.75], atol=1e-12)
 
     def test_insufficient_history_rejected(self):
-        model = ArModel(d=1, p=3, intercept=0.0, coef=np.zeros(3), criterion="aic", scores={})
+        model = ArModel(d=1, p=3, intercept=0.0, coef=np.zeros(3), scores={})
         with pytest.raises(ValueError, match="history"):
             ar_forecast(model, [1.0, 2.0, 3.0], 1)
 
     def test_negative_steps_rejected(self):
-        model = ArModel(d=0, p=1, intercept=0.0, coef=np.zeros(1), criterion="aic", scores={})
+        model = ArModel(d=0, p=1, intercept=0.0, coef=np.zeros(1), scores={})
         with pytest.raises(ValueError, match="steps"):
             ar_forecast(model, [1.0, 2.0], -1)
 

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -218,6 +219,38 @@ class TestSynthCommand:
         )
         assert code == 1
         assert "months" in err
+
+
+# a value other than the default for each SynthSpec field but the seed; with
+# start 2004-06 or 170 months the draw still has test months after 2017-12
+NON_DEFAULT_SYNTH = {"months": 170, "factors": 2, "series_per_factor": 4, "noise": 0.2,
+                     "target_noise": 1.5, "lag": 3, "start": "2004-06"}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(SynthSpec) if f.name != "seed"])
+def test_each_synth_field_reaches_the_draw(name, tmp_path, capsys):
+    value = NON_DEFAULT_SYNTH[name]
+    spec = SynthSpec(**{name: value})
+    assert getattr(spec, name) != getattr(SynthSpec(), name)
+    option = "--" + name.replace("_", "-")
+    code, _, _ = run_cli(["synth", option, str(value), "--out", str(tmp_path / "p")], capsys)
+    assert code == 0
+    panel, _, _ = synth_generate(spec)
+    write_panel_csv(panel, str(tmp_path / "direct.csv"))
+    assert (tmp_path / "p.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
+
+    run = ["run", "--set", "split=2017-12", "--set", "method=kpca+kelm"]
+    code, _, _ = run_cli([*run, "--set", "synth_seed=0", "--set", f"synth_{name}={value}",
+                          "--out-dir", str(tmp_path / "drawn")], capsys)
+    assert code == 0
+    code, _, _ = run_cli([*run, "--set", f"panel={tmp_path / 'p.csv'}",
+                          "--out-dir", str(tmp_path / "read")], capsys)
+    assert code == 0
+    drawn = (tmp_path / "drawn" / "predictions.csv").read_text().splitlines()
+    read = (tmp_path / "read" / "predictions.csv").read_text().splitlines()
+    assert f"# synth_{name} = {value}" in drawn
+    rows = lambda lines: [ln for ln in lines if not ln.startswith("#")]
+    assert len(rows(drawn)) > 2 and rows(drawn) == rows(read)
 
 
 class TestRunOutputs:
@@ -776,6 +809,22 @@ class TestCompare:
         )
         assert code == 1
         assert "missing fields" in err
+
+    @pytest.mark.parametrize("key, lineno, raw", [("n", 2, "x"), ("mape_pct", 3, "oops"),
+                                                  ("rmse", 4, "1,5"), ("mae", 5, ""),
+                                                  ("da_pct", 6, "75%")])
+    def test_bad_header_value_names_its_line(self, tmp_path, capsys, key, lineno, raw):
+        bad = tmp_path / "b.txt"
+        write_report(bad, "m2", 5.0, 2.0, 75.0)
+        lines = bad.read_text().splitlines()
+        assert lines[lineno - 1].startswith(f"{key} = ")
+        lines[lineno - 1] = f"{key} = {raw}"
+        bad.write_text("\n".join(lines) + "\n")
+        good = write_report(tmp_path / "a.txt", "m1", 5.0, 2.0, 75.0)
+        code, _, err = run_cli(["compare", good, str(bad), "--out", str(tmp_path / "o.csv")],
+                               capsys)
+        assert code == 1
+        assert err.splitlines() == [f"error: {bad}: line {lineno}: bad value for {key!r}: {raw!r}"]
 
     @pytest.mark.parametrize("row", ["3,oops", "x,1.0,2.0,1", "3,1.0,2.0,1,0", "3,1.0,2.0,z"])
     def test_malformed_point_row_names_its_line(self, tmp_path, capsys, row):

@@ -32,7 +32,6 @@ class TestSpecValidation:
             {"noise": -0.1},
             {"target_noise": -1.0},
             {"lag": 0},
-            {"link": "cubic"},
         ],
     )
     def test_bad_field_rejected(self, kwargs):
