@@ -13,6 +13,12 @@ import numpy as np
 
 CRITERIA = ("aic", "sc")
 
+# the defaults of ar_fit and univariate_lag_features, which the CLI's keys echo
+DEFAULT_MAX_P = 12
+DEFAULT_D = 1
+DEFAULT_CRITERION = "aic"
+DEFAULT_LAGS = 12
+
 
 def _as_series(y, min_len, name="series"):
     y = np.asarray(y, dtype=float)
@@ -54,7 +60,7 @@ def _lag_matrix(z: np.ndarray, max_lag: int) -> np.ndarray:
     return np.column_stack([z[max_lag - j : max_lag - j + t] for j in range(1, max_lag + 1)])
 
 
-def ar_fit(y, max_p, d=1, criterion="aic"):
+def ar_fit(y, max_p=DEFAULT_MAX_P, d=DEFAULT_D, criterion=DEFAULT_CRITERION):
     """Fit AR models of order 1..max_p on the differenced series, keep the best.
 
     All candidates are scored on the same regression window (the rows left
@@ -131,7 +137,7 @@ def naive_forecast(history, steps):
     return np.full(steps, history[-1])
 
 
-def univariate_lag_features(y, lags=12):
+def univariate_lag_features(y, lags=DEFAULT_LAGS):
     """Build rows (y_{t-1}, ..., y_{t-lags}) -> y_t over every valid t."""
     lags = int(lags)
     if lags < 1:

@@ -19,7 +19,8 @@ from dataclasses import fields
 
 import numpy as np
 
-from .baselines import CRITERIA, ar_fit, ar_forecast, naive_forecast, univariate_lag_features
+from .baselines import (CRITERIA, DEFAULT_CRITERION, DEFAULT_D, DEFAULT_LAGS, DEFAULT_MAX_P,
+                        ar_fit, ar_forecast, naive_forecast, univariate_lag_features)
 from .evaluation import evaluate, format_report, improvement_rate, parse_report
 from .kpca import DEFAULT_THETA
 from .numerics import NumericalError, one_blas_thread
@@ -107,10 +108,10 @@ CONFIG_KEYS = {
     "granger": (_bool, False),
     "max_lag": (int, DEFAULT_MAX_LAG),
     "p_threshold": (float, DEFAULT_P_THRESHOLD),
-    "ar_d": (int, 1),
-    "ar_max_p": (int, 12),
-    "ar_criterion": (str, "aic"),
-    "uni_lags": (int, 12),
+    "ar_d": (int, DEFAULT_D),
+    "ar_max_p": (int, DEFAULT_MAX_P),
+    "ar_criterion": (str, DEFAULT_CRITERION),
+    "uni_lags": (int, DEFAULT_LAGS),
     "seed": (int, _PIPELINE.seed),
 }
 

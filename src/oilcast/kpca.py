@@ -40,6 +40,13 @@ class DegenerateKernelError(NumericalError):
     """The centered kernel has no usable spectrum (e.g. duplicated samples)."""
 
 
+def usable_width(sigma) -> bool:
+    """Whether ``sigma`` can be a Gaussian width: positive, with the kernel's
+    scale 2 sigma^2 finite and non-zero in floating point."""
+    sigma = float(sigma)  # a float product overflows to inf, where sigma**2 would raise
+    return sigma > 0 and 0.0 < 2.0 * sigma * sigma < np.inf
+
+
 @dataclass(frozen=True)
 class GaussianKernel:
     """k(x, z) = exp(-||x - z||^2 / (2 sigma^2))."""
@@ -47,8 +54,9 @@ class GaussianKernel:
     sigma: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"Gaussian kernel width must be positive, got {self.sigma}")
+        if not usable_width(self.sigma):
+            raise ValueError(f"Gaussian kernel width must be positive, with 2 sigma^2 "
+                             f"finite and non-zero, got {self.sigma}")
 
     def __call__(self, x: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
         """Kernel values between the rows of x and of z (x itself when z is None)."""

@@ -18,7 +18,7 @@ import re
 import warnings
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -139,10 +139,11 @@ class FeaturePanel:
 
     def matrix(self, names) -> np.ndarray:
         """The named columns as a new (n_rows, len(names)) matrix."""
-        missing = [n for n in names if n not in self._positions]
-        if missing:
-            raise ValueError(f"panel is missing columns: {missing}")
-        return np.take(self._values, [self._positions[n] for n in names], axis=1)
+        try:
+            return np.take(self._values, [self._positions[n] for n in names], axis=1)
+        except KeyError:  # one pass finds the columns; a second names every missing one
+            missing = [n for n in names if n not in self._positions]
+            raise ValueError(f"panel is missing columns: {missing}") from None
 
     def row_slice(self, rows) -> FeaturePanel:
         """Panel restricted to the given rows: a view for a slice or contiguous range."""
@@ -242,35 +243,24 @@ def train_test_split(panel: FeaturePanel, split_date: str) -> tuple[FeaturePanel
 
 @dataclass(frozen=True)
 class NormalizationParams:
-    """Per-column min/max learned from training rows.
-
-    ``positions`` maps each column name to its index in ``mins`` and
-    ``maxs``; it is the fitted panel's own name map, so finding a column
-    costs O(1).
-    """
+    """Per-column min/max learned from training rows, in the column order of
+    the matrix they were fitted on."""
 
     mins: np.ndarray
     maxs: np.ndarray
-    positions: dict[str, int] = field(repr=False)
 
-    def position(self, name: str) -> int:
-        try:
-            return self.positions[name]
-        except KeyError:
-            raise ValueError(f"no normalization parameters for column {name!r}") from None
-
-    def column(self, name: str) -> tuple[float, float]:
-        i = self.position(name)
-        return float(self.mins[i]), float(self.maxs[i])
-
-    def apply(self, x: np.ndarray, names) -> np.ndarray:
-        """Map a (rows, len(names)) matrix to [0, 1] on the training range, by column.
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Map a (rows, columns) matrix of the fitted columns, in fitted order, to [0, 1].
 
         Values outside the training range map outside [0, 1]; there is no clipping.
         """
-        idx = [self.position(name) for name in names]
-        lo = self.mins[idx]
-        return (x - lo) / (self.maxs[idx] - lo)
+        if x.shape[1] != self.mins.size:
+            raise ValueError(f"expected {self.mins.size} columns to normalize, got {x.shape[1]}")
+        return (x - self.mins) / (self.maxs - self.mins)
+
+    def invert(self, z) -> np.ndarray:
+        """Undo ``apply``; params fitted on one column also take that column as a vector."""
+        return np.asarray(z, dtype=float) * (self.maxs - self.mins) + self.mins
 
 
 def require_finite(values: np.ndarray, names, dates, where: str = "") -> None:
@@ -284,23 +274,16 @@ def require_finite(values: np.ndarray, names, dates, where: str = "") -> None:
         raise ValueError(f"column {names[col]!r} is not finite at {where}{dates[row]}")
 
 
-def normalize_fit(panel: FeaturePanel) -> NormalizationParams:
-    """Min/max per column over the panel's rows; rejects non-finite and constant columns."""
-    names = list(panel.columns)
-    values = panel._values
-    require_finite(values, names, panel.dates)
+def normalize_fit(values: np.ndarray, names, dates) -> NormalizationParams:
+    """Min/max per column of a (rows, len(names)) matrix; rejects non-finite and constant
+    columns, naming them by ``names`` and ``dates``."""
+    require_finite(values, names, dates)
     mins = values.min(axis=0)
     maxs = values.max(axis=0)
     flat = [names[i] for i in np.flatnonzero(maxs - mins <= 0.0)]
     if flat:
         raise ValueError(f"constant columns cannot be normalized: {flat}")
-    return NormalizationParams(mins=mins, maxs=maxs, positions=panel._positions)
-
-
-def normalize_invert(params: NormalizationParams, name: str, values) -> np.ndarray:
-    """Undo the min-max map for one column."""
-    lo, hi = params.column(name)
-    return np.asarray(values, dtype=float) * (hi - lo) + lo
+    return NormalizationParams(mins=mins, maxs=maxs)
 
 
 # --- CSV external interfaces -------------------------------------------------

@@ -18,9 +18,9 @@ from scipy.special import fdtrc
 
 from .baselines import _lag_matrix
 from .clustering import ClusterModel, elbow_select, kmeans_fit
-from .kpca import GaussianKernel, KpcaModel, kpca_fit, kpca_transform
+from .kpca import GaussianKernel, KpcaModel, kpca_fit, kpca_transform, usable_width
 from .numerics import one_blas_thread
-from .panel import FeaturePanel, NormalizationParams, normalize_fit, normalize_invert, require_finite
+from .panel import FeaturePanel, NormalizationParams, normalize_fit, require_finite
 from .regressors import DEFAULT_C, DEFAULT_N_HIDDEN, REGRESSORS, regressor_fit, regressor_predict
 
 DEFAULT_MAX_LAG = 3
@@ -134,7 +134,7 @@ def at_least(low: int):
     return (lambda value: value >= low), f">= {low}"
 
 
-_POSITIVE = (lambda value: np.isfinite(value) and value > 0), "positive and finite"
+_POSITIVE = "positive and finite"
 
 # PipelineConfig field -> (test of a set value, the rule it states); the CLI
 # applies the same rules to its model keys before reading any data
@@ -142,8 +142,8 @@ CONFIG_RULES = {
     **dict.fromkeys(("k", "n_components", "n_hidden", "lag"), at_least(1)),
     "seed": at_least(0),
     "theta": ((lambda value: 0.0 < value <= 1.0), "in (0, 1]"),
-    "sigma": _POSITIVE,
-    "c": _POSITIVE,
+    "sigma": (usable_width, _POSITIVE),
+    "c": ((lambda value: np.isfinite(value) and value > 0), _POSITIVE),
 }
 
 
@@ -187,13 +187,15 @@ class PipelineConfig:
 
 @dataclass
 class PipelineModel:
+    """A fitted pipeline. ``norm`` and ``cluster.labels`` follow the order of
+    ``indicator_names``; cluster j's KPCA reads the columns labelled j."""
+
     norm: NormalizationParams
+    target_norm: NormalizationParams
     target_name: str
     indicator_names: list[str]
     cluster: ClusterModel
-    cluster_members: list[list[str]]
     kpca_models: list[KpcaModel]
-    widths: list[int]
     regressor: object
     config: PipelineConfig
     elbow_curve: dict[int, float] = field(default_factory=dict)
@@ -293,8 +295,11 @@ def pipeline_fit(panel: FeaturePanel, config: PipelineConfig) -> PipelineModel:
             raise ValueError(f"{len(indicators)} indicator series leave k in [{lo}, {hi}]; "
                              f"the elbow needs 3 candidates; pin k")
 
-    norm = _stage("normalize", normalize_fit, panel)
-    normed = norm.apply(panel.matrix(indicators), indicators)
+    values, target_values = panel.matrix(indicators), panel.matrix([target])
+    norm = _stage("normalize", normalize_fit, values, indicators, panel.dates)
+    target_norm = _stage("normalize", normalize_fit, target_values, [target], panel.dates)
+    normed = norm.apply(values)
+    del values  # the normalized copy serves the rest of the fit
     series = normed.T  # one row per indicator series
 
     elbow_curve: dict[int, float] = {}
@@ -304,8 +309,6 @@ def pipeline_fit(panel: FeaturePanel, config: PipelineConfig) -> PipelineModel:
         elbow_curve = {j: fit.wcss for j, fit in fits.items()}
     else:
         cluster = _stage("cluster", kmeans_fit, series, config.k, seed=config.seed)
-    members = [[indicators[i] for i in np.flatnonzero(cluster.labels == j)]
-               for j in range(cluster.k)]
 
     def fit_cluster(j: int, gram: np.ndarray) -> KpcaModel:
         kernel = GaussianKernel(config.sigma) if config.sigma is not None else None
@@ -320,20 +323,19 @@ def pipeline_fit(panel: FeaturePanel, config: PipelineConfig) -> PipelineModel:
     grams = [np.empty((panel.n_rows, panel.n_rows)) for _ in range(workers)]
     kpca_models = _map_in_threads(fit_cluster, cluster.k, grams)
     del grams  # freed before the regressor builds its own
-    widths = [m.n_components for m in kpca_models]
 
     # each fit already holds its training rows' projection
     features = _stage("features", np.hstack, [m.train_scores for m in kpca_models])
     x = features[: panel.n_rows - config.lag]
-    y = norm.apply(panel.matrix([target]), [target])[config.lag :, 0]
+    y = target_norm.apply(target_values)[config.lag :, 0]
 
     regressor = _stage("regressor", regressor_fit, config.regressor, x, y, c=config.c,
                        sigma=config.sigma, n_hidden=config.n_hidden, seed=config.seed)
 
     return PipelineModel(
-        norm=norm, target_name=target, indicator_names=indicators,
-        cluster=cluster, cluster_members=members, kpca_models=kpca_models,
-        widths=widths, regressor=regressor, config=config, elbow_curve=elbow_curve,
+        norm=norm, target_norm=target_norm, target_name=target, indicator_names=indicators,
+        cluster=cluster, kpca_models=kpca_models, regressor=regressor, config=config,
+        elbow_curve=elbow_curve,
     )
 
 
@@ -347,9 +349,8 @@ def pipeline_predict(model: PipelineModel, panel: FeaturePanel) -> np.ndarray:
     names = model.indicator_names
     values = panel.matrix(names)
     require_finite(values, names, panel.dates, where="forecast origin ")
-    normed = model.norm.apply(values, names)
+    normed = model.norm.apply(values)
     labels = model.cluster.labels
     features = np.hstack([kpca_transform(kmodel, normed[:, labels == j])
                           for j, kmodel in enumerate(model.kpca_models)])
-    return normalize_invert(model.norm, model.target_name,
-                            regressor_predict(model.regressor, features))
+    return model.target_norm.invert(regressor_predict(model.regressor, features))

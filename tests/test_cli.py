@@ -1,6 +1,7 @@
 """End-to-end checks of the command line: ingest, synth, run, compare."""
 
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oilcast import cli
+from oilcast.baselines import ar_fit, univariate_lag_features
 from oilcast.cli import CONFIG_KEYS, load_config, main
 from oilcast.evaluation import parse_report
 from oilcast.numerics import NumericalError
@@ -49,6 +51,14 @@ class TestConfigHandling:
         assert config["theta"] == 0.95
         assert config["synth_seed"] is None
         assert set(config) == set(CONFIG_KEYS)
+
+    def test_baseline_defaults_come_from_the_library(self):
+        config = load_config(None, [])
+        ar = inspect.signature(ar_fit).parameters
+        lags = inspect.signature(univariate_lag_features).parameters["lags"]
+        assert ((config["ar_max_p"], config["ar_d"], config["ar_criterion"], config["uni_lags"])
+                == (ar["max_p"].default, ar["d"].default, ar["criterion"].default, lags.default)
+                == (12, 1, "aic", 12))
 
     def test_file_then_set_precedence(self, tmp_path):
         path = write_config(tmp_path / "a.conf", c=7.0)
@@ -520,6 +530,21 @@ class TestRunOutputs:
         shown = repr(float(value)) if key in ("c", "sigma", "theta") else value
         assert (code, stdout) == (1, "")
         assert err == f"error: {key} must be {rule}, got {shown}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method, value", [("kelm", "1e200"), ("kmeans+kpca+kelm", "1e200"),
+                                               ("kelm", "1e-300")])
+    def test_sigma_whose_kernel_scale_is_not_finite_rejected(self, method, value, tmp_path,
+                                                             capsys):
+        # 2 sigma^2 overflows to inf or underflows to 0; the panel named is
+        # never read, because the rule is checked first
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(
+            ["run", "--set", f"panel={tmp_path / 'absent.csv'}", "--set", "split=2017-12",
+             "--set", f"method={method}", "--set", f"sigma={value}", "--out-dir", str(out)],
+            capsys)
+        assert (code, stdout) == (1, "")
+        assert err == f"error: sigma must be positive and finite, got {float(value)!r}\n"
         assert not out.exists()
 
     def test_unknown_mode_rejected(self, tmp_path, capsys):

@@ -352,10 +352,12 @@ class TestPartialEigensolve:
                 SynthSpec(seed=seed, months=180, factors=7, series_per_factor=10))
             train = panel.row_slice(range(168))
             model = pipeline_fit(train, PipelineConfig(k=6, theta=0.95))
-            norm = normalize_fit(train)
-            for names, kmodel in zip(model.cluster_members, model.kpca_models):
-                keep, _ = full_spectrum_keep(norm.apply(train.matrix(names), names), 0.95)
-                assert kmodel.n_components == keep, (seed, names)
+            names = model.indicator_names
+            normed = normalize_fit(train.matrix(names), names, train.dates).apply(
+                train.matrix(names))
+            for j, kmodel in enumerate(model.kpca_models):
+                keep, _ = full_spectrum_keep(normed[:, model.cluster.labels == j], 0.95)
+                assert kmodel.n_components == keep, (seed, j)
                 checked += 1
         assert checked == 30
 

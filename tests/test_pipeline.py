@@ -22,7 +22,6 @@ from oilcast.panel import (
     FeaturePanel,
     month_range,
     normalize_fit,
-    normalize_invert,
     train_test_split,
 )
 from oilcast.pipeline import (
@@ -232,6 +231,15 @@ class TestPipelineConfig:
         PipelineConfig(k=3, k_range=(3, 4))  # a pinned k needs no elbow
 
 
+def model_bytes(model: PipelineModel) -> bytes:
+    """Every learned array and width of a fitted model, as one byte string."""
+    parts = [model.norm.mins, model.norm.maxs, model.target_norm.mins, model.target_norm.maxs,
+             model.cluster.labels, model.regressor.alpha, [model.regressor.kernel.sigma]]
+    for kmodel in model.kpca_models:
+        parts += [kmodel.alphas, kmodel.col_means, [kmodel.grand_mean, kmodel.kernel.sigma]]
+    return b"".join(np.asarray(part).tobytes() for part in parts)
+
+
 @pytest.fixture(scope="module")
 def fitted_models():
     models = []
@@ -248,11 +256,8 @@ class TestPipelineFit:
         model = pipeline_fit(panel, PipelineConfig(k=3, theta=0.95, seed=5))
         assert isinstance(model, PipelineModel)
         assert len(model.kpca_models) == 3
-        assert len(model.cluster_members) == 3
-        assert sorted(n for grp in model.cluster_members for n in grp) == sorted(
-            model.indicator_names
-        )
-        assert model.widths == [m.n_components for m in model.kpca_models]
+        assert sorted(set(model.cluster.labels)) == [0, 1, 2]
+        assert len(model.cluster.labels) == len(model.indicator_names)
 
     def test_elbow_path_selects_three(self):
         panel, _, _ = synth_generate(SynthSpec(seed=0))
@@ -275,12 +280,12 @@ class TestPipelineFit:
             model = pipeline_fit(
                 panel, PipelineConfig(k=3, theta=0.95, sigma=2.0, seed=5)
             )
-            position = {n: i for i, n in enumerate(model.indicator_names)}
+            normed = model.norm.apply(panel.matrix(model.indicator_names))
             dominants = []
-            for kmodel, members in zip(model.kpca_models, model.cluster_members):
-                normed = model.norm.apply(panel.matrix(members), members)
-                scores = kpca_transform(kmodel, normed)[:, 0]
-                member_labels = labels[[position[n] for n in members]]
+            for j, kmodel in enumerate(model.kpca_models):
+                members = model.cluster.labels == j
+                scores = kpca_transform(kmodel, normed[:, members])[:, 0]
+                member_labels = labels[members]
                 dominant = int(np.bincount(member_labels).argmax())
                 dominants.append(dominant)
                 r = np.corrcoef(scores, factors[:, dominant])[0, 1]
@@ -298,14 +303,34 @@ class TestPipelineFit:
         names = panel.indicator_names("H")
         # the pipeline runs with one BLAS thread; so must its composition
         with one_blas_thread():
-            norm = normalize_fit(panel)
-            kp = kpca_fit(norm.apply(panel.matrix(names), names), theta=0.95)
+            norm = normalize_fit(panel.matrix(names), names, panel.dates)
+            kp = kpca_fit(norm.apply(panel.matrix(names)), theta=0.95)
             features = kp.train_scores
-            y_norm = norm.apply(panel.matrix(["price"]), ["price"])[:, 0]
+            target_norm = normalize_fit(panel.matrix(["price"]), ["price"], panel.dates)
+            y_norm = target_norm.apply(panel.matrix(["price"]))[:, 0]
             km = kelm_fit(features[:-1], y_norm[1:], c=config.c)
-            z = kelm_predict(km, kpca_transform(kp, norm.apply(rows.matrix(names), names)))
-            composed = normalize_invert(norm, "price", z)
+            z = kelm_predict(km, kpca_transform(kp, norm.apply(rows.matrix(names))))
+            composed = target_norm.invert(z)
         assert np.array_equal(via_pipeline, composed)
+
+    @pytest.mark.parametrize("extra", ["constant", "nan"])
+    def test_untagged_column_is_not_read(self, extra):
+        # a fit reads only tagged columns: an untagged constant or NaN column
+        # neither fails it nor moves a bit of the model or its forecasts
+        panel, _, _ = synth_generate(SynthSpec(seed=2))
+        column = np.full(panel.n_rows, 2.5)
+        if extra == "nan":
+            column = panel.columns["f0s0"].copy()
+            column[3] = np.nan
+        wider = FeaturePanel(dates=panel.dates, columns={"flat": column, **panel.columns},
+                             tags=panel.tags)
+        config = PipelineConfig(theta=0.95, seed=5)
+        sources = (panel, wider)
+        models = [pipeline_fit(source.row_slice(range(168)), config) for source in sources]
+        assert model_bytes(models[0]) == model_bytes(models[1])
+        forecasts = [pipeline_predict(model, source.row_slice(range(167, 179))).tobytes()
+                     for model, source in zip(models, sources)]
+        assert forecasts[0] == forecasts[1]
 
     def test_no_leakage_from_test_rows(self):
         # fitting on a split view and on a panel that never held the test
@@ -484,19 +509,19 @@ class TestConcurrentClusterFits:
 
         names = panel.indicator_names("H")
         with one_blas_thread():
-            norm = normalize_fit(train)
-            normed = norm.apply(train.matrix(names), names)
+            norm = normalize_fit(train.matrix(names), names, train.dates)
+            normed = norm.apply(train.matrix(names))
             labels = kmeans_fit(normed.T, 3, seed=5).labels
             fits = [kpca_fit(normed[:, labels == j], theta=0.95) for j in range(3)]
             features = np.hstack([fit.train_scores for fit in fits])
-            y = norm.apply(train.matrix(["price"]), ["price"])[:, 0]
+            target_norm = normalize_fit(train.matrix(["price"]), ["price"], train.dates)
+            y = target_norm.apply(train.matrix(["price"]))[:, 0]
             km = kelm_fit(features[:-1], y[1:], c=config.c)
-            scaled = norm.apply(rows.matrix(names), names)
+            scaled = norm.apply(rows.matrix(names))
             z = kelm_predict(km, np.hstack([kpca_transform(fit, scaled[:, labels == j])
                                             for j, fit in enumerate(fits)]))
-            composed = normalize_invert(norm, "price", z)
+            composed = target_norm.invert(z)
         assert np.array_equal(model.cluster.labels, labels)
-        assert model.widths == [fit.n_components for fit in fits]
         for got, want in zip(model.kpca_models, fits):
             assert got.kernel == want.kernel
             assert np.array_equal(got.alphas, want.alphas)
@@ -510,7 +535,7 @@ class TestConcurrentClusterFits:
         config = PipelineConfig(k=3, theta=0.95, seed=5)
         # tell the clusters apart by their first column, as a fit made without failures saw them
         names = train.indicator_names("H")
-        normed = normalize_fit(train).apply(train.matrix(names), names)
+        normed = normalize_fit(train.matrix(names), names, train.dates).apply(train.matrix(names))
         labels = pipeline_fit(train, config).cluster.labels
         cluster_of = {normed[:, labels == j][:, 0].tobytes(): j for j in range(3)}
         monkeypatch.setattr(pipeline, "_cpu_count", lambda: 3)
