@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 validation error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import warnings
@@ -27,6 +28,7 @@ from .numerics import NumericalError, one_blas_thread
 from .panel import (
     MODES,
     FeaturePanel,
+    _content_lines,
     atomic_write_text,
     fuse,
     read_panel_csv,
@@ -144,14 +146,12 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     config = {key: default for key, (_, default) in CONFIG_KEYS.items()}
     if path:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
+            with open(path, "rb") as fh:
+                data = fh.read()
         except OSError as err:
             raise CliError(f"cannot read config {path}: {err}") from None
-        for lineno, line in enumerate(lines, start=1):
+        for lineno, line in _content_lines(path, data):
             stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
             if "=" not in stripped:
                 raise CliError(f"{path}: line {lineno}: expected key = value")
             key, _, raw = stripped.partition("=")
@@ -444,7 +444,10 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``oilcast`` parser, built once per process; ``main`` picks the
+    subcommand's function by name when it runs."""
     parser = _Parser(prog="oilcast", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -453,25 +456,21 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--gsvi", action="append", metavar="CSV")
     ingest.add_argument("--target", required=True, metavar="CSV")
     ingest.add_argument("--out", required=True, metavar="PREFIX")
-    ingest.set_defaults(fn=cmd_ingest)
 
     synth = sub.add_parser("synth", help="write a synthetic panel")
     for f in fields(SynthSpec):
         synth.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default), default=f.default)
     synth.add_argument("--out", required=True, metavar="PREFIX")
-    synth.set_defaults(fn=cmd_synth)
 
     run = sub.add_parser("run", help="run one forecasting method end to end")
     run.add_argument("--config", metavar="FILE")
     run.add_argument("--set", action="append", metavar="KEY=VALUE")
     run.add_argument("--out-dir", default=".", metavar="DIR")
-    run.set_defaults(fn=cmd_run)
 
     compare = sub.add_parser("compare", help="improvement-rate table from reports")
     compare.add_argument("reports", nargs="+", metavar="METRICS")
     compare.add_argument("--pairing", choices=tuple(PAIRINGS), default="method-pairs")
     compare.add_argument("--out", required=True, metavar="CSV")
-    compare.set_defaults(fn=cmd_compare)
     return parser
 
 
@@ -490,13 +489,14 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
 
 @one_blas_thread()
 def main(argv=None) -> int:
-    parser = build_parser()
     with warnings.catch_warnings():
         # a library warning is one line, without the source location
         warnings.showwarning = _print_warning
         try:
-            args = parser.parse_args(argv)
-            return args.fn(args)
+            args = build_parser().parse_args(argv)
+            command = {"ingest": cmd_ingest, "synth": cmd_synth, "run": cmd_run,
+                       "compare": cmd_compare}[args.command]
+            return command(args)
         except (CliError, ValueError, OSError, NumericalError, RuntimeError) as err:
             print(f"error: {err}", file=sys.stderr)
             return _exit_code_for(err)

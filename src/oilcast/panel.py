@@ -302,15 +302,38 @@ def atomic_write_text(path: str, text: str) -> None:
 _last_parse: dict = {}
 
 
+def _content_lines(path: str, data: bytes) -> list:
+    """(line number, line without its newline) for every line of ``data`` that is
+    neither blank nor a ``#`` comment.
+
+    The bytes are decoded under the rules of ``open(path, "r",
+    encoding="utf-8")``; a byte sequence that is not UTF-8 is rejected as
+    ``<path>: line N: not valid UTF-8``.
+    """
+    try:
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
+            return [
+                (no, ln.rstrip("\n"))
+                for no, ln in enumerate(fh, start=1)
+                if ln.strip() and not ln.lstrip().startswith("#")
+            ]
+    except UnicodeDecodeError:
+        # the wrapper decodes in chunks, so its error holds no file offset
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            head = data[: err.start]  # a newline byte is never part of a longer sequence
+            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            raise ValueError(f"{path}: line {line}: not valid UTF-8") from None
+        raise
+
+
 def _parse_once(path: str, parse) -> tuple:
-    """``parse(path, numbered)`` of the file's content lines, once per distinct content.
+    """``parse(path, numbered)`` of the file's ``_content_lines``, once per distinct content.
 
     The file is opened once, in binary mode; the digest of those bytes is the
     key, so a same-size rewrite within the mtime granularity is never served
-    stale. A miss decodes the same bytes under the rules of
-    ``open(path, "r", encoding="utf-8")``. ``numbered`` holds (line number,
-    line without its newline) for every line that is neither blank nor a
-    ``#`` comment. A parse that raises keeps nothing.
+    stale. A parse that raises keeps nothing.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -318,13 +341,8 @@ def _parse_once(path: str, parse) -> tuple:
     kept = _last_parse.get(parse)
     if kept is not None and kept[0] == digest:
         return kept[1]
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
-        del data  # closing the wrapper releases the bytes before the cells are converted
-        numbered = [
-            (no, ln.rstrip("\n"))
-            for no, ln in enumerate(fh, start=1)
-            if ln.strip() and not ln.lstrip().startswith("#")
-        ]
+    numbered = _content_lines(path, data)
+    del data  # released before the cells are converted
     parts = parse(path, numbered)
     _last_parse[parse] = (digest, parts)
     return parts

@@ -911,6 +911,20 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
 
+    @pytest.mark.parametrize("name, line", [("c.conf", 3), ("p.csv", 5), ("p.tags.csv", 3)])
+    def test_non_utf8_byte_named_by_file_and_line(self, name, line, tmp_path, capsys):
+        run_cli(["synth", "--seed", "0", "--out", str(tmp_path / "p")], capsys)
+        (tmp_path / "c.conf").write_text(f"panel = {tmp_path / 'p.csv'}\nsplit = 2017-12\n"
+                                         f"method = naive\n")
+        bad = tmp_path / name
+        lines = bad.read_bytes().split(b"\n")
+        lines[line - 1] += b"\xff"
+        bad.write_bytes(b"\n".join(lines))
+        argv = ["run", "--config", str(tmp_path / "c.conf"), "--out-dir", str(tmp_path / "out")]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {bad}: line {line}: not valid UTF-8\n"
+
     def test_no_arguments(self, capsys):
         assert run_cli([], capsys)[0] == 1
 

@@ -342,7 +342,8 @@ class TestOneBlasThread:
             assert thread_counts(controls) == before
         assert thread_counts(controls) == before
 
-    @pytest.mark.parametrize("entry", ["pipeline_fit", "pipeline_predict", "main"])
+    @pytest.mark.parametrize("entry", ["pipeline_fit", "pipeline_predict", "main",
+                                       "granger_filter"])
     def test_entry_points_run_at_one_thread_and_restore(self, entry, blas, monkeypatch):
         seen = []
 
@@ -361,8 +362,24 @@ class TestOneBlasThread:
             model = SimpleNamespace(indicator_names=panel.indicator_names("H"))
             with pytest.raises(ValueError, match="probe"):
                 pipeline.pipeline_predict(model, panel)
-        else:
+        elif entry == "main":
             monkeypatch.setattr(cli, "cmd_synth", probe)
             assert cli.main(["synth", "--out", "unused"]) == 1  # handled, so main returns
+        else:
+            monkeypatch.setattr(pipeline, "require_finite", probe)
+            with pytest.raises(ValueError, match="probe"):
+                pipeline.granger_filter(panel, panel.indicator_names("H"))
         assert seen == [[1] * len(blas)]
         assert thread_counts(blas) == before
+
+    def test_granger_fstats_are_the_same_bits_at_one_and_two_threads(self, blas):
+        panel, _, _ = synth_generate(SynthSpec(seed=0, factors=7, series_per_factor=10))
+        candidates = panel.indicator_names("H")
+        assert thread_counts(blas) == [2] * len(blas)
+        at_two = pipeline.granger_filter(panel, candidates, p_threshold=0.3)
+        with one_blas_thread():
+            at_one = pipeline.granger_filter(panel, candidates, p_threshold=0.3)
+        assert list(at_two.fstats) == candidates
+        assert (np.array(list(at_two.fstats.values())).tobytes()
+                == np.array(list(at_one.fstats.values())).tobytes())
+        assert at_two.retained == at_one.retained

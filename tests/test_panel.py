@@ -428,16 +428,22 @@ class TestReaderMemo:
             with pytest.raises(ValueError, match=f"{name}: line 3: dates must be strictly"):
                 read_panel_csv(str(tmp_path / name))
 
-    def test_decode_error_matches_a_text_mode_read(self, tmp_path):
+    def test_decode_error_names_the_path_and_line(self, tmp_path):
         path = tmp_path / "p.csv"
         # the bad byte sits past the first 8 KiB chunk of the decoder
         path.write_bytes(b"date,a\n" + b"# pad\n" * 2000 + b"2010-01,\xff\n")
-        with pytest.raises(UnicodeDecodeError) as direct:
-            with open(path, "r", encoding="utf-8") as fh:
-                list(fh)
-        with pytest.raises(UnicodeDecodeError) as raised:
+        with pytest.raises(ValueError) as raised:
             read_panel_csv(str(path))
-        assert str(raised.value) == str(direct.value)
+        assert str(raised.value) == f"{path}: line 2002: not valid UTF-8"
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_decode_error_counts_lines_as_text_mode_does(self, tmp_path, end):
+        # "\n", "\r\n" and a lone "\r" each end one line
+        data = end.join(["date,a", "", "# note", "2010-01,1", "2010-02,\xff"]).encode("latin-1")
+        path = tmp_path / "p.csv"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=r"p\.csv: line 5: not valid UTF-8$"):
+            read_panel_csv(str(path))
 
 
 # A cell token the reader may meet: a number in any spelling float() takes,

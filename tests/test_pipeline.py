@@ -7,6 +7,8 @@ against.
 
 import sys
 import threading
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -176,6 +178,18 @@ class TestGrangerFilter:
         assert result.retained == [n for n in candidates if result.pvalues[n] <= 0.3]
         assert 1 < len(result.retained) < len(candidates)
 
+    @pytest.mark.parametrize("column, row", [("b", 40), ("price", 7), ("a", 0)])
+    def test_non_finite_value_named_before_any_solve(self, column, row, capfd):
+        rng = np.random.default_rng(9)
+        columns = {name: rng.standard_normal(60) for name in ("a", "b", "price")}
+        columns[column][row] = np.nan
+        columns["b"][50] = np.inf  # a later row does not win
+        panel = make_panel(columns, {"a": "economic", "b": "gsvi", "price": "target"})
+        with pytest.raises(ValueError) as raised:
+            granger_filter(panel, ["a", "b"], max_lag=2)
+        assert str(raised.value) == f"column {column!r} is not finite at {panel.dates[row]}"
+        assert capfd.readouterr() == ("", "")  # no LAPACK complaint reaches stderr
+
     def test_too_few_rows_for_dof(self):
         rng = np.random.default_rng(7)
         panel = make_panel(
@@ -184,6 +198,132 @@ class TestGrangerFilter:
         )
         with pytest.raises(ValueError, match="degrees of freedom"):
             granger_filter(panel, ["x"], max_lag=3)
+
+
+def per_candidate_screen(panel, candidates, max_lag, p_threshold):
+    """The Granger screen as one lstsq fit per design: the restricted fit once,
+    then each candidate's unrestricted fit. Returns the result and the
+    warning messages in the order they were given."""
+
+    def sse(design, target):
+        beta = np.linalg.lstsq(design, target, rcond=None)[0]
+        if not np.all(np.isfinite(beta)):
+            return np.nan
+        resid = target - design @ beta
+        return float(resid @ resid)
+
+    def lag_block(z):
+        return np.column_stack([z[max_lag - j : z.size - j] for j in range(1, max_lag + 1)])
+
+    y = panel.columns[panel.target_name]
+    t = y.size - max_lag
+    dof2 = t - 2 * max_lag - 1
+    y_reg, own, const = y[max_lag:], lag_block(y), np.ones(t)
+    sse_r = sse(np.column_stack([own, const]), y_reg)
+    zero_scale = 1e-12 * (float(y_reg @ y_reg) + 1.0)
+    messages, fstats, inconclusive = [], {}, []
+    for name in candidates:
+        sse_u = sse(np.column_stack([own, lag_block(panel.columns[name]), const]), y_reg)
+        if not np.isfinite(sse_r) or not np.isfinite(sse_u):
+            inconclusive.append(name)
+            messages.append(f"granger test inconclusive for {name!r}: regression did not solve")
+        elif sse_u <= zero_scale and sse_r <= zero_scale:
+            inconclusive.append(name)
+            messages.append(f"granger test inconclusive for {name!r}: both fits are exact")
+        elif sse_u <= zero_scale:
+            fstats[name] = np.inf
+        else:
+            fstats[name] = max(0.0, ((sse_r - sse_u) / max_lag) / (sse_u / dof2))
+    pvalues = {name: float(scipy.stats.f.sf(f, max_lag, dof2)) for name, f in fstats.items()}
+    retained = [name for name, p in pvalues.items() if p <= p_threshold]
+    return GrangerResult(retained, pvalues, fstats, inconclusive), messages
+
+
+# Candidate kinds the batched screen must hand to lstsq or get right on its own:
+# a constant, a duplicate of another candidate, an exact copy of the target,
+# an affine image of the target and the target one month later (lags collinear
+# with the target's own), an exact driver of the target (F = inf), and a driver
+# up to noise 1e-3 of its scale (F in the millions, where SSE_r - SSE_u cancels).
+DEGENERATE = ("constant", "duplicate", "copy", "affine", "shift", "driver", "near_driver")
+
+
+class TestBatchedGrangerProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(30, 120),
+           max_lag=st.integers(1, 4), n_plain=st.integers(0, 5),
+           target_kind=st.sampled_from(["walk", "noise", "exact_ar2", "constant", "last_moves"]),
+           kinds=st.lists(st.sampled_from(DEGENERATE), max_size=6), data=st.data())
+    def test_batched_screen_matches_per_candidate_lstsq(self, seed, rows, max_lag, n_plain,
+                                                        target_kind, kinds, data):
+        rng = np.random.default_rng(seed)
+
+        def series():  # a random walk or white noise, at a scale from 1e-3 to 1e3
+            z = rng.standard_normal(rows)
+            return (z.cumsum() if rng.random() < 0.5 else z) * 10.0 ** rng.uniform(-3, 3)
+
+        if target_kind == "walk":
+            y = 50.0 + rng.standard_normal(rows).cumsum()
+        elif target_kind == "noise":
+            y = rng.standard_normal(rows)
+        elif target_kind == "exact_ar2":  # own lags 1 and 2 fit it exactly
+            y = np.empty(rows)
+            y[:2] = rng.standard_normal(2)
+            for i in range(2, rows):
+                y[i] = 1.6 * y[i - 1] - 0.9 * y[i - 2]
+        else:  # own lags all constant; with "last_moves" the constant does not fit
+            y = np.full(rows, 7.0)
+            y[-1] += target_kind == "last_moves"
+        columns = [series() for _ in range(n_plain)]
+        # drivers first, so that the kinds built from the target see the final one
+        for kind in sorted(kinds, key=lambda kind: not kind.endswith("driver")):
+            if kind == "constant":
+                columns.append(np.full(rows, rng.uniform(-5, 5)))
+            elif kind == "duplicate":
+                if not columns:
+                    columns.append(series())
+                columns.append(columns[0].copy())
+            elif kind == "copy":
+                columns.append(y.copy())
+            elif kind == "affine":
+                columns.append(-3.0 * y + 2.0)
+            elif kind == "shift":
+                columns.append(np.concatenate([[0.0], y[:-1]]))
+            else:  # the target becomes this candidate one month on, up to a little noise
+                driver = series()
+                y = np.concatenate([[0.0], driver[:-1]])
+                if kind == "near_driver":
+                    y += 1e-3 * np.std(driver) * rng.standard_normal(rows)
+                columns.append(driver)
+        order = data.draw(st.permutations(range(len(columns))))
+        names = [f"c{i}" for i in range(len(columns))]
+        panel = make_panel({**{names[i]: columns[j] for i, j in enumerate(order)}, "price": y},
+                           {**dict.fromkeys(names, "gsvi"), "price": "target"})
+        p_threshold = data.draw(st.sampled_from([0.01, 0.1, 0.5]))
+        # candidates per batched block: all of them, or a few so that several blocks run
+        per_block = data.draw(st.sampled_from([None, 1, 2, 3]))
+        block = pipeline._BLOCK_DOUBLES if per_block is None else per_block * rows * max_lag
+
+        expected, messages = per_candidate_screen(panel, names, max_lag, p_threshold)
+        with warnings.catch_warnings(record=True) as caught, \
+                mock.patch.object(pipeline, "_BLOCK_DOUBLES", block):
+            warnings.simplefilter("always")
+            result = granger_filter(panel, names, max_lag=max_lag, p_threshold=p_threshold)
+        assert [str(w.message) for w in caught] == messages
+        assert result.inconclusive == expected.inconclusive
+        assert result.retained == expected.retained
+        assert list(result.pvalues) == list(expected.pvalues)
+        assert list(result.fstats) == list(expected.fstats)
+        # the reference's F is the difference of two SSEs rounded on their own,
+        # so it is good to eps relative in SSE_r / SSE_u = 1 + F * max_lag / dof2,
+        # not in a small F; 1e-12 relative in that ratio is 1e-12 relative in any
+        # F well above dof2 / max_lag
+        scale = (rows - 3 * max_lag - 1) / max_lag
+        for name, want in expected.fstats.items():
+            got = result.fstats[name]
+            if want == np.inf:
+                assert got == np.inf, name
+            else:
+                assert abs(got - want) <= 1e-12 * (want + scale), (name, got, want)
 
 
 class TestPipelineConfig:
