@@ -55,9 +55,11 @@ def _criterion_scores(t, sse, p):
 
 
 def _lag_matrix(z: np.ndarray, max_lag: int) -> np.ndarray:
-    """Column j holds lag j+1 of ``z`` over the rows max_lag.. that have every lag."""
-    t = z.size - max_lag
-    return np.column_stack([z[max_lag - j : max_lag - j + t] for j in range(1, max_lag + 1)])
+    """Lags 1..max_lag of ``z`` over its rows max_lag.. (those that have every lag),
+    stacked on a new last axis: (t, max_lag) for a series, (t, C, max_lag) for a
+    (rows, C) block; index j of that axis holds lag j+1."""
+    n = z.shape[0]
+    return np.stack([z[max_lag - j : n - j] for j in range(1, max_lag + 1)], axis=-1)
 
 
 def ar_fit(y, max_p=DEFAULT_MAX_P, d=DEFAULT_D, criterion=DEFAULT_CRITERION):

@@ -29,6 +29,7 @@ from .panel import (
     MODES,
     FeaturePanel,
     _content_lines,
+    _decode_text,
     atomic_write_text,
     fuse,
     read_panel_csv,
@@ -134,6 +135,8 @@ MODEL_KEY_RULES = {
 def _set_key(config: dict, key: str, raw: str, origin: str) -> None:
     if key not in CONFIG_KEYS:
         raise CliError(f"{origin}: unknown config key {key!r}")
+    if "\n" in raw or "\r" in raw:  # the preamble holds each value on one line
+        raise CliError(f"{origin}: value for {key!r} holds a line break")
     parser, _ = CONFIG_KEYS[key]
     try:
         config[key] = parser(raw)
@@ -180,12 +183,12 @@ def config_echo_string(config: dict, extras: dict) -> str:
     return ";".join(parts)
 
 
-def _config_preamble(config: dict, extras: dict) -> str:
+def _config_preamble(config: dict, extras: dict) -> list[str]:
     # stripping the '# ' prefix from the predictions file yields a valid
     # config file again; derived values are kept behind a second '#'
-    lines = [f"{key} = {_echo_value(config[key])}" for key in CONFIG_KEYS]
-    lines.extend(f"# {key} = {_echo_value(value)}" for key, value in extras.items())
-    return "\n".join(lines)
+    lines = [f"# {key} = {_echo_value(config[key])}" for key in CONFIG_KEYS]
+    lines.extend(f"# # {key} = {_echo_value(value)}" for key, value in extras.items())
+    return lines
 
 
 def _synth_spec(values, prefix: str = "") -> SynthSpec:
@@ -273,7 +276,8 @@ def _run_forecast(config: dict, panel: FeaturePanel, y: np.ndarray, n_train: int
         if not result.retained:
             raise CliError("granger filter retained no indicator columns")
         names = result.retained
-    view = panel.select(list(names) + [panel.target_name])
+    # the fit reads tagged columns only, so the view tags just these
+    view = panel.with_tags({name: panel.tags[name] for name in [*names, panel.target_name]})
     model = pipeline_fit(view.row_slice(range(n_train)), pipeline_config)
     extras["k_selected"] = model.cluster.k
     lag = pipeline_config.lag
@@ -324,7 +328,7 @@ def cmd_run(args) -> int:
     report = evaluate(actual, forecast_raw, label=label, config_echo=echo)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    lines = [f"# {ln}" for ln in _config_preamble(config, extras).splitlines()]
+    lines = _config_preamble(config, extras)
     lines.append("date,actual,forecast_raw,forecast_normalized")
     for date, a, fr, fn in zip(test.dates, actual, forecast_raw, forecast_norm):
         lines.append(f"{date},{float(a)!r},{float(fr)!r},{float(fn)!r}")
@@ -403,9 +407,10 @@ def cmd_compare(args) -> int:
         raise CliError("compare pairs consecutive reports; give an even count")
     reports = []
     for path in args.reports:
+        with open(path, "rb") as fh:
+            text = _decode_text(path, fh.read())
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                reports.append(parse_report(fh.read()))
+            reports.append(parse_report(text))
         except ValueError as err:
             raise CliError(f"{path}: {err}") from None
 

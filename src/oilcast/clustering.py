@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import NumericalError
+from .numerics import NumericalError, one_blas_thread
 
 MAX_ITER = 300
 
@@ -80,6 +80,7 @@ def _repair_empty_clusters(dist: np.ndarray, labels: np.ndarray, k: int) -> np.n
     return labels
 
 
+@one_blas_thread()
 def kmeans_fit(series, k: int, seed: int = 0) -> ClusterModel:
     """Cluster series rows into ``k`` groups under correlation distance.
 
@@ -132,6 +133,7 @@ def kmeans_fit(series, k: int, seed: int = 0) -> ClusterModel:
     )
 
 
+@one_blas_thread()
 def elbow_select(series, k_range, seed: int = 0) -> tuple[int, dict[int, ClusterModel]]:
     """Pick k at the sharpest bend of the WCSS curve.
 

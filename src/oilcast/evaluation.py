@@ -140,7 +140,9 @@ def format_report(report: EvalReport) -> str:
 
 
 def parse_report(text: str) -> EvalReport:
-    lines = text.splitlines()
+    r"""The report in ``format_report``'s text; only ``\n`` ends a line, so a label
+    may hold any other character."""
+    lines = text.split("\n")
     fields: dict[str, tuple[int, str]] = {}  # key -> (line number, raw value)
     i = 0
     while i < len(lines) and lines[i].strip():

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import BLOCK_ROWS, NumericalError, sq_distances, sym_eig
+from .numerics import BLOCK_ROWS, NumericalError, one_blas_thread, sq_distances, sym_eig
 
 # Components with eigenvalue at or below EIGENVALUE_FLOOR_RATIO * lambda_max
 # are treated as numerical rank deficiency and never retained.
@@ -40,6 +40,10 @@ class DegenerateKernelError(NumericalError):
     """The centered kernel has no usable spectrum (e.g. duplicated samples)."""
 
 
+# the condition usable_width tests, as error messages state it
+_WIDTH_RULE = "positive, with 2 sigma^2 finite and non-zero"
+
+
 def usable_width(sigma) -> bool:
     """Whether ``sigma`` can be a Gaussian width: positive, with the kernel's
     scale 2 sigma^2 finite and non-zero in floating point."""
@@ -55,8 +59,7 @@ class GaussianKernel:
 
     def __post_init__(self):
         if not usable_width(self.sigma):
-            raise ValueError(f"Gaussian kernel width must be positive, with 2 sigma^2 "
-                             f"finite and non-zero, got {self.sigma}")
+            raise ValueError(f"Gaussian kernel width must be {_WIDTH_RULE}, got {self.sigma}")
 
     def __call__(self, x: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
         """Kernel values between the rows of x and of z (x itself when z is None)."""
@@ -218,6 +221,7 @@ class KpcaModel:
     n_components: int
 
 
+@one_blas_thread()
 def kpca_fit(x, kernel=None, n_components: int | None = None, theta: float | None = None,
              out=None) -> KpcaModel:
     """Fit KPCA on sample rows.
@@ -250,6 +254,7 @@ def kpca_fit(x, kernel=None, n_components: int | None = None, theta: float | Non
     # the fit's one n x n matrix: the Gram matrix, centered in place
     k, col_means, grand_mean = center_kernel(k)
     values, vectors, keep = _leading_components(k, n_components, theta)
+    del k  # freed before the coefficients are formed (unless it is the caller's ``out``)
 
     lam = values[:keep].copy()
     root = np.sqrt(lam)[None, :]
@@ -257,7 +262,8 @@ def kpca_fit(x, kernel=None, n_components: int | None = None, theta: float | Non
         x_train=x.copy(),
         kernel=kernel,
         eigenvalues=lam,
-        alphas=vectors[:, :keep] / root,
+        # column-major: kpca_transform's product, and its last bits, follow this layout
+        alphas=np.divide(vectors[:, :keep], root, order="F"),
         train_scores=vectors[:, :keep] * root,
         col_means=col_means,
         grand_mean=grand_mean,
@@ -321,6 +327,7 @@ def _leading_components(k_c: np.ndarray, n_components: int | None,
             count = min(2 * count, n)
 
 
+@one_blas_thread()
 def kpca_transform(model: KpcaModel, x) -> np.ndarray:
     """Project sample rows onto the retained components.
 

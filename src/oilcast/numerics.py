@@ -22,8 +22,9 @@ from scipy.sparse.linalg import ArpackError, eigsh
 SYMMETRY_ATOL = 1e-10
 
 # Rows per block of every whole-matrix pass that needs a temporary (the
-# finiteness and symmetry scans, the distance update, the median search), so
-# its scratch is BLOCK_ROWS x n entries, not another n x n matrix.
+# finiteness and symmetry scans, the distance update, the median search; and
+# columns per block of the eigenvector sign fix), so its scratch is
+# BLOCK_ROWS x n entries, not another n x n matrix.
 BLOCK_ROWS = 64
 
 # Below this order sym_eig always uses the full solver.
@@ -163,19 +164,20 @@ def sq_distances(x, z=None, out=None) -> np.ndarray:
     return sq
 
 
-def sym_eig(a, count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix.
+def sym_eig(a, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``count`` largest eigenpairs of a symmetric matrix.
 
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues sorted in
-    descending order and eigenvectors as matching columns, each unit-norm
-    with its largest-magnitude entry made positive (first such entry on
-    magnitude ties) so the decomposition is reproducible across runs.
+    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues in descending
+    order and eigenvectors as matching columns, each unit-norm with its
+    largest-magnitude entry made positive (first such entry on magnitude
+    ties) so the decomposition is reproducible across runs. Both are views
+    of the solver's ascending output, reversed, with the signs fixed in
+    place: nothing is copied.
 
-    With ``count``, only the ``count`` largest eigenpairs are returned. They
-    come from implicitly restarted Lanczos (ARPACK) started from a fixed
-    vector, so reruns are identical; the full solver serves the request
-    instead when ``count`` reaches half the order, the order is below
-    ``PARTIAL_MIN_ORDER`` or ARPACK fails.
+    The pairs come from implicitly restarted Lanczos (ARPACK) started from
+    a fixed vector, so reruns are identical; the full solver serves the
+    request instead when ``count`` reaches half the order, the order is
+    below ``PARTIAL_MIN_ORDER`` or ARPACK fails.
 
     Raises ``ValueError`` for non-square, non-finite or non-symmetric
     input and ``NumericalError`` if the eigensolver fails to converge.
@@ -183,10 +185,10 @@ def sym_eig(a, count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     a = _as_matrix(a, "sym_eig input")
     _check_symmetric(a, "sym_eig input")
     n = a.shape[0]
-    if count is not None and not 1 <= count <= n:
+    if not 1 <= count <= n:
         raise ValueError(f"eigenpair count must lie in [1, {n}], got {count}")
     pairs = None
-    if count is not None and 2 * count < n and n >= PARTIAL_MIN_ORDER:
+    if 2 * count < n and n >= PARTIAL_MIN_ORDER:
         pairs = _lanczos(a, count)
     if pairs is None:
         try:
@@ -194,11 +196,11 @@ def sym_eig(a, count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         except np.linalg.LinAlgError as err:
             raise NumericalError(f"eigendecomposition failed: {err}") from err
     values, vectors = pairs
-    order = np.argsort(values)[::-1][:count]
-    values = values[order]
-    vectors = vectors[:, order]
-    lead = np.argmax(np.abs(vectors), axis=0)
-    vectors *= np.where(vectors[lead, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
+    values, vectors = values[::-1][:count], vectors[:, ::-1][:, :count]
+    for start in range(0, count, BLOCK_ROWS):
+        block = vectors[:, start:start + BLOCK_ROWS]
+        lead = np.argmax(np.abs(block), axis=0)
+        block *= np.where(block[lead, np.arange(block.shape[1])] < 0, -1.0, 1.0)
     return values, vectors
 
 

@@ -11,7 +11,6 @@ calendar gaps is flagged with a warning rather than silently shifted.
 from __future__ import annotations
 
 import hashlib
-import io
 import math
 import os
 import re
@@ -19,7 +18,6 @@ import warnings
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
@@ -76,7 +74,9 @@ class FeaturePanel:
     read-only view of its column, in column order, and ``tags`` maps columns
     to their provenance. Dates are parsed into month indices once; slices
     carry them along. A row slice over a contiguous range is a view of the
-    parent's matrix; other row lists, ``select`` and ``matrix`` gather once.
+    parent's matrix; other row lists and ``matrix`` gather once. A panel is
+    narrowed to some of its columns by ``with_tags``: the stages read tagged
+    columns only.
     NaN entries are allowed only in pre-fuse fragments.
     """
 
@@ -102,7 +102,6 @@ class FeaturePanel:
         values.flags.writeable = False
         self._values, self._positions, self.dates, self._months, self.tags = (
             values, positions, dates, months, tags)
-        self._columns = None
         return self
 
     @classmethod
@@ -112,12 +111,8 @@ class FeaturePanel:
 
     @property
     def columns(self) -> Mapping[str, np.ndarray]:
-        """Read-only views of the columns by name, in column order."""
-        if self._columns is None:
-            self._columns = MappingProxyType(
-                {name: self._values[:, j] for name, j in self._positions.items()}
-            )
-        return self._columns
+        """Read-only views of the columns by name, in column order; a new dict per call."""
+        return {name: self._values[:, j] for name, j in self._positions.items()}
 
     @property
     def n_rows(self) -> int:
@@ -158,17 +153,6 @@ class FeaturePanel:
             _check_increasing(dates, self._months[rows])
         return FeaturePanel._share(self._values[rows], self._positions, dates,
                                    self._months[rows], dict(self.tags))
-
-    def select(self, names) -> FeaturePanel:
-        """Panel keeping only the named columns, in the given order."""
-        names = list(dict.fromkeys(names))
-        return FeaturePanel._share(
-            self.matrix(names),
-            {name: j for j, name in enumerate(names)},
-            list(self.dates),
-            self._months,
-            {n: self.tags[n] for n in names if n in self.tags},
-        )
 
     def with_tags(self, tags: dict[str, str]) -> FeaturePanel:
         """The same rows and columns under new tags; the matrix is shared."""
@@ -302,30 +286,33 @@ def atomic_write_text(path: str, text: str) -> None:
 _last_parse: dict = {}
 
 
-def _content_lines(path: str, data: bytes) -> list:
-    """(line number, line without its newline) for every line of ``data`` that is
-    neither blank nor a ``#`` comment.
+def _decode_text(path: str, data: bytes) -> str:
+    r"""The text of a file's bytes: UTF-8 without a leading byte-order mark,
+    with every line end (``\r\n``, a lone ``\r``) read as ``\n``, as text mode reads it.
 
-    The bytes are decoded under the rules of ``open(path, "r",
-    encoding="utf-8")``; a byte sequence that is not UTF-8 is rejected as
-    ``<path>: line N: not valid UTF-8``.
+    A byte sequence that is not UTF-8 is rejected as ``<path>: line N: not
+    valid UTF-8``.
     """
     try:
-        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
-            return [
-                (no, ln.rstrip("\n"))
-                for no, ln in enumerate(fh, start=1)
-                if ln.strip() and not ln.lstrip().startswith("#")
-            ]
-    except UnicodeDecodeError:
-        # the wrapper decodes in chunks, so its error holds no file offset
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as err:
-            head = data[: err.start]  # a newline byte is never part of a longer sequence
-            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-            raise ValueError(f"{path}: line {line}: not valid UTF-8") from None
-        raise
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        head = data[: err.start]  # a newline byte is never part of a longer sequence
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ValueError(f"{path}: line {line}: not valid UTF-8") from None
+    text = text.removeprefix("\ufeff")
+    if "\r" in text:  # the scan is far cheaper than a replace of "\r\n" that finds none
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def _content_lines(path: str, data: bytes) -> list:
+    """(line number, line) for every line of ``_decode_text(path, data)`` that
+    is neither blank nor a ``#`` comment."""
+    return [
+        (no, line)
+        for no, line in enumerate(_decode_text(path, data).split("\n"), start=1)
+        if line.strip() and not line.lstrip().startswith("#")
+    ]
 
 
 def _parse_once(path: str, parse) -> tuple:

@@ -19,7 +19,8 @@ from scipy.special import fdtrc
 
 from .baselines import _lag_matrix
 from .clustering import ClusterModel, elbow_select, kmeans_fit
-from .kpca import GaussianKernel, KpcaModel, kpca_fit, kpca_transform, usable_width
+from .kpca import (_WIDTH_RULE, GaussianKernel, KpcaModel, kpca_fit, kpca_transform,
+                   usable_width)
 from .numerics import one_blas_thread
 from .panel import FeaturePanel, NormalizationParams, normalize_fit, require_finite
 from .regressors import DEFAULT_C, DEFAULT_N_HIDDEN, REGRESSORS, regressor_fit, regressor_predict
@@ -113,7 +114,8 @@ def granger_filter(panel: FeaturePanel, candidates, max_lag: int = DEFAULT_MAX_L
     if target is None:
         raise ValueError("panel has no target column")
     candidates = list(candidates)
-    unknown = [c for c in candidates if c not in panel.columns]
+    columns = panel.columns
+    unknown = [c for c in candidates if c not in columns]
     if unknown:
         raise ValueError(f"unknown candidate columns: {unknown}")
     if target in candidates:
@@ -143,9 +145,8 @@ def granger_filter(panel: FeaturePanel, candidates, max_lag: int = DEFAULT_MAX_L
         sse_r[:] = e_r @ e_r
         step = max(1, _BLOCK_DOUBLES // (t * max_lag))
         for lo in range(0, len(candidates), step):
-            block = values[:, 1 + lo : 1 + lo + step]
             # lags[:, c, j] is lag j + 1 of the block's candidate c
-            lags = np.stack([block[max_lag - j : n - j] for j in range(1, max_lag + 1)], axis=2)
+            lags = _lag_matrix(values[:, 1 + lo : 1 + lo + step], max_lag)
             flat = lags.reshape(t, -1)
             raw_norms = np.linalg.norm(np.linalg.norm(flat, axis=0).reshape(-1, max_lag), axis=1)
             flat -= q @ (q.T @ flat)  # the projected lags, in place
@@ -191,16 +192,14 @@ def at_least(low: int):
     return (lambda value: value >= low), f">= {low}"
 
 
-_POSITIVE = "positive and finite"
-
 # PipelineConfig field -> (test of a set value, the rule it states); the CLI
 # applies the same rules to its model keys before reading any data
 CONFIG_RULES = {
     **dict.fromkeys(("k", "n_components", "n_hidden", "lag"), at_least(1)),
     "seed": at_least(0),
     "theta": ((lambda value: 0.0 < value <= 1.0), "in (0, 1]"),
-    "sigma": (usable_width, _POSITIVE),
-    "c": ((lambda value: np.isfinite(value) and value > 0), _POSITIVE),
+    "sigma": (usable_width, _WIDTH_RULE),
+    "c": ((lambda value: np.isfinite(value) and value > 0), "positive and finite"),
 }
 
 

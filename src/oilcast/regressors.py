@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import expit
 
 from .kpca import GaussianKernel, LinearKernel, gaussian_gram
-from .numerics import ridge_pinv, solve_spd
+from .numerics import one_blas_thread, ridge_pinv, solve_spd
 
 DEFAULT_C = 100.0
 DEFAULT_N_HIDDEN = 100
@@ -54,6 +54,7 @@ class ElmModel:
     beta: np.ndarray  # (L,) or (L, m) output weights
 
 
+@one_blas_thread()
 def elm_fit(x, y, n_hidden: int = DEFAULT_N_HIDDEN, c: float = DEFAULT_C, seed: int = 0) -> ElmModel:
     """Fit an ELM: seeded uniform [-1, 1] hidden layer, sigmoid features,
     output weights via the ridge pseudoinverse. Deterministic given seed."""
@@ -70,6 +71,7 @@ def elm_fit(x, y, n_hidden: int = DEFAULT_N_HIDDEN, c: float = DEFAULT_C, seed: 
     return ElmModel(weights=weights, biases=biases, beta=beta)
 
 
+@one_blas_thread()
 def elm_predict(model: ElmModel, x) -> np.ndarray:
     """Apply the fixed hidden layer and output weights to sample rows."""
     rows = _as_eval_rows(x, model.weights.shape[1])
@@ -83,6 +85,7 @@ class KelmModel:
     alpha: np.ndarray  # (N,) or (N, m) dual coefficients
 
 
+@one_blas_thread()
 def kelm_fit(x, y, c: float = DEFAULT_C, sigma: float | None = None, kernel=None) -> KelmModel:
     """Fit a KELM: solve (I/C + Omega) A = Y on the raw (uncentered)
     training kernel matrix.
@@ -105,6 +108,7 @@ def kelm_fit(x, y, c: float = DEFAULT_C, sigma: float | None = None, kernel=None
     return KelmModel(x_train=x.copy(), kernel=kernel, alpha=alpha)
 
 
+@one_blas_thread()
 def kelm_predict(model: KelmModel, x) -> np.ndarray:
     """Kernel rows against the training inputs times the dual coefficients."""
     rows = _as_eval_rows(x, model.x_train.shape[1])

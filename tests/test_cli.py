@@ -431,7 +431,9 @@ class TestRunOutputs:
 
     def test_series_count_truncating_the_elbow_named(self, tmp_path, capsys):
         panel, _, _ = synth_generate(SynthSpec(seed=7))
-        pair = panel.select(["f0s0", "f1s0", "price"])
+        names = ["f0s0", "f1s0", "price"]
+        pair = FeaturePanel(dates=panel.dates, columns={n: panel.columns[n] for n in names},
+                            tags={n: panel.tags[n] for n in names})
         write_panel_csv(pair, str(tmp_path / "p.csv"))
         write_tags_csv(pair.tags, str(tmp_path / "p.tags.csv"))
         conf = write_config(tmp_path / "c.conf", synth_seed="", panel=str(tmp_path / "p.csv"),
@@ -513,12 +515,12 @@ class TestRunOutputs:
         [
             ("ar", "k", "0", ">= 1"),
             ("ar", "c", "-1", "positive and finite"),
-            ("ar", "sigma", "nan", "positive and finite"),
+            ("ar", "sigma", "nan", "positive, with 2 sigma^2 finite and non-zero"),
             ("ar", "theta", "nan", "in (0, 1]"),
             ("ar", "n_components", "0", ">= 1"),
             ("ar", "seed", "-1", ">= 0"),
             ("elm", "k", "0", ">= 1"),
-            ("elm", "sigma", "-1", "positive and finite"),
+            ("elm", "sigma", "-1", "positive, with 2 sigma^2 finite and non-zero"),
             ("elm", "lag", "0", ">= 1"),
         ],
     )
@@ -544,7 +546,8 @@ class TestRunOutputs:
              "--set", f"method={method}", "--set", f"sigma={value}", "--out-dir", str(out)],
             capsys)
         assert (code, stdout) == (1, "")
-        assert err == f"error: sigma must be positive and finite, got {float(value)!r}\n"
+        assert err == (f"error: sigma must be positive, with 2 sigma^2 finite and non-zero, "
+                       f"got {float(value)!r}\n")
         assert not out.exists()
 
     def test_unknown_mode_rejected(self, tmp_path, capsys):
@@ -704,6 +707,99 @@ class TestMalformedInputProperty:
         assert re.fullmatch(rf"error: {re.escape(path)}: line {line}: [^\n]+\n", err.getvalue())
         assert not (work / "out").exists()
 
+
+
+def quiet_main(argv):
+    """``main(argv)`` with its stdout and stderr captured: (code, out, err)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_args(method, label, out_dir):
+    return ["run", "--set", "synth_seed=0", "--set", "split=2017-12", "--set", f"method={method}",
+            "--set", f"label={label}", "--out-dir", str(out_dir)]
+
+
+# what a --set value can hold: any text without a line break or a lone surrogate
+LABELS = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\n\r"),
+                 max_size=12)
+
+
+class TestTextInput:
+    """Config, panel, tags and report files are decoded by one rule."""
+
+    @pytest.mark.parametrize("name", ["c.conf", "p.csv", "p.tags.csv"])
+    def test_byte_order_mark_is_skipped(self, name, tmp_path, capsys):
+        run_cli(["synth", "--seed", "0", "--out", str(tmp_path / "p")], capsys)
+        (tmp_path / "c.conf").write_text(f"panel = {tmp_path / 'p.csv'}\nsplit = 2017-12\n"
+                                         f"method = ar\n")
+        argv = ["run", "--config", str(tmp_path / "c.conf"), "--out-dir", str(tmp_path / "plain")]
+        assert run_cli(argv, capsys)[0] == 0
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        argv[-1] = str(tmp_path / "bom")
+        code, _, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        for output in ("predictions.csv", "metrics.txt"):
+            assert (tmp_path / "bom" / output).read_bytes() == (tmp_path / "plain" / output).read_bytes()
+
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n"], ids=["LF", "CR", "CRLF"])
+    def test_line_break_in_a_set_value_rejected(self, brk, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(run_args("naive", f"a{brk}b", out), capsys)
+        assert (code, stdout) == (1, "")
+        assert err == "error: --set label: value for 'label' holds a line break\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mark", ["\u2028", "\x0c", "\x85"], ids=["U+2028", "FF", "NEL"])
+    def test_label_holding_a_unicode_line_break_compares(self, mark, tmp_path, capsys):
+        label = f"a{mark}b"
+        for method in ("ar", "naive"):
+            assert run_cli(run_args(method, label, tmp_path / method), capsys)[0] == 0
+        code, stdout, err = run_cli(["compare", str(tmp_path / "ar" / "metrics.txt"),
+                                     str(tmp_path / "naive" / "metrics.txt"),
+                                     "--out", str(tmp_path / "ir.csv")], capsys)
+        assert (code, err) == (0, "")
+        assert stdout.split("\n")[1].startswith(f"{label} vs {label},")
+        predictions = (tmp_path / "ar" / "predictions.csv").read_text(encoding="utf-8")
+        assert f"\n# label = {label}\n# " in predictions  # one preamble line
+
+    def test_non_utf8_report_named_by_file_and_line(self, tmp_path, capsys):
+        good = write_report(tmp_path / "a.txt", "m1", 5.0, 2.0, 75.0)
+        bad = tmp_path / "m.txt"
+        write_report(bad, "m2", 5.0, 2.0, 75.0)
+        bad.write_bytes(bad.read_bytes().replace(b"mae = 1.0", b"mae = 1.0\xff"))
+        code, out, err = run_cli(["compare", good, str(bad), "--out", str(tmp_path / "o.csv")],
+                                 capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {bad}: line 5: not valid UTF-8\n"
+
+    @settings(max_examples=10, deadline=None)
+    @given(label=LABELS)
+    def test_any_label_reruns_from_its_preamble_and_compares(self, tmp_path_factory, label):
+        """Stripping '# ' from predictions.csv gives a config that re-runs to the
+        same bytes, and compare reads the report back, whatever the label."""
+        work = tmp_path_factory.mktemp("label")
+        for method in ("ar", "naive"):
+            code, _, err = quiet_main(run_args(method, label, work / method))
+            assert (code, err) == (0, "")
+        first = (work / "ar" / "predictions.csv").read_bytes()
+        (work / "redo.conf").write_bytes(
+            b"".join(ln[2:] + b"\n" for ln in first.split(b"\n") if ln.startswith(b"# ")))
+        code, _, err = quiet_main(["run", "--config", str(work / "redo.conf"),
+                                   "--out-dir", str(work / "redo")])
+        assert (code, err) == (0, "")
+        assert (work / "redo" / "predictions.csv").read_bytes() == first
+
+        code, stdout, err = quiet_main(["compare", str(work / "ar" / "metrics.txt"),
+                                        str(work / "naive" / "metrics.txt"),
+                                        "--out", str(work / "ir.csv")])
+        assert (code, err) == (0, "")
+        shown = label.strip()
+        pair = (f"{shown} vs {shown}" if shown else "ar:H vs naive:H")
+        assert stdout.split("\n")[1].startswith(f"{pair},")
 
 def write_report(path, label, mape, rmse, da, n=12, echo="src=test"):
     path.write_text(

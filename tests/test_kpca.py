@@ -177,7 +177,8 @@ class TestMedianHeuristic:
 
 
 class TestPeakMemory:
-    """One n x n matrix per fit: each peak stays below 1.5 n^2 doubles."""
+    """One n x n matrix per fit: each peak stays below 1.5 n^2 doubles, and
+    below 2.5 on the full eigensolver's path."""
 
     N = 600
 
@@ -203,6 +204,12 @@ class TestPeakMemory:
     def test_kpca_fit_partial_eigensolve(self):
         x, _ = self.data()
         assert self.peak_in_matrices(lambda: kpca_fit(x, n_components=3)) < 1.5
+
+    def test_kpca_fit_full_eigensolve(self):
+        # n/2 pairs take eigh: the Gram matrix, then eigh's eigenvectors, which
+        # sym_eig returns as a reversed view and kpca_fit reads after the Gram is freed
+        x, _ = self.data()
+        assert self.peak_in_matrices(lambda: kpca_fit(x, n_components=self.N // 2)) < 2.5
 
     def test_kelm_fit(self):
         x, y = self.data()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from oilcast import cli, numerics, pipeline
+from oilcast import cli, clustering, kpca, numerics, pipeline, regressors
 from oilcast.numerics import (
     NotPositiveDefiniteError,
     NumericalError,
@@ -87,14 +87,14 @@ class TestRidgeGramSymmetry:
 class TestSymEig:
     def test_two_by_two_hand_values(self):
         # [[2, 1], [1, 2]] has eigenpairs (3, [1, 1]/sqrt(2)) and (1, [1, -1]/sqrt(2)).
-        values, vectors = sym_eig([[2.0, 1.0], [1.0, 2.0]])
+        values, vectors = sym_eig([[2.0, 1.0], [1.0, 2.0]], 2)
         np.testing.assert_allclose(values, [3.0, 1.0], atol=1e-12)
         s = 1.0 / np.sqrt(2.0)
         np.testing.assert_allclose(vectors[:, 0], [s, s], atol=1e-12)
         np.testing.assert_allclose(vectors[:, 1], [s, -s], atol=1e-12)
 
     def test_identity_gives_unit_eigenvalues_and_orthonormal_basis(self):
-        values, vectors = sym_eig(np.eye(4))
+        values, vectors = sym_eig(np.eye(4), 4)
         np.testing.assert_allclose(values, np.ones(4), atol=1e-12)
         np.testing.assert_allclose(vectors.T @ vectors, np.eye(4), atol=1e-12)
 
@@ -104,7 +104,7 @@ class TestSymEig:
             n = int(rng.integers(2, 9))
             raw = rng.standard_normal((n, n))
             a = (raw + raw.T) / 2.0
-            values, vectors = sym_eig(a)
+            values, vectors = sym_eig(a, n)
             recon = vectors @ np.diag(values) @ vectors.T
             np.testing.assert_allclose(recon, a, atol=1e-8)
             assert np.all(np.diff(values) <= 1e-12), "eigenvalues not descending"
@@ -115,7 +115,7 @@ class TestSymEig:
 
     def test_rejects_non_symmetric_with_index_pair(self):
         with pytest.raises(ValueError, match=r"A\[0,1\]"):
-            sym_eig([[1.0, 2.0], [1.0, 1.0]])
+            sym_eig([[1.0, 2.0], [1.0, 1.0]], 2)
 
     # 256 rows exceed every order drawn here, so that case scans one block
     @pytest.mark.parametrize("block", [1, 3, 7, 256])
@@ -143,9 +143,9 @@ class TestSymEig:
 
     def test_rejects_non_square_and_non_finite(self):
         with pytest.raises(ValueError, match="square"):
-            sym_eig(np.ones((2, 3)))
+            sym_eig(np.ones((2, 3)), 2)
         with pytest.raises(ValueError, match="finite"):
-            sym_eig([[np.nan, 0.0], [0.0, 1.0]])
+            sym_eig([[np.nan, 0.0], [0.0, 1.0]], 2)
 
 
 class TestPartialSymEig:
@@ -153,7 +153,7 @@ class TestPartialSymEig:
     def test_leading_pairs_match_full_solver(self, n, count):
         a = centered_gaussian_gram(n, 6, seed=n)
         values, vectors = sym_eig(a, count)
-        full_values, full_vectors = sym_eig(a)
+        full_values, full_vectors = sym_eig(a, n)
         assert values.shape == (count,) and vectors.shape == (n, count)
         np.testing.assert_allclose(values, full_values[:count], rtol=1e-12, atol=0)
         np.testing.assert_allclose(vectors, full_vectors[:, :count], rtol=0, atol=1e-10)
@@ -169,7 +169,7 @@ class TestPartialSymEig:
 
     def test_half_the_order_uses_the_full_solver(self, monkeypatch):
         a = centered_gaussian_gram(20, 3, seed=4)
-        expected = sym_eig(a)
+        expected = sym_eig(a, 20)
         monkeypatch.setattr(numerics, "eigsh", no_lanczos)
         values, vectors = sym_eig(a, 10)
         assert np.array_equal(values, expected[0][:10])
@@ -177,7 +177,7 @@ class TestPartialSymEig:
 
     def test_small_order_uses_the_full_solver(self, monkeypatch):
         a = centered_gaussian_gram(7, 2, seed=5)
-        expected = sym_eig(a)
+        expected = sym_eig(a, 7)
         monkeypatch.setattr(numerics, "eigsh", no_lanczos)
         values, vectors = sym_eig(a, 1)
         assert np.array_equal(values, expected[0][:1])
@@ -343,7 +343,9 @@ class TestOneBlasThread:
         assert thread_counts(controls) == before
 
     @pytest.mark.parametrize("entry", ["pipeline_fit", "pipeline_predict", "main",
-                                       "granger_filter"])
+                                       "granger_filter", "kmeans_fit", "elbow_select",
+                                       "kpca_fit", "kpca_transform", "elm_fit", "elm_predict",
+                                       "kelm_fit", "kelm_predict"])
     def test_entry_points_run_at_one_thread_and_restore(self, entry, blas, monkeypatch):
         seen = []
 
@@ -352,6 +354,22 @@ class TestOneBlasThread:
             raise ValueError("probe")
 
         panel, _, _ = synth_generate(SynthSpec(seed=0, months=48))
+        x = panel.matrix(panel.indicator_names("H"))
+        y = panel.columns["price"]
+        # a library stage called directly: (module, the helper it calls first, the call)
+        stages = {
+            "kmeans_fit": (clustering, "_standardized_rows", lambda: clustering.kmeans_fit(x.T, 2)),
+            "elbow_select": (clustering, "kmeans_fit",
+                             lambda: clustering.elbow_select(x.T, range(1, 4))),
+            "kpca_fit": (kpca, "_as_samples", lambda: kpca.kpca_fit(x)),
+            "kpca_transform": (kpca, "_as_samples", lambda: kpca.kpca_transform(None, x)),
+            "elm_fit": (regressors, "_as_xy", lambda: regressors.elm_fit(x, y)),
+            "elm_predict": (regressors, "_as_eval_rows",
+                            lambda: regressors.elm_predict(SimpleNamespace(weights=x), x)),
+            "kelm_fit": (regressors, "_as_xy", lambda: regressors.kelm_fit(x, y)),
+            "kelm_predict": (regressors, "_as_eval_rows",
+                             lambda: regressors.kelm_predict(SimpleNamespace(x_train=x), x)),
+        }
         before = thread_counts(blas)
         if entry == "pipeline_fit":
             monkeypatch.setattr(pipeline, "normalize_fit", probe)
@@ -365,10 +383,15 @@ class TestOneBlasThread:
         elif entry == "main":
             monkeypatch.setattr(cli, "cmd_synth", probe)
             assert cli.main(["synth", "--out", "unused"]) == 1  # handled, so main returns
-        else:
+        elif entry == "granger_filter":
             monkeypatch.setattr(pipeline, "require_finite", probe)
             with pytest.raises(ValueError, match="probe"):
                 pipeline.granger_filter(panel, panel.indicator_names("H"))
+        else:
+            module, helper, call = stages[entry]
+            monkeypatch.setattr(module, helper, probe)
+            with pytest.raises(ValueError, match="probe"):
+                call()
         assert seen == [[1] * len(blas)]
         assert thread_counts(blas) == before
 

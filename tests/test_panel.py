@@ -96,7 +96,8 @@ class TestSlicing:
                           (slice(start, stop), list(range(start, stop))),
                           (picked, picked)):
             part = panel.row_slice(rows)
-            narrow = part.select(chosen)
+            narrow = FeaturePanel(dates=part.dates, columns={n: part.columns[n] for n in chosen},
+                                  tags={n: part.tags[n] for n in chosen})
             got = narrow.matrix(chosen)
             expected = np.column_stack([panel.columns[n][idx] for n in chosen])
             assert got.shape == expected.shape and got.tobytes() == expected.tobytes()

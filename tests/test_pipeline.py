@@ -351,8 +351,8 @@ class TestPipelineConfig:
         [
             ("c", np.nan, "positive and finite"),
             ("c", np.inf, "positive and finite"),
-            ("sigma", 0.0, "positive and finite"),
-            ("sigma", -1.0, "positive and finite"),
+            ("sigma", 0.0, "positive, with 2 sigma^2 finite and non-zero"),
+            ("sigma", -1.0, "positive, with 2 sigma^2 finite and non-zero"),
             ("n_components", 0, ">= 1"),
             ("theta", np.nan, "in (0, 1]"),
             ("theta", 1.5, "in (0, 1]"),
@@ -550,7 +550,10 @@ class TestPipelineFit:
         train = panel.row_slice(range(168))
         model = pipeline_fit(train, PipelineConfig(k=3, theta=0.95, seed=5))
         rows = panel.row_slice(range(170, 175))
-        crippled = rows.select([n for n in rows.columns if n != "f0s0"])
+        crippled = FeaturePanel(
+            dates=rows.dates,
+            columns={n: column for n, column in rows.columns.items() if n != "f0s0"},
+            tags={n: tag for n, tag in rows.tags.items() if n != "f0s0"})
         with pytest.raises(ValueError, match="f0s0"):
             pipeline_predict(model, crippled)
 
