@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import finite_array
+
 CRITERIA = ("aic", "sc")
 
 # the defaults of ar_fit and univariate_lag_features, which the CLI's keys echo
@@ -20,14 +22,10 @@ DEFAULT_CRITERION = "aic"
 DEFAULT_LAGS = 12
 
 
-def _as_series(y, min_len, name="series"):
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1:
-        raise ValueError(f"{name} must be 1-dimensional, got shape {y.shape}")
+def _as_series(y, min_len, name="y"):
+    y = finite_array(y, name, 1)
     if y.size < min_len:
         raise ValueError(f"{name} has {y.size} observations, need at least {min_len}")
-    if not np.all(np.isfinite(y)):
-        raise ValueError(f"{name} contains non-finite values")
     return y
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 import warnings
 from dataclasses import fields
@@ -178,9 +179,11 @@ def _echo_value(value) -> str:
 
 
 def config_echo_string(config: dict, extras: dict) -> str:
-    parts = [f"{key}={_echo_value(config[key])}" for key in CONFIG_KEYS]
-    parts.extend(f"{key}={_echo_value(value)}" for key, value in extras.items())
-    return ";".join(parts)
+    r"""``key=value`` for every key, joined by ``;``; a value's ``\`` is written
+    ``\\`` and its ``;`` ``\;``, which ``_echo_fields`` undoes."""
+    items = [*((key, config[key]) for key in CONFIG_KEYS), *extras.items()]
+    return ";".join(key + "=" + _echo_value(value).replace("\\", "\\\\").replace(";", "\\;")
+                    for key, value in items)
 
 
 def _config_preamble(config: dict, extras: dict) -> list[str]:
@@ -387,13 +390,13 @@ def cmd_synth(args) -> int:
     return 0
 
 
+# one config_echo field: key=value up to the next ';' that no '\' escapes
+_ECHO_FIELD = re.compile(r"([^;=\\]*)=((?:[^;\\]+|\\.)*)")
+
+
 def _echo_fields(report) -> dict:
-    echo = {}
-    for part in report.config_echo.split(";"):
-        if "=" in part:
-            key, _, value = part.partition("=")
-            echo[key] = value
-    return echo
+    return {key: re.sub(r"\\(.)", r"\1", value) if "\\" in value else value
+            for key, value in _ECHO_FIELD.findall(report.config_echo)}
 
 
 # pairing -> (echo field a pair shares, echo field that differs within it)

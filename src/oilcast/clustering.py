@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import NumericalError, one_blas_thread
+from .numerics import NumericalError, finite_array, one_blas_thread
 
 MAX_ITER = 300
 
@@ -80,6 +80,14 @@ def _repair_empty_clusters(dist: np.ndarray, labels: np.ndarray, k: int) -> np.n
     return labels
 
 
+def _checked_series(series) -> tuple[np.ndarray, np.ndarray]:
+    """The checked series matrix and its standardized rows."""
+    series = finite_array(series, "series", 2)
+    if series.shape[1] < 2:
+        raise ValueError("series need at least 2 observations for correlation distance")
+    return series, _standardized_rows(series, "series")
+
+
 @one_blas_thread()
 def kmeans_fit(series, k: int, seed: int = 0) -> ClusterModel:
     """Cluster series rows into ``k`` groups under correlation distance.
@@ -91,18 +99,14 @@ def kmeans_fit(series, k: int, seed: int = 0) -> ClusterModel:
     repeats the previous labels (the centroids, being member means, then
     repeat too) or after ``MAX_ITER`` passes. Deterministic for a given seed.
     """
-    series = np.asarray(series, dtype=float)
-    if series.ndim != 2:
-        raise ValueError(f"series matrix must be 2-D, got shape {series.shape}")
-    n, d = series.shape
-    if d < 2:
-        raise ValueError("series need at least 2 observations for correlation distance")
+    return _kmeans(*_checked_series(series), k, seed)
+
+
+def _kmeans(series: np.ndarray, series_std: np.ndarray, k: int, seed: int) -> ClusterModel:
+    """``kmeans_fit`` of series checked by ``_checked_series``, with their standardized rows."""
+    n = series.shape[0]
     if not (1 <= k <= n):
         raise ValueError(f"k must lie in [1, {n}], got {k}")
-    if not np.all(np.isfinite(series)):
-        raise ValueError("series matrix contains non-finite values")
-    series_std = _standardized_rows(series, "series")
-
     rng = np.random.default_rng(seed)
     centroids = series[rng.choice(n, size=k, replace=False)].copy()
 
@@ -137,16 +141,18 @@ def kmeans_fit(series, k: int, seed: int = 0) -> ClusterModel:
 def elbow_select(series, k_range, seed: int = 0) -> tuple[int, dict[int, ClusterModel]]:
     """Pick k at the sharpest bend of the WCSS curve.
 
-    Runs ``kmeans_fit`` once for every k in ``k_range`` (ascending, at
-    least 3 distinct values) and returns the interior k maximizing the
+    Makes the fit ``kmeans_fit`` makes for every k in ``k_range``
+    (ascending, at least 3 distinct values), checking and standardizing the
+    series once for all of them, and returns the interior k maximizing the
     second difference ``wcss(prev) - 2 wcss(k) + wcss(next)``, together
-    with every fit by k. A flat curve has no elbow; the smallest interior
-    k is returned with a warning.
+    with every fit by k. A flat curve has no elbow; the smallest interior k
+    is returned with a warning.
     """
     ks = sorted(set(int(k) for k in np.atleast_1d(k_range)))
     if len(ks) < 3:
         raise ValueError(f"k_range needs at least 3 distinct values, got {ks}")
-    fits = {k: kmeans_fit(series, k, seed=seed) for k in ks}
+    series, series_std = _checked_series(series)
+    fits = {k: _kmeans(series, series_std, k, seed) for k in ks}
     return _pick_elbow(ks, [fits[k].wcss for k in ks]), fits
 
 

@@ -14,16 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import finite_array
+
 
 def _as_pair(y, yhat, min_len: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    y = np.asarray(y, dtype=float)
-    yhat = np.asarray(yhat, dtype=float)
-    if y.ndim != 1 or yhat.ndim != 1 or y.shape != yhat.shape:
-        raise ValueError(f"series must be 1-D and equal length, got {y.shape} and {yhat.shape}")
+    y, yhat = finite_array(y, "y", 1), finite_array(yhat, "yhat", 1)
+    if y.shape != yhat.shape:
+        raise ValueError(f"y and yhat must be equal length, got {y.shape} and {yhat.shape}")
     if y.size < min_len:
         raise ValueError(f"need at least {min_len} points, got {y.size}")
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(yhat))):
-        raise ValueError("metric input contains non-finite values")
     return y, yhat
 
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import BLOCK_ROWS, NumericalError, one_blas_thread, sq_distances, sym_eig
+from .numerics import (BLOCK_ROWS, NumericalError, _eigenpairs, finite_array, one_blas_thread,
+                       sq_distances, sym_eig)
 
 # Components with eigenvalue at or below EIGENVALUE_FLOOR_RATIO * lambda_max
 # are treated as numerical rank deficiency and never retained.
@@ -172,20 +173,13 @@ def gaussian_gram(x, sigma: float | None = None, out=None) -> tuple[np.ndarray, 
 
     ``sigma`` None takes the median heuristic of the same distances, so one
     distance matrix serves both and becomes the Gram matrix in place: in
-    ``out``, when given, an n x n float64 array.
+    ``out``, when given, an n x n float64 array. ``x`` is not checked here:
+    it must be a finite 2-D float array, as ``kpca_fit`` and ``kelm_fit``
+    have made sure before they call this.
     """
-    sq = sq_distances(_as_samples(x, "gaussian_gram input"), out=out)
+    sq = sq_distances(x, out=out)
     kernel = GaussianKernel(_median_distance(sq) if sigma is None else sigma)
     return kernel.of_sq_distances(sq), kernel
-
-
-def _as_samples(x, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"{name} must be 2-D (samples as rows), got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} contains non-finite values")
-    return x
 
 
 def center_kernel(k) -> tuple[np.ndarray, np.ndarray, float]:
@@ -196,7 +190,7 @@ def center_kernel(k) -> tuple[np.ndarray, np.ndarray, float]:
     ``k_centered`` is ``k`` itself, overwritten, when ``k`` is a float64
     array, and a centered copy of any other input. Symmetry is not checked
     here: centering changes ``k[i, j] - k[j, i]`` by rounding only, and
-    ``sym_eig`` checks the centered matrix.
+    the fit checks the centered matrix.
     """
     k = np.asarray(k, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
@@ -235,7 +229,7 @@ def kpca_fit(x, kernel=None, n_components: int | None = None, theta: float | Non
     an n x n float64 array the fit overwrites and does not keep.
     Raises ``DegenerateKernelError`` when no eigenvalue clears the floor.
     """
-    x = _as_samples(x, "kpca_fit input")
+    x = finite_array(x, "x", 2)
     n = x.shape[0]
     if n < 2:
         raise ValueError(f"kpca_fit needs at least 2 samples, got {n}")
@@ -292,6 +286,8 @@ def _leading_components(k_c: np.ndarray, n_components: int | None,
     floor, so ``tol`` below bounds the change to any share. When a share
     lies within ``tol`` of theta, or the floor comes before theta, the full
     spectrum is computed and the usable sum decides, as it always did.
+    The first request's ``sym_eig`` checks ``k_c``; the wider ones reuse it
+    unchecked.
     """
     if n_components is not None:
         values, vectors = sym_eig(k_c, n_components)
@@ -308,8 +304,8 @@ def _leading_components(k_c: np.ndarray, n_components: int | None,
     target = theta - 1e-12
     trace = float(np.trace(k_c))
     count = min(FIRST_REQUEST, n)
+    values, vectors = sym_eig(k_c, count)
     while True:
-        values, vectors = sym_eig(k_c, count)
         usable, _ = _usable_count(values)
         spectrum = values[:usable]
         if count == n:
@@ -325,6 +321,7 @@ def _leading_components(k_c: np.ndarray, n_components: int | None,
             count = n
         else:
             count = min(2 * count, n)
+        values, vectors = _eigenpairs(k_c, count)
 
 
 @one_blas_thread()
@@ -335,7 +332,7 @@ def kpca_transform(model: KpcaModel, x) -> np.ndarray:
     are centered with the stored training statistics before applying the
     coefficient columns.
     """
-    rows = _as_samples(x, "kpca_transform input")
+    rows = finite_array(x, "x", 2)
     if rows.shape[1] != model.x_train.shape[1]:
         raise ValueError(
             f"sample dimension {rows.shape[1]} does not match training dimension "

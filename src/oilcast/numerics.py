@@ -2,7 +2,8 @@
 
 Thin wrappers around LAPACK and ARPACK that enforce input contracts
 (symmetry, positive definiteness, finiteness) instead of silently returning
-garbage, plus the one squared-distance computation every kernel uses, and
+garbage, plus ``finite_array``, the one array check every stage runs on its
+inputs, the one squared-distance computation every kernel uses, and
 ``one_blas_thread``, which runs a call with OpenBLAS at one thread.
 Matrices are float64 numpy arrays; samples/equations are rows.
 """
@@ -105,25 +106,51 @@ class NotPositiveDefiniteError(NumericalError):
         )
 
 
-def _as_matrix(a, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+def finite_array(x, name: str, ndim: int) -> np.ndarray:
+    """``x`` as a float64 array of ``ndim`` dimensions holding finite values only.
+
+    Raises ``ValueError`` naming ``name`` otherwise. A matrix is scanned
+    ``BLOCK_ROWS`` rows at a time, so an n x n input needs no n x n
+    temporary; a vector in one pass. Every entry point that takes an array
+    checks it with this; what a stage builds from checked arrays goes to the
+    next stage unchecked.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got shape {x.shape}")
+    step = BLOCK_ROWS if ndim > 1 else max(x.shape[0], 1)
+    for start in range(0, x.shape[0], step):
+        if not np.isfinite(x[start:start + step]).all():
+            raise ValueError(f"{name} contains non-finite values")
+    return x
+
+
+def _symmetric(a, name: str) -> np.ndarray:
+    """``a`` as a finite, square and symmetric float64 matrix."""
+    a = finite_array(a, name, 2)
+    if a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
-    for start in range(0, a.shape[0], BLOCK_ROWS):
-        if not np.isfinite(a[start:start + BLOCK_ROWS]).all():
-            raise ValueError(f"{name} contains non-finite entries")
+    _check_symmetric(a, name)
     return a
 
 
 def _check_symmetric(a: np.ndarray, name: str) -> None:
     # |A - A'| is symmetric with a zero diagonal, so its first maximum in
     # row-major order lies in the upper triangle: scanning row blocks of
-    # columns from the block's first row on finds it, first block first
+    # columns from the block's first row on finds it, first block first.
+    # Each gap block is formed in one reused scratch block: A' copied in, then
+    # A subtracted, which numpy reads through a buffer of its own no larger
+    # than the block; half of BLOCK_ROWS rows keeps the two within one
+    # BLOCK_ROWS x n block
     n = a.shape[0]
+    rows = max(BLOCK_ROWS // 2, 1)
+    scratch = np.empty(min(rows, n) * n)
     worst, at = 0.0, (0, 0)
-    for start in range(0, n, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, n)
-        gap = a[start:stop, start:] - a[start:, start:stop].T
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        gap = scratch[: (stop - start) * (n - start)].reshape(stop - start, n - start)
+        np.copyto(gap, a[start:, start:stop].T)
+        gap -= a[start:stop, start:]  # A' - A: the magnitudes of A - A', exactly
         np.abs(gap, out=gap)
         r, c = np.unravel_index(int(np.argmax(gap)), gap.shape)
         if gap[r, c] > worst:
@@ -182,8 +209,11 @@ def sym_eig(a, count: int) -> tuple[np.ndarray, np.ndarray]:
     Raises ``ValueError`` for non-square, non-finite or non-symmetric
     input and ``NumericalError`` if the eigensolver fails to converge.
     """
-    a = _as_matrix(a, "sym_eig input")
-    _check_symmetric(a, "sym_eig input")
+    return _eigenpairs(_symmetric(a, "a"), count)
+
+
+def _eigenpairs(a: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``sym_eig`` of a matrix already checked by ``_symmetric``."""
     n = a.shape[0]
     if not 1 <= count <= n:
         raise ValueError(f"eigenpair count must lie in [1, {n}], got {count}")
@@ -197,11 +227,29 @@ def sym_eig(a, count: int) -> tuple[np.ndarray, np.ndarray]:
             raise NumericalError(f"eigendecomposition failed: {err}") from err
     values, vectors = pairs
     values, vectors = values[::-1][:count], vectors[:, ::-1][:, :count]
+    _fix_signs(vectors)
+    return values, vectors
+
+
+def _fix_signs(vectors: np.ndarray) -> None:
+    """Make each column's first largest-magnitude entry positive, in place.
+
+    The magnitudes of ``BLOCK_ROWS`` columns at a time are copied into one
+    scratch block whose columns are contiguous, so ``argmax`` down them reads
+    it without a copy, and flipped columns are negated one at a time, which
+    needs no buffer either. (``np.negative`` with ``out=`` a column of a
+    column-reversed array negates the wrong entries in numpy 2.4.)
+    """
+    n, count = vectors.shape
+    scratch = np.empty((min(BLOCK_ROWS, count), n))
     for start in range(0, count, BLOCK_ROWS):
         block = vectors[:, start:start + BLOCK_ROWS]
-        lead = np.argmax(np.abs(block), axis=0)
-        block *= np.where(block[lead, np.arange(block.shape[1])] < 0, -1.0, 1.0)
-    return values, vectors
+        magnitudes = scratch[: block.shape[1]].T
+        np.copyto(magnitudes, block)
+        np.abs(magnitudes, out=magnitudes)
+        lead = np.argmax(magnitudes, axis=0)
+        for j in np.flatnonzero(block[lead, np.arange(block.shape[1])] < 0):
+            block[:, j] *= -1.0
 
 
 def _lanczos(a: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -219,22 +267,18 @@ def _lanczos(a: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray] | None:
 def solve_spd(a, b) -> np.ndarray:
     """Solve ``A x = b`` for symmetric positive definite ``A`` via Cholesky.
 
-    ``b`` may be a vector or a matrix of stacked right-hand sides; the
-    result has the same shape. Never forms an explicit inverse. Raises
-    ``NotPositiveDefiniteError`` (with the failing pivot index) when the
-    factorization breaks down.
+    ``b`` is a vector of the matrix's order. Never forms an explicit
+    inverse. Raises ``NotPositiveDefiniteError`` (with the failing pivot
+    index) when the factorization breaks down.
 
     A C-ordered float64 ``a`` is factored in its own memory and no longer
     holds ``A`` afterwards; pass a copy to keep it. The factor comes from
     the upper triangle, which equals the lower one when ``a`` is exactly
     symmetric.
     """
-    a = _as_matrix(a, "solve_spd matrix")
-    _check_symmetric(a, "solve_spd matrix")
-    b = np.asarray(b, dtype=float)
-    if not np.all(np.isfinite(b)):
-        raise ValueError("solve_spd right-hand side contains non-finite entries")
-    if b.ndim not in (1, 2) or b.shape[0] != a.shape[0]:
+    a = _symmetric(a, "a")
+    b = finite_array(b, "b", 1)
+    if b.shape[0] != a.shape[0]:
         raise ValueError(
             f"right-hand side shape {b.shape} does not match matrix of order {a.shape[0]}"
         )
@@ -244,32 +288,27 @@ def solve_spd(a, b) -> np.ndarray:
         raise NotPositiveDefiniteError(pivot=info - 1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of Cholesky factorization")
-    rhs = b if b.ndim == 2 else b[:, None]
-    x, info = lapack.dpotrs(chol, rhs, lower=1)
+    x, info = lapack.dpotrs(chol, b[:, None], lower=1)
     if info != 0:
         raise NumericalError(f"triangular solve failed with status {info}")
-    return x if b.ndim == 2 else x[:, 0]
+    return x[:, 0]
 
 
 def ridge_pinv(h, y, c: float) -> np.ndarray:
     """Ridge-regularized pseudoinverse solution ``beta = H' (I/C + H H')^-1 y``.
 
-    ``h`` is N x L (rows are samples), ``y`` is length N or N x m, and
-    ``c > 0`` is the regularization constant. As ``c`` grows the result
-    approaches the minimum-norm least-squares solution of ``H beta = y``.
+    ``h`` is N x L (rows are samples), ``y`` has length N, and ``c > 0``
+    is the regularization constant. As ``c`` grows the result approaches
+    the minimum-norm least-squares solution of ``H beta = y``.
     """
-    h = np.ascontiguousarray(h, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if h.ndim != 2:
-        raise ValueError(f"design matrix must be 2-D, got shape {h.shape}")
+    h = np.ascontiguousarray(finite_array(h, "h", 2))
+    y = finite_array(y, "y", 1)
     if y.shape[0] != h.shape[0]:
         raise ValueError(
             f"target rows {y.shape[0]} do not match design rows {h.shape[0]}"
         )
     if not (np.isfinite(c) and c > 0):
         raise ValueError(f"regularization constant must be positive, got {c}")
-    if not np.all(np.isfinite(h)) or not np.all(np.isfinite(y)):
-        raise ValueError("ridge_pinv input contains non-finite entries")
     gram = h @ h.T  # a symmetric rank-k update of a contiguous h: exactly symmetric
     gram[np.diag_indices_from(gram)] += 1.0 / c
     alpha = solve_spd(gram, y)

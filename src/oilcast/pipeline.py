@@ -252,7 +252,6 @@ class PipelineModel:
     cluster: ClusterModel
     kpca_models: list[KpcaModel]
     regressor: object
-    config: PipelineConfig
     elbow_curve: dict[int, float] = field(default_factory=dict)
 
 
@@ -389,8 +388,7 @@ def pipeline_fit(panel: FeaturePanel, config: PipelineConfig) -> PipelineModel:
 
     return PipelineModel(
         norm=norm, target_norm=target_norm, indicator_names=indicators,
-        cluster=cluster, kpca_models=kpca_models, regressor=regressor, config=config,
-        elbow_curve=elbow_curve,
+        cluster=cluster, kpca_models=kpca_models, regressor=regressor, elbow_curve=elbow_curve,
     )
 
 

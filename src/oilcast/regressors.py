@@ -3,7 +3,7 @@
 ELM draws a fixed random hidden layer and solves only the output weights
 with a ridge penalty. KELM replaces the random features with a kernel
 matrix and solves the dual system directly, so it has no randomness.
-Targets may be a vector (m = 1) or a matrix of stacked outputs.
+Targets are vectors, one value per sample row.
 ``regressor_fit`` and ``regressor_predict`` are the one place that
 chooses between them.
 """
@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import expit
 
 from .kpca import GaussianKernel, LinearKernel, gaussian_gram
-from .numerics import one_blas_thread, ridge_pinv, solve_spd
+from .numerics import finite_array, one_blas_thread, ridge_pinv, solve_spd
 
 DEFAULT_C = 100.0
 DEFAULT_N_HIDDEN = 100
@@ -25,25 +25,16 @@ REGRESSORS = ("kelm", "elm")
 
 
 def _as_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"inputs must be 2-D (samples as rows), got shape {x.shape}")
-    if y.ndim not in (1, 2) or y.shape[0] != x.shape[0]:
+    x, y = finite_array(x, "x", 2), finite_array(y, "y", 1)
+    if y.shape[0] != x.shape[0]:
         raise ValueError(f"targets of shape {y.shape} do not match {x.shape[0]} input rows")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("training data contains non-finite values")
     return x, y
 
 
 def _as_eval_rows(x, dim: int) -> np.ndarray:
-    rows = np.asarray(x, dtype=float)
-    if rows.ndim != 2:
-        raise ValueError(f"prediction input must be 2-D (samples as rows), got shape {rows.shape}")
+    rows = finite_array(x, "x", 2)
     if rows.shape[1] != dim:
         raise ValueError(f"sample dimension {rows.shape[1]} does not match model dimension {dim}")
-    if not np.all(np.isfinite(rows)):
-        raise ValueError("prediction input contains non-finite values")
     return rows
 
 
@@ -51,7 +42,7 @@ def _as_eval_rows(x, dim: int) -> np.ndarray:
 class ElmModel:
     weights: np.ndarray  # (L, n) input weights, fixed after construction
     biases: np.ndarray  # (L,)
-    beta: np.ndarray  # (L,) or (L, m) output weights
+    beta: np.ndarray  # (L,) output weights
 
 
 @one_blas_thread()
@@ -82,12 +73,12 @@ def elm_predict(model: ElmModel, x) -> np.ndarray:
 class KelmModel:
     x_train: np.ndarray
     kernel: GaussianKernel | LinearKernel
-    alpha: np.ndarray  # (N,) or (N, m) dual coefficients
+    alpha: np.ndarray  # (N,) dual coefficients
 
 
 @one_blas_thread()
 def kelm_fit(x, y, c: float = DEFAULT_C, sigma: float | None = None, kernel=None) -> KelmModel:
-    """Fit a KELM: solve (I/C + Omega) A = Y on the raw (uncentered)
+    """Fit a KELM: solve (I/C + Omega) a = y on the raw (uncentered)
     training kernel matrix.
 
     The kernel is Gaussian with width ``sigma`` (median heuristic when

@@ -12,7 +12,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oilcast import cli
@@ -778,6 +778,7 @@ class TestTextInput:
 
     @settings(max_examples=10, deadline=None)
     @given(label=LABELS)
+    @example(label="x;method=naive")  # a ';' in the echo once overrode the method
     def test_any_label_reruns_from_its_preamble_and_compares(self, tmp_path_factory, label):
         """Stripping '# ' from predictions.csv gives a config that re-runs to the
         same bytes, and compare reads the report back, whatever the label."""
@@ -800,6 +801,24 @@ class TestTextInput:
         shown = label.strip()
         pair = (f"{shown} vs {shown}" if shown else "ar:H vs naive:H")
         assert stdout.split("\n")[1].startswith(f"{pair},")
+
+    def test_panel_path_holding_a_semicolon_compares(self, tmp_path, capsys):
+        folder = tmp_path / "x;method=naive\\"
+        folder.mkdir()
+        run_cli(["synth", "--seed", "0", "--out", str(folder / "p")], capsys)
+        for method in ("ar", "naive"):
+            code, _, err = run_cli(["run", "--set", f"panel={folder / 'p.csv'}", "--set",
+                                    "split=2017-12", "--set", f"method={method}", "--out-dir",
+                                    str(tmp_path / method)], capsys)
+            assert (code, err) == (0, "")
+        code, stdout, err = run_cli(["compare", str(tmp_path / "ar" / "metrics.txt"),
+                                     str(tmp_path / "naive" / "metrics.txt"),
+                                     "--out", str(tmp_path / "ir.csv")], capsys)
+        assert (code, err) == (0, "")
+        assert stdout.split("\n")[1].startswith("ar:H vs naive:H,")
+        report = parse_report((tmp_path / "ar" / "metrics.txt").read_text(encoding="utf-8"))
+        assert cli._echo_fields(report)["panel"] == str(folder / "p.csv")
+
 
 def write_report(path, label, mape, rmse, da, n=12, echo="src=test"):
     path.write_text(

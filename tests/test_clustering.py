@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oilcast import clustering
 from oilcast.clustering import (
     DegenerateSeriesError,
     _distance_matrix,
@@ -222,6 +223,19 @@ class TestElbow:
             b = rng.uniform(-5.0, 5.0, size=(len(series), 1))
             np.testing.assert_array_equal(kmeans_fit(a * series + b, 3, seed=seed).labels,
                                           kmeans_fit(series, 3, seed=seed).labels)
+
+    def test_series_are_standardized_once_for_every_k(self, monkeypatch):
+        series, _ = planted_series(n_groups=4, per_group=6)
+        alone = {k: kmeans_fit(series, k) for k in range(1, 9)}
+        calls = []
+        real = clustering._standardized_rows
+        monkeypatch.setattr(clustering, "_standardized_rows",
+                            lambda x, what: calls.append(what) or real(x, what))
+        _, fits = elbow_select(series, range(1, 9))
+        assert calls.count("series") == 1
+        for k, fit in fits.items():  # each fit is the one kmeans_fit makes alone
+            assert np.array_equal(fit.labels, alone[k].labels)
+            assert fit.wcss_history == alone[k].wcss_history
 
     def test_flat_curve_warns_and_returns_smallest_interior_k(self):
         series = np.tile(np.array([1.0, 3.0, 2.0, 5.0, 4.0, 6.0]), (6, 1))

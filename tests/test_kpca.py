@@ -45,19 +45,23 @@ def full_spectrum_keep(x, theta):
 
 
 def record_requests(monkeypatch):
-    """Counts passed to sym_eig by kpca_fit, and k passed to the partial solver."""
+    """Counts passed to the eigensolver by kpca_fit (the first through sym_eig,
+    any wider one unchecked), and k passed to the partial solver."""
     counts, lanczos = [], []
-    real_eig, real_eigsh = kpca.sym_eig, numerics.eigsh
+    real_eigsh = numerics.eigsh
 
-    def spy_eig(a, count=None):
-        counts.append(count)
-        return real_eig(a, count)
+    def spy(real):
+        def spy_eig(a, count=None):
+            counts.append(count)
+            return real(a, count)
+        return spy_eig
 
     def spy_eigsh(a, k, **kwargs):
         lanczos.append(k)
         return real_eigsh(a, k=k, **kwargs)
 
-    monkeypatch.setattr(kpca, "sym_eig", spy_eig)
+    monkeypatch.setattr(kpca, "sym_eig", spy(kpca.sym_eig))
+    monkeypatch.setattr(kpca, "_eigenpairs", spy(kpca._eigenpairs))
     monkeypatch.setattr(numerics, "eigsh", spy_eigsh)
     return counts, lanczos
 
@@ -210,6 +214,23 @@ class TestPeakMemory:
         # sym_eig returns as a reversed view and kpca_fit reads after the Gram is freed
         x, _ = self.data()
         assert self.peak_in_matrices(lambda: kpca_fit(x, n_components=self.N // 2)) < 2.5
+
+    # the passes that each keep one BLOCK_ROWS x n block of scratch (0.107 n^2
+    # doubles at n = 600), measured alone
+    def test_symmetry_check(self):
+        x, _ = self.data()
+        a = gaussian_gram(x)[0]
+        assert self.peak_in_matrices(lambda: numerics._check_symmetric(a, "a")) <= 0.12
+
+    def test_sign_fix(self):
+        x, _ = self.data()
+        vectors = np.linalg.eigh(center_kernel(gaussian_gram(x)[0])[0])[1][:, ::-1]
+        assert self.peak_in_matrices(lambda: numerics._fix_signs(vectors)) <= 0.12
+
+    def test_finiteness_scan(self):
+        x, _ = self.data()
+        a = gaussian_gram(x)[0]
+        assert self.peak_in_matrices(lambda: numerics.finite_array(a, "a", 2)) <= 0.12
 
     def test_kelm_fit(self):
         x, y = self.data()
@@ -378,6 +399,17 @@ class TestPartialEigensolve:
         # the fourth request reaches N/2, so the full solver serves it
         assert counts == [4, 8, 16, 32]
         assert lanczos == [4, 8, 16]
+
+    def test_the_centered_gram_is_checked_once_however_wide_the_request(self, monkeypatch):
+        x = np.random.default_rng(20).random((40, 12))
+        counts, _ = record_requests(monkeypatch)
+        checked = []
+        real = numerics._check_symmetric
+        monkeypatch.setattr(numerics, "_check_symmetric",
+                            lambda a, name: checked.append(a.shape) or real(a, name))
+        kpca_fit(x, theta=0.9)
+        assert counts == [4, 8, 16, 32]
+        assert checked == [(40, 40)]
 
     def test_share_within_tolerance_of_theta_takes_the_full_spectrum(self, monkeypatch):
         x = np.random.default_rng(22).random((120, 5))

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from oilcast import cli, clustering, kpca, numerics, pipeline, regressors
+from oilcast import baselines, cli, clustering, evaluation, kpca, numerics, pipeline, regressors
 from oilcast.numerics import (
     NotPositiveDefiniteError,
     NumericalError,
+    finite_array,
     one_blas_thread,
     ridge_pinv,
     solve_spd,
@@ -221,15 +222,6 @@ class TestSolveSpd:
             b = rng.standard_normal(n)
             np.testing.assert_allclose(solve_spd(a.copy(), b), np.linalg.solve(a, b), atol=1e-9)
 
-    def test_matrix_right_hand_side(self):
-        rng = np.random.default_rng(3)
-        r = rng.standard_normal((5, 5))
-        a = r @ r.T + 5 * np.eye(5)
-        b = rng.standard_normal((5, 3))
-        x = solve_spd(a.copy(), b)
-        assert x.shape == (5, 3)
-        np.testing.assert_allclose(a @ x, b, atol=1e-9)
-
     def test_indefinite_matrix_reports_pivot(self):
         with pytest.raises(NotPositiveDefiniteError) as exc:
             solve_spd(np.diag([1.0, -1.0]), [1.0, 1.0])
@@ -276,15 +268,6 @@ class TestRidgePinv:
         beta = ridge_pinv(h, y, 1e12)
         np.testing.assert_allclose(beta, np.linalg.pinv(h) @ y, atol=1e-6)
 
-    def test_multi_output_targets(self):
-        rng = np.random.default_rng(2)
-        h = rng.standard_normal((12, 4))
-        y = rng.standard_normal((12, 2))
-        beta = ridge_pinv(h, y, 10.0)
-        assert beta.shape == (4, 2)
-        single = np.column_stack([ridge_pinv(h, y[:, j], 10.0) for j in range(2)])
-        np.testing.assert_allclose(beta, single, atol=1e-10)
-
     def test_rejects_bad_c_and_shape_mismatch(self):
         with pytest.raises(ValueError, match="positive"):
             ridge_pinv(np.eye(2), [1.0, 2.0], 0.0)
@@ -292,6 +275,92 @@ class TestRidgePinv:
             ridge_pinv(np.eye(2), [1.0, 2.0], -3.0)
         with pytest.raises(ValueError, match="rows"):
             ridge_pinv(np.eye(2), [1.0, 2.0, 3.0], 1.0)
+
+
+class TestVectorTargets:
+    @pytest.mark.parametrize("fit", [
+        lambda x, y: solve_spd(x.T @ x + np.eye(3), y[:3]),
+        lambda x, y: ridge_pinv(x, y, 10.0),
+        lambda x, y: regressors.elm_fit(x, y, n_hidden=5),
+        lambda x, y: regressors.kelm_fit(x, y),
+    ], ids=["solve_spd", "ridge_pinv", "elm_fit", "kelm_fit"])
+    def test_a_stacked_target_is_rejected(self, fit):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((12, 3))
+        fit(x, rng.standard_normal(12))
+        with pytest.raises(ValueError, match=r"^(b|y) must be 1-D, got shape \((3|12), 2\)$"):
+            fit(x, rng.standard_normal((12, 2)))
+
+
+@pytest.fixture(scope="module")
+def good():
+    """Inputs that every array entry point accepts, and the models the
+    predicting ones take."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((20, 3))
+    y = rng.uniform(1.0, 2.0, 20)
+    return SimpleNamespace(
+        series=rng.standard_normal((6, 30)), x=x, y=y, spd=x.T @ x + np.eye(3),
+        kpca=kpca.kpca_fit(x, n_components=2), elm=regressors.elm_fit(x, y, n_hidden=5),
+        kelm=regressors.kelm_fit(x, y), ar=baselines.ar_fit(y, max_p=2))
+
+
+def metric_call(metric, arg):
+    """``evaluation.<metric>(y, yhat)`` with the argument ``arg`` altered."""
+    def call(g, bad):
+        y, yhat = (bad(g.y), g.y) if arg == "y" else (g.y, bad(g.y))
+        return getattr(evaluation, metric)(y, yhat)
+    return call
+
+
+# entry point -> (argument name, the call with that argument altered by ``bad``)
+ARRAY_ENTRY_POINTS = {
+    "finite_array": ("v", lambda g, bad: finite_array(bad(g.y), "v", 1)),
+    "sym_eig": ("a", lambda g, bad: sym_eig(bad(g.spd), 1)),
+    # solve_spd factors a float64 matrix in place, so it is given copies
+    "solve_spd a": ("a", lambda g, bad: solve_spd(bad(g.spd).copy(), g.y[:3])),
+    "solve_spd b": ("b", lambda g, bad: solve_spd(g.spd.copy(), bad(g.y[:3]))),
+    "ridge_pinv h": ("h", lambda g, bad: ridge_pinv(bad(g.x), g.y, 1.0)),
+    "ridge_pinv y": ("y", lambda g, bad: ridge_pinv(g.x, bad(g.y), 1.0)),
+    "kmeans_fit": ("series", lambda g, bad: clustering.kmeans_fit(bad(g.series), 2)),
+    "elbow_select": ("series", lambda g, bad: clustering.elbow_select(bad(g.series), [1, 2, 3])),
+    "kpca_fit": ("x", lambda g, bad: kpca.kpca_fit(bad(g.x))),
+    "kpca_transform": ("x", lambda g, bad: kpca.kpca_transform(g.kpca, bad(g.x))),
+    "elm_fit x": ("x", lambda g, bad: regressors.elm_fit(bad(g.x), g.y)),
+    "elm_fit y": ("y", lambda g, bad: regressors.elm_fit(g.x, bad(g.y))),
+    "elm_predict": ("x", lambda g, bad: regressors.elm_predict(g.elm, bad(g.x))),
+    "kelm_fit x": ("x", lambda g, bad: regressors.kelm_fit(bad(g.x), g.y)),
+    "kelm_fit y": ("y", lambda g, bad: regressors.kelm_fit(g.x, bad(g.y))),
+    "kelm_predict": ("x", lambda g, bad: regressors.kelm_predict(g.kelm, bad(g.x))),
+    "ar_fit": ("y", lambda g, bad: baselines.ar_fit(bad(g.y), max_p=2)),
+    "ar_forecast": ("history", lambda g, bad: baselines.ar_forecast(g.ar, bad(g.y), 2)),
+    "naive_forecast": ("history", lambda g, bad: baselines.naive_forecast(bad(g.y), 2)),
+    "univariate_lag_features": ("y", lambda g, bad: baselines.univariate_lag_features(bad(g.y), 2)),
+    **{f"{metric} {arg}": (arg, metric_call(metric, arg))
+       for metric in ("mape", "rmse", "mae", "direction_hits", "evaluate") for arg in ("y", "yhat")},
+}
+
+
+def with_nan(v):
+    v = v.copy()
+    v.flat[v.size // 2] = np.nan
+    return v
+
+
+def other_ndim(v):
+    return v[0] if v.ndim == 2 else v[:, None]
+
+
+class TestOneArrayCheck:
+    @pytest.mark.filterwarnings("ignore:WCSS curve has no elbow")
+    @pytest.mark.parametrize("entry", ARRAY_ENTRY_POINTS)
+    def test_a_bad_array_is_named_by_its_argument(self, entry, good):
+        name, call = ARRAY_ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite values$"):
+            call(good, with_nan)
+        with pytest.raises(ValueError, match=rf"^{name} must be [12]-D, got shape \("):
+            call(good, other_ndim)
+        call(good, lambda v: v)  # the unaltered inputs pass
 
 
 def thread_counts(controls):
@@ -359,10 +428,10 @@ class TestOneBlasThread:
         # a library stage called directly: (module, the helper it calls first, the call)
         stages = {
             "kmeans_fit": (clustering, "_standardized_rows", lambda: clustering.kmeans_fit(x.T, 2)),
-            "elbow_select": (clustering, "kmeans_fit",
+            "elbow_select": (clustering, "_checked_series",
                              lambda: clustering.elbow_select(x.T, range(1, 4))),
-            "kpca_fit": (kpca, "_as_samples", lambda: kpca.kpca_fit(x)),
-            "kpca_transform": (kpca, "_as_samples", lambda: kpca.kpca_transform(None, x)),
+            "kpca_fit": (kpca, "finite_array", lambda: kpca.kpca_fit(x)),
+            "kpca_transform": (kpca, "finite_array", lambda: kpca.kpca_transform(None, x)),
             "elm_fit": (regressors, "_as_xy", lambda: regressors.elm_fit(x, y)),
             "elm_predict": (regressors, "_as_eval_rows",
                             lambda: regressors.elm_predict(SimpleNamespace(weights=x), x)),

@@ -55,16 +55,6 @@ class TestElm:
         nudged = elm_predict(model, x[4:5] + 1e-9)
         assert abs(nudged[0] - base[0]) < 1e-6
 
-    def test_multi_output_matches_column_fits(self):
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal((15, 2))
-        y = rng.standard_normal((15, 3))
-        model = elm_fit(x, y, n_hidden=25, c=10.0, seed=4)
-        per_column = np.column_stack(
-            [elm_fit(x, y[:, j], n_hidden=25, c=10.0, seed=4).beta for j in range(3)]
-        )
-        np.testing.assert_allclose(model.beta, per_column, atol=1e-10)
-
     def test_validation_errors(self):
         x, y = smooth_1d_problem(0)
         with pytest.raises(ValueError, match="positive"):
