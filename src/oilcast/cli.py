@@ -120,10 +120,10 @@ CONFIG_KEYS = {
 }
 
 
-# model key -> (test of a set value, the rule it states). cmd_run checks every
-# key whatever the method, so a key the method ignores cannot carry a bad
-# value into the echo; rules that need the data (k up to the series count)
-# stay where the data is.
+# model key -> (test of a set value, the rule it states). _set_key checks each
+# value where it is set, naming its line or --set, whatever the method, so a
+# key the method ignores cannot carry a bad value into the echo; rules that
+# need the data (k up to the series count) stay where the data is.
 MODEL_KEY_RULES = {
     **CONFIG_RULES,
     **dict.fromkeys(("k_lo", "k_hi", "max_lag", "ar_max_p", "uni_lags"), at_least(1)),
@@ -140,9 +140,14 @@ def _set_key(config: dict, key: str, raw: str, origin: str) -> None:
         raise CliError(f"{origin}: value for {key!r} holds a line break")
     parser, _ = CONFIG_KEYS[key]
     try:
-        config[key] = parser(raw)
+        value = parser(raw)
     except ValueError as err:
         raise CliError(f"{origin}: bad value for {key!r}: {err}") from None
+    if key in MODEL_KEY_RULES and value is not None:
+        valid, rule = MODEL_KEY_RULES[key]
+        if not valid(value):
+            raise CliError(f"{origin}: {key} must be {rule}, got {_echo_value(value)}")
+    config[key] = value
 
 
 def load_config(path: str | None, overrides: list[str]) -> dict:
@@ -296,9 +301,6 @@ def cmd_run(args) -> int:
         raise CliError(f"unknown mode {config['mode']!r}; expected E, G or H")
     if not config["split"]:
         raise CliError("config needs split = YYYY-MM (last training month)")
-    for key, (valid, rule) in MODEL_KEY_RULES.items():
-        if config[key] is not None and not valid(config[key]):
-            raise CliError(f"{key} must be {rule}, got {_echo_value(config[key])}")
     if config["k_hi"] < config["k_lo"]:
         raise CliError(f"k_hi must be >= k_lo = {config['k_lo']}, got {config['k_hi']}")
 

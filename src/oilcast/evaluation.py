@@ -17,41 +17,6 @@ import numpy as np
 from .numerics import finite_array
 
 
-def _as_pair(y, yhat, min_len: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    y, yhat = finite_array(y, "y", 1), finite_array(yhat, "yhat", 1)
-    if y.shape != yhat.shape:
-        raise ValueError(f"y and yhat must be equal length, got {y.shape} and {yhat.shape}")
-    if y.size < min_len:
-        raise ValueError(f"need at least {min_len} points, got {y.size}")
-    return y, yhat
-
-
-def mape(y, yhat) -> float:
-    """Mean absolute percentage error, in percent. Rejects zero actuals."""
-    y, yhat = _as_pair(y, yhat)
-    zeros = np.flatnonzero(y == 0.0)
-    if zeros.size:
-        raise ValueError(f"actual value at index {zeros[0]} is 0; MAPE is undefined")
-    return float(np.mean(np.abs(y - yhat) / np.abs(y)) * 100.0)
-
-
-def rmse(y, yhat) -> float:
-    y, yhat = _as_pair(y, yhat)
-    return float(np.sqrt(np.mean((y - yhat) ** 2)))
-
-
-def mae(y, yhat) -> float:
-    y, yhat = _as_pair(y, yhat)
-    return float(np.mean(np.abs(y - yhat)))
-
-
-def direction_hits(y, yhat) -> np.ndarray:
-    """d(t) for t = 1..N-1: 1 when (y(t+1)-y(t)) * (yhat(t+1)-y(t)) >= 0."""
-    y, yhat = _as_pair(y, yhat, min_len=2)
-    product = (y[1:] - y[:-1]) * (yhat[1:] - y[:-1])
-    return (product >= 0.0).astype(int)
-
-
 @dataclass
 class EvalReport:
     """Metrics for one forecast run plus the per-point detail behind them.
@@ -73,9 +38,23 @@ class EvalReport:
 
 
 def evaluate(y, yhat, label: str = "", config_echo: str = "") -> EvalReport:
-    """Compute all metrics for a forecast and package them as a report."""
-    y, yhat = _as_pair(y, yhat, min_len=2)
-    hits = direction_hits(y, yhat)
+    """Compute all metrics for a forecast and package them as a report.
+
+    ``y`` and ``yhat`` are checked once: finite vectors of one length, at
+    least 2 points (DA needs a transition), and no zero actual, which
+    would leave MAPE (in percent) undefined.
+    """
+    y, yhat = finite_array(y, "y", 1), finite_array(yhat, "yhat", 1)
+    if y.shape != yhat.shape:
+        raise ValueError(f"y and yhat must be equal length, got {y.shape} and {yhat.shape}")
+    if y.size < 2:
+        raise ValueError(f"need at least 2 points, got {y.size}")
+    zeros = np.flatnonzero(y == 0.0)
+    if zeros.size:
+        raise ValueError(f"actual value at index {zeros[0]} is 0; MAPE is undefined")
+    # d(t) for t = 1..N-1: 1 when (y(t+1)-y(t)) * (yhat(t+1)-y(t)) >= 0
+    hits = ((y[1:] - y[:-1]) * (yhat[1:] - y[:-1]) >= 0.0).astype(int)
+    error = y - yhat
     points = [
         (t + 1, float(y[t]), float(yhat[t]), int(hits[t]) if t < hits.size else None)
         for t in range(y.size)
@@ -83,9 +62,9 @@ def evaluate(y, yhat, label: str = "", config_echo: str = "") -> EvalReport:
     return EvalReport(
         label=label,
         n=int(y.size),
-        mape_pct=mape(y, yhat),
-        rmse=rmse(y, yhat),
-        mae=mae(y, yhat),
+        mape_pct=float(np.mean(np.abs(error) / np.abs(y)) * 100.0),
+        rmse=float(np.sqrt(np.mean(error ** 2))),
+        mae=float(np.mean(np.abs(error))),
         da_pct=float(hits.sum() / hits.size * 100.0),
         config_echo=config_echo,
         points=points,

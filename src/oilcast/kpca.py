@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (BLOCK_ROWS, NumericalError, _eigenpairs, finite_array, one_blas_thread,
-                       sq_distances, sym_eig)
+from .numerics import (BLOCK_ROWS, NumericalError, _eigenpairs, _symmetric, finite_array,
+                       one_blas_thread, sq_distances)
 
 # Components with eigenvalue at or below EIGENVALUE_FLOOR_RATIO * lambda_max
 # are treated as numerical rank deficiency and never retained.
@@ -176,6 +176,9 @@ def gaussian_gram(x, sigma: float | None = None, out=None) -> tuple[np.ndarray, 
     ``out``, when given, an n x n float64 array. ``x`` is not checked here:
     it must be a finite 2-D float array, as ``kpca_fit`` and ``kelm_fit``
     have made sure before they call this.
+
+    The result needs no scan: ``sq_distances`` makes it exactly symmetric
+    and rejects its one possible NaN; every other entry lies in [0, 1].
     """
     sq = sq_distances(x, out=out)
     kernel = GaussianKernel(_median_distance(sq) if sigma is None else sigma)
@@ -189,8 +192,9 @@ def center_kernel(k) -> tuple[np.ndarray, np.ndarray, float]:
     statistics needed to center out-of-sample kernel rows consistently.
     ``k_centered`` is ``k`` itself, overwritten, when ``k`` is a float64
     array, and a centered copy of any other input. Symmetry is not checked
-    here: centering changes ``k[i, j] - k[j, i]`` by rounding only, and
-    the fit checks the centered matrix.
+    here: centering changes ``k[i, j] - k[j, i]`` by rounding only, so an
+    exactly symmetric Gaussian Gram centers to within ``SYMMETRY_ATOL`` of
+    symmetric, and ``kpca_fit`` checks a caller kernel's centered matrix.
     """
     k = np.asarray(k, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
@@ -224,7 +228,7 @@ def kpca_fit(x, kernel=None, n_components: int | None = None, theta: float | Non
     (smallest count reaching that fraction of the usable eigenvalue sum);
     giving both is an error, giving neither selects theta = 0.95. With no
     kernel, a Gaussian kernel at the median-heuristic width is used; any
-    other kernel's matrix is copied before the fit centers it in place.
+    other kernel's matrix is copied, centered in place and checked once.
     A Gaussian kernel's Gram matrix is built in ``out`` when one is given,
     an n x n float64 array the fit overwrites and does not keep.
     Raises ``DegenerateKernelError`` when no eigenvalue clears the floor.
@@ -241,12 +245,15 @@ def kpca_fit(x, kernel=None, n_components: int | None = None, theta: float | Non
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
     if n_components is None and theta is None:
         theta = DEFAULT_THETA
-    if kernel is None or isinstance(kernel, GaussianKernel):
+    gaussian = kernel is None or isinstance(kernel, GaussianKernel)
+    if gaussian:
         k, kernel = gaussian_gram(x, None if kernel is None else kernel.sigma, out=out)
     else:
         k = np.array(kernel(x), dtype=float)
     # the fit's one n x n matrix: the Gram matrix, centered in place
     k, col_means, grand_mean = center_kernel(k)
+    if not gaussian:  # checked centered: huge finite entries can center to inf
+        _symmetric(k, "kernel matrix")
     values, vectors, keep = _leading_components(k, n_components, theta)
     del k  # freed before the coefficients are formed (unless it is the caller's ``out``)
 
@@ -278,7 +285,7 @@ def _leading_components(k_c: np.ndarray, n_components: int | None,
                         theta: float) -> tuple[np.ndarray, np.ndarray, int]:
     """Leading eigenpairs of the centered Gram matrix and the count to keep.
 
-    A fixed ``n_components`` asks ``sym_eig`` for that many pairs. The
+    A fixed ``n_components`` asks ``_eigenpairs`` for that many pairs. The
     ``theta`` rule asks for ``FIRST_REQUEST`` pairs and doubles the request
     until the cumulative share of ``trace(k_c)`` passes theta. The trace is
     the whole spectrum's sum; for a positive semi-definite kernel it differs
@@ -286,11 +293,12 @@ def _leading_components(k_c: np.ndarray, n_components: int | None,
     floor, so ``tol`` below bounds the change to any share. When a share
     lies within ``tol`` of theta, or the floor comes before theta, the full
     spectrum is computed and the usable sum decides, as it always did.
-    The first request's ``sym_eig`` checks ``k_c``; the wider ones reuse it
-    unchecked.
+    ``k_c`` is not checked here: ``kpca_fit`` hands over a centered Gaussian
+    Gram, symmetric by construction up to centering's rounding, or a caller
+    kernel's centered matrix that it has checked.
     """
     if n_components is not None:
-        values, vectors = sym_eig(k_c, n_components)
+        values, vectors = _eigenpairs(k_c, n_components)
         usable, floor = _usable_count(values)
         if n_components > usable:
             raise ValueError(
@@ -304,8 +312,8 @@ def _leading_components(k_c: np.ndarray, n_components: int | None,
     target = theta - 1e-12
     trace = float(np.trace(k_c))
     count = min(FIRST_REQUEST, n)
-    values, vectors = sym_eig(k_c, count)
     while True:
+        values, vectors = _eigenpairs(k_c, count)
         usable, _ = _usable_count(values)
         spectrum = values[:usable]
         if count == n:
@@ -321,7 +329,6 @@ def _leading_components(k_c: np.ndarray, n_components: int | None,
             count = n
         else:
             count = min(2 * count, n)
-        values, vectors = _eigenpairs(k_c, count)
 
 
 @one_blas_thread()

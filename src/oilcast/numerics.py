@@ -1,10 +1,9 @@
 """Dense symmetric linear algebra with explicit failure modes.
 
-Thin wrappers around LAPACK and ARPACK that enforce input contracts
-(symmetry, positive definiteness, finiteness) instead of silently returning
-garbage, plus ``finite_array``, the one array check every stage runs on its
-inputs, the one squared-distance computation every kernel uses, and
-``one_blas_thread``, which runs a call with OpenBLAS at one thread.
+``finite_array``, the one array check of every public function's inputs;
+``_symmetric`` for a matrix the library did not build; the one
+squared-distance computation of every kernel; unchecked LAPACK and ARPACK
+cores that report breakdowns as ``NumericalError``; and ``one_blas_thread``.
 Matrices are float64 numpy arrays; samples/equations are rows.
 """
 
@@ -28,7 +27,7 @@ SYMMETRY_ATOL = 1e-10
 # BLOCK_ROWS x n entries, not another n x n matrix.
 BLOCK_ROWS = 64
 
-# Below this order sym_eig always uses the full solver.
+# Below this order _eigenpairs always uses the full solver.
 PARTIAL_MIN_ORDER = 8
 
 # OpenBLAS thread-count entry points: scipy's wheels prefix them, and a
@@ -111,9 +110,11 @@ def finite_array(x, name: str, ndim: int) -> np.ndarray:
 
     Raises ``ValueError`` naming ``name`` otherwise. A matrix is scanned
     ``BLOCK_ROWS`` rows at a time, so an n x n input needs no n x n
-    temporary; a vector in one pass. Every entry point that takes an array
-    checks it with this; what a stage builds from checked arrays goes to the
-    next stage unchecked.
+    temporary; a vector in one pass.
+
+    The rule: a public function checks each array it receives once, with
+    this; a private function never re-checks; a matrix the library builds
+    is not scanned (``sq_distances`` tests each block for NaN in cache).
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != ndim:
@@ -173,6 +174,10 @@ def sq_distances(x, z=None, out=None) -> np.ndarray:
     symmetric rank-k update, so the result is exactly symmetric, and its
     diagonal is exactly 0. ``out``, a float64 array of the result's shape,
     receives the result instead of a new matrix.
+
+    Rows whose norms overflow can make ``inf - inf`` off the diagonal: the
+    only way finite input gives a non-finite kernel value (an infinite
+    distance gives a valid 0). Each block's NaN test raises ``ValueError``.
     """
     x = np.ascontiguousarray(x, dtype=float)
     norms = np.einsum("ij,ij->i", x, x)
@@ -186,13 +191,15 @@ def sq_distances(x, z=None, out=None) -> np.ndarray:
         block = sq[start:start + BLOCK_ROWS]
         block += np.add.outer(norms[start:start + BLOCK_ROWS], z_norms)
         np.maximum(block, 0.0, out=block)
-    if z is None:
-        np.fill_diagonal(sq, 0.0)
+        if z is None:
+            np.fill_diagonal(block[:, start:], 0.0)  # the block's part of the diagonal
+        if np.isnan(block).any():
+            raise ValueError("inputs too large: squared distances overflow")
     return sq
 
 
-def sym_eig(a, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``count`` largest eigenpairs of a symmetric matrix.
+def _eigenpairs(a: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``count`` largest eigenpairs of a finite symmetric matrix, unchecked.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues in descending
     order and eigenvectors as matching columns, each unit-norm with its
@@ -204,16 +211,9 @@ def sym_eig(a, count: int) -> tuple[np.ndarray, np.ndarray]:
     The pairs come from implicitly restarted Lanczos (ARPACK) started from
     a fixed vector, so reruns are identical; the full solver serves the
     request instead when ``count`` reaches half the order, the order is
-    below ``PARTIAL_MIN_ORDER`` or ARPACK fails.
-
-    Raises ``ValueError`` for non-square, non-finite or non-symmetric
-    input and ``NumericalError`` if the eigensolver fails to converge.
+    below ``PARTIAL_MIN_ORDER`` or ARPACK fails. Raises ``NumericalError``
+    if the eigensolver fails to converge.
     """
-    return _eigenpairs(_symmetric(a, "a"), count)
-
-
-def _eigenpairs(a: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """``sym_eig`` of a matrix already checked by ``_symmetric``."""
     n = a.shape[0]
     if not 1 <= count <= n:
         raise ValueError(f"eigenpair count must lie in [1, {n}], got {count}")
@@ -264,24 +264,15 @@ def _lanczos(a: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray] | None:
         return None
 
 
-def solve_spd(a, b) -> np.ndarray:
-    """Solve ``A x = b`` for symmetric positive definite ``A`` via Cholesky.
+def _solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``A x = b`` for a symmetric positive definite ``A`` via Cholesky.
 
-    ``b`` is a vector of the matrix's order. Never forms an explicit
-    inverse. Raises ``NotPositiveDefiniteError`` (with the failing pivot
-    index) when the factorization breaks down.
-
-    A C-ordered float64 ``a`` is factored in its own memory and no longer
-    holds ``A`` afterwards; pass a copy to keep it. The factor comes from
-    the upper triangle, which equals the lower one when ``a`` is exactly
-    symmetric.
+    ``a`` (finite, exactly symmetric, float64) and ``b`` (a finite vector
+    of its order) are not checked. Never forms an explicit inverse. Raises
+    ``NotPositiveDefiniteError`` (with the failing pivot index) when the
+    factorization breaks down. A C-ordered ``a`` is factored in its own
+    memory, from its upper triangle, and no longer holds ``A`` afterwards.
     """
-    a = _symmetric(a, "a")
-    b = finite_array(b, "b", 1)
-    if b.shape[0] != a.shape[0]:
-        raise ValueError(
-            f"right-hand side shape {b.shape} does not match matrix of order {a.shape[0]}"
-        )
     # LAPACK is column-major: a C-ordered matrix is used in place only as its transpose
     chol, info = lapack.dpotrf(a.T, lower=1, overwrite_a=1)
     if info > 0:
@@ -294,22 +285,15 @@ def solve_spd(a, b) -> np.ndarray:
     return x[:, 0]
 
 
-def ridge_pinv(h, y, c: float) -> np.ndarray:
+def _ridge_pinv(h: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
     """Ridge-regularized pseudoinverse solution ``beta = H' (I/C + H H')^-1 y``.
 
-    ``h`` is N x L (rows are samples), ``y`` has length N, and ``c > 0``
-    is the regularization constant. As ``c`` grows the result approaches
-    the minimum-norm least-squares solution of ``H beta = y``.
+    ``h`` (finite, N x L, rows are samples), ``y`` (finite, length N) and
+    ``c`` (positive, 1/c finite) are not checked. As ``c`` grows the result
+    approaches the minimum-norm least-squares solution of ``H beta = y``.
     """
-    h = np.ascontiguousarray(finite_array(h, "h", 2))
-    y = finite_array(y, "y", 1)
-    if y.shape[0] != h.shape[0]:
-        raise ValueError(
-            f"target rows {y.shape[0]} do not match design rows {h.shape[0]}"
-        )
-    if not (np.isfinite(c) and c > 0):
-        raise ValueError(f"regularization constant must be positive, got {c}")
+    h = np.ascontiguousarray(h)
     gram = h @ h.T  # a symmetric rank-k update of a contiguous h: exactly symmetric
     gram[np.diag_indices_from(gram)] += 1.0 / c
-    alpha = solve_spd(gram, y)
+    alpha = _solve_spd(gram, y)
     return h.T @ alpha

@@ -259,12 +259,18 @@ def require_finite(values: np.ndarray, names, dates, where: str = "") -> None:
 
 
 def normalize_fit(values: np.ndarray, names, dates) -> NormalizationParams:
-    """Min/max per column of a (rows, len(names)) matrix; rejects non-finite and constant
-    columns, naming them by ``names`` and ``dates``."""
+    """Min/max per column of a (rows, len(names)) matrix; rejects non-finite columns,
+    columns whose range overflows and constant columns, naming them by ``names``
+    and ``dates``."""
     require_finite(values, names, dates)
     mins = values.min(axis=0)
     maxs = values.max(axis=0)
-    flat = [names[i] for i in np.flatnonzero(maxs - mins <= 0.0)]
+    with np.errstate(over="ignore"):
+        spans = maxs - mins
+    wide = [names[i] for i in np.flatnonzero(np.isinf(spans))]
+    if wide:
+        raise ValueError(f"columns whose range max - min overflows cannot be normalized: {wide}")
+    flat = [names[i] for i in np.flatnonzero(spans <= 0.0)]
     if flat:
         raise ValueError(f"constant columns cannot be normalized: {flat}")
     return NormalizationParams(mins=mins, maxs=maxs)

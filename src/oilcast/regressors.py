@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import expit
 
 from .kpca import GaussianKernel, LinearKernel, gaussian_gram
-from .numerics import finite_array, one_blas_thread, ridge_pinv, solve_spd
+from .numerics import _ridge_pinv, _solve_spd, _symmetric, finite_array, one_blas_thread
 
 DEFAULT_C = 100.0
 DEFAULT_N_HIDDEN = 100
@@ -24,10 +24,12 @@ DEFAULT_N_HIDDEN = 100
 REGRESSORS = ("kelm", "elm")
 
 
-def _as_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
+def _as_xy(x, y, c: float) -> tuple[np.ndarray, np.ndarray]:
     x, y = finite_array(x, "x", 2), finite_array(y, "y", 1)
     if y.shape[0] != x.shape[0]:
         raise ValueError(f"targets of shape {y.shape} do not match {x.shape[0]} input rows")
+    if not (0.0 < c < np.inf and 1.0 / c < np.inf):  # the solvers add 1/C to a diagonal
+        raise ValueError(f"penalty C must be positive, with 1/C finite, got {c}")
     return x, y
 
 
@@ -45,20 +47,26 @@ class ElmModel:
     beta: np.ndarray  # (L,) output weights
 
 
+def _hidden_layer(rows: np.ndarray, weights: np.ndarray, biases: np.ndarray) -> np.ndarray:
+    """Sigmoid features of finite rows; a NaN (huge rows can sum inf and -inf
+    in the product) is rejected, as nothing later would catch it."""
+    hidden = expit(rows @ weights.T + biases)
+    if np.isnan(hidden).any():
+        raise ValueError("inputs too large: hidden-layer inputs overflow")
+    return hidden
+
+
 @one_blas_thread()
 def elm_fit(x, y, n_hidden: int = DEFAULT_N_HIDDEN, c: float = DEFAULT_C, seed: int = 0) -> ElmModel:
     """Fit an ELM: seeded uniform [-1, 1] hidden layer, sigmoid features,
     output weights via the ridge pseudoinverse. Deterministic given seed."""
-    x, y = _as_xy(x, y)
+    x, y = _as_xy(x, y, c)
     if n_hidden < 1:
         raise ValueError(f"hidden count must be at least 1, got {n_hidden}")
-    if not (np.isfinite(c) and c > 0):
-        raise ValueError(f"penalty C must be positive, got {c}")
     rng = np.random.default_rng(seed)
     weights = rng.uniform(-1.0, 1.0, size=(n_hidden, x.shape[1]))
     biases = rng.uniform(-1.0, 1.0, size=n_hidden)
-    hidden = expit(x @ weights.T + biases)
-    beta = ridge_pinv(hidden, y, c)
+    beta = _ridge_pinv(_hidden_layer(x, weights, biases), y, c)
     return ElmModel(weights=weights, biases=biases, beta=beta)
 
 
@@ -66,7 +74,7 @@ def elm_fit(x, y, n_hidden: int = DEFAULT_N_HIDDEN, c: float = DEFAULT_C, seed: 
 def elm_predict(model: ElmModel, x) -> np.ndarray:
     """Apply the fixed hidden layer and output weights to sample rows."""
     rows = _as_eval_rows(x, model.weights.shape[1])
-    return expit(rows @ model.weights.T + model.biases) @ model.beta
+    return _hidden_layer(rows, model.weights, model.biases) @ model.beta
 
 
 @dataclass
@@ -84,18 +92,21 @@ def kelm_fit(x, y, c: float = DEFAULT_C, sigma: float | None = None, kernel=None
     The kernel is Gaussian with width ``sigma`` (median heuristic when
     omitted); passing ``kernel`` directly overrides it, which is how the
     linear-kernel ridge cross-check is wired in. The fit factors the
-    system in its Gaussian Gram matrix, or in a copy of what ``kernel``
-    returns.
+    system in its Gaussian Gram matrix, symmetric by construction and not
+    scanned, or in a checked copy of what ``kernel`` returns.
     """
-    x, y = _as_xy(x, y)
-    if not (np.isfinite(c) and c > 0):
-        raise ValueError(f"penalty C must be positive, got {c}")
-    if kernel is None:
-        system, kernel = gaussian_gram(x, sigma)
-    else:
+    x, y = _as_xy(x, y, c)
+    caller = kernel is not None
+    if caller:
         system = np.array(kernel(x), dtype=float)
+    else:
+        system, kernel = gaussian_gram(x, sigma)
     system[np.diag_indices_from(system)] += 1.0 / c
-    alpha = solve_spd(system, y)
+    if caller:  # checked with 1/C added: the system the solver factors
+        _symmetric(system, "kernel matrix")
+        if system.shape[0] != y.size:
+            raise ValueError(f"kernel matrix of order {len(system)} does not match {y.size} targets")
+    alpha = _solve_spd(system, y)
     return KelmModel(x_train=x.copy(), kernel=kernel, alpha=alpha)
 
 

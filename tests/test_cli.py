@@ -531,7 +531,8 @@ class TestRunOutputs:
         code, stdout, err = run_cli(["run", "--config", conf, "--out-dir", str(out)], capsys)
         shown = repr(float(value)) if key in ("c", "sigma", "theta") else value
         assert (code, stdout) == (1, "")
-        assert err == f"error: {key} must be {rule}, got {shown}\n"
+        # the file is written in key order: synth_seed, split, method, label, then the key
+        assert err == f"error: {conf}: line 5: {key} must be {rule}, got {shown}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("method, value", [("kelm", "1e200"), ("kmeans+kpca+kelm", "1e200"),
@@ -546,8 +547,8 @@ class TestRunOutputs:
              "--set", f"method={method}", "--set", f"sigma={value}", "--out-dir", str(out)],
             capsys)
         assert (code, stdout) == (1, "")
-        assert err == (f"error: sigma must be positive, with 2 sigma^2 finite and non-zero, "
-                       f"got {float(value)!r}\n")
+        assert err == (f"error: --set sigma: sigma must be positive, with 2 sigma^2 finite and "
+                       f"non-zero, got {float(value)!r}\n")
         assert not out.exists()
 
     def test_unknown_mode_rejected(self, tmp_path, capsys):
@@ -720,6 +721,58 @@ def quiet_main(argv):
 def run_args(method, label, out_dir):
     return ["run", "--set", "synth_seed=0", "--set", "split=2017-12", "--set", f"method={method}",
             "--set", f"label={label}", "--out-dir", str(out_dir)]
+
+
+# model key -> values that break its rule
+BAD_RULE_VALUES = {
+    **dict.fromkeys(("k", "k_lo", "k_hi", "n_components", "n_hidden", "lag", "max_lag",
+                     "ar_max_p", "uni_lags"), st.integers(-5, 0).map(str)),
+    "seed": st.integers(-5, -1).map(str),
+    "theta": st.sampled_from(["0", "-0.5", "1.5", "nan", "inf"]),
+    "sigma": st.sampled_from(["0", "-1", "1e200", "1e-300", "nan", "inf"]),
+    "c": st.sampled_from(["0", "-1", "inf", "nan"]),
+    "p_threshold": st.sampled_from(["0", "1", "-0.1", "nan"]),
+    "ar_d": st.sampled_from(["2", "-1"]),
+    "ar_criterion": st.sampled_from(["hqic", "x", ""]),
+}
+
+# one malformed config line of each kind, as bytes
+MALFORMED_CONFIG_LINES = st.one_of(
+    st.sampled_from([b"k 3", b"split", b"method: ar"]),  # no '='
+    st.sampled_from([b"colour = red", b"K = 3", b"= 3"]),  # unknown key
+    st.sampled_from([b"k = three", b"c = fast", b"granger = maybe", b"seed = 1.5"]),  # no parse
+    st.sampled_from([b"label = caf\xe9", b"\xff = 1"]),  # not UTF-8
+    st.sampled_from(sorted(BAD_RULE_VALUES)).flatmap(  # out of range
+        lambda key: BAD_RULE_VALUES[key].map(lambda value: f"{key} = {value}".encode())),
+)
+
+
+class TestMalformedConfigProperty:
+    def test_every_rule_has_bad_values(self):
+        assert set(BAD_RULE_VALUES) == set(cli.MODEL_KEY_RULES)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(bad=MALFORMED_CONFIG_LINES, at=st.integers(0, 4),
+           noise=st.dictionaries(st.integers(0, 4), st.sampled_from([b"# note", b"", b"  "]),
+                                 max_size=3))
+    def test_one_line_error_naming_file_and_line(self, tmp_path_factory, bad, at, noise):
+        """A malformed config line ends `run` with exit 1 and one
+        `error: <path>: line N: ...` line, never a traceback or exit 2."""
+        lines = [b"synth_seed = 0", b"split = 2017-12", b"method = naive", b"label = base"]
+        lines.insert(at, bad)
+        text, numbers = [], []
+        for i, line in enumerate(lines):
+            if i in noise:
+                text.append(noise[i])
+            text.append(line)
+            numbers.append(len(text))
+        work = tmp_path_factory.mktemp("config")
+        path = work / "c.conf"
+        path.write_bytes(b"\n".join(text) + b"\n")
+        code, out, err = quiet_main(["run", "--config", str(path), "--out-dir", str(work / "out")])
+        assert (code, out) == (1, "")
+        assert re.fullmatch(rf"error: {re.escape(str(path))}: line {numbers[at]}: [^\n]+\n", err)
+        assert not (work / "out").exists()
 
 
 # what a --set value can hold: any text without a line break or a lone surrogate

@@ -3,17 +3,7 @@
 import numpy as np
 import pytest
 
-from oilcast.evaluation import (
-    EvalReport,
-    direction_hits,
-    evaluate,
-    format_report,
-    improvement_rate,
-    mae,
-    mape,
-    parse_report,
-    rmse,
-)
+from oilcast.evaluation import EvalReport, evaluate, format_report, improvement_rate, parse_report
 
 
 def reference_da(y, yhat):
@@ -29,32 +19,34 @@ def reference_da(y, yhat):
 class TestPointMetrics:
     def test_perfect_forecast_zeroes_all_error_metrics(self):
         y = np.array([70.0, 71.5, 69.8, 72.0])
-        assert mape(y, y) == 0.0
-        assert rmse(y, y) == 0.0
-        assert mae(y, y) == 0.0
-        assert evaluate(y, y).da_pct == 100.0
+        report = evaluate(y, y)
+        assert report.mape_pct == 0.0
+        assert report.rmse == 0.0
+        assert report.mae == 0.0
+        assert report.da_pct == 100.0
 
     def test_mape_hand_values(self):
-        assert mape([100.0, 100.0], [90.0, 110.0]) == pytest.approx(10.0)
-        assert mape([50.0], [75.0]) == pytest.approx(50.0)
+        assert evaluate([100.0, 100.0], [90.0, 110.0]).mape_pct == pytest.approx(10.0)
+        assert evaluate([50.0, 50.0], [75.0, 75.0]).mape_pct == pytest.approx(50.0)
 
     def test_mape_rejects_zero_actual(self):
         with pytest.raises(ValueError, match="index 1.*undefined"):
-            mape([1.0, 0.0, 2.0], [1.0, 1.0, 1.0])
+            evaluate([1.0, 0.0, 2.0], [1.0, 1.0, 1.0])
 
     def test_rmse_hand_values(self):
-        assert rmse([0.0, 0.0], [3.0, 4.0]) == pytest.approx(np.sqrt(12.5))
-        assert rmse([5.0], [3.0]) == pytest.approx(2.0)
+        # errors 3 and 4 (a report needs non-zero actuals, for MAPE)
+        assert evaluate([10.0, 10.0], [13.0, 14.0]).rmse == pytest.approx(np.sqrt(12.5))
+        assert evaluate([5.0, 5.0], [3.0, 3.0]).rmse == pytest.approx(2.0)
 
     def test_mae_hand_values_and_homogeneity(self):
-        assert mae([1.0, 3.0], [2.0, 1.0]) == pytest.approx(1.5)
+        assert evaluate([1.0, 3.0], [2.0, 1.0]).mae == pytest.approx(1.5)
         rng = np.random.default_rng(0)
         y, yhat = rng.standard_normal(10), rng.standard_normal(10)
-        assert mae(3.0 * y, 3.0 * yhat) == pytest.approx(3.0 * mae(y, yhat))
+        assert evaluate(3.0 * y, 3.0 * yhat).mae == pytest.approx(3.0 * evaluate(y, yhat).mae)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
-            mape([1.0, 2.0], [1.0])
+            evaluate([1.0, 2.0], [1.0])
 
 
 class TestDirectionalAccuracy:
@@ -65,8 +57,8 @@ class TestDirectionalAccuracy:
         yhat = y.copy()
         for t in (3, 6, 9):  # transitions t -> t+1 forced wrong
             yhat[t + 1] = y[t] - 0.5
-        hits = direction_hits(y, yhat)
-        assert hits.sum() == 8 and hits.size == 11
+        hits = [d for _, _, _, d in evaluate(y, yhat).points if d is not None]
+        assert sum(hits) == 8 and len(hits) == 11
         assert evaluate(y, yhat).da_pct == pytest.approx(72.73, abs=0.01)
 
     def test_tie_counts_as_correct(self):

@@ -21,7 +21,7 @@ from oilcast.kpca import (
 from oilcast.numerics import sq_distances
 from oilcast.panel import normalize_fit
 from oilcast.pipeline import PipelineConfig, pipeline_fit
-from oilcast.regressors import kelm_fit
+from oilcast.regressors import kelm_fit, kelm_predict
 from oilcast.synth import SynthSpec, synth_generate
 
 
@@ -45,23 +45,21 @@ def full_spectrum_keep(x, theta):
 
 
 def record_requests(monkeypatch):
-    """Counts passed to the eigensolver by kpca_fit (the first through sym_eig,
-    any wider one unchecked), and k passed to the partial solver."""
+    """Counts passed to the eigensolver by kpca_fit, and k passed to the partial solver."""
     counts, lanczos = [], []
     real_eigsh = numerics.eigsh
 
-    def spy(real):
-        def spy_eig(a, count=None):
-            counts.append(count)
-            return real(a, count)
-        return spy_eig
+    real_eigenpairs = kpca._eigenpairs
+
+    def spy_eig(a, count):
+        counts.append(count)
+        return real_eigenpairs(a, count)
 
     def spy_eigsh(a, k, **kwargs):
         lanczos.append(k)
         return real_eigsh(a, k=k, **kwargs)
 
-    monkeypatch.setattr(kpca, "sym_eig", spy(kpca.sym_eig))
-    monkeypatch.setattr(kpca, "_eigenpairs", spy(kpca._eigenpairs))
+    monkeypatch.setattr(kpca, "_eigenpairs", spy_eig)
     monkeypatch.setattr(numerics, "eigsh", spy_eigsh)
     return counts, lanczos
 
@@ -211,7 +209,7 @@ class TestPeakMemory:
 
     def test_kpca_fit_full_eigensolve(self):
         # n/2 pairs take eigh: the Gram matrix, then eigh's eigenvectors, which
-        # sym_eig returns as a reversed view and kpca_fit reads after the Gram is freed
+        # _eigenpairs returns as a reversed view and kpca_fit reads after the Gram is freed
         x, _ = self.data()
         assert self.peak_in_matrices(lambda: kpca_fit(x, n_components=self.N // 2)) < 2.5
 
@@ -267,8 +265,8 @@ class TestCenterKernel:
         np.testing.assert_allclose(k_c, k, atol=1e-10)
 
     def test_asymmetric_gram_rejected_after_centering(self):
-        # centering keeps k - k.T, so sym_eig's one check on the centered
-        # matrix rejects an asymmetric kernel inside kpca_fit
+        # centering keeps k - k.T, so kpca_fit's one check of a caller
+        # kernel's centered matrix rejects an asymmetric kernel
         k = np.array([[1.0, 2.0], [0.0, 1.0]])
         k_c, _, _ = center_kernel(k.copy())
         np.testing.assert_allclose(k_c - k_c.T, k - k.T, atol=1e-15)
@@ -401,7 +399,9 @@ class TestPartialEigensolve:
         assert lanczos == [4, 8, 16]
 
     def test_the_centered_gram_is_checked_once_however_wide_the_request(self, monkeypatch):
+        # a Gaussian Gram is never scanned; a caller kernel's matrix is checked once
         x = np.random.default_rng(20).random((40, 12))
+        sigma = kpca_fit(x, theta=0.9).kernel.sigma
         counts, _ = record_requests(monkeypatch)
         checked = []
         real = numerics._check_symmetric
@@ -409,6 +409,9 @@ class TestPartialEigensolve:
                             lambda a, name: checked.append(a.shape) or real(a, name))
         kpca_fit(x, theta=0.9)
         assert counts == [4, 8, 16, 32]
+        assert checked == []
+        kpca_fit(x, kernel=lambda rows: gaussian_gram(rows, sigma)[0], theta=0.9)
+        assert counts == [4, 8, 16, 32] * 2
         assert checked == [(40, 40)]
 
     def test_share_within_tolerance_of_theta_takes_the_full_spectrum(self, monkeypatch):
@@ -488,3 +491,27 @@ class TestKpcaTransform:
             kpca_transform(model, np.ones((1, 4)))
         with pytest.raises(ValueError, match="2-D"):
             kpca_transform(model, np.ones(3))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+class TestDistanceOverflow:
+    # |x|^2 of the 1e200 rows overflows, so the GEMM form -2 x z' + |x|^2 + |z|^2
+    # is inf - inf between them
+    X = np.array([[1e200], [0.0], [1.0], [2.0], [3.0]])
+    ROWS = np.array([[1.1e200], [1.0]])
+
+    def test_a_fit_whose_only_overflow_is_the_diagonal_still_fits(self):
+        k, _ = gaussian_gram(self.X, 1.0)
+        assert np.all(np.isfinite(k)) and np.array_equal(np.diag(k), np.ones(5))
+        assert k[0, 1] == 0.0  # an infinite distance is a valid kernel value of 0
+
+    def test_prediction_rows_whose_distances_overflow_raise_instead_of_giving_nan(self):
+        model = kpca_fit(self.X, kernel=GaussianKernel(1.0), n_components=2)
+        kelm = kelm_fit(self.X, np.arange(1.0, 6.0), sigma=1.0)
+        message = "^inputs too large: squared distances overflow$"
+        with pytest.raises(ValueError, match=message):
+            kpca_transform(model, self.ROWS)
+        with pytest.raises(ValueError, match=message):
+            kelm_predict(kelm, self.ROWS)
+        with pytest.raises(ValueError, match=message):
+            kpca_fit(np.vstack([self.X, self.ROWS]), kernel=GaussianKernel(1.0), n_components=2)

@@ -1,21 +1,27 @@
-"""Symmetric eigensolver, SPD solve, ridge pseudoinverse and BLAS thread contracts."""
+"""Symmetric eigensolver, symmetry check, SPD solve, ridge pseudoinverse and BLAS thread
+contracts."""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from oilcast import baselines, cli, clustering, evaluation, kpca, numerics, pipeline, regressors
+from oilcast.kpca import center_kernel, gaussian_gram
 from oilcast.numerics import (
+    SYMMETRY_ATOL,
     NotPositiveDefiniteError,
     NumericalError,
+    _eigenpairs,
+    _ridge_pinv,
+    _solve_spd,
+    _symmetric,
     finite_array,
     one_blas_thread,
-    ridge_pinv,
-    solve_spd,
     sq_distances,
-    sym_eig,
 )
 from oilcast.synth import SynthSpec, synth_generate
 
@@ -63,39 +69,77 @@ class TestSqDistances:
         np.testing.assert_allclose(sq, cdist(x, z, "sqeuclidean"), rtol=0, atol=1e-12 * scale)
 
 
+def spy_on_solver(monkeypatch):
+    """Copies of every matrix handed to the Cholesky solver."""
+    seen = []
+    real = numerics._solve_spd
+
+    def spy(a, b):
+        seen.append(a.copy())
+        return real(a, b)
+
+    monkeypatch.setattr(numerics, "_solve_spd", spy)
+    return seen
+
+
 class TestRidgeGramSymmetry:
     @pytest.mark.parametrize("rows", [167, 155, 1187, 20])
     @pytest.mark.parametrize("layout", ["contiguous", "strided"])
     def test_ridge_gram_is_exactly_symmetric(self, rows, layout, monkeypatch):
-        # ridge_pinv hands H H' + I/C to solve_spd unsymmetrized: a rank-k
-        # update of a contiguous H is exactly symmetric, so a strided H is
-        # made contiguous first
+        # the ELM's H H' + I/C goes to the solver unscanned: a rank-k update
+        # of a contiguous H is exactly symmetric, so a strided H is made
+        # contiguous first
         rng = np.random.default_rng(rows)
         h = 1.0 / (1.0 + np.exp(-rng.standard_normal((rows, 200))))
         if layout == "strided":
             h = h[:, ::2]
-        seen = []
-
-        def spy(a, b):
-            seen.append(a.copy())
-            return solve_spd(a, b)
-
-        monkeypatch.setattr(numerics, "solve_spd", spy)
-        ridge_pinv(h, rng.standard_normal(rows), 100.0)
+        seen = spy_on_solver(monkeypatch)
+        _ridge_pinv(h, rng.standard_normal(rows), 100.0)
         assert np.array_equal(seen[0], seen[0].T)
+
+
+def layouts(x, layout):
+    """``x`` with the same values, C-ordered, Fortran-ordered or as a strided view."""
+    if layout == "F":
+        return np.asfortranarray(x)
+    if layout == "strided":
+        wide = np.zeros((x.shape[0], 2 * x.shape[1]))
+        wide[:, ::2] = x
+        return wide[:, ::2]
+    return x
+
+
+class TestBuiltGramsNeedNoScan:
+    """A Gaussian Gram goes to the solvers unscanned; these are the invariants
+    that make that safe, over random finite inputs (``TestRidgeGramSymmetry``
+    covers the ELM's system)."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 70), d=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]), layout=st.sampled_from(["C", "F", "strided"]),
+           into_out=st.booleans(), sigma=st.one_of(st.none(), st.floats(0.05, 20.0)))
+    def test_gaussian_gram_is_symmetric_and_centers_within_the_tolerance(
+            self, n, d, seed, scale, layout, into_out, sigma):
+        x = layouts(np.random.default_rng(seed).standard_normal((n, d)) * scale, layout)
+        out = np.empty((n, n)) if into_out else None
+        k, _ = gaussian_gram(x, None if sigma is None else sigma * scale, out=out)
+        assert np.array_equal(k, k.T)
+        assert np.all(np.isfinite(k))
+        k_c, _, _ = center_kernel(k)
+        assert np.max(np.abs(k_c - k_c.T)) <= SYMMETRY_ATOL
 
 
 class TestSymEig:
     def test_two_by_two_hand_values(self):
         # [[2, 1], [1, 2]] has eigenpairs (3, [1, 1]/sqrt(2)) and (1, [1, -1]/sqrt(2)).
-        values, vectors = sym_eig([[2.0, 1.0], [1.0, 2.0]], 2)
+        values, vectors = _eigenpairs(np.array([[2.0, 1.0], [1.0, 2.0]]), 2)
         np.testing.assert_allclose(values, [3.0, 1.0], atol=1e-12)
         s = 1.0 / np.sqrt(2.0)
         np.testing.assert_allclose(vectors[:, 0], [s, s], atol=1e-12)
         np.testing.assert_allclose(vectors[:, 1], [s, -s], atol=1e-12)
 
     def test_identity_gives_unit_eigenvalues_and_orthonormal_basis(self):
-        values, vectors = sym_eig(np.eye(4), 4)
+        values, vectors = _eigenpairs(np.eye(4), 4)
         np.testing.assert_allclose(values, np.ones(4), atol=1e-12)
         np.testing.assert_allclose(vectors.T @ vectors, np.eye(4), atol=1e-12)
 
@@ -105,7 +149,7 @@ class TestSymEig:
             n = int(rng.integers(2, 9))
             raw = rng.standard_normal((n, n))
             a = (raw + raw.T) / 2.0
-            values, vectors = sym_eig(a, n)
+            values, vectors = _eigenpairs(a, n)
             recon = vectors @ np.diag(values) @ vectors.T
             np.testing.assert_allclose(recon, a, atol=1e-8)
             assert np.all(np.diff(values) <= 1e-12), "eigenvalues not descending"
@@ -116,7 +160,7 @@ class TestSymEig:
 
     def test_rejects_non_symmetric_with_index_pair(self):
         with pytest.raises(ValueError, match=r"A\[0,1\]"):
-            sym_eig([[1.0, 2.0], [1.0, 1.0]], 2)
+            _symmetric([[1.0, 2.0], [1.0, 1.0]], "a")
 
     # 256 rows exceed every order drawn here, so that case scans one block
     @pytest.mark.parametrize("block", [1, 3, 7, 256])
@@ -144,17 +188,17 @@ class TestSymEig:
 
     def test_rejects_non_square_and_non_finite(self):
         with pytest.raises(ValueError, match="square"):
-            sym_eig(np.ones((2, 3)), 2)
+            _symmetric(np.ones((2, 3)), "a")
         with pytest.raises(ValueError, match="finite"):
-            sym_eig([[np.nan, 0.0], [0.0, 1.0]], 2)
+            _symmetric([[np.nan, 0.0], [0.0, 1.0]], "a")
 
 
 class TestPartialSymEig:
     @pytest.mark.parametrize("n, count", [(60, 1), (200, 5), (400, 12)])
     def test_leading_pairs_match_full_solver(self, n, count):
         a = centered_gaussian_gram(n, 6, seed=n)
-        values, vectors = sym_eig(a, count)
-        full_values, full_vectors = sym_eig(a, n)
+        values, vectors = _eigenpairs(a, count)
+        full_values, full_vectors = _eigenpairs(a, n)
         assert values.shape == (count,) and vectors.shape == (n, count)
         np.testing.assert_allclose(values, full_values[:count], rtol=1e-12, atol=0)
         np.testing.assert_allclose(vectors, full_vectors[:, :count], rtol=0, atol=1e-10)
@@ -163,54 +207,56 @@ class TestPartialSymEig:
 
     def test_reruns_are_byte_identical(self):
         a = centered_gaussian_gram(150, 4, seed=3)
-        first = sym_eig(a, 6)
-        second = sym_eig(a.copy(), 6)
+        first = _eigenpairs(a, 6)
+        second = _eigenpairs(a.copy(), 6)
         assert first[0].tobytes() == second[0].tobytes()
         assert first[1].tobytes() == second[1].tobytes()
 
     def test_half_the_order_uses_the_full_solver(self, monkeypatch):
         a = centered_gaussian_gram(20, 3, seed=4)
-        expected = sym_eig(a, 20)
+        expected = _eigenpairs(a, 20)
         monkeypatch.setattr(numerics, "eigsh", no_lanczos)
-        values, vectors = sym_eig(a, 10)
+        values, vectors = _eigenpairs(a, 10)
         assert np.array_equal(values, expected[0][:10])
         assert np.array_equal(vectors, expected[1][:, :10])
 
     def test_small_order_uses_the_full_solver(self, monkeypatch):
         a = centered_gaussian_gram(7, 2, seed=5)
-        expected = sym_eig(a, 7)
+        expected = _eigenpairs(a, 7)
         monkeypatch.setattr(numerics, "eigsh", no_lanczos)
-        values, vectors = sym_eig(a, 1)
+        values, vectors = _eigenpairs(a, 1)
         assert np.array_equal(values, expected[0][:1])
         assert np.array_equal(vectors, expected[1][:, :1])
 
     def test_zero_matrix_falls_back_to_the_full_solver(self):
         # every start vector maps to 0, which ARPACK refuses
-        values, vectors = sym_eig(np.zeros((12, 12)), 2)
+        values, vectors = _eigenpairs(np.zeros((12, 12)), 2)
         assert np.array_equal(values, np.zeros(2))
         np.testing.assert_allclose(vectors.T @ vectors, np.eye(2), atol=1e-12)
 
     def test_count_must_lie_in_range(self):
         with pytest.raises(ValueError, match="count"):
-            sym_eig(np.eye(3), 0)
+            _eigenpairs(np.eye(3), 0)
         with pytest.raises(ValueError, match="count"):
-            sym_eig(np.eye(3), 4)
+            _eigenpairs(np.eye(3), 4)
 
     def test_still_rejects_non_symmetric(self):
+        # the solver takes what it is given; kpca_fit checks a caller
+        # kernel's centered matrix once before the partial solve
         a = centered_gaussian_gram(30, 3, seed=6)
         a[0, 1] += 1e-6
-        with pytest.raises(ValueError, match=r"A\[0,1\]"):
-            sym_eig(a, 2)
+        with pytest.raises(ValueError, match=r"^kernel matrix is not symmetric: \|A\[0,1\]"):
+            kpca.kpca_fit(np.zeros((30, 1)), kernel=lambda x: a, n_components=2)
 
 
 class TestSolveSpd:
     def test_diagonal_hand_values(self):
-        x = solve_spd(np.diag([2.0, 3.0]), [4.0, 9.0])
+        x = _solve_spd(np.diag([2.0, 3.0]), np.array([4.0, 9.0]))
         np.testing.assert_allclose(x, [2.0, 3.0], atol=1e-12)
 
     def test_two_by_two_hand_values(self):
         # [[2, 1], [1, 2]] @ [1, 1] = [3, 3]
-        x = solve_spd([[2.0, 1.0], [1.0, 2.0]], [3.0, 3.0])
+        x = _solve_spd(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([3.0, 3.0]))
         np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-12)
 
     def test_matches_generic_solver_on_random_spd(self):
@@ -220,33 +266,37 @@ class TestSolveSpd:
             r = rng.standard_normal((n, n))
             a = r @ r.T + n * np.eye(n)
             b = rng.standard_normal(n)
-            np.testing.assert_allclose(solve_spd(a.copy(), b), np.linalg.solve(a, b), atol=1e-9)
+            np.testing.assert_allclose(_solve_spd(a.copy(), b), np.linalg.solve(a, b), atol=1e-9)
 
     def test_indefinite_matrix_reports_pivot(self):
         with pytest.raises(NotPositiveDefiniteError) as exc:
-            solve_spd(np.diag([1.0, -1.0]), [1.0, 1.0])
+            _solve_spd(np.diag([1.0, -1.0]), np.ones(2))
         assert exc.value.pivot == 1
 
     def test_zero_matrix_fails_at_first_pivot(self):
         with pytest.raises(NotPositiveDefiniteError) as exc:
-            solve_spd(np.zeros((3, 3)), np.ones(3))
+            _solve_spd(np.zeros((3, 3)), np.ones(3))
         assert exc.value.pivot == 0
 
     def test_rejects_asymmetric_and_bad_rhs(self):
-        with pytest.raises(ValueError, match="not symmetric"):
-            solve_spd([[1.0, 0.5], [0.0, 1.0]], [1.0, 1.0])
+        # the solver takes what it is given; kelm_fit checks the system it hands over
+        x = np.zeros((2, 1))
+        with pytest.raises(ValueError, match="^kernel matrix is not symmetric"):
+            regressors.kelm_fit(x, [1.0, 1.0], kernel=lambda _: np.array([[1.0, 0.5], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="^kernel matrix of order 3 does not match 2 targets$"):
+            regressors.kelm_fit(x, [1.0, 1.0], kernel=lambda _: np.eye(3))
         with pytest.raises(ValueError, match="shape"):
-            solve_spd(np.eye(2), [1.0, 2.0, 3.0])
+            regressors.kelm_fit(x, [1.0, 2.0, 3.0])
 
     def test_error_is_a_numerical_error(self):
         with pytest.raises(NumericalError):
-            solve_spd(np.diag([1.0, -1.0]), [1.0, 1.0])
+            _solve_spd(np.diag([1.0, -1.0]), np.ones(2))
 
 
 class TestRidgePinv:
     def test_identity_design_hand_values(self):
         # H = I, C = 1: beta = (I + I)^-1 y = y / 2.
-        beta = ridge_pinv(np.eye(2), [1.0, 2.0], 1.0)
+        beta = _ridge_pinv(np.eye(2), np.array([1.0, 2.0]), 1.0)
         np.testing.assert_allclose(beta, [0.5, 1.0], atol=1e-12)
 
     def test_satisfies_primal_normal_equations(self):
@@ -257,7 +307,7 @@ class TestRidgePinv:
             h = rng.standard_normal((30, 6))
             y = rng.standard_normal(30)
             c = float(rng.uniform(0.5, 50.0))
-            beta = ridge_pinv(h, y, c)
+            beta = _ridge_pinv(h, y, c)
             lhs = (h.T @ h + np.eye(6) / c) @ beta
             np.testing.assert_allclose(lhs, h.T @ y, atol=1e-8)
 
@@ -265,31 +315,32 @@ class TestRidgePinv:
         rng = np.random.default_rng(9)
         h = rng.standard_normal((5, 8))
         y = rng.standard_normal(5)
-        beta = ridge_pinv(h, y, 1e12)
+        beta = _ridge_pinv(h, y, 1e12)
         np.testing.assert_allclose(beta, np.linalg.pinv(h) @ y, atol=1e-6)
 
     def test_rejects_bad_c_and_shape_mismatch(self):
-        with pytest.raises(ValueError, match="positive"):
-            ridge_pinv(np.eye(2), [1.0, 2.0], 0.0)
-        with pytest.raises(ValueError, match="positive"):
-            ridge_pinv(np.eye(2), [1.0, 2.0], -3.0)
+        # the solver takes what it is given; elm_fit checks C and the rows
+        for c in (0.0, -3.0, 1e-310):  # 1/C of the last overflows
+            with pytest.raises(ValueError, match="^penalty C must be positive, with 1/C finite"):
+                regressors.elm_fit(np.eye(2), [1.0, 2.0], c=c)
         with pytest.raises(ValueError, match="rows"):
-            ridge_pinv(np.eye(2), [1.0, 2.0, 3.0], 1.0)
+            regressors.elm_fit(np.eye(2), [1.0, 2.0, 3.0], c=1.0)
 
 
 class TestVectorTargets:
     @pytest.mark.parametrize("fit", [
-        lambda x, y: solve_spd(x.T @ x + np.eye(3), y[:3]),
-        lambda x, y: ridge_pinv(x, y, 10.0),
         lambda x, y: regressors.elm_fit(x, y, n_hidden=5),
         lambda x, y: regressors.kelm_fit(x, y),
-    ], ids=["solve_spd", "ridge_pinv", "elm_fit", "kelm_fit"])
+    ], ids=["elm_fit", "kelm_fit"])
     def test_a_stacked_target_is_rejected(self, fit):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((12, 3))
         fit(x, rng.standard_normal(12))
-        with pytest.raises(ValueError, match=r"^(b|y) must be 1-D, got shape \((3|12), 2\)$"):
+        with pytest.raises(ValueError, match=r"^y must be 1-D, got shape \(12, 2\)$"):
             fit(x, rng.standard_normal((12, 2)))
+
+
+N, D = 20, 3  # the rows and columns of ``good.x``
 
 
 @pytest.fixture(scope="module")
@@ -297,31 +348,25 @@ def good():
     """Inputs that every array entry point accepts, and the models the
     predicting ones take."""
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((20, 3))
-    y = rng.uniform(1.0, 2.0, 20)
+    x = rng.standard_normal((N, D))
+    y = rng.uniform(1.0, 2.0, N)
     return SimpleNamespace(
-        series=rng.standard_normal((6, 30)), x=x, y=y, spd=x.T @ x + np.eye(3),
+        series=rng.standard_normal((6, 30)), x=x, y=y,
         kpca=kpca.kpca_fit(x, n_components=2), elm=regressors.elm_fit(x, y, n_hidden=5),
         kelm=regressors.kelm_fit(x, y), ar=baselines.ar_fit(y, max_p=2))
 
 
-def metric_call(metric, arg):
-    """``evaluation.<metric>(y, yhat)`` with the argument ``arg`` altered."""
+def evaluate_call(arg):
+    """``evaluation.evaluate(y, yhat)`` with the argument ``arg`` altered."""
     def call(g, bad):
         y, yhat = (bad(g.y), g.y) if arg == "y" else (g.y, bad(g.y))
-        return getattr(evaluation, metric)(y, yhat)
+        return evaluation.evaluate(y, yhat)
     return call
 
 
 # entry point -> (argument name, the call with that argument altered by ``bad``)
 ARRAY_ENTRY_POINTS = {
     "finite_array": ("v", lambda g, bad: finite_array(bad(g.y), "v", 1)),
-    "sym_eig": ("a", lambda g, bad: sym_eig(bad(g.spd), 1)),
-    # solve_spd factors a float64 matrix in place, so it is given copies
-    "solve_spd a": ("a", lambda g, bad: solve_spd(bad(g.spd).copy(), g.y[:3])),
-    "solve_spd b": ("b", lambda g, bad: solve_spd(g.spd.copy(), bad(g.y[:3]))),
-    "ridge_pinv h": ("h", lambda g, bad: ridge_pinv(bad(g.x), g.y, 1.0)),
-    "ridge_pinv y": ("y", lambda g, bad: ridge_pinv(g.x, bad(g.y), 1.0)),
     "kmeans_fit": ("series", lambda g, bad: clustering.kmeans_fit(bad(g.series), 2)),
     "elbow_select": ("series", lambda g, bad: clustering.elbow_select(bad(g.series), [1, 2, 3])),
     "kpca_fit": ("x", lambda g, bad: kpca.kpca_fit(bad(g.x))),
@@ -336,8 +381,7 @@ ARRAY_ENTRY_POINTS = {
     "ar_forecast": ("history", lambda g, bad: baselines.ar_forecast(g.ar, bad(g.y), 2)),
     "naive_forecast": ("history", lambda g, bad: baselines.naive_forecast(bad(g.y), 2)),
     "univariate_lag_features": ("y", lambda g, bad: baselines.univariate_lag_features(bad(g.y), 2)),
-    **{f"{metric} {arg}": (arg, metric_call(metric, arg))
-       for metric in ("mape", "rmse", "mae", "direction_hits", "evaluate") for arg in ("y", "yhat")},
+    **{f"evaluate {arg}": (arg, evaluate_call(arg)) for arg in ("y", "yhat")},
 }
 
 
@@ -361,6 +405,56 @@ class TestOneArrayCheck:
         with pytest.raises(ValueError, match=rf"^{name} must be [12]-D, got shape \("):
             call(good, other_ndim)
         call(good, lambda v: v)  # the unaltered inputs pass
+
+
+def record_checks(monkeypatch):
+    """(name, shape) of every ``finite_array`` call in the array-taking modules,
+    and the shape of every symmetry check."""
+    arrays, symmetric = [], []
+    real_finite, real_symmetric = numerics.finite_array, numerics._check_symmetric
+
+    def finite(x, name, ndim):
+        arrays.append((name, np.shape(x)))
+        return real_finite(x, name, ndim)
+
+    def check_symmetric(a, name):
+        symmetric.append(a.shape)
+        return real_symmetric(a, name)
+
+    for module in (numerics, kpca, regressors, evaluation):
+        monkeypatch.setattr(module, "finite_array", finite)
+    monkeypatch.setattr(numerics, "_check_symmetric", check_symmetric)
+    return arrays, symmetric
+
+
+# call -> (the call on ``good``, its array checks as (name, shape), its symmetry checks)
+CHECKS_PER_CALL = {
+    "kpca_fit median": (lambda g: kpca.kpca_fit(g.x, theta=0.95), [("x", (N, D))], []),
+    "kpca_fit sigma": (lambda g: kpca.kpca_fit(g.x, kernel=kpca.GaussianKernel(1.0),
+                                               n_components=2), [("x", (N, D))], []),
+    "kpca_fit caller kernel": (lambda g: kpca.kpca_fit(g.x, kernel=kpca.LinearKernel(),
+                                                       n_components=2),
+                               [("x", (N, D)), ("kernel matrix", (N, N))], [(N, N)]),
+    "kpca_transform": (lambda g: kpca.kpca_transform(g.kpca, g.x), [("x", (N, D))], []),
+    "kelm_fit": (lambda g: regressors.kelm_fit(g.x, g.y), [("x", (N, D)), ("y", (N,))], []),
+    "kelm_fit caller kernel": (lambda g: regressors.kelm_fit(g.x, g.y, kernel=kpca.LinearKernel()),
+                               [("x", (N, D)), ("y", (N,)), ("kernel matrix", (N, N))], [(N, N)]),
+    "kelm_predict": (lambda g: regressors.kelm_predict(g.kelm, g.x), [("x", (N, D))], []),
+    "elm_fit": (lambda g: regressors.elm_fit(g.x, g.y, n_hidden=5),
+                [("x", (N, D)), ("y", (N,))], []),
+    "elm_predict": (lambda g: regressors.elm_predict(g.elm, g.x), [("x", (N, D))], []),
+    "evaluate": (lambda g: evaluation.evaluate(g.y, g.y[::-1]), [("y", (N,)), ("yhat", (N,))], []),
+}
+
+
+class TestEachArrayCheckedOnce:
+    @pytest.mark.parametrize("call", CHECKS_PER_CALL)
+    def test_each_array_is_checked_once_and_a_built_gram_never(self, call, good, monkeypatch):
+        run, expected_arrays, expected_symmetric = CHECKS_PER_CALL[call]
+        arrays, symmetric = record_checks(monkeypatch)
+        run(good)
+        assert arrays == expected_arrays
+        assert symmetric == expected_symmetric
 
 
 def thread_counts(controls):

@@ -224,6 +224,16 @@ class TestNormalization:
         with pytest.raises(ValueError, match=r"constant columns.*'a'"):
             fit_columns(panel)
 
+    def test_column_whose_range_overflows_rejected(self):
+        # max - min is inf, which would make every normalized value of 'b' NaN
+        panel = FeaturePanel(
+            dates=month_range("2010-01", 3),
+            columns={"a": np.array([1.0, 2.0, 3.0]), "b": np.array([-1e308, 0.0, 1e308])},
+        )
+        with pytest.raises(ValueError, match=(r"^columns whose range max - min overflows "
+                                              r"cannot be normalized: \['b'\]$")):
+            fit_columns(panel)
+
     def test_wrong_column_count_rejected(self):
         params = fit_columns(make_panel(names=("a", "b", "c")))
         with pytest.raises(ValueError, match="expected 3 columns to normalize, got 2"):

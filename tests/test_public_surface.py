@@ -1,5 +1,5 @@
-"""Every public function, class and method of the package has a caller, and
-every dataclass field a reader.
+"""Every public function, class and method of the package has a caller, every
+dataclass field a reader, and every import a use.
 
 A public name (no leading underscore) is used when the package source loads
 it, as a name or as an attribute, outside its own definition, or when the
@@ -10,6 +10,8 @@ as ``argparse``) and are not checked.
 A dataclass field is read when the package source, the benchmark or the
 acceptance tests load an attribute of its name. A field that only tests
 read is stored for nothing, unless ``UNREAD_FIELDS`` says why it stays.
+
+A name a module imports is used when the module loads it as a name.
 """
 
 import ast
@@ -94,3 +96,25 @@ def test_every_dataclass_field_is_read():
         f"fields with no reader in src, perfbench or the acceptance tests: "
         f"{sorted(set(unread) - set(UNREAD_FIELDS))}; listed as unread but read or gone: "
         f"{sorted(set(UNREAD_FIELDS) - set(unread))}")
+
+
+def imported_names(tree):
+    """(bound name, line) of every import in the tree, ``from __future__`` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{path.name}:{line}: {name}" for name, line in imported_names(tree)
+                   if name not in used]
+    assert not unused, f"imports that nothing in their module uses: {unused}"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oilcast.kpca import GaussianKernel, LinearKernel
-from oilcast.regressors import elm_fit, elm_predict, kelm_fit, kelm_predict
+from oilcast.regressors import ElmModel, elm_fit, elm_predict, kelm_fit, kelm_predict
 
 
 def smooth_1d_problem(seed, n=20):
@@ -54,6 +54,27 @@ class TestElm:
         base = elm_predict(model, x[4:5])
         nudged = elm_predict(model, x[4:5] + 1e-9)
         assert abs(nudged[0] - base[0]) < 1e-6
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_hidden_inputs_that_sum_to_nan_raise(self):
+        # weights of opposite infinities make x w' NaN whatever the summation order
+        model = ElmModel(weights=np.array([[np.inf, -np.inf]]), biases=np.zeros(1),
+                         beta=np.ones(1))
+        with pytest.raises(ValueError, match="^inputs too large: hidden-layer inputs overflow$"):
+            elm_predict(model, np.ones((1, 2)))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.parametrize("seed", range(8))
+    def test_a_fit_on_huge_finite_rows_is_rejected_or_finite(self, seed):
+        # x w' of this row may sum an inf and a -inf, depending on the weights
+        # and the BLAS summation order; the Cholesky factor of a NaN system
+        # need not report it
+        try:
+            model = elm_fit(np.full((1, 4), 1.7e308), np.ones(1), n_hidden=5, seed=seed)
+        except ValueError as err:
+            assert str(err) == "inputs too large: hidden-layer inputs overflow"
+        else:
+            assert np.all(np.isfinite(model.beta))
 
     def test_validation_errors(self):
         x, y = smooth_1d_problem(0)
