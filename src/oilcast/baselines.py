@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import finite_array
+from .numerics import at_least, check_rules, finite_array
 
 CRITERIA = ("aic", "sc")
 
@@ -20,6 +20,14 @@ DEFAULT_MAX_P = 12
 DEFAULT_D = 1
 DEFAULT_CRITERION = "aic"
 DEFAULT_LAGS = 12
+
+RULES = {  # parameter -> (test of a valid value, stated rule)
+    "max_p": at_least(1),
+    "d": ((lambda value: value in (0, 1)), "0 or 1"),
+    "criterion": ((lambda value: str(value).lower() in CRITERIA), f"one of {CRITERIA}"),
+    "lags": at_least(1),
+    "steps": at_least(0),
+}
 
 
 def _as_series(y, min_len, name="y"):
@@ -67,14 +75,9 @@ def ar_fit(y, max_p=DEFAULT_MAX_P, d=DEFAULT_D, criterion=DEFAULT_CRITERION):
     after dropping max_p lags), so T is identical and AIC/SC comparable.
     Candidates with fewer rows than parameters are skipped as inestimable.
     """
-    criterion = str(criterion).lower()
-    if criterion not in CRITERIA:
-        raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
     max_p = int(max_p)
-    if max_p < 1:
-        raise ValueError(f"max_p must be >= 1, got {max_p}")
-    if d not in (0, 1):
-        raise ValueError(f"differencing order must be 0 or 1, got {d}")
+    check_rules(RULES, max_p=max_p, d=d, criterion=criterion)
+    criterion = str(criterion).lower()
     y = _as_series(y, max_p + d + 3)
 
     z = np.diff(y, n=d)
@@ -105,8 +108,7 @@ def ar_fit(y, max_p=DEFAULT_MAX_P, d=DEFAULT_D, criterion=DEFAULT_CRITERION):
 def ar_forecast(model, history, steps):
     """Iterate the fitted recursion forward, re-integrating the differences."""
     steps = int(steps)
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
+    check_rules(RULES, steps=steps)
     history = _as_series(history, model.p + model.d, name="history")
     if steps == 0:
         return np.empty(0)
@@ -132,15 +134,13 @@ def naive_forecast(history, steps):
     """Repeat the last observed value: the random-walk point forecast."""
     history = _as_series(history, 1, name="history")
     steps = int(steps)
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
+    check_rules(RULES, steps=steps)
     return np.full(steps, history[-1])
 
 
 def univariate_lag_features(y, lags=DEFAULT_LAGS):
     """Build rows (y_{t-1}, ..., y_{t-lags}) -> y_t over every valid t."""
     lags = int(lags)
-    if lags < 1:
-        raise ValueError(f"lags must be >= 1, got {lags}")
+    check_rules(RULES, lags=lags)
     y = _as_series(y, lags + 1)
     return _lag_matrix(y, lags), y[lags:].copy()

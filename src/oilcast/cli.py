@@ -21,48 +21,24 @@ from dataclasses import fields
 
 import numpy as np
 
-from .baselines import (CRITERIA, DEFAULT_CRITERION, DEFAULT_D, DEFAULT_LAGS, DEFAULT_MAX_P,
-                        ar_fit, ar_forecast, naive_forecast, univariate_lag_features)
+from .baselines import RULES as BASELINE_RULES
+from .baselines import (DEFAULT_CRITERION, DEFAULT_D, DEFAULT_LAGS, DEFAULT_MAX_P, ar_fit,
+                        ar_forecast, naive_forecast, univariate_lag_features)
 from .evaluation import evaluate, format_report, improvement_rate, parse_report
-from .kpca import DEFAULT_THETA
-from .numerics import NumericalError, one_blas_thread
-from .panel import (
-    MODES,
-    FeaturePanel,
-    _content_lines,
-    _decode_text,
-    atomic_write_text,
-    fuse,
-    read_panel_csv,
-    read_tags_csv,
-    require_finite,
-    train_test_split,
-    write_panel_csv,
-    write_tags_csv,
-)
-from .pipeline import (
-    CONFIG_RULES,
-    DEFAULT_MAX_LAG,
-    DEFAULT_P_THRESHOLD,
-    PipelineConfig,
-    at_least,
-    granger_filter,
-    pipeline_fit,
-    pipeline_predict,
-)
-from .regressors import regressor_fit, regressor_predict
-from .synth import SynthSpec, synth_generate
+from .kpca import RULES as KPCA_RULES, DEFAULT_THETA
+from .numerics import NumericalError, check_rules, one_blas_thread, one_of
+from .panel import RULES as PANEL_RULES
+from .panel import (FeaturePanel, _content_lines, _decode_text, atomic_write_text, fuse,
+                    read_panel_csv, read_tags_csv, require_finite, train_test_split,
+                    write_panel_csv, write_tags_csv)
+from .pipeline import RULES as PIPELINE_RULES
+from .pipeline import (DEFAULT_MAX_LAG, DEFAULT_P_THRESHOLD, PipelineConfig, check_k_range,
+                       granger_filter, pipeline_fit, pipeline_predict)
+from .regressors import RULES as REGRESSOR_RULES, regressor_fit, regressor_predict
+from .synth import RULES as SYNTH_RULES, SynthSpec, synth_generate
 
-METHODS = (
-    "naive",
-    "ar",
-    "elm",
-    "kelm",
-    "kpca+elm",
-    "kpca+kelm",
-    "kmeans+kpca+elm",
-    "kmeans+kpca+kelm",
-)
+METHODS = ("naive", "ar", "elm", "kelm", "kpca+elm", "kpca+kelm", "kmeans+kpca+elm",
+           "kmeans+kpca+kelm")
 
 
 class CliError(Exception):
@@ -120,16 +96,16 @@ CONFIG_KEYS = {
 }
 
 
-# model key -> (test of a set value, the rule it states). _set_key checks each
+# key -> the rule object of the module that uses its value. _set_key checks each
 # value where it is set, naming its line or --set, whatever the method, so a
 # key the method ignores cannot carry a bad value into the echo; rules that
 # need the data (k up to the series count) stay where the data is.
-MODEL_KEY_RULES = {
-    **CONFIG_RULES,
-    **dict.fromkeys(("k_lo", "k_hi", "max_lag", "ar_max_p", "uni_lags"), at_least(1)),
-    "p_threshold": ((lambda value: 0.0 < value < 1.0), "in (0, 1)"),
-    "ar_d": ((lambda value: value in (0, 1)), "0 or 1"),
-    "ar_criterion": ((lambda value: value.lower() in CRITERIA), f"one of {CRITERIA}"),
+KEY_RULES = {
+    **{f"synth_{name}": rule for name, rule in SYNTH_RULES.items()},
+    "split": PANEL_RULES["month"], "mode": PANEL_RULES["mode"], "method": one_of(METHODS),
+    **PIPELINE_RULES, **KPCA_RULES, **{key: REGRESSOR_RULES[key] for key in ("c", "n_hidden")},
+    **{f"ar_{name}": BASELINE_RULES[name] for name in ("max_p", "d", "criterion")},
+    "uni_lags": BASELINE_RULES["lags"],
 }
 
 
@@ -143,10 +119,11 @@ def _set_key(config: dict, key: str, raw: str, origin: str) -> None:
         value = parser(raw)
     except ValueError as err:
         raise CliError(f"{origin}: bad value for {key!r}: {err}") from None
-    if key in MODEL_KEY_RULES and value is not None:
-        valid, rule = MODEL_KEY_RULES[key]
-        if not valid(value):
-            raise CliError(f"{origin}: {key} must be {rule}, got {_echo_value(value)}")
+    if key in KEY_RULES and value is not None:  # None: an optional key left unset
+        try:
+            check_rules(KEY_RULES, **{key: value})
+        except ValueError as err:
+            raise CliError(f"{origin}: {err}") from None
     config[key] = value
 
 
@@ -295,14 +272,9 @@ def _run_forecast(config: dict, panel: FeaturePanel, y: np.ndarray, n_train: int
 
 def cmd_run(args) -> int:
     config = load_config(args.config, args.set or [])
-    if config["method"] not in METHODS:
-        raise CliError(f"unknown method {config['method']!r}; expected one of {METHODS}")
-    if config["mode"] not in MODES:
-        raise CliError(f"unknown mode {config['mode']!r}; expected E, G or H")
+    check_k_range(config["k"], config["k_lo"], config["k_hi"])
     if not config["split"]:
         raise CliError("config needs split = YYYY-MM (last training month)")
-    if config["k_hi"] < config["k_lo"]:
-        raise CliError(f"k_hi must be >= k_lo = {config['k_lo']}, got {config['k_hi']}")
 
     panel = _load_run_panel(config)
     if panel.target_name is None:
@@ -351,10 +323,8 @@ def cmd_run(args) -> int:
 def _read_fragment(path: str, tag: str) -> FeaturePanel:
     fragment = read_panel_csv(path)
     if tag == "target" and len(fragment.columns) != 1:
-        raise CliError(
-            f"{path}: target file must hold exactly one column, "
-            f"got {list(fragment.columns)}"
-        )
+        raise CliError(f"{path}: target file must hold exactly one column, "
+                       f"got {list(fragment.columns)}")
     return fragment.with_tags({name: tag for name in fragment.columns})
 
 
@@ -425,18 +395,14 @@ def cmd_compare(args) -> int:
         window_a = (fa.get("test_start"), fa.get("test_end"), first.n)
         window_b = (fb.get("test_start"), fb.get("test_end"), second.n)
         if window_a != window_b:
-            raise CliError(
-                f"incompatible test windows for {first.label!r} vs {second.label!r}: "
-                f"{window_a} vs {window_b}"
-            )
+            raise CliError(f"incompatible test windows for {first.label!r} vs "
+                           f"{second.label!r}: {window_a} vs {window_b}")
         same, different = PAIRINGS[args.pairing]
         if "method" in fa and "method" in fb and (
             fa.get(same) != fb.get(same) or fa.get(different) == fb.get(different)
         ):
-            raise CliError(
-                f"{args.pairing} expects same {same}, different {different}; got "
-                f"{first.label!r} vs {second.label!r}"
-            )
+            raise CliError(f"{args.pairing} expects same {same}, different {different}; "
+                           f"got {first.label!r} vs {second.label!r}")
         rates = improvement_rate(first, second)
         rows.append(
             f"{first.label} vs {second.label},{rates.ir_mape_pct!r},"
@@ -447,6 +413,21 @@ def cmd_compare(args) -> int:
     atomic_write_text(args.out, table)
     print(table, end="")
     return 0
+
+
+def _synth_option(name: str, parse):
+    """The argparse type of the synth option for ``SynthSpec`` field ``name``:
+    ``parse``, then the field's rule, whose text the error keeps."""
+    def convert(text: str):
+        value = parse(text)
+        try:
+            check_rules(SYNTH_RULES, **{name: value})
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+        return value
+
+    convert.__name__ = parse.__name__  # argparse names it in "invalid int value: ..."
+    return convert
 
 
 class _Parser(argparse.ArgumentParser):
@@ -469,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = sub.add_parser("synth", help="write a synthetic panel")
     for f in fields(SynthSpec):
-        synth.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default), default=f.default)
+        synth.add_argument(f"--{f.name.replace('_', '-')}", default=f.default,
+                           type=_synth_option(f.name, type(f.default)))
     synth.add_argument("--out", required=True, metavar="PREFIX")
 
     run = sub.add_parser("run", help="run one forecasting method end to end")

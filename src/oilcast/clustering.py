@@ -106,7 +106,7 @@ def _kmeans(series: np.ndarray, series_std: np.ndarray, k: int, seed: int) -> Cl
     """``kmeans_fit`` of series checked by ``_checked_series``, with their standardized rows."""
     n = series.shape[0]
     if not (1 <= k <= n):
-        raise ValueError(f"k must lie in [1, {n}], got {k}")
+        raise ValueError(f"k must be in [1, {n}] for {n} series, got {k}")
     rng = np.random.default_rng(seed)
     centroids = series[rng.choice(n, size=k, replace=False)].copy()
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (BLOCK_ROWS, NumericalError, _eigenpairs, _symmetric, finite_array,
-                       one_blas_thread, sq_distances)
+from .numerics import (BLOCK_ROWS, NumericalError, _eigenpairs, _symmetric, at_least, check_rules,
+                       finite_array, finite_rows, one_blas_thread, sq_distances)
 
 # Components with eigenvalue at or below EIGENVALUE_FLOOR_RATIO * lambda_max
 # are treated as numerical rank deficiency and never retained.
@@ -41,15 +41,23 @@ class DegenerateKernelError(NumericalError):
     """The centered kernel has no usable spectrum (e.g. duplicated samples)."""
 
 
-# the condition usable_width tests, as error messages state it
-_WIDTH_RULE = "positive, with 2 sigma^2 finite and non-zero"
+RULES = {  # parameter -> (test of a valid value, stated rule)
+    # 2 sigma^2 as a float product, which overflows to inf where sigma**2 would raise
+    "sigma": ((lambda s: float(s) > 0 and 0.0 < 2.0 * float(s) * float(s) < np.inf),
+              "positive, with 2 sigma^2 finite and non-zero"),
+    "theta": ((lambda value: 0.0 < value <= 1.0), "in (0, 1]"),
+    "n_components": at_least(1),
+}
 
 
-def usable_width(sigma) -> bool:
-    """Whether ``sigma`` can be a Gaussian width: positive, with the kernel's
-    scale 2 sigma^2 finite and non-zero in floating point."""
-    sigma = float(sigma)  # a float product overflows to inf, where sigma**2 would raise
-    return sigma > 0 and 0.0 < 2.0 * sigma * sigma < np.inf
+def check_selection(n_components: int | None, theta: float | None) -> None:
+    """The component-count rules: each of ``n_components`` and ``theta`` by its
+    rule when set, and not both set."""
+    if n_components is not None and theta is not None:
+        raise ValueError("set n_components or theta, not both")
+    for name, value in (("n_components", n_components), ("theta", theta)):
+        if value is not None:
+            check_rules(RULES, **{name: value})
 
 
 @dataclass(frozen=True)
@@ -59,8 +67,7 @@ class GaussianKernel:
     sigma: float
 
     def __post_init__(self):
-        if not usable_width(self.sigma):
-            raise ValueError(f"Gaussian kernel width must be {_WIDTH_RULE}, got {self.sigma}")
+        check_rules(RULES, sigma=self.sigma)
 
     def __call__(self, x: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
         """Kernel values between the rows of x and of z (x itself when z is None)."""
@@ -237,12 +244,9 @@ def kpca_fit(x, kernel=None, n_components: int | None = None, theta: float | Non
     n = x.shape[0]
     if n < 2:
         raise ValueError(f"kpca_fit needs at least 2 samples, got {n}")
-    if n_components is not None and theta is not None:
-        raise ValueError("give either n_components or theta, not both")
-    if n_components is not None and not (1 <= n_components <= n):
-        raise ValueError(f"n_components must lie in [1, {n}], got {n_components}")
-    if theta is not None and not (0.0 < theta <= 1.0):
-        raise ValueError(f"theta must lie in (0, 1], got {theta}")
+    check_selection(n_components, theta)
+    if n_components is not None and n_components > n:
+        raise ValueError(f"n_components must be <= the {n} samples, got {n_components}")
     if n_components is None and theta is None:
         theta = DEFAULT_THETA
     gaussian = kernel is None or isinstance(kernel, GaussianKernel)
@@ -301,10 +305,8 @@ def _leading_components(k_c: np.ndarray, n_components: int | None,
         values, vectors = _eigenpairs(k_c, n_components)
         usable, floor = _usable_count(values)
         if n_components > usable:
-            raise ValueError(
-                f"requested {n_components} components but only {usable} eigenvalues "
-                f"clear the floor {floor:.3e}"
-            )
+            raise ValueError(f"requested {n_components} components but only {usable} "
+                             f"eigenvalues clear the floor {floor:.3e}")
         return values, vectors, n_components
 
     n = k_c.shape[0]
@@ -339,12 +341,7 @@ def kpca_transform(model: KpcaModel, x) -> np.ndarray:
     are centered with the stored training statistics before applying the
     coefficient columns.
     """
-    rows = finite_array(x, "x", 2)
-    if rows.shape[1] != model.x_train.shape[1]:
-        raise ValueError(
-            f"sample dimension {rows.shape[1]} does not match training dimension "
-            f"{model.x_train.shape[1]}"
-        )
+    rows = finite_rows(x, model.x_train.shape[1])
     k_rows = model.kernel(rows, model.x_train)
     k_c = (
         k_rows

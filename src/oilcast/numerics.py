@@ -1,6 +1,7 @@
 """Dense symmetric linear algebra with explicit failure modes.
 
 ``finite_array``, the one array check of every public function's inputs;
+``check_rules``, the one check of a run parameter against its rule;
 ``_symmetric`` for a matrix the library did not build; the one
 squared-distance computation of every kernel; unchecked LAPACK and ARPACK
 cores that report breakdowns as ``NumericalError``; and ``one_blas_thread``.
@@ -126,6 +127,36 @@ def finite_array(x, name: str, ndim: int) -> np.ndarray:
     return x
 
 
+def finite_rows(x, dim: int) -> np.ndarray:
+    """Sample rows for a model fitted on ``dim`` columns: ``finite_array`` plus the width."""
+    rows = finite_array(x, "x", 2)
+    if rows.shape[1] != dim:
+        raise ValueError(f"sample dimension {rows.shape[1]} does not match model dimension {dim}")
+    return rows
+
+
+def check_rules(rules: dict, **values) -> None:
+    """Check each ``name=value`` by ``rules[name]``, a (test of a valid value,
+    stated rule) pair, raising ``<name> must be <stated rule>, got <value>``.
+    The module that uses a parameter states its rule once, in its ``RULES``
+    table; an optional parameter left as None is not passed here."""
+    for name, value in values.items():
+        valid, rule = rules[name]
+        if not valid(value):
+            shown = value.item() if isinstance(value, np.generic) else value
+            raise ValueError(f"{name} must be {rule}, got {shown!r}")
+
+
+def at_least(low):
+    """The rule that a value is at least ``low``."""
+    return (lambda value: value >= low), f">= {low}"
+
+
+def one_of(choices: tuple):
+    """The rule that a value is one of ``choices``."""
+    return (lambda value: value in choices), f"one of {choices}"
+
+
 def _symmetric(a, name: str) -> np.ndarray:
     """``a`` as a finite, square and symmetric float64 matrix."""
     a = finite_array(a, name, 2)
@@ -216,7 +247,7 @@ def _eigenpairs(a: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     """
     n = a.shape[0]
     if not 1 <= count <= n:
-        raise ValueError(f"eigenpair count must lie in [1, {n}], got {count}")
+        raise ValueError(f"eigenpair count must be in [1, {n}], got {count}")
     pairs = None
     if 2 * count < n and n >= PARTIAL_MIN_ORDER:
         pairs = _lanczos(a, count)

@@ -21,22 +21,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import check_rules, one_of
+
 TAGS = ("economic", "gsvi", "target")
 # dataset mode -> the indicator tags it reads: E(conomic), G(svi), H(ybrid)
 MODES = {"E": ("economic",), "G": ("gsvi",), "H": ("economic", "gsvi")}
 
-_MONTH_RE = re.compile(r"(\d{4})-(\d{2})", re.ASCII)
+_MONTH_RE = re.compile(r"\d{4}-(0[1-9]|1[0-2])", re.ASCII)
+
+RULES = {  # parameter -> (test of a valid value, stated rule)
+    "month": ((lambda text: _MONTH_RE.fullmatch(text) is not None), "YYYY-MM with MM in 01..12"),
+    "mode": one_of(tuple(MODES)),
+}
 
 
 def month_index(date: str) -> int:
     """Months since year 0 for a 'YYYY-MM' string; rejects malformed input."""
-    m = _MONTH_RE.fullmatch(date)
-    if not m:
-        raise ValueError(f"malformed month {date!r}; expected YYYY-MM")
-    year, month = int(m.group(1)), int(m.group(2))
-    if not 1 <= month <= 12:
-        raise ValueError(f"malformed month {date!r}; month must be 01..12")
-    return year * 12 + (month - 1)
+    check_rules(RULES, month=date)
+    return int(date[:4]) * 12 + int(date[5:]) - 1
 
 
 def month_string(index: int) -> str:
@@ -88,10 +90,8 @@ class FeaturePanel:
         for j, (name, column) in enumerate(columns.items()):
             column = np.asarray(column, dtype=float)
             if column.shape != (len(dates),):
-                raise ValueError(
-                    f"column {name!r} has {column.shape[0] if column.ndim == 1 else '?'} "
-                    f"values for {len(dates)} dates"
-                )
+                count = column.shape[0] if column.ndim == 1 else "?"
+                raise ValueError(f"column {name!r} has {count} values for {len(dates)} dates")
             values[:, j] = column
         positions = {name: j for j, name in enumerate(columns)}
         tags = dict(tags or {})
@@ -127,9 +127,8 @@ class FeaturePanel:
 
     def indicator_names(self, mode: str = "H") -> list[str]:
         """Indicator columns for a dataset mode (a key of ``MODES``)."""
-        wanted = MODES.get(mode)
-        if wanted is None:
-            raise ValueError(f"unknown dataset mode {mode!r}; expected E, G or H")
+        check_rules(RULES, mode=mode)
+        wanted = MODES[mode]
         return [name for name in self._positions if self.tags.get(name) in wanted]
 
     def matrix(self, names) -> np.ndarray:

@@ -19,15 +19,22 @@ from scipy.special import fdtrc
 
 from .baselines import _lag_matrix
 from .clustering import ClusterModel, elbow_select, kmeans_fit
-from .kpca import (_WIDTH_RULE, GaussianKernel, KpcaModel, kpca_fit, kpca_transform,
-                   usable_width)
-from .numerics import one_blas_thread
+from .kpca import (RULES as KPCA_RULES, GaussianKernel, KpcaModel, check_selection, kpca_fit,
+                   kpca_transform)
+from .numerics import at_least, check_rules, one_blas_thread
 from .panel import FeaturePanel, NormalizationParams, normalize_fit, require_finite
-from .regressors import DEFAULT_C, DEFAULT_N_HIDDEN, REGRESSORS, regressor_fit, regressor_predict
+from .regressors import (RULES as REGRESSOR_RULES, DEFAULT_C, DEFAULT_N_HIDDEN, regressor_fit,
+                         regressor_predict)
 
 DEFAULT_MAX_LAG = 3
 DEFAULT_P_THRESHOLD = 0.1
 MIN_TRAIN_ROWS = 24
+
+RULES = {  # parameter -> (test of a valid value, stated rule)
+    **dict.fromkeys(("k", "k_lo", "k_hi", "lag", "max_lag"), at_least(1)),
+    "seed": at_least(0),
+    "p_threshold": ((lambda value: 0.0 < value < 1.0), "in (0, 1)"),
+}
 
 # Training windows of at least this many rows fit the clusters' KPCAs on
 # several threads. Below it a Gram matrix is small enough that contention
@@ -106,10 +113,7 @@ def granger_filter(panel: FeaturePanel, candidates, max_lag: int = DEFAULT_MAX_L
     rank-deficient, is fitted by lstsq on the full design instead.
     """
     max_lag = int(max_lag)
-    if max_lag < 1:
-        raise ValueError(f"max_lag must be >= 1, got {max_lag}")
-    if not (0.0 < p_threshold < 1.0):
-        raise ValueError(f"p_threshold must lie in (0, 1), got {p_threshold}")
+    check_rules(RULES, max_lag=max_lag, p_threshold=p_threshold)
     target = panel.target_name
     if target is None:
         raise ValueError("panel has no target column")
@@ -187,20 +191,17 @@ def granger_filter(panel: FeaturePanel, candidates, max_lag: int = DEFAULT_MAX_L
                          inconclusive=inconclusive)
 
 
-def at_least(low: int):
-    """The rule that a value is at least ``low``: (test, stated rule)."""
-    return (lambda value: value >= low), f">= {low}"
-
-
-# PipelineConfig field -> (test of a set value, the rule it states); the CLI
-# applies the same rules to its model keys before reading any data
-CONFIG_RULES = {
-    **dict.fromkeys(("k", "n_components", "n_hidden", "lag"), at_least(1)),
-    "seed": at_least(0),
-    "theta": ((lambda value: 0.0 < value <= 1.0), "in (0, 1]"),
-    "sigma": (usable_width, _WIDTH_RULE),
-    "c": ((lambda value: np.isfinite(value) and value > 0), "positive and finite"),
-}
+def check_k_range(k: int | None, k_lo: int, k_hi: int) -> None:
+    """The rules of k: ``k`` (when set), ``k_lo`` and ``k_hi`` each by its rule,
+    ``k_hi >= k_lo``, and with ``k`` unset the 3 candidates the elbow needs."""
+    check_rules(RULES, k_lo=k_lo, k_hi=k_hi)
+    if k_hi < k_lo:
+        raise ValueError(f"k_hi must be >= k_lo = {k_lo}, got {k_hi}")
+    if k is not None:
+        check_rules(RULES, k=k)
+    elif k_hi - k_lo < 2:
+        raise ValueError(f"k_lo = {k_lo} and k_hi = {k_hi} leave {k_hi - k_lo + 1} k values; "
+                         f"the elbow needs 3 candidates; widen them or pin k")
 
 
 @dataclass(frozen=True)
@@ -225,20 +226,12 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_components is not None and self.theta is not None:
-            raise ValueError("set n_components or theta, not both")
-        for name, (valid, rule) in CONFIG_RULES.items():
-            value = getattr(self, name)
-            if value is not None and not valid(value):
-                raise ValueError(f"{name} must be {rule}, got {value!r}")
-        if self.regressor not in REGRESSORS:
-            raise ValueError(f"regressor must be one of {REGRESSORS}, got {self.regressor!r}")
-        lo, hi = self.k_range
-        if lo < 1 or hi < lo:
-            raise ValueError(f"k_range bounds must satisfy 1 <= lo <= hi, got {self.k_range}")
-        if self.k is None and hi - lo < 2:
-            raise ValueError(f"k_range {self.k_range} holds {hi - lo + 1} k values; "
-                             f"the elbow needs 3 candidates; widen it or pin k")
+        check_k_range(self.k, *self.k_range)
+        check_selection(self.n_components, self.theta)
+        if self.sigma is not None:
+            check_rules(KPCA_RULES, sigma=self.sigma)
+        check_rules(REGRESSOR_RULES, c=self.c, n_hidden=self.n_hidden, regressor=self.regressor)
+        check_rules(RULES, lag=self.lag, seed=self.seed)
 
 
 @dataclass

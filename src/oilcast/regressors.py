@@ -16,28 +16,27 @@ import numpy as np
 from scipy.special import expit
 
 from .kpca import GaussianKernel, LinearKernel, gaussian_gram
-from .numerics import _ridge_pinv, _solve_spd, _symmetric, finite_array, one_blas_thread
+from .numerics import (_ridge_pinv, _solve_spd, _symmetric, at_least, check_rules, finite_array,
+                       finite_rows, one_blas_thread, one_of)
 
 DEFAULT_C = 100.0
 DEFAULT_N_HIDDEN = 100
 
 REGRESSORS = ("kelm", "elm")
 
+RULES = {  # parameter -> (test of a valid value, stated rule)
+    # the solvers add 1/c to a diagonal
+    "c": ((lambda c: 0.0 < c < np.inf and 1.0 / c < np.inf), "positive, with 1/c finite"),
+    "n_hidden": at_least(1),
+    "regressor": one_of(REGRESSORS),
+}
 
-def _as_xy(x, y, c: float) -> tuple[np.ndarray, np.ndarray]:
+
+def _as_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
     x, y = finite_array(x, "x", 2), finite_array(y, "y", 1)
     if y.shape[0] != x.shape[0]:
         raise ValueError(f"targets of shape {y.shape} do not match {x.shape[0]} input rows")
-    if not (0.0 < c < np.inf and 1.0 / c < np.inf):  # the solvers add 1/C to a diagonal
-        raise ValueError(f"penalty C must be positive, with 1/C finite, got {c}")
     return x, y
-
-
-def _as_eval_rows(x, dim: int) -> np.ndarray:
-    rows = finite_array(x, "x", 2)
-    if rows.shape[1] != dim:
-        raise ValueError(f"sample dimension {rows.shape[1]} does not match model dimension {dim}")
-    return rows
 
 
 @dataclass
@@ -60,9 +59,8 @@ def _hidden_layer(rows: np.ndarray, weights: np.ndarray, biases: np.ndarray) -> 
 def elm_fit(x, y, n_hidden: int = DEFAULT_N_HIDDEN, c: float = DEFAULT_C, seed: int = 0) -> ElmModel:
     """Fit an ELM: seeded uniform [-1, 1] hidden layer, sigmoid features,
     output weights via the ridge pseudoinverse. Deterministic given seed."""
-    x, y = _as_xy(x, y, c)
-    if n_hidden < 1:
-        raise ValueError(f"hidden count must be at least 1, got {n_hidden}")
+    check_rules(RULES, c=c, n_hidden=n_hidden)
+    x, y = _as_xy(x, y)
     rng = np.random.default_rng(seed)
     weights = rng.uniform(-1.0, 1.0, size=(n_hidden, x.shape[1]))
     biases = rng.uniform(-1.0, 1.0, size=n_hidden)
@@ -73,7 +71,7 @@ def elm_fit(x, y, n_hidden: int = DEFAULT_N_HIDDEN, c: float = DEFAULT_C, seed: 
 @one_blas_thread()
 def elm_predict(model: ElmModel, x) -> np.ndarray:
     """Apply the fixed hidden layer and output weights to sample rows."""
-    rows = _as_eval_rows(x, model.weights.shape[1])
+    rows = finite_rows(x, model.weights.shape[1])
     return _hidden_layer(rows, model.weights, model.biases) @ model.beta
 
 
@@ -95,7 +93,8 @@ def kelm_fit(x, y, c: float = DEFAULT_C, sigma: float | None = None, kernel=None
     system in its Gaussian Gram matrix, symmetric by construction and not
     scanned, or in a checked copy of what ``kernel`` returns.
     """
-    x, y = _as_xy(x, y, c)
+    check_rules(RULES, c=c)
+    x, y = _as_xy(x, y)
     caller = kernel is not None
     if caller:
         system = np.array(kernel(x), dtype=float)
@@ -113,7 +112,7 @@ def kelm_fit(x, y, c: float = DEFAULT_C, sigma: float | None = None, kernel=None
 @one_blas_thread()
 def kelm_predict(model: KelmModel, x) -> np.ndarray:
     """Kernel rows against the training inputs times the dual coefficients."""
-    rows = _as_eval_rows(x, model.x_train.shape[1])
+    rows = finite_rows(x, model.x_train.shape[1])
     return model.kernel(rows, model.x_train) @ model.alpha
 
 
@@ -126,11 +125,10 @@ def regressor_fit(name: str, x, y, c: float = DEFAULT_C, sigma: float | None = N
 
     KELM uses ``c`` and ``sigma``; ELM uses ``c``, ``n_hidden`` and ``seed``.
     """
+    check_rules(RULES, regressor=name)
     if name == "kelm":
         return kelm_fit(x, y, c=c, sigma=sigma)
-    if name == "elm":
-        return elm_fit(x, y, n_hidden=n_hidden, c=c, seed=seed)
-    raise ValueError(f"regressor must be one of {REGRESSORS}, got {name!r}")
+    return elm_fit(x, y, n_hidden=n_hidden, c=c, seed=seed)
 
 
 def regressor_predict(model: KelmModel | ElmModel, x) -> np.ndarray:

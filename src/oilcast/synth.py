@@ -29,11 +29,12 @@ common-mode-only feature set cannot express.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .panel import FeaturePanel, month_range
+from .numerics import at_least, check_rules
+from .panel import RULES as PANEL_RULES, FeaturePanel, month_range
 
 # family constants; part of the documented generator contract
 SMOOTH_WINDOW = 6
@@ -47,6 +48,17 @@ STAT_HOLDOUT = 12
 
 TARGET_NAME = "price"
 STANDARD_SEEDS = tuple(range(10))
+
+RULES = {  # SynthSpec field -> (test of a valid value, stated rule)
+    "seed": at_least(0),
+    "months": at_least(36),
+    "factors": at_least(1),
+    "series_per_factor": at_least(2),
+    **dict.fromkeys(("noise", "target_noise"), ((lambda value: 0.0 <= value < np.inf),
+                                                ">= 0 and finite")),
+    "lag": at_least(1),
+    "start": PANEL_RULES["month"],
+}
 
 
 @dataclass(frozen=True)
@@ -63,20 +75,7 @@ class SynthSpec:
     start: str = "2004-01"
 
     def __post_init__(self) -> None:
-        if self.months < 36:
-            raise ValueError(f"months must be >= 36, got {self.months}")
-        if self.factors < 1:
-            raise ValueError(f"factors must be >= 1, got {self.factors}")
-        if self.series_per_factor < 2:
-            raise ValueError(
-                f"series_per_factor must be >= 2, got {self.series_per_factor}"
-            )
-        if self.noise < 0:
-            raise ValueError(f"noise must be >= 0, got {self.noise}")
-        if self.target_noise < 0:
-            raise ValueError(f"target_noise must be >= 0, got {self.target_noise}")
-        if self.lag < 1:
-            raise ValueError(f"lag must be >= 1, got {self.lag}")
+        check_rules(RULES, **{f.name: getattr(self, f.name) for f in fields(self)})
 
 
 def _latent_factors(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:

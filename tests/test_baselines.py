@@ -113,7 +113,7 @@ class TestArFit:
         y = np.arange(30.0)
         with pytest.raises(ValueError, match="criterion"):
             ar_fit(y, max_p=3, criterion="bic")
-        with pytest.raises(ValueError, match="differencing"):
+        with pytest.raises(ValueError, match="^d must be 0 or 1, got 2$"):
             ar_fit(y, max_p=3, d=2)
         with pytest.raises(ValueError, match="max_p"):
             ar_fit(y, max_p=0)

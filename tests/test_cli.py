@@ -15,19 +15,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oilcast import cli
+from oilcast import baselines, cli, kpca, pipeline, regressors
 from oilcast.baselines import ar_fit, univariate_lag_features
 from oilcast.cli import CONFIG_KEYS, load_config, main
 from oilcast.evaluation import parse_report
+from oilcast.kpca import kpca_fit
 from oilcast.numerics import NumericalError
+from oilcast.panel import RULES as PANEL_RULES
 from oilcast.panel import (
     FeaturePanel,
     month_range,
     read_panel_csv,
+    train_test_split,
     write_panel_csv,
     write_tags_csv,
 )
-from oilcast.pipeline import PipelineStageError
+from oilcast.pipeline import PipelineConfig, PipelineStageError, granger_filter
+from oilcast.regressors import elm_fit, kelm_fit
+from oilcast.synth import RULES as SYNTH_RULES
 from oilcast.synth import SynthSpec, synth_generate
 
 
@@ -229,6 +234,22 @@ class TestSynthCommand:
         )
         assert code == 1
         assert "months" in err
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--noise", "nan", "noise must be >= 0 and finite, got nan"),
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+        ("--months", "10", "months must be >= 36, got 10"),
+        ("--start", "2004-13", "start must be YYYY-MM with MM in 01..12, got '2004-13'"),
+    ])
+    def test_option_breaking_its_rule_names_it(self, option, value, message, tmp_path, capsys):
+        code, stdout, err = run_cli(["synth", option, value, "--out", str(tmp_path / "p")], capsys)
+        assert (code, stdout) == (1, "")
+        assert err == f"error: argument {option}: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_option_that_does_not_parse_names_its_type(self, tmp_path, capsys):
+        code, _, err = run_cli(["synth", "--months", "ten", "--out", str(tmp_path / "p")], capsys)
+        assert (code, err) == (1, "error: argument --months: invalid int value: 'ten'\n")
 
 
 # a value other than the default for each SynthSpec field but the seed; with
@@ -452,8 +473,52 @@ class TestRunOutputs:
                             k_lo=3, k_hi=4)
         code, _, err = run_cli(["run", "--config", conf, "--out-dir", str(tmp_path)], capsys)
         assert code == 1, err
-        assert err == ("error: k_range (3, 4) holds 2 k values; "
-                       "the elbow needs 3 candidates; widen it or pin k\n")
+        assert err == ("error: k_lo = 3 and k_hi = 4 leave 2 k values; "
+                       "the elbow needs 3 candidates; widen them or pin k\n")
+
+    @pytest.mark.parametrize("method", ["ar", "kpca+kelm", "kmeans+kpca+kelm"])
+    @pytest.mark.parametrize("k_lo, k_hi, message", [
+        ("3", "4", "k_lo = 3 and k_hi = 4 leave 2 k values; the elbow needs 3 candidates; "
+                   "widen them or pin k"),
+        ("5", "4", "k_hi must be >= k_lo = 5, got 4"),
+    ])
+    def test_k_range_checked_for_every_method_before_the_panel_is_read(
+            self, method, k_lo, k_hi, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(
+            ["run", "--set", f"panel={tmp_path / 'absent.csv'}", "--set", "split=2017-12",
+             "--set", f"method={method}", "--set", f"k_lo={k_lo}", "--set", f"k_hi={k_hi}",
+             "--out-dir", str(out)], capsys)
+        assert (code, stdout, err) == (1, "", f"error: {message}\n")
+        assert not out.exists()
+
+    def test_c_whose_inverse_overflows_named_where_it_is_set(self, tmp_path, capsys):
+        # 1/c overflows: the regressors' rule, checked before the panel is read
+        rule = "c must be positive, with 1/c finite, got 1e-310"
+        out = tmp_path / "out"
+        base = ["run", "--set", f"panel={tmp_path / 'absent.csv'}", "--set", "split=2017-12",
+                "--out-dir", str(out)]
+        code, stdout, err = run_cli([*base, "--set", "c=1e-310"], capsys)
+        assert (code, stdout, err) == (1, "", f"error: --set c: {rule}\n")
+        conf = tmp_path / "c.conf"
+        conf.write_text("method = kelm\nc = 1e-310\n")
+        code, stdout, err = run_cli([*base, "--config", str(conf)], capsys)
+        assert (code, stdout, err) == (1, "", f"error: {conf}: line 2: {rule}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting", [
+        "synth_seed=-1", "synth_lag=0", "synth_noise=nan", "synth_target_noise=inf",
+        "synth_start=2004-13", "split=2017-13", "method=kmeans+kpca+kelmm", "mode=X",
+    ])  # and c=1e-310, in test_c_whose_inverse_overflows_named_where_it_is_set
+    def test_bad_value_named_by_its_key(self, setting, tmp_path, capsys):
+        key = setting.partition("=")[0]
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(
+            ["run", "--set", "synth_seed=0", "--set", "split=2017-12", "--set", "method=naive",
+             "--set", setting, "--out-dir", str(out)], capsys)
+        assert (code, stdout) == (1, "")
+        assert re.fullmatch(rf"error: --set {key}: {key} must be [^\n]+\n", err)
+        assert not out.exists()
 
     def test_missing_test_target_named(self, tmp_path, capsys):
         run_cli(["synth", "--seed", "7", "--out", str(tmp_path / "p")], capsys)
@@ -514,7 +579,7 @@ class TestRunOutputs:
         "method, key, value, rule",
         [
             ("ar", "k", "0", ">= 1"),
-            ("ar", "c", "-1", "positive and finite"),
+            ("ar", "c", "-1", "positive, with 1/c finite"),
             ("ar", "sigma", "nan", "positive, with 2 sigma^2 finite and non-zero"),
             ("ar", "theta", "nan", "in (0, 1]"),
             ("ar", "n_components", "0", ">= 1"),
@@ -723,14 +788,24 @@ def run_args(method, label, out_dir):
             "--set", f"label={label}", "--out-dir", str(out_dir)]
 
 
-# model key -> values that break its rule
+BAD_MONTHS = st.sampled_from(["2004-13", "2004-00", "2004-1", "04-01", "2004/01", ""])
+BAD_NOISE = st.sampled_from(["-0.1", "nan", "inf", "-inf"])
+
+# key -> values that break its rule
 BAD_RULE_VALUES = {
     **dict.fromkeys(("k", "k_lo", "k_hi", "n_components", "n_hidden", "lag", "max_lag",
-                     "ar_max_p", "uni_lags"), st.integers(-5, 0).map(str)),
-    "seed": st.integers(-5, -1).map(str),
+                     "ar_max_p", "uni_lags", "synth_factors", "synth_lag"),
+                    st.integers(-5, 0).map(str)),
+    **dict.fromkeys(("seed", "synth_seed"), st.integers(-5, -1).map(str)),
+    "synth_months": st.integers(-5, 35).map(str),
+    "synth_series_per_factor": st.integers(-5, 1).map(str),
+    **dict.fromkeys(("synth_noise", "synth_target_noise"), BAD_NOISE),
+    **dict.fromkeys(("synth_start", "split"), BAD_MONTHS),
+    "mode": st.sampled_from(["X", "h", "EG", ""]),
+    "method": st.sampled_from(["kmeans+kpca+kelmm", "KELM", "svm", ""]),
     "theta": st.sampled_from(["0", "-0.5", "1.5", "nan", "inf"]),
     "sigma": st.sampled_from(["0", "-1", "1e200", "1e-300", "nan", "inf"]),
-    "c": st.sampled_from(["0", "-1", "inf", "nan"]),
+    "c": st.sampled_from(["0", "-1", "inf", "nan", "1e-310"]),
     "p_threshold": st.sampled_from(["0", "1", "-0.1", "nan"]),
     "ar_d": st.sampled_from(["2", "-1"]),
     "ar_criterion": st.sampled_from(["hqic", "x", ""]),
@@ -749,7 +824,7 @@ MALFORMED_CONFIG_LINES = st.one_of(
 
 class TestMalformedConfigProperty:
     def test_every_rule_has_bad_values(self):
-        assert set(BAD_RULE_VALUES) == set(cli.MODEL_KEY_RULES)
+        assert set(BAD_RULE_VALUES) == set(cli.KEY_RULES)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(bad=MALFORMED_CONFIG_LINES, at=st.integers(0, 4),
@@ -773,6 +848,108 @@ class TestMalformedConfigProperty:
         assert (code, out) == (1, "")
         assert re.fullmatch(rf"error: {re.escape(str(path))}: line {numbers[at]}: [^\n]+\n", err)
         assert not (work / "out").exists()
+
+
+SERIES = np.sin(np.arange(60.0) / 3.0)
+ROWS = np.column_stack([SERIES, np.cos(np.arange(60.0) / 3.0)])
+SMALL_PANEL = FeaturePanel(dates=month_range("2004-01", 60),
+                           columns={"x": ROWS[:, 1], "price": SERIES},
+                           tags={"x": "economic", "price": "target"})
+
+# key -> (the rule table of the module that uses the value, the value's name
+# there, a library call that takes the value); `method` is the CLI's own
+OWNERS = {
+    **{f"synth_{name}": (SYNTH_RULES, name, lambda v, name=name: SynthSpec(**{name: v}))
+       for name in SYNTH_RULES},
+    "split": (PANEL_RULES, "month", lambda v: train_test_split(SMALL_PANEL, v)),
+    "mode": (PANEL_RULES, "mode", SMALL_PANEL.indicator_names),
+    "k": (pipeline.RULES, "k", lambda v: PipelineConfig(k=v)),
+    "k_lo": (pipeline.RULES, "k_lo", lambda v: PipelineConfig(k_range=(v, 8))),
+    "k_hi": (pipeline.RULES, "k_hi", lambda v: PipelineConfig(k_range=(1, v))),
+    "lag": (pipeline.RULES, "lag", lambda v: PipelineConfig(lag=v)),
+    "seed": (pipeline.RULES, "seed", lambda v: PipelineConfig(seed=v)),
+    "max_lag": (pipeline.RULES, "max_lag", lambda v: granger_filter(SMALL_PANEL, ["x"], max_lag=v)),
+    "p_threshold": (pipeline.RULES, "p_threshold",
+                    lambda v: granger_filter(SMALL_PANEL, ["x"], p_threshold=v)),
+    "n_components": (kpca.RULES, "n_components", lambda v: kpca_fit(ROWS, n_components=v)),
+    "theta": (kpca.RULES, "theta", lambda v: kpca_fit(ROWS, theta=v)),
+    "sigma": (kpca.RULES, "sigma", lambda v: kelm_fit(ROWS, SERIES, sigma=v)),
+    "c": (regressors.RULES, "c", lambda v: elm_fit(ROWS, SERIES, c=v)),
+    "n_hidden": (regressors.RULES, "n_hidden", lambda v: elm_fit(ROWS, SERIES, n_hidden=v)),
+    "ar_max_p": (baselines.RULES, "max_p", lambda v: ar_fit(SERIES, max_p=v)),
+    "ar_d": (baselines.RULES, "d", lambda v: ar_fit(SERIES, d=v)),
+    "ar_criterion": (baselines.RULES, "criterion", lambda v: ar_fit(SERIES, criterion=v)),
+    "uni_lags": (baselines.RULES, "lags", lambda v: univariate_lag_features(SERIES, lags=v)),
+}
+
+
+class TestOneRulePerKey:
+    def test_each_key_checks_the_rule_of_the_module_that_uses_it(self):
+        assert set(OWNERS) == set(cli.KEY_RULES) - {"method"}
+        for key, (rules, name, _) in OWNERS.items():
+            assert cli.KEY_RULES[key] is rules[name], key
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_library_and_cli_reject_a_bad_value_in_the_same_words(self, data):
+        key = data.draw(st.sampled_from(sorted(OWNERS)))
+        raw = data.draw(BAD_RULE_VALUES[key])
+        rules, name, call = OWNERS[key]
+        value = CONFIG_KEYS[key][0](raw)
+        rule = rules[name][1]
+        with pytest.raises(ValueError) as raised:
+            call(value)
+        assert str(raised.value) == f"{name} must be {rule}, got {value!r}"
+        code, out, err = quiet_main(["run", "--set", f"{key}={raw}"])
+        assert (code, out) == (1, "")
+        assert err == f"error: --set {key}: {key} must be {rule}, got {value!r}\n"
+
+
+class TestPreambleRoundTripProperty:
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_any_valid_config_reruns_from_its_preamble(self, tmp_path_factory, data):
+        """A run of any config whose values keep their rules writes a preamble
+        that, stripped of '# ', re-runs to the same bytes."""
+        def draw(key, values):  # the drawn values that the key's own rule accepts
+            return data.draw(values.filter(cli.KEY_RULES[key][0]), label=key)
+
+        pinned_k = st.integers(-1, 3).filter(cli.KEY_RULES["k"][0])
+        config = {"synth_seed": 0, "split": "2017-12",
+                  "method": data.draw(st.sampled_from(cli.METHODS), label="method"),
+                  "mode": draw("mode", st.sampled_from(["E", "G", "H", "X"])),
+                  "k": data.draw(st.none() | pinned_k, label="k")}
+        if config["k"] is None:  # the elbow needs 3 candidates
+            config["k_lo"] = draw("k_lo", st.integers(0, 3))
+            config["k_hi"] = draw("k_hi", st.integers(config["k_lo"] + 2, 8))
+        if data.draw(st.booleans(), label="fixed count"):
+            config["n_components"] = draw("n_components", st.integers(0, 3))
+        else:
+            config["theta"] = draw("theta", st.floats(0.5, 1.0))
+        config.update(
+            sigma=data.draw(st.none() | st.sampled_from([0.3, 1.0, 3.0]), label="sigma"),
+            c=draw("c", st.floats(0.0, 1e4)), n_hidden=draw("n_hidden", st.integers(-1, 60)),
+            lag=draw("lag", st.integers(0, 3)), seed=draw("seed", st.integers(-1, 1000)),
+            granger=data.draw(st.booleans(), label="granger"),
+            max_lag=draw("max_lag", st.integers(0, 3)),
+            p_threshold=draw("p_threshold", st.floats(0.3, 1.0)),
+            ar_d=draw("ar_d", st.integers(-1, 2)), ar_max_p=draw("ar_max_p", st.integers(0, 12)),
+            ar_criterion=draw("ar_criterion", st.sampled_from(["aic", "sc", "AIC", "bic"])),
+            uni_lags=draw("uni_lags", st.integers(0, 12)))
+        work = tmp_path_factory.mktemp("roundtrip")
+        (work / "c.conf").write_text("".join(f"{key} = {cli._echo_value(value)}\n"
+                                             for key, value in config.items()))
+        first = quiet_main(["run", "--config", str(work / "c.conf"),
+                            "--out-dir", str(work / "first")])
+        assert first[0] == 0, first  # stderr may hold a warning, such as a flat elbow curve
+        predictions = (work / "first" / "predictions.csv").read_bytes()
+        (work / "redo.conf").write_bytes(
+            b"".join(ln[2:] + b"\n" for ln in predictions.split(b"\n") if ln.startswith(b"# ")))
+        redo = quiet_main(["run", "--config", str(work / "redo.conf"),
+                           "--out-dir", str(work / "redo")])
+        assert redo == first
+        for name in ("predictions.csv", "metrics.txt"):
+            assert (work / "redo" / name).read_bytes() == (work / "first" / name).read_bytes()
 
 
 # what a --set value can hold: any text without a line break or a lone surrogate

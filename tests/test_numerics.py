@@ -321,7 +321,7 @@ class TestRidgePinv:
     def test_rejects_bad_c_and_shape_mismatch(self):
         # the solver takes what it is given; elm_fit checks C and the rows
         for c in (0.0, -3.0, 1e-310):  # 1/C of the last overflows
-            with pytest.raises(ValueError, match="^penalty C must be positive, with 1/C finite"):
+            with pytest.raises(ValueError, match="^c must be positive, with 1/c finite, got "):
                 regressors.elm_fit(np.eye(2), [1.0, 2.0], c=c)
         with pytest.raises(ValueError, match="rows"):
             regressors.elm_fit(np.eye(2), [1.0, 2.0, 3.0], c=1.0)
@@ -525,12 +525,13 @@ class TestOneBlasThread:
             "elbow_select": (clustering, "_checked_series",
                              lambda: clustering.elbow_select(x.T, range(1, 4))),
             "kpca_fit": (kpca, "finite_array", lambda: kpca.kpca_fit(x)),
-            "kpca_transform": (kpca, "finite_array", lambda: kpca.kpca_transform(None, x)),
+            "kpca_transform": (kpca, "finite_rows",
+                               lambda: kpca.kpca_transform(SimpleNamespace(x_train=x), x)),
             "elm_fit": (regressors, "_as_xy", lambda: regressors.elm_fit(x, y)),
-            "elm_predict": (regressors, "_as_eval_rows",
+            "elm_predict": (regressors, "finite_rows",
                             lambda: regressors.elm_predict(SimpleNamespace(weights=x), x)),
             "kelm_fit": (regressors, "_as_xy", lambda: regressors.kelm_fit(x, y)),
-            "kelm_predict": (regressors, "_as_eval_rows",
+            "kelm_predict": (regressors, "finite_rows",
                              lambda: regressors.kelm_predict(SimpleNamespace(x_train=x), x)),
         }
         before = thread_counts(blas)

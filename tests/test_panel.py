@@ -41,7 +41,7 @@ class TestMonthHelpers:
     def test_malformed_months_rejected(self):
         for bad in ("2018-13", "2018-0", "18-01", "2018/01", "2018-01-01",
                     "2004-01\n", "\u0662\u0660\u0660\u0664-\u0660\u0661"):
-            with pytest.raises(ValueError, match="malformed"):
+            with pytest.raises(ValueError, match="^month must be YYYY-MM with MM in 01..12, got "):
                 month_index(bad)
 
     @settings(max_examples=200, deadline=None)
@@ -296,7 +296,7 @@ class TestCsv:
     def test_malformed_date_cites_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("date,a\n2010-01,1.0\n2010-1,2.0\n")
-        with pytest.raises(ValueError, match="line 3.*malformed"):
+        with pytest.raises(ValueError, match="line 3: month must be YYYY-MM"):
             read_panel_csv(str(path))
 
     def test_non_numeric_cell_cites_line_and_column(self, tmp_path):

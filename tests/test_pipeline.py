@@ -349,8 +349,8 @@ class TestPipelineConfig:
     @pytest.mark.parametrize(
         "field, value, rule",
         [
-            ("c", np.nan, "positive and finite"),
-            ("c", np.inf, "positive and finite"),
+            ("c", np.nan, "positive, with 1/c finite"),
+            ("c", np.inf, "positive, with 1/c finite"),
             ("sigma", 0.0, "positive, with 2 sigma^2 finite and non-zero"),
             ("sigma", -1.0, "positive, with 2 sigma^2 finite and non-zero"),
             ("n_components", 0, ">= 1"),
@@ -366,7 +366,7 @@ class TestPipelineConfig:
         assert str(raised.value) == f"{field} must be {rule}, got {value!r}"
 
     def test_elbow_range_needs_three_candidates(self):
-        with pytest.raises(ValueError, match=r"k_range \(3, 4\) holds 2 k values"):
+        with pytest.raises(ValueError, match=r"^k_lo = 3 and k_hi = 4 leave 2 k values"):
             PipelineConfig(k_range=(3, 4))
         PipelineConfig(k=3, k_range=(3, 4))  # a pinned k needs no elbow
 

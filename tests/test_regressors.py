@@ -80,7 +80,7 @@ class TestElm:
         x, y = smooth_1d_problem(0)
         with pytest.raises(ValueError, match="positive"):
             elm_fit(x, y, n_hidden=10, c=0.0)
-        with pytest.raises(ValueError, match="at least 1"):
+        with pytest.raises(ValueError, match="^n_hidden must be >= 1, got 0$"):
             elm_fit(x, y, n_hidden=0, c=1.0)
         model = elm_fit(x, y, n_hidden=10, c=1.0, seed=0)
         with pytest.raises(ValueError, match="dimension"):
