@@ -145,8 +145,9 @@ def elbow_select(series, k_range, seed: int = 0) -> tuple[int, dict[int, Cluster
     (ascending, at least 3 distinct values), checking and standardizing the
     series once for all of them, and returns the interior k maximizing the
     second difference ``wcss(prev) - 2 wcss(k) + wcss(next)``, together
-    with every fit by k. A flat curve has no elbow; the smallest interior k
-    is returned with a warning.
+    with every fit by k. When the second differences are all equal (up to
+    rounding) the smallest interior k is returned, with a warning if none of
+    them is positive: a straight curve has no elbow.
     """
     ks = sorted(set(int(k) for k in np.atleast_1d(k_range)))
     if len(ks) < 3:
@@ -160,7 +161,10 @@ def _pick_elbow(ks: list[int], wcss_values: list[float]) -> int:
     """Interior k with the largest second difference; first on ties."""
     wcss = np.asarray(wcss_values, dtype=float)
     second_diff = wcss[:-2] - 2.0 * wcss[1:-1] + wcss[2:]
-    if np.ptp(second_diff) <= 1e-12 * max(1.0, float(np.max(np.abs(wcss)))):
-        warnings.warn("WCSS curve has no elbow; returning the smallest interior k", stacklevel=3)
+    rounding = 1e-12 * max(1.0, float(np.max(np.abs(wcss))))
+    if np.ptp(second_diff) <= rounding:
+        if np.max(second_diff) <= rounding:  # no interior k bends
+            warnings.warn("WCSS curve has no elbow; returning the smallest interior k",
+                          stacklevel=3)
         return ks[1]
     return ks[1 + int(np.argmax(second_diff))]

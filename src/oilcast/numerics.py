@@ -3,9 +3,10 @@
 ``finite_array``, the one array check of every public function's inputs;
 ``check_rules``, the one check of a run parameter against its rule;
 ``_symmetric`` for a matrix the library did not build; the one
-squared-distance computation of every kernel; unchecked LAPACK and ARPACK
-cores that report breakdowns as ``NumericalError``; and ``one_blas_thread``.
-Matrices are float64 numpy arrays; samples/equations are rows.
+squared-distance computation of every kernel; unchecked eigenpair and
+Cholesky cores, written with numpy alone, that report breakdowns as
+``NumericalError``; and ``one_blas_thread``. Matrices are float64 numpy
+arrays; samples/equations are rows.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import functools
 import os
 
 import numpy as np
-from scipy.linalg import lapack
-from scipy.sparse.linalg import ArpackError, eigsh
 
 # Absolute tolerance for the symmetry check max |A[i,j] - A[j,i]|.
 SYMMETRY_ATOL = 1e-10
@@ -31,8 +30,21 @@ BLOCK_ROWS = 64
 # Below this order _eigenpairs always uses the full solver.
 PARTIAL_MIN_ORDER = 8
 
-# OpenBLAS thread-count entry points: scipy's wheels prefix them, and a
-# 64-bit-integer build (numpy's) adds a 64_ suffix
+# Lanczos vectors kept beyond twice the requested pair count before the
+# partial solver gives up (a 3-pair request at order 600 keeps 70 x 600
+# doubles, an eighth of the Gram matrix), and the fewest steps between two
+# convergence checks
+LANCZOS_SLACK = 64
+LANCZOS_CHECK_STEPS = 2
+
+# Order of the diagonal blocks of the Cholesky factorization (a paper-scale
+# system, of order 167, is one block), and rows per triangular solve within
+# a block
+CHOLESKY_BLOCK = 192
+SOLVE_ROWS = 32
+
+# OpenBLAS thread-count entry points: the scipy-openblas build that numpy's
+# wheels bundle prefixes them, and a 64-bit-integer build adds a 64_ suffix
 _THREAD_SYMBOLS = [(f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
                    for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", "")]
 
@@ -41,9 +53,9 @@ _THREAD_SYMBOLS = [(f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_thre
 def _openblas_controls() -> tuple:
     """``(get_num_threads, set_num_threads)`` of every OpenBLAS loaded in this process.
 
-    numpy and scipy each load their own build. They are found once, in the
-    process's memory map; where there is none (another BLAS, no ``/proc``)
-    the result is empty.
+    numpy loads its own build, and another package may load one more. They
+    are found once, in the process's memory map; where there is none
+    (another BLAS, no ``/proc``) the result is empty.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
@@ -239,11 +251,11 @@ def _eigenpairs(a: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     of the solver's ascending output, reversed, with the signs fixed in
     place: nothing is copied.
 
-    The pairs come from implicitly restarted Lanczos (ARPACK) started from
-    a fixed vector, so reruns are identical; the full solver serves the
-    request instead when ``count`` reaches half the order, the order is
-    below ``PARTIAL_MIN_ORDER`` or ARPACK fails. Raises ``NumericalError``
-    if the eigensolver fails to converge.
+    The pairs come from ``_lanczos``, started from a fixed vector, so reruns
+    are identical; the full solver serves the request instead when
+    ``count`` reaches half the order, the order is below
+    ``PARTIAL_MIN_ORDER`` or Lanczos gives up. Raises ``NumericalError`` if
+    the full eigensolver fails to converge.
     """
     n = a.shape[0]
     if not 1 <= count <= n:
@@ -284,36 +296,143 @@ def _fix_signs(vectors: np.ndarray) -> None:
 
 
 def _lanczos(a: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The ``count`` largest eigenpairs by ARPACK, or None when it breaks down."""
+    """The ``count`` largest eigenpairs, ascending, or None when Lanczos gives up.
+
+    Lanczos with full reorthogonalization (Golub & Van Loan, Matrix
+    Computations, 4th ed., 10.1-10.3): each new vector is orthogonalized
+    against the whole basis twice (classical Gram-Schmidt, twice), so no
+    ghost copies appear. Every ``LANCZOS_CHECK_STEPS`` steps or more (an
+    eighth of the basis, once that is larger) the Ritz pairs are taken
+    from ``eigh`` of the tridiagonal matrix, and the solver stops when each
+    wanted residual ``|beta_m s_mi|`` is at most ``eps`` times the largest
+    Ritz value's magnitude. It gives up (None) when the basis reaches
+    ``2 count + LANCZOS_SLACK`` vectors, or the order, unconverged, or when
+    the Krylov space closes (an invariant subspace) before ``count`` Ritz
+    pairs have converged.
+    """
+    n = a.shape[0]
+    eps = np.finfo(float).eps
+    cap = min(n, 2 * count + LANCZOS_SLACK)
+    basis = np.empty((cap, n))  # the Lanczos vectors are its rows
+    alphas, betas = np.empty(cap), np.empty(cap)
     # any fixed start works except the constant vector, which a centered
-    # Gram matrix maps to 0; a zero matrix maps every start to 0 and
-    # ARPACK gives up, leaving the full solver to decide
-    start = np.random.default_rng(0).standard_normal(a.shape[0])
-    try:
-        return eigsh(a, k=count, which="LA", v0=start, tol=0.0)
-    except ArpackError:
-        return None
+    # Gram matrix maps to 0; a zero matrix maps every start to 0, and the
+    # full solver decides
+    start = np.random.default_rng(0).standard_normal(n)
+    basis[0] = start / np.sqrt(start @ start)
+    scale, check_at = 0.0, count
+    for m in range(1, cap + 1):
+        done = basis[:m]
+        w = a @ done[-1]
+        coeffs = done @ w
+        w -= coeffs @ done
+        again = done @ w
+        w -= again @ done
+        alphas[m - 1] = coeffs[-1] + again[-1]
+        beta = float(np.sqrt(w @ w))
+        scale = max(scale, abs(alphas[m - 1]) + beta + (betas[m - 2] if m > 1 else 0.0))
+        closed = beta <= eps * scale
+        if m >= check_at or m == cap or closed:
+            check_at = m + max(LANCZOS_CHECK_STEPS, m // 8)
+            if m >= count:
+                tridiagonal = np.diag(alphas[:m])
+                off = np.arange(m - 1)
+                tridiagonal[off, off + 1] = tridiagonal[off + 1, off] = betas[:m - 1]
+                ritz, vectors = np.linalg.eigh(tridiagonal)
+                if np.all(np.abs(beta * vectors[-1, -count:]) <= eps * np.max(np.abs(ritz))):
+                    return ritz[-count:], done.T @ vectors[:, -count:]
+            if closed or m == cap:
+                return None
+        betas[m - 1] = beta
+        np.divide(w, beta, out=basis[m])
+    return None
 
 
 def _solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``A x = b`` for a symmetric positive definite ``A`` via Cholesky.
 
     ``a`` (finite, exactly symmetric, float64) and ``b`` (a finite vector
-    of its order) are not checked. Never forms an explicit inverse. Raises
+    of its order) are not checked. Never forms an inverse of ``A``. Raises
     ``NotPositiveDefiniteError`` (with the failing pivot index) when the
-    factorization breaks down. A C-ordered ``a`` is factored in its own
-    memory, from its upper triangle, and no longer holds ``A`` afterwards.
+    factorization breaks down. ``a`` is factored in its own memory and no
+    longer holds ``A`` afterwards: the factor ``L`` is left in its lower
+    triangle, with zeros above the diagonal of each diagonal block.
+
+    Left-looking blocked Cholesky: each ``CHOLESKY_BLOCK`` diagonal block is
+    updated with one product of the rows already factored and factored by
+    ``np.linalg.cholesky``; the panel below it is updated with one product
+    and solved against it by ``_solve_panel``. Blocked forward and back
+    substitution follow.
     """
-    # LAPACK is column-major: a C-ordered matrix is used in place only as its transpose
-    chol, info = lapack.dpotrf(a.T, lower=1, overwrite_a=1)
-    if info > 0:
-        raise NotPositiveDefiniteError(pivot=info - 1)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of Cholesky factorization")
-    x, info = lapack.dpotrs(chol, b[:, None], lower=1)
-    if info != 0:
-        raise NumericalError(f"triangular solve failed with status {info}")
-    return x[:, 0]
+    n = a.shape[0]
+    for k0 in range(0, n, CHOLESKY_BLOCK):
+        k1 = min(k0 + CHOLESKY_BLOCK, n)
+        done, block = a[k0:k1, :k0], a[k0:k1, k0:k1]
+        if k0:
+            block -= done @ done.T
+        try:
+            block[...] = np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            raise NotPositiveDefiniteError(pivot=k0 + _failing_pivot(block)) from None
+        if k1 < n:  # the panel below: L21 = (A21 - L20 L10') L11^-T
+            panel = a[k1:, k0:k1]
+            if k0:
+                panel -= a[k1:, :k0] @ done.T
+            _solve_panel(block, panel)
+    x = np.array(b, dtype=float)
+    _forward_substitute(a, x)
+    _back_substitute(a, x)
+    return x
+
+
+def _failing_pivot(matrix: np.ndarray) -> int:
+    """Index of the first pivot at which ``np.linalg.cholesky`` of ``matrix``
+    fails: the order of its smallest leading submatrix that fails, less one."""
+    factored, fails = 0, matrix.shape[0]
+    while fails - factored > 1:
+        mid = (factored + fails) // 2
+        try:
+            np.linalg.cholesky(matrix[:mid, :mid])
+            factored = mid
+        except np.linalg.LinAlgError:
+            fails = mid
+    return fails - 1
+
+
+def _solve_panel(lower: np.ndarray, panel: np.ndarray) -> None:
+    """Overwrite ``panel`` with ``panel L^-T``, ``L`` the lower triangle of
+    ``lower``, ``SOLVE_ROWS`` columns at a time, each by one product with the
+    inverse of its diagonal part of ``L``: numpy's solve against many
+    right-hand sides is several times slower."""
+    for j0 in range(0, lower.shape[0], SOLVE_ROWS):
+        j1 = j0 + SOLVE_ROWS
+        cols = panel[:, j0:j1]
+        if j0:
+            cols -= panel[:, :j0] @ lower[j0:j1, :j0].T
+        cols[...] = cols @ np.linalg.inv(lower[j0:j1, j0:j1]).T
+
+
+def _forward_substitute(lower: np.ndarray, x: np.ndarray) -> None:
+    """Overwrite the vector ``x`` with ``L^-1 x``, ``L`` the lower triangle of
+    ``lower``, ``SOLVE_ROWS`` rows at a time. Each diagonal part of ``L`` is
+    a square block of ``lower``: ``SOLVE_ROWS`` divides ``CHOLESKY_BLOCK``,
+    and each diagonal block of the factor holds zeros above its diagonal."""
+    for s0 in range(0, lower.shape[0], SOLVE_ROWS):
+        s1 = s0 + SOLVE_ROWS
+        part = x[s0:s1]
+        part -= lower[s0:s1, :s0] @ x[:s0]
+        part[...] = np.linalg.solve(lower[s0:s1, s0:s1], part)
+
+
+def _back_substitute(lower: np.ndarray, x: np.ndarray) -> None:
+    """Overwrite the vector ``x`` with ``L'^-1 x``, ``L`` as in
+    ``_forward_substitute``, ``SOLVE_ROWS`` rows at a time from the bottom."""
+    n = lower.shape[0]
+    for s0 in range(SOLVE_ROWS * ((n - 1) // SOLVE_ROWS), -1, -SOLVE_ROWS):
+        s1 = s0 + SOLVE_ROWS
+        part = x[s0:s1]
+        part -= x[s1:] @ lower[s1:, s0:s1]
+        part[...] = np.linalg.solve(lower[s0:s1, s0:s1].T, part)
 
 
 def _ridge_pinv(h: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:

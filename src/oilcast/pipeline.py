@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import fdtrc
 
 from .baselines import _lag_matrix
 from .clustering import ClusterModel, elbow_select, kmeans_fit
@@ -88,6 +87,42 @@ def _rank_deficient(r: np.ndarray, norm) -> np.ndarray:
     """Whether each (stacked) R has a diagonal entry at most ``_RANK_RTOL * norm``."""
     diagonal = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
     return (diagonal <= _RANK_RTOL * np.asarray(norm)[..., None]).any(axis=-1)
+
+
+def _f_upper_tail(f: np.ndarray, d1: int, d2: int) -> np.ndarray:
+    """P(F > f) for each f, F an F(d1, d2) variable with integer degrees of freedom.
+
+    The finite sums of Abramowitz & Stegun 26.6.4 (d1 even), 26.6.5 (d2
+    even) and 26.6.8 (both odd, the arctan form), in x = cos^2 theta and
+    y = sin^2 theta, where tan^2 theta = d1 f / d2. The tail is exactly 1 at
+    f = 0 and exactly 0 at f = inf.
+    """
+    tan2 = d1 * f / d2
+    x = 1.0 / (1.0 + tan2)
+    small = np.minimum(tan2, 1.0)  # y as 1 - x would cancel where x is near 1
+    y = np.where(tan2 < 1.0, small / (1.0 + small), 1.0 - x)
+    if d1 % 2 == 0:
+        tail = x ** (d2 / 2) * _tail_series(y, d2 - 2, 0, d1 // 2)
+    elif d2 % 2 == 0:
+        tail = 1.0 - y ** (d1 / 2) * _tail_series(x, d1 - 2, 0, d2 // 2)
+    else:
+        cos, sin = np.sqrt(x), np.sqrt(y)
+        # 1 - A(t | d2) + beta(d1, d2), with the common factor 2 / pi taken out;
+        # gamma = (pi / 2) (2 / sqrt(pi)) Gamma((d2 + 1) / 2) / Gamma(d2 / 2)
+        half = np.arange(1, (d2 - 1) // 2 + 1)
+        gamma = float(np.prod(2.0 * half / (2.0 * half - 1.0)))
+        tail = (np.arctan2(cos, sin) - sin * cos * _tail_series(x, 0, 1, (d2 - 1) // 2)
+                + gamma * sin * cos ** d2 * _tail_series(y, d2 - 1, 1, (d1 - 1) // 2))
+        tail *= 2.0 / np.pi
+    return np.clip(tail, 0.0, 1.0)
+
+
+def _tail_series(z: np.ndarray, top: int, bottom: int, terms: int):
+    """The sum over j < terms of z^j prod_{i <= j} (top + 2i) / (bottom + 2i), for each z."""
+    if terms == 0:
+        return 0.0
+    i = np.arange(1, terms)
+    return 1.0 + np.cumprod(z[:, None] * ((top + 2 * i) / (bottom + 2 * i)), axis=1).sum(axis=1)
 
 
 @one_blas_thread()
@@ -184,7 +219,7 @@ def granger_filter(panel: FeaturePanel, candidates, max_lag: int = DEFAULT_MAX_L
         tested.append(name)
         fstats[name] = float(f_stat)
     # the F upper tail of every tested candidate in one call
-    tails = fdtrc(max_lag, dof2, np.array([fstats[name] for name in tested])).tolist()
+    tails = _f_upper_tail(np.array([fstats[name] for name in tested]), max_lag, dof2).tolist()
     pvalues = dict(zip(tested, tails))
     retained = [name for name, p_value in zip(tested, tails) if p_value <= p_threshold]
     return GrangerResult(retained=retained, pvalues=pvalues, fstats=fstats,

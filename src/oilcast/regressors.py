@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .kpca import GaussianKernel, LinearKernel, gaussian_gram
 from .numerics import (_ridge_pinv, _solve_spd, _symmetric, at_least, check_rules, finite_array,
@@ -47,9 +46,17 @@ class ElmModel:
 
 
 def _hidden_layer(rows: np.ndarray, weights: np.ndarray, biases: np.ndarray) -> np.ndarray:
-    """Sigmoid features of finite rows; a NaN (huge rows can sum inf and -inf
-    in the product) is rejected, as nothing later would catch it."""
-    hidden = expit(rows @ weights.T + biases)
+    """Sigmoid features ``1 / (1 + exp(-z))`` of finite rows, computed in
+    place; ``exp`` overflows to inf for z below about -709, which gives the
+    limit 0. A NaN (huge rows can sum inf and -inf in the product) is
+    rejected, as nothing later would catch it."""
+    hidden = rows @ weights.T
+    hidden += biases
+    np.negative(hidden, out=hidden)
+    with np.errstate(over="ignore"):
+        np.exp(hidden, out=hidden)
+    hidden += 1.0
+    np.reciprocal(hidden, out=hidden)
     if np.isnan(hidden).any():
         raise ValueError("inputs too large: hidden-layer inputs overflow")
     return hidden

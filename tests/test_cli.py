@@ -671,14 +671,28 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, capsys):
     assert {code for code, _ in reports["1"]["sha256"].values()} == {0}
 
 
-def test_importing_the_cli_loads_no_scipy_stats():
+def test_the_cli_runs_without_loading_scipy(tmp_path):
+    # a fresh process: the hybrid (elbow, KPCA eigenpairs, KELM's Cholesky)
+    # and kpca+elm (the ELM sigmoid), each behind the Granger screen's F tail
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    probe = ("import sys, oilcast.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))")
-    child = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
-                           capture_output=True, text=True, timeout=120)
+    probe = (
+        "import contextlib, io, sys\n"
+        "import oilcast.cli\n"
+        "for method in ('kmeans+kpca+kelm', 'kpca+elm'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = oilcast.cli.main(['run', '--out-dir', sys.argv[1] + '/' + method,\n"
+        "                                 '--set', 'synth_seed=0', '--set', 'split=2017-12',\n"
+        "                                 '--set', 'granger=true', '--set', 'method=' + method])\n"
+        "    assert code == 0, method\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    child = subprocess.run([sys.executable, "-c", probe, str(tmp_path)],
+                           env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                           timeout=120)
     assert child.returncode == 0, child.stderr
     assert child.stdout.strip() == "[]"
+    assert (tmp_path / "kmeans+kpca+kelm" / "predictions.csv").exists()
+    assert (tmp_path / "kpca+elm" / "predictions.csv").exists()
 
 
 PANEL_ROWS = 30

@@ -1,5 +1,7 @@
 """Correlation-distance k-means: distance, fit, assignment, elbow."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,15 @@ class TestElbow:
             k, fits = elbow_select(series, [1, 2, 3, 4], seed=0)
         assert k == 2
         assert all(fit.wcss == pytest.approx(0.0, abs=1e-12) for fit in fits.values())
+
+    def test_a_three_value_range_warns_only_without_a_bend(self):
+        # one second difference has no spread; only its sign tells a bend
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _pick_elbow([2, 3, 4], [100.0, 10.0, 9.0]) == 3
+            assert _pick_elbow([1, 2, 3, 4], [9.0, 5.0, 3.0, 3.0]) == 2  # equal bends
+        with pytest.warns(UserWarning, match="no elbow"):
+            assert _pick_elbow([2, 3, 4], [3.0, 2.0, 1.0]) == 3
 
     def test_too_few_k_values_rejected(self):
         series, _ = planted_series(seed=0)

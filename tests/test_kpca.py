@@ -45,22 +45,20 @@ def full_spectrum_keep(x, theta):
 
 
 def record_requests(monkeypatch):
-    """Counts passed to the eigensolver by kpca_fit, and k passed to the partial solver."""
+    """Counts passed to the eigensolver by kpca_fit, and counts passed to the partial solver."""
     counts, lanczos = [], []
-    real_eigsh = numerics.eigsh
-
-    real_eigenpairs = kpca._eigenpairs
+    real_eigenpairs, real_lanczos = kpca._eigenpairs, numerics._lanczos
 
     def spy_eig(a, count):
         counts.append(count)
         return real_eigenpairs(a, count)
 
-    def spy_eigsh(a, k, **kwargs):
-        lanczos.append(k)
-        return real_eigsh(a, k=k, **kwargs)
+    def spy_lanczos(a, count):
+        lanczos.append(count)
+        return real_lanczos(a, count)
 
     monkeypatch.setattr(kpca, "_eigenpairs", spy_eig)
-    monkeypatch.setattr(numerics, "eigsh", spy_eigsh)
+    monkeypatch.setattr(numerics, "_lanczos", spy_lanczos)
     return counts, lanczos
 
 

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 from scipy.spatial.distance import cdist
 
 from oilcast import baselines, cli, clustering, evaluation, kpca, numerics, pipeline, regressors
 from oilcast.kpca import center_kernel, gaussian_gram
 from oilcast.numerics import (
+    CHOLESKY_BLOCK,
     SYMMETRY_ATOL,
     NotPositiveDefiniteError,
     NumericalError,
@@ -215,7 +217,7 @@ class TestPartialSymEig:
     def test_half_the_order_uses_the_full_solver(self, monkeypatch):
         a = centered_gaussian_gram(20, 3, seed=4)
         expected = _eigenpairs(a, 20)
-        monkeypatch.setattr(numerics, "eigsh", no_lanczos)
+        monkeypatch.setattr(numerics, "_lanczos", no_lanczos)
         values, vectors = _eigenpairs(a, 10)
         assert np.array_equal(values, expected[0][:10])
         assert np.array_equal(vectors, expected[1][:, :10])
@@ -223,7 +225,7 @@ class TestPartialSymEig:
     def test_small_order_uses_the_full_solver(self, monkeypatch):
         a = centered_gaussian_gram(7, 2, seed=5)
         expected = _eigenpairs(a, 7)
-        monkeypatch.setattr(numerics, "eigsh", no_lanczos)
+        monkeypatch.setattr(numerics, "_lanczos", no_lanczos)
         values, vectors = _eigenpairs(a, 1)
         assert np.array_equal(values, expected[0][:1])
         assert np.array_equal(vectors, expected[1][:, :1])
@@ -247,6 +249,53 @@ class TestPartialSymEig:
         a[0, 1] += 1e-6
         with pytest.raises(ValueError, match=r"^kernel matrix is not symmetric: \|A\[0,1\]"):
             kpca.kpca_fit(np.zeros((30, 1)), kernel=lambda x: a, n_components=2)
+
+
+class TestLanczos:
+    """``_lanczos`` against ``np.linalg.eigh``; None sends a request to the full solver."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(n=st.integers(8, 60), d=st.integers(2, 9), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_matches_the_full_solver(self, n, d, seed, data):
+        count = data.draw(st.integers(1, (n - 1) // 2))  # the requests _eigenpairs makes of it
+        a = centered_gaussian_gram(n, d, seed)
+        pairs = numerics._lanczos(a, count)
+        assert pairs is not None
+        values, vectors = pairs
+        full = np.linalg.eigh(a)[0][::-1][:count]
+        scale = abs(full[0])
+        assert np.all(np.diff(values) >= 0)  # ascending, as eigh returns them
+        np.testing.assert_allclose(values[::-1], full, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(vectors.T @ vectors, np.eye(count), rtol=0, atol=1e-12)
+        assert np.max(np.abs(a @ vectors - vectors * values)) <= 1e-12 * scale
+
+    def test_reruns_are_byte_identical(self):
+        a = centered_gaussian_gram(150, 4, seed=3)
+        first, second = numerics._lanczos(a, 6), numerics._lanczos(a.copy(), 6)
+        assert first[0].tobytes() == second[0].tobytes()
+        assert first[1].tobytes() == second[1].tobytes()
+
+    def test_zero_matrix_gives_up(self):
+        assert numerics._lanczos(np.zeros((12, 12)), 2) is None
+
+    def test_rank_one_matrix_continues_into_its_null_space(self):
+        # the Krylov space closes after 2 vectors, up to rounding; the rounding,
+        # orthogonalized twice, is a new direction in the null space
+        v = np.random.default_rng(4).standard_normal(20)
+        a = np.outer(v, v)
+        values, vectors = numerics._lanczos(a, 3)
+        np.testing.assert_allclose(values, [0.0, 0.0, v @ v], rtol=0, atol=1e-12 * (v @ v))
+        np.testing.assert_allclose(vectors.T @ vectors, np.eye(3), rtol=0, atol=1e-12)
+        assert np.max(np.abs(a @ vectors - vectors * values)) <= 1e-12 * (v @ v)
+
+    def test_gives_up_at_the_basis_cap(self):
+        # evenly spaced eigenvalues: the largest converges far slower than the
+        # 2 + LANCZOS_SLACK vectors a one-pair request may keep
+        a = np.diag(np.arange(1.0, 401.0))
+        assert numerics._lanczos(a, 1) is None
+        values, vectors = _eigenpairs(a, 1)
+        assert values[0] == 400.0 and vectors[-1, 0] == 1.0
 
 
 class TestSolveSpd:
@@ -291,6 +340,35 @@ class TestSolveSpd:
     def test_error_is_a_numerical_error(self):
         with pytest.raises(NumericalError):
             _solve_spd(np.diag([1.0, -1.0]), np.ones(2))
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 167, CHOLESKY_BLOCK, CHOLESKY_BLOCK + 1,
+                                   2 * CHOLESKY_BLOCK + 70])
+    def test_matches_the_generic_solver_and_factors_in_place(self, n):
+        rng = np.random.default_rng(n)
+        r = rng.standard_normal((n, n))
+        a = r @ r.T / n + 0.1 * np.eye(n)
+        b = rng.standard_normal(n)
+        work = a.copy()
+        x = _solve_spd(work, b)
+        expected = np.linalg.solve(a, b)
+        np.testing.assert_allclose(x, expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
+        factor = np.tril(work)  # the factor L, in the matrix's own memory
+        np.testing.assert_allclose(factor, np.linalg.cholesky(a), rtol=0, atol=1e-12 * np.sqrt(n))
+
+    @pytest.mark.parametrize("pivot", [5, CHOLESKY_BLOCK - 1, CHOLESKY_BLOCK,
+                                       2 * CHOLESKY_BLOCK, 2 * CHOLESKY_BLOCK + 69])
+    def test_pivot_index_in_any_block(self, pivot):
+        # the first block, its last row, the first row of the next block (a block
+        # boundary), and the first and the last row of the last block
+        n = 2 * CHOLESKY_BLOCK + 70
+        rng = np.random.default_rng(pivot)
+        r = rng.standard_normal((n, n))
+        a = r @ r.T / n + 0.1 * np.eye(n)
+        a[pivot, pivot] = -1.0  # every leading minor short of this row stays definite
+        assert lapack.dpotrf(a, lower=1)[1] - 1 == pivot  # LAPACK's own report
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            _solve_spd(a.copy(), np.ones(n))
+        assert exc.value.pivot == pivot
 
 
 class TestRidgePinv:
