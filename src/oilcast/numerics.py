@@ -37,10 +37,13 @@ PARTIAL_MIN_ORDER = 8
 LANCZOS_SLACK = 64
 LANCZOS_CHECK_STEPS = 2
 
-# Order of the diagonal blocks of the Cholesky factorization (a paper-scale
-# system, of order 167, is one block), and rows per triangular solve within
-# a block
-CHOLESKY_BLOCK = 192
+# Order of the diagonal blocks of the Cholesky factorization, and rows per
+# triangular solve (a divisor of it, so a diagonal part of the factor never
+# spans two blocks). np.linalg.cholesky allocates an output and a working
+# copy of its block: at 96 each is 72 KB, below glibc's 128 KB threshold for
+# serving an allocation from fresh mapped pages, which a paper-scale solve
+# would otherwise fault in on every call
+CHOLESKY_BLOCK = 96
 SOLVE_ROWS = 32
 
 # OpenBLAS thread-count entry points: the scipy-openblas build that numpy's
@@ -301,11 +304,11 @@ def _lanczos(a: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray] | None:
     Lanczos with full reorthogonalization (Golub & Van Loan, Matrix
     Computations, 4th ed., 10.1-10.3): each new vector is orthogonalized
     against the whole basis twice (classical Gram-Schmidt, twice), so no
-    ghost copies appear. Every ``LANCZOS_CHECK_STEPS`` steps or more (an
-    eighth of the basis, once that is larger) the Ritz pairs are taken
-    from ``eigh`` of the tridiagonal matrix, and the solver stops when each
-    wanted residual ``|beta_m s_mi|`` is at most ``eps`` times the largest
-    Ritz value's magnitude. It gives up (None) when the basis reaches
+    ghost copies appear. From a basis of twice ``count`` vectors on, every
+    ``LANCZOS_CHECK_STEPS`` steps or more (an eighth of the basis, once that
+    is larger), the Ritz pairs are taken from ``eigh`` of the tridiagonal
+    matrix, and the solver stops when each wanted residual ``|beta_m s_mi|``
+    is at most ``eps`` times the largest Ritz value's magnitude. It gives up (None) when the basis reaches
     ``2 count + LANCZOS_SLACK`` vectors, or the order, unconverged, or when
     the Krylov space closes (an invariant subspace) before ``count`` Ritz
     pairs have converged.
@@ -320,7 +323,7 @@ def _lanczos(a: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray] | None:
     # full solver decides
     start = np.random.default_rng(0).standard_normal(n)
     basis[0] = start / np.sqrt(start @ start)
-    scale, check_at = 0.0, count
+    scale, check_at = 0.0, 2 * count
     for m in range(1, cap + 1):
         done = basis[:m]
         w = a @ done[-1]
@@ -356,15 +359,19 @@ def _solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``NotPositiveDefiniteError`` (with the failing pivot index) when the
     factorization breaks down. ``a`` is factored in its own memory and no
     longer holds ``A`` afterwards: the factor ``L`` is left in its lower
-    triangle, with zeros above the diagonal of each diagonal block.
+    triangle.
 
     Left-looking blocked Cholesky: each ``CHOLESKY_BLOCK`` diagonal block is
     updated with one product of the rows already factored and factored by
     ``np.linalg.cholesky``; the panel below it is updated with one product
-    and solved against it by ``_solve_panel``. Blocked forward and back
-    substitution follow.
+    and solved against it. Blocked forward and back substitution follow.
+    Every triangular solve works ``SOLVE_ROWS`` rows of ``L`` at a time,
+    through the inverse of their diagonal part, computed once per part:
+    numpy's small solves cost far more per call than a product.
     """
     n = a.shape[0]
+    starts = range(0, n, SOLVE_ROWS)
+    inverses = []  # of each SOLVE_ROWS diagonal part of L, in order
     for k0 in range(0, n, CHOLESKY_BLOCK):
         k1 = min(k0 + CHOLESKY_BLOCK, n)
         done, block = a[k0:k1, :k0], a[k0:k1, k0:k1]
@@ -374,65 +381,40 @@ def _solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             block[...] = np.linalg.cholesky(block)
         except np.linalg.LinAlgError:
             raise NotPositiveDefiniteError(pivot=k0 + _failing_pivot(block)) from None
+        inverses += [np.linalg.inv(a[s0:s0 + SOLVE_ROWS, s0:s0 + SOLVE_ROWS])
+                     for s0 in range(k0, k1, SOLVE_ROWS)]
         if k1 < n:  # the panel below: L21 = (A21 - L20 L10') L11^-T
             panel = a[k1:, k0:k1]
             if k0:
                 panel -= a[k1:, :k0] @ done.T
-            _solve_panel(block, panel)
+            for s0 in range(k0, k1, SOLVE_ROWS):
+                cols = a[k1:, s0:s0 + SOLVE_ROWS]
+                cols -= a[k1:, k0:s0] @ a[s0:s0 + SOLVE_ROWS, k0:s0].T
+                cols[...] = cols @ inverses[s0 // SOLVE_ROWS].T
     x = np.array(b, dtype=float)
-    _forward_substitute(a, x)
-    _back_substitute(a, x)
+    for s0, inverse in zip(starts, inverses):  # L y = b
+        part = x[s0:s0 + SOLVE_ROWS]
+        part -= a[s0:s0 + SOLVE_ROWS, :s0] @ x[:s0]
+        part[...] = inverse @ part
+    for s0, inverse in zip(reversed(starts), reversed(inverses)):  # L' x = y
+        part = x[s0:s0 + SOLVE_ROWS]
+        part -= x[s0 + SOLVE_ROWS:] @ a[s0 + SOLVE_ROWS:, s0:s0 + SOLVE_ROWS]
+        part[...] = part @ inverse
     return x
 
 
-def _failing_pivot(matrix: np.ndarray) -> int:
-    """Index of the first pivot at which ``np.linalg.cholesky`` of ``matrix``
+def _failing_pivot(block: np.ndarray) -> int:
+    """Index of the first pivot at which ``np.linalg.cholesky`` of ``block``
     fails: the order of its smallest leading submatrix that fails, less one."""
-    factored, fails = 0, matrix.shape[0]
+    factored, fails = 0, block.shape[0]
     while fails - factored > 1:
         mid = (factored + fails) // 2
         try:
-            np.linalg.cholesky(matrix[:mid, :mid])
+            np.linalg.cholesky(block[:mid, :mid])
             factored = mid
         except np.linalg.LinAlgError:
             fails = mid
     return fails - 1
-
-
-def _solve_panel(lower: np.ndarray, panel: np.ndarray) -> None:
-    """Overwrite ``panel`` with ``panel L^-T``, ``L`` the lower triangle of
-    ``lower``, ``SOLVE_ROWS`` columns at a time, each by one product with the
-    inverse of its diagonal part of ``L``: numpy's solve against many
-    right-hand sides is several times slower."""
-    for j0 in range(0, lower.shape[0], SOLVE_ROWS):
-        j1 = j0 + SOLVE_ROWS
-        cols = panel[:, j0:j1]
-        if j0:
-            cols -= panel[:, :j0] @ lower[j0:j1, :j0].T
-        cols[...] = cols @ np.linalg.inv(lower[j0:j1, j0:j1]).T
-
-
-def _forward_substitute(lower: np.ndarray, x: np.ndarray) -> None:
-    """Overwrite the vector ``x`` with ``L^-1 x``, ``L`` the lower triangle of
-    ``lower``, ``SOLVE_ROWS`` rows at a time. Each diagonal part of ``L`` is
-    a square block of ``lower``: ``SOLVE_ROWS`` divides ``CHOLESKY_BLOCK``,
-    and each diagonal block of the factor holds zeros above its diagonal."""
-    for s0 in range(0, lower.shape[0], SOLVE_ROWS):
-        s1 = s0 + SOLVE_ROWS
-        part = x[s0:s1]
-        part -= lower[s0:s1, :s0] @ x[:s0]
-        part[...] = np.linalg.solve(lower[s0:s1, s0:s1], part)
-
-
-def _back_substitute(lower: np.ndarray, x: np.ndarray) -> None:
-    """Overwrite the vector ``x`` with ``L'^-1 x``, ``L`` as in
-    ``_forward_substitute``, ``SOLVE_ROWS`` rows at a time from the bottom."""
-    n = lower.shape[0]
-    for s0 in range(SOLVE_ROWS * ((n - 1) // SOLVE_ROWS), -1, -SOLVE_ROWS):
-        s1 = s0 + SOLVE_ROWS
-        part = x[s0:s1]
-        part -= x[s1:] @ lower[s1:, s0:s1]
-        part[...] = np.linalg.solve(lower[s0:s1, s0:s1].T, part)
 
 
 def _ridge_pinv(h: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
