@@ -359,7 +359,8 @@ def _solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``NotPositiveDefiniteError`` (with the failing pivot index) when the
     factorization breaks down. ``a`` is factored in its own memory and no
     longer holds ``A`` afterwards: the factor ``L`` is left in its lower
-    triangle.
+    triangle, with zeros above the diagonal of each diagonal block, so each
+    diagonal part of ``L`` below is a square block of ``a``.
 
     Left-looking blocked Cholesky: each ``CHOLESKY_BLOCK`` diagonal block is
     updated with one product of the rows already factored and factored by
