@@ -179,25 +179,6 @@ class TestGrangerFilter:
         assert result.retained == [n for n in candidates if tails[n] <= 0.3]
         assert 1 < len(result.retained) < len(candidates)
 
-
-class TestFUpperTail:
-    """``_f_upper_tail`` against scipy's F distribution: each parity pair of the
-    degrees of freedom, at both ends of the range and between."""
-
-    F = np.array([0.0, 1e-12, 0.3, 1.0, 2.5, 7.0, 1e3, np.inf])
-
-    @pytest.mark.parametrize("d2", [1, 2, 5, 20, 157, 158, 1175, 1176])
-    @pytest.mark.parametrize("d1", range(1, 9))
-    def test_matches_scipy(self, d1, d2):
-        tail = pipeline._f_upper_tail(self.F, d1, d2)
-        expected = scipy.stats.f.sf(self.F, d1, d2)
-        if d1 == d2 == 1:
-            # scipy's value at F = 1e-12 is 2.8e-11 off here (checked against a
-            # 50-digit incomplete beta); the tail of F(1, 1) is 1 - (2/pi) arctan(sqrt(F))
-            expected[1] = 1.0 - 2.0 / np.pi * np.arctan(1e-6)
-        np.testing.assert_allclose(tail, expected, rtol=0, atol=1e-12)
-        assert tail[0] == 1.0 and tail[-1] == 0.0
-
     @pytest.mark.parametrize("column, row", [("b", 40), ("price", 7), ("a", 0)])
     def test_non_finite_value_named_before_any_solve(self, column, row, capfd):
         rng = np.random.default_rng(9)
@@ -218,6 +199,25 @@ class TestFUpperTail:
         )
         with pytest.raises(ValueError, match="degrees of freedom"):
             granger_filter(panel, ["x"], max_lag=3)
+
+
+class TestFUpperTail:
+    """``_f_upper_tail`` against scipy's F distribution: each parity pair of the
+    degrees of freedom, at both ends of the range and between."""
+
+    F = np.array([0.0, 1e-12, 0.3, 1.0, 2.5, 7.0, 1e3, np.inf])
+
+    @pytest.mark.parametrize("d2", [1, 2, 5, 20, 157, 158, 1175, 1176])
+    @pytest.mark.parametrize("d1", range(1, 9))
+    def test_matches_scipy(self, d1, d2):
+        tail = pipeline._f_upper_tail(self.F, d1, d2)
+        expected = scipy.stats.f.sf(self.F, d1, d2)
+        if d1 == d2 == 1:
+            # scipy's value at F = 1e-12 is 2.8e-11 off here (checked against a
+            # 50-digit incomplete beta); the tail of F(1, 1) is 1 - (2/pi) arctan(sqrt(F))
+            expected[1] = 1.0 - 2.0 / np.pi * np.arctan(1e-6)
+        np.testing.assert_allclose(tail, expected, rtol=0, atol=1e-12)
+        assert tail[0] == 1.0 and tail[-1] == 0.0
 
 
 def per_candidate_screen(panel, candidates, max_lag, p_threshold):
