@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (BLOCK_ROWS, NumericalError, _eigenpairs, _symmetric, at_least, check_rules,
-                       finite_array, finite_rows, one_blas_thread, sq_distances)
+from .numerics import (BLOCK_ROWS, NumericalError, _eigenpairs, at_least, check_rules, finite_array,
+                       finite_rows, one_blas_thread, sq_distances)
 
 # Components with eigenvalue at or below EIGENVALUE_FLOOR_RATIO * lambda_max
 # are treated as numerical rank deficiency and never retained.
@@ -81,7 +81,7 @@ class GaussianKernel:
 
 @dataclass(frozen=True)
 class LinearKernel:
-    """k(x, z) = x . z; used to cross-check against classical PCA."""
+    """k(x, z) = x . z; used to cross-check against classical PCA and ridge regression."""
 
     def __call__(self, x: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
         # x x' of a contiguous x is a symmetric rank-k update: exactly symmetric
@@ -192,6 +192,33 @@ def gaussian_gram(x, sigma: float | None = None, out=None) -> tuple[np.ndarray, 
     return kernel.of_sq_distances(sq), kernel
 
 
+def _gram(x: np.ndarray, kernel, out=None) -> tuple[np.ndarray, GaussianKernel | LinearKernel]:
+    """The Gram matrix of checked sample rows, in ``out`` when given, and its
+    kernel: the one builder of both fits.
+
+    ``kernel`` is a ``GaussianKernel``, a ``LinearKernel`` or None (the
+    median-heuristic Gaussian); anything else raises ``ValueError`` before a
+    matrix is built. Either Gram is exactly symmetric, so none is scanned
+    for symmetry. A linear one is not checked here: huge finite rows can
+    overflow ``x x'`` or its centering, so each fit checks the linear
+    matrix it hands to its solver, once.
+    """
+    if isinstance(kernel, LinearKernel):
+        x = np.ascontiguousarray(x)  # x x' of a contiguous x is a symmetric rank-k update
+        return np.matmul(x, x.T, out=out), kernel
+    if not (kernel is None or isinstance(kernel, GaussianKernel)):
+        raise ValueError(f"kernel must be a GaussianKernel, a LinearKernel or None, got {kernel!r}")
+    return gaussian_gram(x, None if kernel is None else kernel.sigma, out=out)
+
+
+def _finite_prediction(values: np.ndarray) -> np.ndarray:
+    """``values`` computed from kernel rows, or ``ValueError`` where they
+    overflowed: a linear kernel's values are unbounded."""
+    if not np.isfinite(values).all():
+        raise ValueError("inputs too large: kernel rows overflow")
+    return values
+
+
 def center_kernel(k) -> tuple[np.ndarray, np.ndarray, float]:
     """Double-center a Gram matrix in place.
 
@@ -199,9 +226,9 @@ def center_kernel(k) -> tuple[np.ndarray, np.ndarray, float]:
     statistics needed to center out-of-sample kernel rows consistently.
     ``k_centered`` is ``k`` itself, overwritten, when ``k`` is a float64
     array, and a centered copy of any other input. Symmetry is not checked
-    here: centering changes ``k[i, j] - k[j, i]`` by rounding only, so an
-    exactly symmetric Gaussian Gram centers to within ``SYMMETRY_ATOL`` of
-    symmetric, and ``kpca_fit`` checks a caller kernel's centered matrix.
+    here: centering changes ``k[i, j] - k[j, i]`` by rounding only, so the
+    exactly symmetric Grams the fits build center to symmetric within
+    rounding.
     """
     k = np.asarray(k, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
@@ -233,12 +260,13 @@ def kpca_fit(x, kernel=None, n_components: int | None = None, theta: float | Non
 
     Component count comes from ``n_components`` (fixed) or ``theta``
     (smallest count reaching that fraction of the usable eigenvalue sum);
-    giving both is an error, giving neither selects theta = 0.95. With no
-    kernel, a Gaussian kernel at the median-heuristic width is used; any
-    other kernel's matrix is copied, centered in place and checked once.
-    A Gaussian kernel's Gram matrix is built in ``out`` when one is given,
-    an n x n float64 array the fit overwrites and does not keep.
-    Raises ``DegenerateKernelError`` when no eigenvalue clears the floor.
+    giving both is an error, giving neither selects theta = 0.95.
+    ``kernel`` is a ``GaussianKernel``, a ``LinearKernel`` or None, a
+    Gaussian kernel at the median-heuristic width. The Gram matrix is
+    built in ``out`` when one is given, an n x n float64 array the fit
+    overwrites and does not keep, and centered in place; a linear one is
+    then checked for finiteness once. Raises ``DegenerateKernelError``
+    when no eigenvalue clears the floor.
     """
     x = finite_array(x, "x", 2)
     n = x.shape[0]
@@ -249,15 +277,11 @@ def kpca_fit(x, kernel=None, n_components: int | None = None, theta: float | Non
         raise ValueError(f"n_components must be <= the {n} samples, got {n_components}")
     if n_components is None and theta is None:
         theta = DEFAULT_THETA
-    gaussian = kernel is None or isinstance(kernel, GaussianKernel)
-    if gaussian:
-        k, kernel = gaussian_gram(x, None if kernel is None else kernel.sigma, out=out)
-    else:
-        k = np.array(kernel(x), dtype=float)
     # the fit's one n x n matrix: the Gram matrix, centered in place
+    k, kernel = _gram(x, kernel, out=out)
     k, col_means, grand_mean = center_kernel(k)
-    if not gaussian:  # checked centered: huge finite entries can center to inf
-        _symmetric(k, "kernel matrix")
+    if isinstance(kernel, LinearKernel):  # checked centered: huge finite entries can center to inf
+        finite_array(k, "kernel matrix", 2)
     values, vectors, keep = _leading_components(k, n_components, theta)
     del k  # freed before the coefficients are formed (unless it is the caller's ``out``)
 
@@ -297,9 +321,8 @@ def _leading_components(k_c: np.ndarray, n_components: int | None,
     floor, so ``tol`` below bounds the change to any share. When a share
     lies within ``tol`` of theta, or the floor comes before theta, the full
     spectrum is computed and the usable sum decides, as it always did.
-    ``k_c`` is not checked here: ``kpca_fit`` hands over a centered Gaussian
-    Gram, symmetric by construction up to centering's rounding, or a caller
-    kernel's centered matrix that it has checked.
+    ``k_c`` is not checked here: ``kpca_fit`` hands over a centered Gram,
+    symmetric by construction up to centering's rounding, and finite.
     """
     if n_components is not None:
         values, vectors = _eigenpairs(k_c, n_components)
@@ -339,7 +362,8 @@ def kpca_transform(model: KpcaModel, x) -> np.ndarray:
 
     Returns an (m, n_components) matrix for m rows. The raw kernel rows
     are centered with the stored training statistics before applying the
-    coefficient columns.
+    coefficient columns. Rows whose kernel values, or the sums of them,
+    overflow raise ``ValueError``.
     """
     rows = finite_rows(x, model.x_train.shape[1])
     k_rows = model.kernel(rows, model.x_train)
@@ -349,4 +373,4 @@ def kpca_transform(model: KpcaModel, x) -> np.ndarray:
         - model.col_means[None, :]
         + model.grand_mean
     )
-    return k_c @ model.alphas
+    return _finite_prediction(k_c @ model.alphas)

@@ -1,9 +1,8 @@
 """Dense symmetric linear algebra with explicit failure modes.
 
 ``finite_array``, the one array check of every public function's inputs;
-``check_rules``, the one check of a run parameter against its rule;
-``_symmetric`` for a matrix the library did not build; the one
-squared-distance computation of every kernel; unchecked eigenpair and
+``check_rules``, the one check of a run parameter against its rule; the
+one squared-distance computation of every kernel; unchecked eigenpair and
 Cholesky cores, written with numpy alone, that report breakdowns as
 ``NumericalError``; and ``one_blas_thread``. Matrices are float64 numpy
 arrays; samples/equations are rows.
@@ -18,13 +17,10 @@ import os
 
 import numpy as np
 
-# Absolute tolerance for the symmetry check max |A[i,j] - A[j,i]|.
-SYMMETRY_ATOL = 1e-10
-
 # Rows per block of every whole-matrix pass that needs a temporary (the
-# finiteness and symmetry scans, the distance update, the median search; and
-# columns per block of the eigenvector sign fix), so its scratch is
-# BLOCK_ROWS x n entries, not another n x n matrix.
+# finiteness scan, the distance update, the median search; and columns per
+# block of the eigenvector sign fix), so its scratch is BLOCK_ROWS x n
+# entries, not another n x n matrix.
 BLOCK_ROWS = 64
 
 # Below this order _eigenpairs always uses the full solver.
@@ -129,8 +125,9 @@ def finite_array(x, name: str, ndim: int) -> np.ndarray:
     temporary; a vector in one pass.
 
     The rule: a public function checks each array it receives once, with
-    this; a private function never re-checks; a matrix the library builds
-    is not scanned (``sq_distances`` tests each block for NaN in cache).
+    this; a private function never re-checks; a Gaussian Gram the library
+    builds is not scanned (``sq_distances`` tests each block for NaN in
+    cache), and a linear one is scanned once, as its solver receives it.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != ndim:
@@ -170,44 +167,6 @@ def at_least(low):
 def one_of(choices: tuple):
     """The rule that a value is one of ``choices``."""
     return (lambda value: value in choices), f"one of {choices}"
-
-
-def _symmetric(a, name: str) -> np.ndarray:
-    """``a`` as a finite, square and symmetric float64 matrix."""
-    a = finite_array(a, name, 2)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
-    _check_symmetric(a, name)
-    return a
-
-
-def _check_symmetric(a: np.ndarray, name: str) -> None:
-    # |A - A'| is symmetric with a zero diagonal, so its first maximum in
-    # row-major order lies in the upper triangle: scanning row blocks of
-    # columns from the block's first row on finds it, first block first.
-    # Each gap block is formed in one reused scratch block: A' copied in, then
-    # A subtracted, which numpy reads through a buffer of its own no larger
-    # than the block; half of BLOCK_ROWS rows keeps the two within one
-    # BLOCK_ROWS x n block
-    n = a.shape[0]
-    rows = max(BLOCK_ROWS // 2, 1)
-    scratch = np.empty(min(rows, n) * n)
-    worst, at = 0.0, (0, 0)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        gap = scratch[: (stop - start) * (n - start)].reshape(stop - start, n - start)
-        np.copyto(gap, a[start:, start:stop].T)
-        gap -= a[start:stop, start:]  # A' - A: the magnitudes of A - A', exactly
-        np.abs(gap, out=gap)
-        r, c = np.unravel_index(int(np.argmax(gap)), gap.shape)
-        if gap[r, c] > worst:
-            worst, at = float(gap[r, c]), (start + int(r), start + int(c))
-    if worst > SYMMETRY_ATOL:
-        i, j = at
-        raise ValueError(
-            f"{name} is not symmetric: |A[{i},{j}] - A[{j},{i}]| = {worst:.3e} "
-            f"exceeds {SYMMETRY_ATOL:.0e}"
-        )
 
 
 def sq_distances(x, z=None, out=None) -> np.ndarray:

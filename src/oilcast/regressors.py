@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kpca import GaussianKernel, LinearKernel, gaussian_gram
-from .numerics import (_ridge_pinv, _solve_spd, _symmetric, at_least, check_rules, finite_array,
-                       finite_rows, one_blas_thread, one_of)
+from .kpca import GaussianKernel, LinearKernel, _finite_prediction, _gram
+from .numerics import (_ridge_pinv, _solve_spd, at_least, check_rules, finite_array, finite_rows,
+                       one_blas_thread, one_of)
 
 DEFAULT_C = 100.0
 DEFAULT_N_HIDDEN = 100
@@ -90,37 +90,32 @@ class KelmModel:
 
 
 @one_blas_thread()
-def kelm_fit(x, y, c: float = DEFAULT_C, sigma: float | None = None, kernel=None) -> KelmModel:
+def kelm_fit(x, y, c: float = DEFAULT_C, kernel=None) -> KelmModel:
     """Fit a KELM: solve (I/C + Omega) a = y on the raw (uncentered)
     training kernel matrix.
 
-    The kernel is Gaussian with width ``sigma`` (median heuristic when
-    omitted); passing ``kernel`` directly overrides it, which is how the
-    linear-kernel ridge cross-check is wired in. The fit factors the
-    system in its Gaussian Gram matrix, symmetric by construction and not
-    scanned, or in a checked copy of what ``kernel`` returns.
+    ``kernel`` is a ``GaussianKernel``, a ``LinearKernel`` (the ridge
+    regression cross-check) or None, a Gaussian kernel at the
+    median-heuristic width. The fit factors the system in the Gram matrix
+    ``kpca`` builds for it, exactly symmetric and not scanned for symmetry;
+    a linear system is checked for finiteness once.
     """
     check_rules(RULES, c=c)
     x, y = _as_xy(x, y)
-    caller = kernel is not None
-    if caller:
-        system = np.array(kernel(x), dtype=float)
-    else:
-        system, kernel = gaussian_gram(x, sigma)
+    system, kernel = _gram(x, kernel)
     system[np.diag_indices_from(system)] += 1.0 / c
-    if caller:  # checked with 1/C added: the system the solver factors
-        _symmetric(system, "kernel matrix")
-        if system.shape[0] != y.size:
-            raise ValueError(f"kernel matrix of order {len(system)} does not match {y.size} targets")
+    if isinstance(kernel, LinearKernel):  # huge finite rows can overflow x x'
+        finite_array(system, "kernel matrix", 2)
     alpha = _solve_spd(system, y)
     return KelmModel(x_train=x.copy(), kernel=kernel, alpha=alpha)
 
 
 @one_blas_thread()
 def kelm_predict(model: KelmModel, x) -> np.ndarray:
-    """Kernel rows against the training inputs times the dual coefficients."""
+    """Kernel rows against the training inputs times the dual coefficients;
+    rows whose kernel values, or the sums of them, overflow raise ``ValueError``."""
     rows = finite_rows(x, model.x_train.shape[1])
-    return model.kernel(rows, model.x_train) @ model.alpha
+    return _finite_prediction(model.kernel(rows, model.x_train) @ model.alpha)
 
 
 # The dispatch calls the fit/predict functions through their module-level
@@ -134,7 +129,7 @@ def regressor_fit(name: str, x, y, c: float = DEFAULT_C, sigma: float | None = N
     """
     check_rules(RULES, regressor=name)
     if name == "kelm":
-        return kelm_fit(x, y, c=c, sigma=sigma)
+        return kelm_fit(x, y, c=c, kernel=None if sigma is None else GaussianKernel(sigma))
     return elm_fit(x, y, n_hidden=n_hidden, c=c, seed=seed)
 
 

@@ -887,7 +887,8 @@ OWNERS = {
                     lambda v: granger_filter(SMALL_PANEL, ["x"], p_threshold=v)),
     "n_components": (kpca.RULES, "n_components", lambda v: kpca_fit(ROWS, n_components=v)),
     "theta": (kpca.RULES, "theta", lambda v: kpca_fit(ROWS, theta=v)),
-    "sigma": (kpca.RULES, "sigma", lambda v: kelm_fit(ROWS, SERIES, sigma=v)),
+    "sigma": (kpca.RULES, "sigma",
+              lambda v: kelm_fit(ROWS, SERIES, kernel=kpca.GaussianKernel(v))),
     "c": (regressors.RULES, "c", lambda v: elm_fit(ROWS, SERIES, c=v)),
     "n_hidden": (regressors.RULES, "n_hidden", lambda v: elm_fit(ROWS, SERIES, n_hidden=v)),
     "ar_max_p": (baselines.RULES, "max_p", lambda v: ar_fit(SERIES, max_p=v)),
@@ -969,6 +970,49 @@ class TestPreambleRoundTripProperty:
 # what a --set value can hold: any text without a line break or a lone surrogate
 LABELS = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\n\r"),
                  max_size=12)
+
+
+# the methods whose forecasts read no target of the test window; the
+# univariate elm and kelm take their lags from it
+LEAK_FREE_METHODS = tuple(method for method in cli.METHODS if method not in ("elm", "kelm"))
+
+
+def forecast_columns(predictions):
+    """The actual and forecast_raw cells of a predictions.csv, as written."""
+    lines = predictions.read_text().splitlines()
+    rows = [row.split(",") for row in
+            lines[lines.index("date,actual,forecast_raw,forecast_normalized") + 1:]]
+    return [row[1] for row in rows], [row[2] for row in rows]
+
+
+class TestNoLeakageProperty:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16), months=st.integers(48, 96), n_test=st.integers(2, 12),
+           method=st.sampled_from(LEAK_FREE_METHODS), mode=st.sampled_from(["E", "G", "H"]),
+           data=st.data())
+    def test_other_test_window_targets_leave_the_forecasts_unchanged(
+            self, tmp_path_factory, seed, months, n_test, method, mode, data):
+        panel, _, _ = synth_generate(SynthSpec(seed=seed, months=months))
+        n_train = months - n_test
+        others = data.draw(st.lists(st.floats(-1e6, 1e6).filter(bool), min_size=n_test,
+                                    max_size=n_test), label="test-window targets")
+        y = np.array(panel.columns[panel.target_name])
+        y[n_train:] = others
+        changed = FeaturePanel(panel.dates, {**panel.columns, panel.target_name: y}, panel.tags)
+        work = tmp_path_factory.mktemp("leakage")
+        columns = []
+        for name, source in (("same", panel), ("other", changed)):
+            write_panel_csv(source, str(work / f"{name}.csv"))
+            write_tags_csv(source.tags, str(work / f"{name}.tags.csv"))
+            code, _, err = quiet_main(
+                ["run", "--set", f"panel={work / name}.csv", "--set",
+                 f"split={panel.dates[n_train - 1]}", "--set", f"method={method}",
+                 "--set", f"mode={mode}", "--out-dir", str(work / name)])
+            assert code == 0, err
+            columns.append(forecast_columns(work / name / "predictions.csv"))
+        (_, forecasts), (actual, other_forecasts) = columns
+        assert actual == [repr(float(v)) for v in others]  # the run read the other targets
+        assert other_forecasts == forecasts
 
 
 class TestTextInput:

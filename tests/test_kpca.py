@@ -104,6 +104,23 @@ class TestKernels:
         with pytest.raises(DegenerateKernelError, match="duplicated"):
             kpca_fit(np.ones((4, 2)))
 
+    @pytest.mark.parametrize("kernel", [lambda rows: rows @ rows.T, "gaussian", 1.0,
+                                        GaussianKernel], ids=["lambda", "name", "sigma", "class"])
+    def test_only_the_two_kernel_classes_are_accepted(self, kernel):
+        # rejected before any n x n matrix is allocated
+        x = np.random.default_rng(26).random((600, 3))
+        message = "^kernel must be a GaussianKernel, a LinearKernel or None, got "
+        for fit in (lambda: kpca_fit(x, kernel=kernel),
+                    lambda: kelm_fit(x, x[:, 0], kernel=kernel)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=message):
+                    fit()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 600**2 / 10
+
 
 def upper_pairs_sorted(sq):
     """The reference: every pair's squared distance, sorted."""
@@ -213,11 +230,6 @@ class TestPeakMemory:
 
     # the passes that each keep one BLOCK_ROWS x n block of scratch (0.107 n^2
     # doubles at n = 600), measured alone
-    def test_symmetry_check(self):
-        x, _ = self.data()
-        a = gaussian_gram(x)[0]
-        assert self.peak_in_matrices(lambda: numerics._check_symmetric(a, "a")) <= 0.12
-
     def test_sign_fix(self):
         x, _ = self.data()
         vectors = np.linalg.eigh(center_kernel(gaussian_gram(x)[0])[0])[1][:, ::-1]
@@ -262,15 +274,11 @@ class TestCenterKernel:
         k_c, _, _ = center_kernel(k.copy())
         np.testing.assert_allclose(k_c, k, atol=1e-10)
 
-    def test_asymmetric_gram_rejected_after_centering(self):
-        # centering keeps k - k.T, so kpca_fit's one check of a caller
-        # kernel's centered matrix rejects an asymmetric kernel
+    def test_centering_keeps_the_asymmetry(self):
+        # centering keeps k - k.T, so a symmetric Gram centers to symmetric
         k = np.array([[1.0, 2.0], [0.0, 1.0]])
         k_c, _, _ = center_kernel(k.copy())
         np.testing.assert_allclose(k_c - k_c.T, k - k.T, atol=1e-15)
-        with pytest.raises(ValueError, match="not symmetric"):
-            kpca_fit(np.zeros((2, 1)), kernel=lambda x: k, n_components=1)
-        assert np.array_equal(k, [[1.0, 2.0], [0.0, 1.0]])  # the fit centered a copy
 
     def test_float_input_is_centered_in_place_and_other_input_copied(self):
         k = GaussianKernel(1.0)(np.random.default_rng(4).standard_normal((6, 2)))
@@ -397,20 +405,20 @@ class TestPartialEigensolve:
         assert lanczos == [4, 8, 16]
 
     def test_the_centered_gram_is_checked_once_however_wide_the_request(self, monkeypatch):
-        # a Gaussian Gram is never scanned; a caller kernel's matrix is checked once
-        x = np.random.default_rng(20).random((40, 12))
-        sigma = kpca_fit(x, theta=0.9).kernel.sigma
+        # a Gaussian Gram is never scanned; a linear one is checked once, centered
         counts, _ = record_requests(monkeypatch)
         checked = []
-        real = numerics._check_symmetric
-        monkeypatch.setattr(numerics, "_check_symmetric",
-                            lambda a, name: checked.append(a.shape) or real(a, name))
-        kpca_fit(x, theta=0.9)
+        real = kpca.finite_array
+        monkeypatch.setattr(kpca, "finite_array",
+                            lambda a, name, ndim: checked.append((name, np.shape(a)))
+                            or real(a, name, ndim))
+        kpca_fit(np.random.default_rng(20).random((40, 12)), theta=0.9)
         assert counts == [4, 8, 16, 32]
-        assert checked == []
-        kpca_fit(x, kernel=lambda rows: gaussian_gram(rows, sigma)[0], theta=0.9)
+        assert checked == [("x", (40, 12))]
+        checked.clear()
+        kpca_fit(np.random.default_rng(21).random((40, 30)), kernel=LinearKernel(), theta=0.9)
         assert counts == [4, 8, 16, 32] * 2
-        assert checked == [(40, 40)]
+        assert checked == [("x", (40, 30)), ("kernel matrix", (40, 40))]
 
     def test_share_within_tolerance_of_theta_takes_the_full_spectrum(self, monkeypatch):
         x = np.random.default_rng(22).random((120, 5))
@@ -505,7 +513,7 @@ class TestDistanceOverflow:
 
     def test_prediction_rows_whose_distances_overflow_raise_instead_of_giving_nan(self):
         model = kpca_fit(self.X, kernel=GaussianKernel(1.0), n_components=2)
-        kelm = kelm_fit(self.X, np.arange(1.0, 6.0), sigma=1.0)
+        kelm = kelm_fit(self.X, np.arange(1.0, 6.0), kernel=GaussianKernel(1.0))
         message = "^inputs too large: squared distances overflow$"
         with pytest.raises(ValueError, match=message):
             kpca_transform(model, self.ROWS)
@@ -513,3 +521,24 @@ class TestDistanceOverflow:
             kelm_predict(kelm, self.ROWS)
         with pytest.raises(ValueError, match=message):
             kpca_fit(np.vstack([self.X, self.ROWS]), kernel=GaussianKernel(1.0), n_components=2)
+
+    def test_linear_prediction_rows_that_overflow_raise_instead_of_giving_nan(self):
+        # at 1e308 the kernel values x z' overflow; at 1e306 they are finite
+        # and their weighted sum in kelm_predict overflows
+        x = np.random.default_rng(27).standard_normal((20, 3))
+        model = kpca_fit(x, kernel=LinearKernel(), n_components=2)
+        kelm = kelm_fit(x, np.arange(20.0), kernel=LinearKernel())
+        message = "^inputs too large: kernel rows overflow$"
+        with pytest.raises(ValueError, match=message):
+            kpca_transform(model, [[1e308] * 3])
+        for scale in (1e308, 1e306):
+            with pytest.raises(ValueError, match=message):
+                kelm_predict(kelm, [[scale] * 3])
+
+    def test_a_linear_gram_that_overflows_is_rejected_by_both_fits(self):
+        x = np.random.default_rng(28).standard_normal((20, 3))
+        x[0] = 1e200
+        with pytest.raises(ValueError, match="^kernel matrix contains non-finite values$"):
+            kpca_fit(x, kernel=LinearKernel(), n_components=2)
+        with pytest.raises(ValueError, match="^kernel matrix contains non-finite values$"):
+            kelm_fit(x, np.arange(20.0), kernel=LinearKernel())

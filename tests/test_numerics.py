@@ -1,4 +1,4 @@
-"""Symmetric eigensolver, symmetry check, SPD solve, ridge pseudoinverse and BLAS thread
+"""Symmetric eigensolver, SPD solve, ridge pseudoinverse, array checks and BLAS thread
 contracts."""
 
 from types import SimpleNamespace
@@ -14,13 +14,11 @@ from oilcast import baselines, cli, clustering, evaluation, kpca, numerics, pipe
 from oilcast.kpca import center_kernel, gaussian_gram
 from oilcast.numerics import (
     CHOLESKY_BLOCK,
-    SYMMETRY_ATOL,
     NotPositiveDefiniteError,
     NumericalError,
     _eigenpairs,
     _ridge_pinv,
     _solve_spd,
-    _symmetric,
     finite_array,
     one_blas_thread,
     sq_distances,
@@ -112,9 +110,9 @@ def layouts(x, layout):
 
 
 class TestBuiltGramsNeedNoScan:
-    """A Gaussian Gram goes to the solvers unscanned; these are the invariants
-    that make that safe, over random finite inputs (``TestRidgeGramSymmetry``
-    covers the ELM's system)."""
+    """No Gram goes to the solvers scanned for symmetry, and a Gaussian one
+    goes unscanned; these are the invariants that make that safe, over random
+    finite inputs (``TestRidgeGramSymmetry`` covers the ELM's system)."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(n=st.integers(2, 70), d=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
@@ -128,7 +126,17 @@ class TestBuiltGramsNeedNoScan:
         assert np.array_equal(k, k.T)
         assert np.all(np.isfinite(k))
         k_c, _, _ = center_kernel(k)
-        assert np.max(np.abs(k_c - k_c.T)) <= SYMMETRY_ATOL
+        assert np.max(np.abs(k_c - k_c.T)) <= 1e-10  # centering's rounding only
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 70), d=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+           layout=st.sampled_from(["C", "F", "strided"]), into_out=st.booleans())
+    def test_linear_gram_is_exactly_symmetric(self, n, d, seed, layout, into_out):
+        x = layouts(np.random.default_rng(seed).standard_normal((n, d)), layout)
+        out = np.empty((n, n)) if into_out else None
+        k, _ = kpca._gram(x, kpca.LinearKernel(), out=out)
+        assert np.array_equal(k, k.T)
+        assert out is None or k is out
 
 
 class TestSymEig:
@@ -159,40 +167,6 @@ class TestSymEig:
             for col in range(n):
                 lead = int(np.argmax(np.abs(vectors[:, col])))
                 assert vectors[lead, col] > 0, f"sign convention broken in column {col}"
-
-    def test_rejects_non_symmetric_with_index_pair(self):
-        with pytest.raises(ValueError, match=r"A\[0,1\]"):
-            _symmetric([[1.0, 2.0], [1.0, 1.0]], "a")
-
-    # 256 rows exceed every order drawn here, so that case scans one block
-    @pytest.mark.parametrize("block", [1, 3, 7, 256])
-    @pytest.mark.parametrize("seed", range(6))
-    def test_blocked_scan_reports_the_full_matrix_answer(self, block, seed, monkeypatch):
-        # small integer entries make tied gaps common; the reference is the
-        # first maximum of the whole |A - A'| in row-major order
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 40))
-        a = rng.integers(-3, 4, size=(n, n)).astype(float)
-        if seed % 2:
-            a = (a + a.T) / 2.0
-            a[rng.integers(n, size=3), rng.integers(n, size=3)] += 1.0
-        gap = np.abs(a - a.T)
-        i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
-        expected = (f"|A[{i},{j}] - A[{j},{i}]| = {gap[i, j]:.3e} "
-                    f"exceeds {numerics.SYMMETRY_ATOL:.0e}")
-        monkeypatch.setattr(numerics, "BLOCK_ROWS", block)
-        if gap[i, j] == 0.0:
-            numerics._check_symmetric(a, "a")
-            return
-        with pytest.raises(ValueError) as excinfo:
-            numerics._check_symmetric(a, "a")
-        assert str(excinfo.value) == f"a is not symmetric: {expected}"
-
-    def test_rejects_non_square_and_non_finite(self):
-        with pytest.raises(ValueError, match="square"):
-            _symmetric(np.ones((2, 3)), "a")
-        with pytest.raises(ValueError, match="finite"):
-            _symmetric([[np.nan, 0.0], [0.0, 1.0]], "a")
 
 
 class TestPartialSymEig:
@@ -241,14 +215,6 @@ class TestPartialSymEig:
             _eigenpairs(np.eye(3), 0)
         with pytest.raises(ValueError, match="count"):
             _eigenpairs(np.eye(3), 4)
-
-    def test_still_rejects_non_symmetric(self):
-        # the solver takes what it is given; kpca_fit checks a caller
-        # kernel's centered matrix once before the partial solve
-        a = centered_gaussian_gram(30, 3, seed=6)
-        a[0, 1] += 1e-6
-        with pytest.raises(ValueError, match=r"^kernel matrix is not symmetric: \|A\[0,1\]"):
-            kpca.kpca_fit(np.zeros((30, 1)), kernel=lambda x: a, n_components=2)
 
 
 class TestLanczos:
@@ -327,15 +293,10 @@ class TestSolveSpd:
             _solve_spd(np.zeros((3, 3)), np.ones(3))
         assert exc.value.pivot == 0
 
-    def test_rejects_asymmetric_and_bad_rhs(self):
-        # the solver takes what it is given; kelm_fit checks the system it hands over
-        x = np.zeros((2, 1))
-        with pytest.raises(ValueError, match="^kernel matrix is not symmetric"):
-            regressors.kelm_fit(x, [1.0, 1.0], kernel=lambda _: np.array([[1.0, 0.5], [0.0, 1.0]]))
-        with pytest.raises(ValueError, match="^kernel matrix of order 3 does not match 2 targets$"):
-            regressors.kelm_fit(x, [1.0, 1.0], kernel=lambda _: np.eye(3))
+    def test_rejects_bad_rhs(self):
+        # the solver takes what it is given; kelm_fit checks the targets it hands over
         with pytest.raises(ValueError, match="shape"):
-            regressors.kelm_fit(x, [1.0, 2.0, 3.0])
+            regressors.kelm_fit(np.zeros((2, 1)), [1.0, 2.0, 3.0])
 
     def test_error_is_a_numerical_error(self):
         with pytest.raises(NumericalError):
@@ -486,53 +447,46 @@ class TestOneArrayCheck:
 
 
 def record_checks(monkeypatch):
-    """(name, shape) of every ``finite_array`` call in the array-taking modules,
-    and the shape of every symmetry check."""
-    arrays, symmetric = [], []
-    real_finite, real_symmetric = numerics.finite_array, numerics._check_symmetric
+    """(name, shape) of every ``finite_array`` call in the array-taking modules."""
+    arrays = []
+    real_finite = numerics.finite_array
 
     def finite(x, name, ndim):
         arrays.append((name, np.shape(x)))
         return real_finite(x, name, ndim)
 
-    def check_symmetric(a, name):
-        symmetric.append(a.shape)
-        return real_symmetric(a, name)
-
     for module in (numerics, kpca, regressors, evaluation):
         monkeypatch.setattr(module, "finite_array", finite)
-    monkeypatch.setattr(numerics, "_check_symmetric", check_symmetric)
-    return arrays, symmetric
+    return arrays
 
 
-# call -> (the call on ``good``, its array checks as (name, shape), its symmetry checks)
+# call -> (the call on ``good``, its array checks as (name, shape)); a linear
+# Gram is checked once, as its solver receives it, and a Gaussian one never
 CHECKS_PER_CALL = {
-    "kpca_fit median": (lambda g: kpca.kpca_fit(g.x, theta=0.95), [("x", (N, D))], []),
+    "kpca_fit median": (lambda g: kpca.kpca_fit(g.x, theta=0.95), [("x", (N, D))]),
     "kpca_fit sigma": (lambda g: kpca.kpca_fit(g.x, kernel=kpca.GaussianKernel(1.0),
-                                               n_components=2), [("x", (N, D))], []),
-    "kpca_fit caller kernel": (lambda g: kpca.kpca_fit(g.x, kernel=kpca.LinearKernel(),
+                                               n_components=2), [("x", (N, D))]),
+    "kpca_fit linear kernel": (lambda g: kpca.kpca_fit(g.x, kernel=kpca.LinearKernel(),
                                                        n_components=2),
-                               [("x", (N, D)), ("kernel matrix", (N, N))], [(N, N)]),
-    "kpca_transform": (lambda g: kpca.kpca_transform(g.kpca, g.x), [("x", (N, D))], []),
-    "kelm_fit": (lambda g: regressors.kelm_fit(g.x, g.y), [("x", (N, D)), ("y", (N,))], []),
-    "kelm_fit caller kernel": (lambda g: regressors.kelm_fit(g.x, g.y, kernel=kpca.LinearKernel()),
-                               [("x", (N, D)), ("y", (N,)), ("kernel matrix", (N, N))], [(N, N)]),
-    "kelm_predict": (lambda g: regressors.kelm_predict(g.kelm, g.x), [("x", (N, D))], []),
-    "elm_fit": (lambda g: regressors.elm_fit(g.x, g.y, n_hidden=5),
-                [("x", (N, D)), ("y", (N,))], []),
-    "elm_predict": (lambda g: regressors.elm_predict(g.elm, g.x), [("x", (N, D))], []),
-    "evaluate": (lambda g: evaluation.evaluate(g.y, g.y[::-1]), [("y", (N,)), ("yhat", (N,))], []),
+                               [("x", (N, D)), ("kernel matrix", (N, N))]),
+    "kpca_transform": (lambda g: kpca.kpca_transform(g.kpca, g.x), [("x", (N, D))]),
+    "kelm_fit": (lambda g: regressors.kelm_fit(g.x, g.y), [("x", (N, D)), ("y", (N,))]),
+    "kelm_fit linear kernel": (lambda g: regressors.kelm_fit(g.x, g.y, kernel=kpca.LinearKernel()),
+                               [("x", (N, D)), ("y", (N,)), ("kernel matrix", (N, N))]),
+    "kelm_predict": (lambda g: regressors.kelm_predict(g.kelm, g.x), [("x", (N, D))]),
+    "elm_fit": (lambda g: regressors.elm_fit(g.x, g.y, n_hidden=5), [("x", (N, D)), ("y", (N,))]),
+    "elm_predict": (lambda g: regressors.elm_predict(g.elm, g.x), [("x", (N, D))]),
+    "evaluate": (lambda g: evaluation.evaluate(g.y, g.y[::-1]), [("y", (N,)), ("yhat", (N,))]),
 }
 
 
 class TestEachArrayCheckedOnce:
     @pytest.mark.parametrize("call", CHECKS_PER_CALL)
-    def test_each_array_is_checked_once_and_a_built_gram_never(self, call, good, monkeypatch):
-        run, expected_arrays, expected_symmetric = CHECKS_PER_CALL[call]
-        arrays, symmetric = record_checks(monkeypatch)
+    def test_each_array_is_checked_once_and_a_gaussian_gram_never(self, call, good, monkeypatch):
+        run, expected = CHECKS_PER_CALL[call]
+        arrays = record_checks(monkeypatch)
         run(good)
-        assert arrays == expected_arrays
-        assert symmetric == expected_symmetric
+        assert arrays == expected
 
 
 def thread_counts(controls):
