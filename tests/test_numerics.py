@@ -69,6 +69,52 @@ class TestSqDistances:
         np.testing.assert_allclose(sq, cdist(x, z, "sqeuclidean"), rtol=0, atol=1e-12 * scale)
 
 
+class TestBlockedPasses:
+    """Each pass that walks a matrix ``BLOCK_ROWS`` rows (or columns) at a
+    time gives the answer of one whole-matrix pass, whatever the block."""
+
+    # 256 rows exceed every order drawn here, so that case makes one block
+    @pytest.mark.parametrize("block", [1, 3, 7, 256])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_blocked_passes_give_the_full_matrix_answer(self, block, seed, monkeypatch):
+        # small integer entries make tied distances and tied magnitudes common
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(2, 40)), int(rng.integers(1, 5))
+        x = rng.integers(-3, 4, size=(n, d)).astype(float)
+        vectors = rng.integers(-3, 4, size=(n, int(rng.integers(1, 40)))).astype(float)
+        monkeypatch.setattr(numerics, "BLOCK_ROWS", block)
+        monkeypatch.setattr(kpca, "BLOCK_ROWS", block)
+
+        # the distance update: the norms added to the whole product at once
+        norms = np.einsum("ij,ij->i", x, x)
+        expected = np.maximum(-2.0 * (x @ x.T) + np.add.outer(norms, norms), 0.0)
+        np.fill_diagonal(expected, 0.0)
+        sq = sq_distances(x)
+        assert np.array_equal(sq, expected)
+
+        # the finiteness scan finds one non-finite entry wherever it is
+        assert finite_array(x, "x", 2) is not None
+        spoiled = x.copy()
+        spoiled[rng.integers(n), rng.integers(d)] = np.inf
+        with pytest.raises(ValueError, match="^x contains non-finite values$"):
+            finite_array(spoiled, "x", 2)
+
+        # the sign fix: each column's first largest-magnitude entry made positive
+        lead = np.argmax(np.abs(vectors), axis=0)
+        expected = vectors * np.where(vectors[lead, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
+        numerics._fix_signs(vectors)
+        assert np.array_equal(vectors, expected)
+
+        # the median search: the upper-triangle pairs at two ranks, or None
+        # when the bracket misses them
+        ranked = np.sort(sq[np.triu_indices(n, 1)])
+        ranks = [(ranked.size - 1) // 2, ranked.size // 2]
+        lo, hi = ranked[max(ranks[0] - 2, 0)], ranked[min(ranks[1] + 2, ranked.size - 1)]
+        assert kpca._select_pairs(sq, ranks, lo, hi) == (ranked[ranks[0]], ranked[ranks[1]])
+        if ranked[ranks[0]] < ranked[-1]:
+            assert kpca._select_pairs(sq, ranks, ranked[-1], ranked[-1]) is None
+
+
 def spy_on_solver(monkeypatch):
     """Copies of every matrix handed to the Cholesky solver."""
     seen = []
