@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import at_least, check_rules, finite_array
+from .numerics import at_least, check_rules, finite_array, one_blas_thread
 
 CRITERIA = ("aic", "sc")
 
@@ -68,6 +68,7 @@ def _lag_matrix(z: np.ndarray, max_lag: int) -> np.ndarray:
     return np.stack([z[max_lag - j : n - j] for j in range(1, max_lag + 1)], axis=-1)
 
 
+@one_blas_thread()
 def ar_fit(y, max_p=DEFAULT_MAX_P, d=DEFAULT_D, criterion=DEFAULT_CRITERION):
     """Fit AR models of order 1..max_p on the differenced series, keep the best.
 

@@ -4,6 +4,17 @@ Series are rows of an (n_series, n_obs) matrix; two series are close
 when they move together, regardless of level or amplitude. Distance is
 ``1 - pearson_r``, so it lives in [0, 2]: 0 for perfectly correlated
 series, 2 for perfectly anti-correlated ones.
+
+Every fit works on one standardized C-contiguous (n_obs, n_series) matrix
+``S``: each series centered and scaled to unit norm, as a column, with its
+centered norm ``sigma`` kept. One assignment pass is two products: ``C' S``
+gives the correlations, with ``C`` the k unit centroids as (n_obs, k)
+columns, and ``S W`` the next centroids, with ``W[m, j] = sigma_m / n_j``
+for each member m of cluster j. That column is the centered mean of the
+cluster's raw member series, so the fit is the member-mean k-means, with
+labels identical to it. Each fit has its own two products: a BLAS product's
+last bits depend on the operands' shapes, so stacking the ks of an elbow
+into shared products would make a fit depend on which others ran beside it.
 """
 
 from __future__ import annotations
@@ -23,19 +34,12 @@ MAX_ITER = 300
 # loudly instead of being averaged away.
 _WCSS_SLACK = 1e-9
 
+# A centered series or centroid with a smaller norm is taken as constant.
+_CONSTANT_NORM = 1e-12
+
 
 class DegenerateSeriesError(NumericalError):
     """A series (or centroid) is constant, so correlation is undefined."""
-
-
-def _standardized_rows(x: np.ndarray, what: str) -> np.ndarray:
-    """Center each row and scale to unit norm; reject constant rows."""
-    centered = x - x.mean(axis=1, keepdims=True)
-    norms = np.linalg.norm(centered, axis=1)
-    bad = np.flatnonzero(norms < 1e-12)
-    if bad.size:
-        raise DegenerateSeriesError(f"{what} {bad[0]} is constant; correlation distance is undefined")
-    return centered / norms[:, None]
 
 
 @dataclass
@@ -44,7 +48,9 @@ class ClusterModel:
 
     Labels are 0-based. ``wcss_history`` records the objective after
     every assignment pass, so monotone descent is checkable after the
-    fact; ``wcss`` is its final entry.
+    fact; ``wcss`` is its final entry and ``n_iter`` its length. A fit
+    is the same to the last bit whether ``kmeans_fit`` made it alone or
+    ``elbow_select`` made it among other ks.
     """
 
     k: int
@@ -54,22 +60,36 @@ class ClusterModel:
     n_iter: int = 0
 
 
-def _distance_matrix(series_std: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    cent_std = _standardized_rows(centroids, "centroid of cluster")
-    corr = np.clip(series_std @ cent_std.T, -1.0, 1.0)
-    return 1.0 - corr
+def _standardized(series) -> tuple[np.ndarray, np.ndarray]:
+    """Checked series rows as unit-norm centered columns, with their centered norms.
+
+    The columns form a new C-contiguous (n_obs, n_series) matrix; a
+    constant series is rejected by its row index.
+    """
+    series = finite_array(series, "series", 2)
+    if series.shape[1] < 2:
+        raise ValueError("series need at least 2 observations for correlation distance")
+    cols = series.T
+    std = np.subtract(cols, cols.mean(axis=0), order="C")
+    norms = np.linalg.norm(std, axis=0)
+    bad = np.flatnonzero(norms < _CONSTANT_NORM)
+    if bad.size:
+        raise DegenerateSeriesError(f"series {bad[0]} is constant; correlation distance is undefined")
+    std /= norms
+    return std, norms
 
 
 def _repair_empty_clusters(dist: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """Reassign the globally worst-fit series to each empty cluster.
 
-    Donor series must come from clusters with at least two members so a
-    repair never empties another cluster.
+    ``dist`` holds one row per cluster. Donor series must come from
+    clusters with at least two members so a repair never empties another
+    cluster.
     """
     for j in range(k):
         if np.any(labels == j):
             continue
-        fit = dist[np.arange(labels.size), labels].copy()
+        fit = dist[labels, np.arange(labels.size)]
         counts = np.bincount(labels, minlength=k)
         fit[counts[labels] < 2] = -np.inf
         donor = int(np.argmax(fit))
@@ -80,43 +100,27 @@ def _repair_empty_clusters(dist: np.ndarray, labels: np.ndarray, k: int) -> np.n
     return labels
 
 
-def _checked_series(series) -> tuple[np.ndarray, np.ndarray]:
-    """The checked series matrix and its standardized rows."""
-    series = finite_array(series, "series", 2)
-    if series.shape[1] < 2:
-        raise ValueError("series need at least 2 observations for correlation distance")
-    return series, _standardized_rows(series, "series")
-
-
-@one_blas_thread()
-def kmeans_fit(series, k: int, seed: int = 0) -> ClusterModel:
-    """Cluster series rows into ``k`` groups under correlation distance.
-
-    Centroids start as a seeded uniform draw of ``k`` distinct series and
-    are recomputed as plain member means. Ties in assignment go to the
-    lowest cluster index; an emptied cluster is re-seeded from the series
-    that fits its own cluster worst. The fit stops when an assignment pass
-    repeats the previous labels (the centroids, being member means, then
-    repeat too) or after ``MAX_ITER`` passes. Deterministic for a given seed.
-    """
-    return _kmeans(*_checked_series(series), k, seed)
-
-
-def _kmeans(series: np.ndarray, series_std: np.ndarray, k: int, seed: int) -> ClusterModel:
-    """``kmeans_fit`` of series checked by ``_checked_series``, with their standardized rows."""
-    n = series.shape[0]
+def _fit(std: np.ndarray, sigma: np.ndarray, k: int, seed: int) -> ClusterModel:
+    """``kmeans_fit`` of the series ``_standardized`` returned as ``std`` and ``sigma``."""
+    n = std.shape[1]
     if not (1 <= k <= n):
         raise ValueError(f"k must be in [1, {n}] for {n} series, got {k}")
-    rng = np.random.default_rng(seed)
-    centroids = series[rng.choice(n, size=k, replace=False)].copy()
-
+    means = std[:, np.random.default_rng(seed).choice(n, size=k, replace=False)]
     labels = None
     history: list[float] = []
-    n_iter = 0
     for n_iter in range(1, MAX_ITER + 1):
-        dist = _distance_matrix(series_std, centroids)
-        assigned = _repair_empty_clusters(dist, np.argmin(dist, axis=1), k)
-        wcss = float(dist[np.arange(n), assigned].sum())
+        norms = np.linalg.norm(means, axis=0)
+        bad = np.flatnonzero(norms < _CONSTANT_NORM)
+        if bad.size:
+            raise DegenerateSeriesError(
+                f"centroid of cluster {bad[0]} is constant; correlation distance is undefined")
+        dist = (means / norms).T @ std
+        np.clip(dist, -1.0, 1.0, out=dist)
+        np.subtract(1.0, dist, out=dist)
+        assigned = np.argmin(dist, axis=0)
+        if np.bincount(assigned, minlength=k).min() == 0:
+            assigned = _repair_empty_clusters(dist, assigned, k)
+        wcss = float(dist[assigned, np.arange(n)].sum())
         if history and wcss > history[-1] + _WCSS_SLACK * max(1.0, history[-1]):
             raise NumericalError(
                 f"within-cluster distance increased from {history[-1]:.6e} to {wcss:.6e} "
@@ -126,15 +130,26 @@ def _kmeans(series: np.ndarray, series_std: np.ndarray, k: int, seed: int) -> Cl
         if labels is not None and np.array_equal(assigned, labels):
             break
         labels = assigned
-        centroids = np.vstack([series[labels == j].mean(axis=0) for j in range(k)])
+        counts = np.bincount(labels, minlength=k)
+        weights = np.zeros((n, k))
+        weights[np.arange(n), labels] = sigma / counts[labels]
+        means = std @ weights
+    return ClusterModel(k=k, labels=labels, wcss=history[-1], wcss_history=history, n_iter=n_iter)
 
-    return ClusterModel(
-        k=k,
-        labels=labels,
-        wcss=history[-1],
-        wcss_history=history,
-        n_iter=n_iter,
-    )
+
+@one_blas_thread()
+def kmeans_fit(series, k: int, seed: int = 0) -> ClusterModel:
+    """Cluster series rows into ``k`` groups under correlation distance.
+
+    Centroids start as a seeded uniform draw of ``k`` distinct series and
+    are recomputed as plain member means, formed as one product with the
+    standardized series (see the module docstring). Ties in assignment go
+    to the lowest cluster index; an emptied cluster is re-seeded from the
+    series that fits its own cluster worst. The fit stops when an assignment pass
+    repeats the previous labels (the centroids, being member means, then
+    repeat too) or after ``MAX_ITER`` passes. Deterministic for a given seed.
+    """
+    return _fit(*_standardized(series), k, seed)
 
 
 @one_blas_thread()
@@ -143,8 +158,9 @@ def elbow_select(series, k_range, seed: int = 0) -> tuple[int, dict[int, Cluster
 
     Makes the fit ``kmeans_fit`` makes for every k in ``k_range``
     (ascending, at least 3 distinct values), checking and standardizing the
-    series once for all of them, and returns the interior k maximizing the
-    second difference ``wcss(prev) - 2 wcss(k) + wcss(next)``, together
+    series once for all of them; a failing fit raises its error, so the
+    lowest failing k's is the one raised. Returns the interior k maximizing
+    the second difference ``wcss(prev) - 2 wcss(k) + wcss(next)``, together
     with every fit by k. When the second differences are all equal (up to
     rounding) the smallest interior k is returned, with a warning if none of
     them is positive: a straight curve has no elbow.
@@ -152,8 +168,8 @@ def elbow_select(series, k_range, seed: int = 0) -> tuple[int, dict[int, Cluster
     ks = sorted(set(int(k) for k in np.atleast_1d(k_range)))
     if len(ks) < 3:
         raise ValueError(f"k_range needs at least 3 distinct values, got {ks}")
-    series, series_std = _checked_series(series)
-    fits = {k: _kmeans(series, series_std, k, seed) for k in ks}
+    std, sigma = _standardized(series)
+    fits = {k: _fit(std, sigma, k, seed) for k in ks}
     return _pick_elbow(ks, [fits[k].wcss for k in ks]), fits
 
 

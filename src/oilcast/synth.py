@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .numerics import at_least, check_rules
+from .numerics import at_least, check_rules, one_blas_thread
 from .panel import RULES as PANEL_RULES, FeaturePanel, month_range
 
 # family constants; part of the documented generator contract
@@ -117,6 +117,7 @@ def _tanh_mix_target(
     return TARGET_BASE + TARGET_SCALE * link / spec.factors + noise
 
 
+@one_blas_thread()
 def synth_generate(
     spec: SynthSpec,
 ) -> tuple[FeaturePanel, np.ndarray, np.ndarray]:

@@ -4,13 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oilcast import clustering
 from oilcast.clustering import (
+    MAX_ITER,
     DegenerateSeriesError,
-    _distance_matrix,
     _pick_elbow,
-    _standardized_rows,
     elbow_select,
     kmeans_fit,
 )
@@ -45,15 +46,125 @@ def purity(found, truth):
     return correct / len(truth)
 
 
+# The reference k-means: the member-mean algorithm written the plain way, one
+# series per row. Each pass standardizes the raw member means of every cluster
+# (formed through boolean masks) and compares them with the standardized
+# series. The library forms the same centroids as one product over
+# standardized columns, so its labels, iteration counts and errors must be
+# these exactly, and its objective these up to rounding.
+
+def ref_standardized_rows(x, what):
+    """Center each row and scale to unit norm; reject constant rows."""
+    centered = x - x.mean(axis=1, keepdims=True)
+    norms = np.linalg.norm(centered, axis=1)
+    bad = np.flatnonzero(norms < 1e-12)
+    if bad.size:
+        raise DegenerateSeriesError(f"{what} {bad[0]} is constant; correlation distance is undefined")
+    return centered / norms[:, None]
+
+
+def ref_distance_matrix(series_std, centroids):
+    """(n_series, k) correlation distances to the standardized centroids."""
+    cent_std = ref_standardized_rows(centroids, "centroid of cluster")
+    return 1.0 - np.clip(series_std @ cent_std.T, -1.0, 1.0)
+
+
+def ref_repair_empty_clusters(dist, labels, k):
+    """Give each empty cluster the worst-fit series of a cluster with two or more members."""
+    for j in range(k):
+        if np.any(labels == j):
+            continue
+        fit = dist[np.arange(labels.size), labels].copy()
+        counts = np.bincount(labels, minlength=k)
+        fit[counts[labels] < 2] = -np.inf
+        donor = int(np.argmax(fit))
+        if not np.isfinite(fit[donor]):
+            raise NumericalError("cannot repair empty cluster: all donor clusters are singletons")
+        labels = labels.copy()
+        labels[donor] = j
+    return labels
+
+
+def ref_kmeans(series, k, seed=0, repairs=None):
+    """(labels, wcss_history) of the member-mean k-means; ``repairs`` counts repair passes."""
+    series = np.asarray(series, dtype=float)
+    series_std = ref_standardized_rows(series, "series")
+    n = series.shape[0]
+    if not (1 <= k <= n):
+        raise ValueError(f"k must be in [1, {n}] for {n} series, got {k}")
+    centroids = series[np.random.default_rng(seed).choice(n, size=k, replace=False)]
+    labels, history = None, []
+    for n_iter in range(1, MAX_ITER + 1):
+        dist = ref_distance_matrix(series_std, centroids)
+        assigned = np.argmin(dist, axis=1)
+        if repairs is not None and len(np.unique(assigned)) < k:
+            repairs.append(n_iter)
+        assigned = ref_repair_empty_clusters(dist, assigned, k)
+        wcss = float(dist[np.arange(n), assigned].sum())
+        if history and wcss > history[-1] + 1e-9 * max(1.0, history[-1]):
+            raise NumericalError(
+                f"within-cluster distance increased from {history[-1]:.6e} to {wcss:.6e} "
+                f"at iteration {n_iter}; series scales are too disparate for the mean update"
+            )
+        history.append(wcss)
+        if labels is not None and np.array_equal(assigned, labels):
+            break
+        labels = assigned
+        centroids = np.vstack([series[labels == j].mean(axis=0) for j in range(k)])
+    return labels, history
+
+
+def ref_elbow(series, ks, seed=0):
+    """(chosen k, {k: (labels, wcss_history)}): the reference fit of each k in ascending order."""
+    fits = {k: ref_kmeans(series, k, seed) for k in sorted(ks)}
+    return _pick_elbow(sorted(ks), [fits[k][1][-1] for k in sorted(ks)]), fits
+
+
+def outcome(call):
+    """(None, what a call returns), or ((type, text) of the error it raises, None)."""
+    try:
+        return None, call()
+    except (NumericalError, ValueError) as err:
+        return (type(err), str(err)), None
+
+
+def assert_same_fit(fit, ref):
+    """A library fit against the reference's (labels, wcss_history)."""
+    labels, history = ref
+    np.testing.assert_array_equal(fit.labels, labels)
+    assert fit.n_iter == len(history) == len(fit.wcss_history)
+    # 1e-12 relative to max(1, wcss), the scale of the fit's own slack: a fit
+    # of k = n series has a wcss of pure rounding, ~1e-16
+    np.testing.assert_allclose(fit.wcss_history, history, rtol=1e-12, atol=1e-12)
+    assert fit.wcss == fit.wcss_history[-1]
+
+
 def corr_distance(x, y):
     """The k-means distance between series x and a centroid y."""
-    x_std = _standardized_rows(np.asarray([x], dtype=float), "series")
-    return float(_distance_matrix(x_std, np.asarray([y], dtype=float))[0, 0])
+    x_std = ref_standardized_rows(np.asarray([x], dtype=float), "series")
+    return float(ref_distance_matrix(x_std, np.asarray([y], dtype=float))[0, 0])
 
 
 def nearest_centroids(series, centroids):
     """One assignment pass: the nearest centroid of each series row."""
-    return np.argmin(_distance_matrix(_standardized_rows(series, "series"), centroids), axis=1)
+    return np.argmin(ref_distance_matrix(ref_standardized_rows(series, "series"), centroids), axis=1)
+
+
+@st.composite
+def series_matrices(draw):
+    """Planted or noise series rows, fewer or more of them than observations.
+
+    Planted series carry noise: exact copies of one pattern tie to within
+    rounding, and any change of arithmetic may break such a tie differently.
+    """
+    n_obs = draw(st.sampled_from([6, 12, 40]))
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        series, _ = planted_series(n_groups=draw(st.integers(2, 4)),
+                                   per_group=draw(st.integers(2, 8)), n_obs=n_obs,
+                                   noise=draw(st.sampled_from([0.05, 0.3])), seed=seed)
+        return series
+    return np.random.default_rng(seed).standard_normal((draw(st.integers(2, 30)), n_obs))
 
 
 def member_means(series, model):
@@ -230,9 +341,9 @@ class TestElbow:
         series, _ = planted_series(n_groups=4, per_group=6)
         alone = {k: kmeans_fit(series, k) for k in range(1, 9)}
         calls = []
-        real = clustering._standardized_rows
-        monkeypatch.setattr(clustering, "_standardized_rows",
-                            lambda x, what: calls.append(what) or real(x, what))
+        real = clustering._standardized
+        monkeypatch.setattr(clustering, "_standardized",
+                            lambda x: calls.append("series") or real(x))
         _, fits = elbow_select(series, range(1, 9))
         assert calls.count("series") == 1
         for k, fit in fits.items():  # each fit is the one kmeans_fit makes alone
@@ -259,3 +370,61 @@ class TestElbow:
         series, _ = planted_series(seed=0)
         with pytest.raises(ValueError, match="3 distinct"):
             elbow_select(series, [2, 3], seed=0)
+
+
+class TestAgainstReference:
+    """The library's fits against the member-mean reference at the top of this file."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(series=series_matrices(), k=st.integers(1, 8), seed=st.integers(0, 99))
+    @example(series=planted_series(n_groups=3, per_group=4, n_obs=10, noise=0.3, seed=7)[0],
+             k=5, seed=7)  # an empty cluster repaired at the second pass
+    @example(series=np.array([[1.0, 2.0, 4.0], [-1.0, -2.0, -4.0]]), k=1,
+             seed=0)  # a series and its negation average to a constant centroid
+    @example(series=np.array([[1.0, 0.0, -1.0, 0.0], [-1.0, 0.0, 1.0, 0.0],
+                              [0.0, 1.0, 0.0, -1.0], [0.0, -1.0, 0.0, 1.0]]), k=2,
+             seed=0)  # exact ties of distance 1.0 on every pass
+    def test_kmeans_fit_matches_the_reference(self, series, k, seed):
+        error, fit = outcome(lambda: kmeans_fit(series, k, seed=seed))
+        ref_error, ref = outcome(lambda: ref_kmeans(series, k, seed))
+        assert error == ref_error
+        if ref is not None:
+            assert_same_fit(fit, ref)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(series=series_matrices(), ks=st.sets(st.integers(1, 8), min_size=3),
+           seed=st.integers(0, 99))
+    def test_every_elbow_fit_matches_the_reference(self, series, ks, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a flat curve warns on both sides
+            error, got = outcome(lambda: elbow_select(series, sorted(ks), seed=seed))
+            ref_error, ref = outcome(lambda: ref_elbow(series, ks, seed))
+        assert error == ref_error
+        if ref is not None:
+            (k, fits), (ref_k, ref_fits) = got, ref
+            assert k == ref_k
+            assert sorted(fits) == sorted(ref_fits)
+            for j, fit in fits.items():
+                assert_same_fit(fit, ref_fits[j])
+
+    def test_empty_cluster_repair_matches_the_reference(self, monkeypatch):
+        series, _ = planted_series(n_groups=3, per_group=4, n_obs=10, noise=0.3, seed=7)
+        repairs, calls = [], []
+        ref = ref_kmeans(series, 5, seed=7, repairs=repairs)
+        real = clustering._repair_empty_clusters
+        monkeypatch.setattr(clustering, "_repair_empty_clusters",
+                            lambda *args: calls.append(1) or real(*args))
+        assert_same_fit(kmeans_fit(series, 5, seed=7), ref)
+        assert repairs == [2] and len(calls) == 1
+
+    def test_elbow_raises_the_error_of_the_lowest_failing_k(self):
+        # the matrix of test_disparate_scales_fail_loudly_instead_of_drifting:
+        # k = 3, 4, 6 and 7 fail alone, k = 6 at an earlier pass than k = 3
+        rng = np.random.default_rng(3)
+        scales = 10.0 ** rng.uniform(-3, 3, size=24)
+        series = rng.standard_normal((24, 40)) * scales[:, None]
+        alone = {k: outcome(lambda: kmeans_fit(series, k, seed=3))[0] for k in range(1, 9)}
+        failing = [k for k, error in alone.items() if error is not None]
+        assert failing == [3, 4, 6, 7]
+        assert outcome(lambda: elbow_select(series, range(1, 9), seed=3))[0] == alone[3]
+        assert outcome(lambda: ref_elbow(series, range(1, 9), seed=3))[0] == alone[3]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import lapack
 from scipy.spatial.distance import cdist
 
-from oilcast import baselines, cli, clustering, evaluation, kpca, numerics, pipeline, regressors
+from oilcast import baselines, cli, clustering, evaluation, kpca, numerics, pipeline, regressors, synth
 from oilcast.kpca import center_kernel, gaussian_gram
 from oilcast.numerics import (
     CHOLESKY_BLOCK,
@@ -586,7 +586,7 @@ class TestOneBlasThread:
     @pytest.mark.parametrize("entry", ["pipeline_fit", "pipeline_predict", "main",
                                        "granger_filter", "kmeans_fit", "elbow_select",
                                        "kpca_fit", "kpca_transform", "elm_fit", "elm_predict",
-                                       "kelm_fit", "kelm_predict"])
+                                       "kelm_fit", "kelm_predict", "synth_generate", "ar_fit"])
     def test_entry_points_run_at_one_thread_and_restore(self, entry, blas, monkeypatch):
         seen = []
 
@@ -599,8 +599,8 @@ class TestOneBlasThread:
         y = panel.columns["price"]
         # a library stage called directly: (module, the helper it calls first, the call)
         stages = {
-            "kmeans_fit": (clustering, "_standardized_rows", lambda: clustering.kmeans_fit(x.T, 2)),
-            "elbow_select": (clustering, "_checked_series",
+            "kmeans_fit": (clustering, "_standardized", lambda: clustering.kmeans_fit(x.T, 2)),
+            "elbow_select": (clustering, "_standardized",
                              lambda: clustering.elbow_select(x.T, range(1, 4))),
             "kpca_fit": (kpca, "finite_array", lambda: kpca.kpca_fit(x)),
             "kpca_transform": (kpca, "finite_rows",
@@ -611,6 +611,9 @@ class TestOneBlasThread:
             "kelm_fit": (regressors, "_as_xy", lambda: regressors.kelm_fit(x, y)),
             "kelm_predict": (regressors, "finite_rows",
                              lambda: regressors.kelm_predict(SimpleNamespace(x_train=x), x)),
+            "synth_generate": (synth, "_latent_factors",
+                               lambda: synth.synth_generate(SynthSpec(seed=0, months=48))),
+            "ar_fit": (baselines, "check_rules", lambda: baselines.ar_fit(y)),
         }
         before = thread_counts(blas)
         if entry == "pipeline_fit":

@@ -12,20 +12,27 @@ Usage:
 
     python3 tools/loc.py            # this checkout's src/oilcast
     python3 tools/loc.py DIR        # the modules of another package directory
+    python3 tools/loc.py --base REV # this checkout's src/oilcast against git revision REV
 
 prints a Markdown table with one row per module, sorted by name, and a total
-row last, so two checkouts' tables can be put side by side.
+row last, so two checkouts' tables can be put side by side. With ``--base``
+each row holds the module's two figures at REV (read with ``git show``, so
+the working tree's files are what "now" counts), now, and the change; a
+module present on one side only counts 0 lines on the other.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import os
+import subprocess
 import sys
 import tokenize
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = "src/oilcast"
 SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
            tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -55,19 +62,62 @@ def count_lines(source: str) -> tuple[int, int]:
     return len(source.splitlines()), len(code)
 
 
-def main(argv: list[str]) -> int:
-    folder = argv[0] if argv else os.path.join(ROOT, "src", "oilcast")
-    names = sorted(name for name in os.listdir(folder) if name.endswith(".py"))
-    rows = []
-    for name in names:
-        with open(os.path.join(folder, name), encoding="utf-8") as fh:
-            rows.append((name, *count_lines(fh.read())))
-    rows.append(("total", sum(row[1] for row in rows), sum(row[2] for row in rows)))
+def folder_counts(folder: str) -> dict[str, tuple[int, int]]:
+    """(physical, code) lines of each module in a package directory, by file name."""
+    counts = {}
+    for name in sorted(os.listdir(folder)):
+        if name.endswith(".py"):
+            with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                counts[name] = count_lines(fh.read())
+    return counts
+
+
+def revision_counts(rev: str) -> dict[str, tuple[int, int]]:
+    """(physical, code) lines of each ``src/oilcast`` module at git revision ``rev``."""
+    def git(*args: str) -> str:
+        return subprocess.run(["git", "-C", ROOT, *args], capture_output=True, text=True,
+                              encoding="utf-8", check=True).stdout
+
+    names = [line.rsplit("/", 1)[-1] for line in
+             git("ls-tree", "--name-only", rev, f"{PACKAGE}/").splitlines()]
+    return {name: count_lines(git("show", f"{rev}:{PACKAGE}/{name}"))
+            for name in sorted(names) if name.endswith(".py")}
+
+
+def total(counts: dict[str, tuple[int, int]]) -> tuple[int, int]:
+    return sum(c[0] for c in counts.values()), sum(c[1] for c in counts.values())
+
+
+def print_table(counts: dict[str, tuple[int, int]]) -> None:
     print("| module | lines | code lines |")
     print("|---|---:|---:|")
-    for name, lines, code in rows:
-        print(f"| `{name}` | {lines} | {code} |" if name != "total" else
-              f"| total | {lines} | {code} |")
+    for name, (lines, code) in [*((f"`{name}`", c) for name, c in counts.items()),
+                                ("total", total(counts))]:
+        print(f"| {name} | {lines} | {code} |")
+
+
+def print_change(rev: str, base: dict[str, tuple[int, int]], now: dict[str, tuple[int, int]]) -> None:
+    print(f"| module | lines at `{rev}` | code lines at `{rev}` | lines now | code lines now "
+          "| lines change | code lines change |")
+    print("|---|---:|---:|---:|---:|---:|---:|")
+    rows = [(f"`{name}`", base.get(name, (0, 0)), now.get(name, (0, 0)))
+            for name in sorted(set(base) | set(now))]
+    rows.append(("total", total(base), total(now)))
+    for name, (lines_b, code_b), (lines_n, code_n) in rows:
+        print(f"| {name} | {lines_b} | {code_b} | {lines_n} | {code_n} "
+              f"| {lines_n - lines_b:+d} | {code_n - code_b:+d} |")
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("folder", nargs="?", default=os.path.join(ROOT, *PACKAGE.split("/")))
+    parser.add_argument("--base", metavar="REV", help="also count src/oilcast at this git revision")
+    args = parser.parse_args(argv)
+    now = folder_counts(args.folder)
+    if args.base is None:
+        print_table(now)
+    else:
+        print_change(args.base, revision_counts(args.base), now)
     return 0
 
 
