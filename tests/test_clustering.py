@@ -116,8 +116,9 @@ def ref_kmeans(series, k, seed=0, repairs=None):
 
 def ref_elbow(series, ks, seed=0):
     """(chosen k, {k: (labels, wcss_history)}): the reference fit of each k in ascending order."""
-    fits = {k: ref_kmeans(series, k, seed) for k in sorted(ks)}
-    return _pick_elbow(sorted(ks), [fits[k][1][-1] for k in sorted(ks)]), fits
+    ks = sorted(ks)
+    fits = {k: ref_kmeans(series, k, seed) for k in ks}
+    return _pick_elbow(ks, [fits[k][1][-1] for k in ks]), fits
 
 
 def outcome(call):
