@@ -190,9 +190,12 @@ def _load_run_panel(config: dict) -> FeaturePanel:
         if untagged:
             raise CliError(f"{tags_path}: no tag for columns {untagged}")
         try:
-            return panel.with_tags(tags)
+            panel = panel.with_tags(tags)
         except ValueError as err:  # a tag for a column the panel lacks
             raise CliError(f"{tags_path}: {err}") from None
+        if panel.target_name is None:
+            raise CliError(f"{tags_path}: panel has no target column")
+        return panel
     if config["synth_seed"] is not None:
         panel, _, _ = synth_generate(_synth_spec(config, "synth_"))
         return panel
@@ -277,8 +280,6 @@ def cmd_run(args) -> int:
         raise CliError("config needs split = YYYY-MM (last training month)")
 
     panel = _load_run_panel(config)
-    if panel.target_name is None:
-        raise CliError("panel has no target column")
     gap = panel.calendar_gap()
     if gap is not None:
         raise CliError(f"months jump from {gap[0]} to {gap[1]}; run needs consecutive months")

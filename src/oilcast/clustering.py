@@ -84,7 +84,7 @@ def _repair_empty_clusters(dist: np.ndarray, labels: np.ndarray, k: int) -> np.n
 
     ``dist`` holds one row per cluster. Donor series must come from
     clusters with at least two members so a repair never empties another
-    cluster.
+    cluster; one always exists, as ``_fit`` checks 1 <= k <= n series.
     """
     for j in range(k):
         if np.any(labels == j):
@@ -93,8 +93,6 @@ def _repair_empty_clusters(dist: np.ndarray, labels: np.ndarray, k: int) -> np.n
         counts = np.bincount(labels, minlength=k)
         fit[counts[labels] < 2] = -np.inf
         donor = int(np.argmax(fit))
-        if not np.isfinite(fit[donor]):
-            raise NumericalError("cannot repair empty cluster: all donor clusters are singletons")
         labels = labels.copy()
         labels[donor] = j
     return labels

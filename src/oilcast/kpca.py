@@ -69,8 +69,8 @@ class GaussianKernel:
     def __post_init__(self):
         check_rules(RULES, sigma=self.sigma)
 
-    def __call__(self, x: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
-        """Kernel values between the rows of x and of z (x itself when z is None)."""
+    def __call__(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Kernel values between the rows of x and of z."""
         return self.of_sq_distances(sq_distances(x, z))
 
     def of_sq_distances(self, sq: np.ndarray) -> np.ndarray:
@@ -83,10 +83,9 @@ class GaussianKernel:
 class LinearKernel:
     """k(x, z) = x . z; used to cross-check against classical PCA and ridge regression."""
 
-    def __call__(self, x: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
-        # x x' of a contiguous x is a symmetric rank-k update: exactly symmetric
-        x = np.ascontiguousarray(x)
-        return x @ (x if z is None else z).T
+    def __call__(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Kernel values between the rows of x and of z."""
+        return x @ z.T
 
 
 def _median_distance(sq: np.ndarray) -> float:
@@ -175,40 +174,32 @@ def _select_pairs(sq: np.ndarray, ranks: list[int], lo: float,
     return float(inside[first]), float(inside[second])
 
 
-def gaussian_gram(x, sigma: float | None = None, out=None) -> tuple[np.ndarray, GaussianKernel]:
-    """Gram matrix of the sample rows under a Gaussian kernel, and that kernel.
-
-    ``sigma`` None takes the median heuristic of the same distances, so one
-    distance matrix serves both and becomes the Gram matrix in place: in
-    ``out``, when given, an n x n float64 array. ``x`` is not checked here:
-    it must be a finite 2-D float array, as ``kpca_fit`` and ``kelm_fit``
-    have made sure before they call this.
-
-    The result needs no scan: ``sq_distances`` makes it exactly symmetric
-    and rejects its one possible NaN; every other entry lies in [0, 1].
-    """
-    sq = sq_distances(x, out=out)
-    kernel = GaussianKernel(_median_distance(sq) if sigma is None else sigma)
-    return kernel.of_sq_distances(sq), kernel
-
-
 def _gram(x: np.ndarray, kernel, out=None) -> tuple[np.ndarray, GaussianKernel | LinearKernel]:
-    """The Gram matrix of checked sample rows, in ``out`` when given, and its
-    kernel: the one builder of both fits.
+    """The Gram matrix of sample rows, in ``out`` when given (an n x n float64
+    array), and its kernel: the one builder of every fit's Gram.
 
-    ``kernel`` is a ``GaussianKernel``, a ``LinearKernel`` or None (the
-    median-heuristic Gaussian); anything else raises ``ValueError`` before a
-    matrix is built. Either Gram is exactly symmetric, so none is scanned
-    for symmetry. A linear one is not checked here: huge finite rows can
-    overflow ``x x'`` or its centering, so each fit checks the linear
-    matrix it hands to its solver, once.
+    ``kernel`` is a ``GaussianKernel``, a ``LinearKernel`` or None, a
+    Gaussian kernel at the median heuristic of the same distances, so one
+    distance matrix serves both and becomes the Gram matrix in place;
+    anything else raises ``ValueError`` before a matrix is built. ``x`` is
+    not checked here: it must be a finite 2-D float array, as its callers
+    have made sure.
+
+    Either Gram is exactly symmetric, so none is scanned for symmetry. A
+    Gaussian one needs no scan at all: ``sq_distances`` rejects its one
+    possible NaN, and every other entry lies in [0, 1]. A linear one is not
+    checked here: huge finite rows can overflow ``x x'`` or its centering,
+    so each fit checks the linear matrix it hands to its solver, once.
     """
     if isinstance(kernel, LinearKernel):
         x = np.ascontiguousarray(x)  # x x' of a contiguous x is a symmetric rank-k update
         return np.matmul(x, x.T, out=out), kernel
     if not (kernel is None or isinstance(kernel, GaussianKernel)):
         raise ValueError(f"kernel must be a GaussianKernel, a LinearKernel or None, got {kernel!r}")
-    return gaussian_gram(x, None if kernel is None else kernel.sigma, out=out)
+    sq = sq_distances(x, out=out)
+    if kernel is None:
+        kernel = GaussianKernel(_median_distance(sq))
+    return kernel.of_sq_distances(sq), kernel
 
 
 def _finite_prediction(values: np.ndarray) -> np.ndarray:

@@ -307,7 +307,6 @@ def _lanczos(a: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray] | None:
                 return None
         betas[m - 1] = beta
         np.divide(w, beta, out=basis[m])
-    return None
 
 
 def _solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -375,17 +374,3 @@ def _failing_pivot(block: np.ndarray) -> int:
         except np.linalg.LinAlgError:
             fails = mid
     return fails - 1
-
-
-def _ridge_pinv(h: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
-    """Ridge-regularized pseudoinverse solution ``beta = H' (I/C + H H')^-1 y``.
-
-    ``h`` (finite, N x L, rows are samples), ``y`` (finite, length N) and
-    ``c`` (positive, 1/c finite) are not checked. As ``c`` grows the result
-    approaches the minimum-norm least-squares solution of ``H beta = y``.
-    """
-    h = np.ascontiguousarray(h)
-    gram = h @ h.T  # a symmetric rank-k update of a contiguous h: exactly symmetric
-    gram[np.diag_indices_from(gram)] += 1.0 / c
-    alpha = _solve_spd(gram, y)
-    return h.T @ alpha

@@ -10,7 +10,6 @@ calendar gaps is flagged with a warning rather than silently shifted.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import re
@@ -286,8 +285,8 @@ def atomic_write_text(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-# The last parse of each reader: parser -> (SHA-256 of the file's bytes, parts).
-# A kept entry is replaced whole, by one assignment of an immutable tuple.
+# The last parse of each reader: parser -> (the file's bytes, parts). A kept
+# entry is replaced whole, by one assignment of an immutable tuple.
 _last_parse: dict = {}
 
 
@@ -323,20 +322,17 @@ def _content_lines(path: str, data: bytes) -> list:
 def _parse_once(path: str, parse) -> tuple:
     """``parse(path, numbered)`` of the file's ``_content_lines``, once per distinct content.
 
-    The file is opened once, in binary mode; the digest of those bytes is the
-    key, so a same-size rewrite within the mtime granularity is never served
-    stale. A parse that raises keeps nothing.
+    The file is opened once, in binary mode; its bytes are the key, so a
+    same-size rewrite within the mtime granularity is never served stale.
+    A parse that raises keeps nothing.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    digest = hashlib.sha256(data).digest()
     kept = _last_parse.get(parse)
-    if kept is not None and kept[0] == digest:
+    if kept is not None and kept[0] == data:
         return kept[1]
-    numbered = _content_lines(path, data)
-    del data  # released before the cells are converted
-    parts = parse(path, numbered)
-    _last_parse[parse] = (digest, parts)
+    parts = parse(path, _content_lines(path, data))
+    _last_parse[parse] = (data, parts)
     return parts
 
 
@@ -350,13 +346,12 @@ def read_panel_csv(path: str) -> FeaturePanel:
     name map and dates list.
     """
     values, names, dates, months = _parse_once(path, _parse_panel)
-    return FeaturePanel._share(values, {n: j for j, n in enumerate(names.split(","))},
-                               dates.split(","), months, {})
+    return FeaturePanel._share(values, {n: j for j, n in enumerate(names)}, list(dates), months,
+                               {})
 
 
 def _parse_panel(path: str, numbered: list) -> tuple:
-    """(matrix, names, dates, month array); names and dates are each one
-    ``,``-joined string, exact because neither can hold ``,`` or a newline."""
+    """(matrix, names, dates, month array); names and dates are tuples."""
     if not numbered:
         raise ValueError(f"{path}: empty file")
     header_line_no, header_line = numbered[0]
@@ -413,7 +408,7 @@ def _parse_panel(path: str, numbered: list) -> tuple:
     values.flags.writeable = False
     months = np.array(months, dtype=np.int64)
     months.flags.writeable = False
-    return values, ",".join(names), ",".join(dates), months
+    return values, tuple(names), tuple(dates), months
 
 
 def write_panel_csv(panel: FeaturePanel, path: str) -> None:

@@ -286,8 +286,6 @@ class PipelineModel:
 def _stage(name: str, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except PipelineStageError:
-        raise
     except Exception as err:
         raise PipelineStageError(name, err) from err
 

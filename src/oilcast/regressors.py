@@ -2,7 +2,9 @@
 
 ELM draws a fixed random hidden layer and solves only the output weights
 with a ridge penalty. KELM replaces the random features with a kernel
-matrix and solves the dual system directly, so it has no randomness.
+matrix, so it has no randomness. Both solve one ridge dual,
+(I/C + Omega) a = y, where the ELM's Omega is H H' of its hidden
+features and its output weights are H' a.
 Targets are vectors, one value per sample row.
 ``regressor_fit`` and ``regressor_predict`` are the one place that
 chooses between them.
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kpca import GaussianKernel, LinearKernel, _finite_prediction, _gram
-from .numerics import (_ridge_pinv, _solve_spd, at_least, check_rules, finite_array, finite_rows,
+from .numerics import (_solve_spd, at_least, check_rules, finite_array, finite_rows,
                        one_blas_thread, one_of)
 
 DEFAULT_C = 100.0
@@ -36,6 +38,23 @@ def _as_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
     if y.shape[0] != x.shape[0]:
         raise ValueError(f"targets of shape {y.shape} do not match {x.shape[0]} input rows")
     return x, y
+
+
+def _ridge_dual(x: np.ndarray, y: np.ndarray, c: float,
+                kernel) -> tuple[np.ndarray, GaussianKernel | LinearKernel]:
+    """The dual coefficients ``a`` of ``(I/C + Omega) a = y``, Omega the Gram
+    matrix of checked rows ``x`` under ``kernel``, and that kernel: the one
+    ridge solve of both regressors.
+
+    The system is factored in the Gram matrix ``kpca._gram`` builds, exactly
+    symmetric and not scanned for symmetry; a linear one is checked for
+    finiteness once, as huge finite rows can overflow ``x x'``.
+    """
+    system, kernel = _gram(x, kernel)
+    system[np.diag_indices_from(system)] += 1.0 / c
+    if isinstance(kernel, LinearKernel):
+        finite_array(system, "kernel matrix", 2)
+    return _solve_spd(system, y), kernel
 
 
 @dataclass
@@ -64,15 +83,17 @@ def _hidden_layer(rows: np.ndarray, weights: np.ndarray, biases: np.ndarray) -> 
 
 @one_blas_thread()
 def elm_fit(x, y, n_hidden: int = DEFAULT_N_HIDDEN, c: float = DEFAULT_C, seed: int = 0) -> ElmModel:
-    """Fit an ELM: seeded uniform [-1, 1] hidden layer, sigmoid features,
-    output weights via the ridge pseudoinverse. Deterministic given seed."""
+    """Fit an ELM: seeded uniform [-1, 1] hidden layer, sigmoid features H,
+    output weights ``H' (I/C + H H')^-1 y``, the ridge pseudoinverse
+    solution. Deterministic given seed."""
     check_rules(RULES, c=c, n_hidden=n_hidden)
     x, y = _as_xy(x, y)
     rng = np.random.default_rng(seed)
     weights = rng.uniform(-1.0, 1.0, size=(n_hidden, x.shape[1]))
     biases = rng.uniform(-1.0, 1.0, size=n_hidden)
-    beta = _ridge_pinv(_hidden_layer(x, weights, biases), y, c)
-    return ElmModel(weights=weights, biases=biases, beta=beta)
+    hidden = _hidden_layer(x, weights, biases)
+    alpha, _ = _ridge_dual(hidden, y, c, LinearKernel())
+    return ElmModel(weights=weights, biases=biases, beta=hidden.T @ alpha)
 
 
 @one_blas_thread()
@@ -92,21 +113,15 @@ class KelmModel:
 @one_blas_thread()
 def kelm_fit(x, y, c: float = DEFAULT_C, kernel=None) -> KelmModel:
     """Fit a KELM: solve (I/C + Omega) a = y on the raw (uncentered)
-    training kernel matrix.
+    training kernel matrix with ``_ridge_dual``.
 
     ``kernel`` is a ``GaussianKernel``, a ``LinearKernel`` (the ridge
     regression cross-check) or None, a Gaussian kernel at the
-    median-heuristic width. The fit factors the system in the Gram matrix
-    ``kpca`` builds for it, exactly symmetric and not scanned for symmetry;
-    a linear system is checked for finiteness once.
+    median-heuristic width.
     """
     check_rules(RULES, c=c)
     x, y = _as_xy(x, y)
-    system, kernel = _gram(x, kernel)
-    system[np.diag_indices_from(system)] += 1.0 / c
-    if isinstance(kernel, LinearKernel):  # huge finite rows can overflow x x'
-        finite_array(system, "kernel matrix", 2)
-    alpha = _solve_spd(system, y)
+    alpha, kernel = _ridge_dual(x, y, c, kernel)
     return KelmModel(x_train=x.copy(), kernel=kernel, alpha=alpha)
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from oilcast import baselines, cli, kpca, pipeline, regressors
 from oilcast.baselines import ar_fit, univariate_lag_features
 from oilcast.cli import CONFIG_KEYS, load_config, main
-from oilcast.evaluation import parse_report
+from oilcast.evaluation import _POINTS_HEADER, evaluate, format_report, parse_report
 from oilcast.kpca import kpca_fit
 from oilcast.numerics import NumericalError
 from oilcast.panel import RULES as PANEL_RULES
@@ -695,6 +695,17 @@ def test_the_cli_runs_without_loading_scipy(tmp_path):
     assert (tmp_path / "kpca+elm" / "predictions.csv").exists()
 
 
+def test_importing_the_cli_loads_no_hashlib():
+    # the kept parses are keyed by the files' bytes, not by a digest
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = "import sys, oilcast.cli; print('hashlib' in sys.modules)"
+    child = subprocess.run([sys.executable, "-c", probe],
+                           env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                           timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "False\n"
+
+
 PANEL_ROWS = 30
 PANEL_NAMES = ("a", "b", "price")
 TAG_ROWS = ("a,economic", "b,gsvi", "price,target")
@@ -862,6 +873,74 @@ class TestMalformedConfigProperty:
         assert (code, out) == (1, "")
         assert re.fullmatch(rf"error: {re.escape(str(path))}: line {numbers[at]}: [^\n]+\n", err)
         assert not (work / "out").exists()
+
+
+PANEL_TEXT = "\n".join(_panel_lines()) + "\n"
+RUN_PANEL = ["run", "--set", "panel={d}/p.csv", "--set", "split=2005-12", "--out-dir", "{d}/out"]
+
+
+def _tags_text(*rows: str) -> str:
+    return "\n".join(("name,tag",) + rows) + "\n"
+
+
+def _report_text(header: str) -> str:
+    """A valid report whose per-point header is ``header``."""
+    text = format_report(evaluate([1.0, 2.0], [1.5, 2.5], label="x"))
+    return text.replace(f"\n{_POINTS_HEADER}\n", f"\n{header}\n")
+
+
+# case -> (files by name, arguments, the one stderr line after "error: ");
+# "{d}" stands for the case's directory. Every case exits 1.
+ONE_LINE_ERRORS = {
+    "unreadable config": (
+        {}, ["run", "--config", "{d}/none.conf"],
+        "cannot read config {d}/none.conf: [Errno 2] No such file or directory: '{d}/none.conf'"),
+    "--set without =": ({}, ["run", "--set", "split"], "--set 'split': expected key=value"),
+    "untagged column": (
+        {"p.csv": PANEL_TEXT, "p.tags.csv": _tags_text("a,economic", "price,target")}, RUN_PANEL,
+        "{d}/p.tags.csv: no tag for columns ['b']"),
+    "no target column": (
+        {"p.csv": PANEL_TEXT, "p.tags.csv": _tags_text("a,economic", "b,gsvi", "price,gsvi")},
+        RUN_PANEL, "{d}/p.tags.csv: panel has no target column"),
+    "uni_lags beyond the training rows": (
+        {"p.csv": PANEL_TEXT, "p.tags.csv": _tags_text(*TAG_ROWS)},
+        [*RUN_PANEL, "--set", "split=2004-12", "--set", "method=kelm"],
+        "uni_lags=12 needs more than 13 training rows"),
+    "no indicator of the mode": (
+        {"p.csv": PANEL_TEXT, "p.tags.csv": _tags_text("a,gsvi", "b,gsvi", "price,target")},
+        [*RUN_PANEL, "--set", "mode=E"], "no indicator columns for mode E"),
+    "granger retains nothing": (
+        {"p.csv": PANEL_TEXT, "p.tags.csv": _tags_text(*TAG_ROWS)},
+        [*RUN_PANEL, "--set", "granger=true", "--set", "p_threshold=1e-12"],
+        "granger filter retained no indicator columns"),
+    "empty panel file": ({"p.csv": "# only a comment\n"}, RUN_PANEL, "{d}/p.csv: empty file"),
+    "panel without data columns": (
+        {"p.csv": "date\n2004-01\n"}, RUN_PANEL, "{d}/p.csv: line 1: no data columns"),
+    "panel without data rows": ({"p.csv": "date,a\n"}, RUN_PANEL, "{d}/p.csv: no data rows"),
+    "ingest of rows all missing": (
+        {"a.csv": "date,a\n2004-01,\n2004-02,\n",
+         "t.csv": "date,price\n2004-01,1.0\n2004-02,2.0\n"},
+        ["ingest", "--economic", "{d}/a.csv", "--target", "{d}/t.csv", "--out", "{d}/o"],
+        "all joined rows contain missing values"),
+    "compare of a malformed report line": (
+        {"r1.txt": "junk\n", "r2.txt": _report_text(_POINTS_HEADER)},
+        ["compare", "{d}/r1.txt", "{d}/r2.txt", "--out", "{d}/ir.csv"],
+        "{d}/r1.txt: malformed report line 1: 'junk'"),
+    "compare of a bad per-point header": (
+        {"r1.txt": _report_text("t,y"), "r2.txt": _report_text(_POINTS_HEADER)},
+        ["compare", "{d}/r1.txt", "{d}/r2.txt", "--out", "{d}/ir.csv"],
+        f"{{d}}/r1.txt: expected per-point header {_POINTS_HEADER!r}, got 't,y'"),
+}
+
+
+@pytest.mark.parametrize("case", ONE_LINE_ERRORS)
+def test_each_one_line_error(case, tmp_path, capsys):
+    files, argv, message = ONE_LINE_ERRORS[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run_cli([arg.replace("{d}", str(tmp_path)) for arg in argv], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message.replace('{d}', str(tmp_path))}\n"
 
 
 SERIES = np.sin(np.arange(60.0) / 3.0)

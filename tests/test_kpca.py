@@ -13,8 +13,8 @@ from oilcast.kpca import (
     DegenerateKernelError,
     GaussianKernel,
     LinearKernel,
+    _gram,
     center_kernel,
-    gaussian_gram,
     kpca_fit,
     kpca_transform,
 )
@@ -37,7 +37,7 @@ def pca_scores(x_train, x_eval, n_components):
 
 def full_spectrum_keep(x, theta):
     """Component count of the theta rule over the whole spectrum (full eigh)."""
-    k_c, _, _ = center_kernel(gaussian_gram(x)[0])
+    k_c, _, _ = center_kernel(_gram(x, None)[0])
     values = np.sort(np.linalg.eigvalsh(k_c))[::-1]
     usable = values[values > 1e-10 * values[0]]
     fractions = np.cumsum(usable) / usable.sum()
@@ -73,18 +73,18 @@ def align_signs(reference, candidate):
 
 class TestKernels:
     def test_gaussian_hand_value(self):
-        k = GaussianKernel(1.0)(np.array([[0.0], [1.0]]))
-        assert k[0, 1] == pytest.approx(np.exp(-0.5))
-        assert k[0, 1] == pytest.approx(0.6065, abs=5e-5)
+        k = GaussianKernel(1.0)(np.array([[0.0]]), np.array([[1.0]]))
+        assert k[0, 0] == pytest.approx(np.exp(-0.5))
+        assert k[0, 0] == pytest.approx(0.6065, abs=5e-5)
 
     def test_identical_samples_give_all_ones(self):
-        k = GaussianKernel(0.7)(np.array([[2.0, 3.0], [2.0, 3.0]]))
+        k = _gram(np.array([[2.0, 3.0], [2.0, 3.0]]), GaussianKernel(0.7))[0]
         np.testing.assert_allclose(k, np.ones((2, 2)), atol=1e-15)
 
     def test_unit_diagonal_and_symmetry(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((15, 4))
-        k = GaussianKernel(2.0)(x)
+        k = _gram(x, GaussianKernel(2.0))[0]
         np.testing.assert_allclose(np.diag(k), np.ones(15), atol=1e-15)
         np.testing.assert_allclose(k, k.T, atol=1e-15)
         assert np.all(k > 0.0) and np.all(k <= 1.0)
@@ -216,7 +216,7 @@ class TestPeakMemory:
 
     def test_gaussian_gram(self):
         x, _ = self.data()
-        assert self.peak_in_matrices(lambda: gaussian_gram(x)) < 1.5
+        assert self.peak_in_matrices(lambda: _gram(x, None)) < 1.5
 
     def test_kpca_fit_partial_eigensolve(self):
         x, _ = self.data()
@@ -232,12 +232,12 @@ class TestPeakMemory:
     # doubles at n = 600), measured alone
     def test_sign_fix(self):
         x, _ = self.data()
-        vectors = np.linalg.eigh(center_kernel(gaussian_gram(x)[0])[0])[1][:, ::-1]
+        vectors = np.linalg.eigh(center_kernel(_gram(x, None)[0])[0])[1][:, ::-1]
         assert self.peak_in_matrices(lambda: numerics._fix_signs(vectors)) <= 0.12
 
     def test_finiteness_scan(self):
         x, _ = self.data()
-        a = gaussian_gram(x)[0]
+        a = _gram(x, None)[0]
         assert self.peak_in_matrices(lambda: numerics.finite_array(a, "a", 2)) <= 0.12
 
     def test_kelm_fit(self):
@@ -249,14 +249,14 @@ class TestCenterKernel:
     def test_rows_and_columns_sum_to_zero(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((12, 3))
-        k_c, _, _ = center_kernel(GaussianKernel(1.5)(x))
+        k_c, _, _ = center_kernel(_gram(x, GaussianKernel(1.5))[0])
         np.testing.assert_allclose(k_c.sum(axis=0), np.zeros(12), atol=1e-9)
         np.testing.assert_allclose(k_c.sum(axis=1), np.zeros(12), atol=1e-9)
 
     def test_idempotent_on_centered_input(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((8, 3))
-        k_c, _, _ = center_kernel(GaussianKernel(1.0)(x))
+        k_c, _, _ = center_kernel(_gram(x, GaussianKernel(1.0))[0])
         k_cc, _, _ = center_kernel(k_c.copy())  # centering works in place
         np.testing.assert_allclose(k_cc, k_c, atol=1e-12)
 
@@ -270,7 +270,7 @@ class TestCenterKernel:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((10, 3))
         x -= x.mean(axis=0)
-        k = LinearKernel()(x)
+        k = _gram(x, LinearKernel())[0]
         k_c, _, _ = center_kernel(k.copy())
         np.testing.assert_allclose(k_c, k, atol=1e-10)
 
@@ -281,7 +281,7 @@ class TestCenterKernel:
         np.testing.assert_allclose(k_c - k_c.T, k - k.T, atol=1e-15)
 
     def test_float_input_is_centered_in_place_and_other_input_copied(self):
-        k = GaussianKernel(1.0)(np.random.default_rng(4).standard_normal((6, 2)))
+        k = _gram(np.random.default_rng(4).standard_normal((6, 2)), GaussianKernel(1.0))[0]
         expected = k - k.mean(axis=0)[None, :]
         expected -= k.mean(axis=0)[:, None]
         expected += k.mean()
@@ -317,7 +317,7 @@ class TestKpcaFit:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((12, 4))
         model = kpca_fit(x, kernel=GaussianKernel(2.0), theta=1.0)
-        k_c, _, _ = center_kernel(GaussianKernel(2.0)(x))
+        k_c, _, _ = center_kernel(_gram(x, GaussianKernel(2.0))[0])
         values = np.sort(np.linalg.eigvalsh(k_c))[::-1]
         expected = int(np.sum(values > 1e-10 * values[0]))
         assert model.n_components == expected
@@ -326,7 +326,7 @@ class TestKpcaFit:
         rng = np.random.default_rng(6)
         x = rng.standard_normal((20, 5))
         model = kpca_fit(x, kernel=GaussianKernel(1.5), theta=0.6)
-        k_c, _, _ = center_kernel(GaussianKernel(1.5)(x))
+        k_c, _, _ = center_kernel(_gram(x, GaussianKernel(1.5))[0])
         values = np.sort(np.linalg.eigvalsh(k_c))[::-1]
         usable = values[values > 1e-10 * values[0]]
         fractions = np.cumsum(usable) / usable.sum()
@@ -348,7 +348,7 @@ class TestKpcaFit:
         rng = np.random.default_rng(8)
         for sigma in (0.5, 2.0):
             x = rng.standard_normal((25, 4))
-            k_c, _, _ = center_kernel(GaussianKernel(sigma)(x))
+            k_c, _, _ = center_kernel(_gram(x, GaussianKernel(sigma))[0])
             values = np.linalg.eigvalsh(k_c)
             assert values.min() >= -1e-8 * values.max()
 
@@ -507,7 +507,7 @@ class TestDistanceOverflow:
     ROWS = np.array([[1.1e200], [1.0]])
 
     def test_a_fit_whose_only_overflow_is_the_diagonal_still_fits(self):
-        k, _ = gaussian_gram(self.X, 1.0)
+        k, _ = _gram(self.X, GaussianKernel(1.0))
         assert np.all(np.isfinite(k)) and np.array_equal(np.diag(k), np.ones(5))
         assert k[0, 1] == 0.0  # an infinite distance is a valid kernel value of 0
 

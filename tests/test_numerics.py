@@ -1,4 +1,4 @@
-"""Symmetric eigensolver, SPD solve, ridge pseudoinverse, array checks and BLAS thread
+"""Symmetric eigensolver, SPD solve, Gram symmetry, array checks and BLAS thread
 contracts."""
 
 from types import SimpleNamespace
@@ -11,13 +11,12 @@ from scipy.linalg import lapack
 from scipy.spatial.distance import cdist
 
 from oilcast import baselines, cli, clustering, evaluation, kpca, numerics, pipeline, regressors, synth
-from oilcast.kpca import center_kernel, gaussian_gram
+from oilcast.kpca import center_kernel
 from oilcast.numerics import (
     CHOLESKY_BLOCK,
     NotPositiveDefiniteError,
     NumericalError,
     _eigenpairs,
-    _ridge_pinv,
     _solve_spd,
     finite_array,
     one_blas_thread,
@@ -115,35 +114,6 @@ class TestBlockedPasses:
             assert kpca._select_pairs(sq, ranks, ranked[-1], ranked[-1]) is None
 
 
-def spy_on_solver(monkeypatch):
-    """Copies of every matrix handed to the Cholesky solver."""
-    seen = []
-    real = numerics._solve_spd
-
-    def spy(a, b):
-        seen.append(a.copy())
-        return real(a, b)
-
-    monkeypatch.setattr(numerics, "_solve_spd", spy)
-    return seen
-
-
-class TestRidgeGramSymmetry:
-    @pytest.mark.parametrize("rows", [167, 155, 1187, 20])
-    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
-    def test_ridge_gram_is_exactly_symmetric(self, rows, layout, monkeypatch):
-        # the ELM's H H' + I/C goes to the solver unscanned: a rank-k update
-        # of a contiguous H is exactly symmetric, so a strided H is made
-        # contiguous first
-        rng = np.random.default_rng(rows)
-        h = 1.0 / (1.0 + np.exp(-rng.standard_normal((rows, 200))))
-        if layout == "strided":
-            h = h[:, ::2]
-        seen = spy_on_solver(monkeypatch)
-        _ridge_pinv(h, rng.standard_normal(rows), 100.0)
-        assert np.array_equal(seen[0], seen[0].T)
-
-
 def layouts(x, layout):
     """``x`` with the same values, C-ordered, Fortran-ordered or as a strided view."""
     if layout == "F":
@@ -158,7 +128,7 @@ def layouts(x, layout):
 class TestBuiltGramsNeedNoScan:
     """No Gram goes to the solvers scanned for symmetry, and a Gaussian one
     goes unscanned; these are the invariants that make that safe, over random
-    finite inputs (``TestRidgeGramSymmetry`` covers the ELM's system)."""
+    finite inputs (``test_regressors.TestRidgeDual`` covers the ELM's system)."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(n=st.integers(2, 70), d=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
@@ -168,7 +138,8 @@ class TestBuiltGramsNeedNoScan:
             self, n, d, seed, scale, layout, into_out, sigma):
         x = layouts(np.random.default_rng(seed).standard_normal((n, d)) * scale, layout)
         out = np.empty((n, n)) if into_out else None
-        k, _ = gaussian_gram(x, None if sigma is None else sigma * scale, out=out)
+        kernel = None if sigma is None else kpca.GaussianKernel(sigma * scale)
+        k, _ = kpca._gram(x, kernel, out=out)
         assert np.array_equal(k, k.T)
         assert np.all(np.isfinite(k))
         k_c, _, _ = center_kernel(k)
@@ -378,40 +349,6 @@ class TestSolveSpd:
         assert exc.value.pivot == pivot
 
 
-class TestRidgePinv:
-    def test_identity_design_hand_values(self):
-        # H = I, C = 1: beta = (I + I)^-1 y = y / 2.
-        beta = _ridge_pinv(np.eye(2), np.array([1.0, 2.0]), 1.0)
-        np.testing.assert_allclose(beta, [0.5, 1.0], atol=1e-12)
-
-    def test_satisfies_primal_normal_equations(self):
-        # The dual form equals the primal ridge solution:
-        # (H'H + I/C) beta = H'y
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            h = rng.standard_normal((30, 6))
-            y = rng.standard_normal(30)
-            c = float(rng.uniform(0.5, 50.0))
-            beta = _ridge_pinv(h, y, c)
-            lhs = (h.T @ h + np.eye(6) / c) @ beta
-            np.testing.assert_allclose(lhs, h.T @ y, atol=1e-8)
-
-    def test_large_c_approaches_min_norm_least_squares(self):
-        rng = np.random.default_rng(9)
-        h = rng.standard_normal((5, 8))
-        y = rng.standard_normal(5)
-        beta = _ridge_pinv(h, y, 1e12)
-        np.testing.assert_allclose(beta, np.linalg.pinv(h) @ y, atol=1e-6)
-
-    def test_rejects_bad_c_and_shape_mismatch(self):
-        # the solver takes what it is given; elm_fit checks C and the rows
-        for c in (0.0, -3.0, 1e-310):  # 1/C of the last overflows
-            with pytest.raises(ValueError, match="^c must be positive, with 1/c finite, got "):
-                regressors.elm_fit(np.eye(2), [1.0, 2.0], c=c)
-        with pytest.raises(ValueError, match="rows"):
-            regressors.elm_fit(np.eye(2), [1.0, 2.0, 3.0], c=1.0)
-
-
 class TestVectorTargets:
     @pytest.mark.parametrize("fit", [
         lambda x, y: regressors.elm_fit(x, y, n_hidden=5),
@@ -520,7 +457,8 @@ CHECKS_PER_CALL = {
     "kelm_fit linear kernel": (lambda g: regressors.kelm_fit(g.x, g.y, kernel=kpca.LinearKernel()),
                                [("x", (N, D)), ("y", (N,)), ("kernel matrix", (N, N))]),
     "kelm_predict": (lambda g: regressors.kelm_predict(g.kelm, g.x), [("x", (N, D))]),
-    "elm_fit": (lambda g: regressors.elm_fit(g.x, g.y, n_hidden=5), [("x", (N, D)), ("y", (N,))]),
+    "elm_fit": (lambda g: regressors.elm_fit(g.x, g.y, n_hidden=5),  # H H' is a linear Gram
+                [("x", (N, D)), ("y", (N,)), ("kernel matrix", (N, N))]),
     "elm_predict": (lambda g: regressors.elm_predict(g.elm, g.x), [("x", (N, D))]),
     "evaluate": (lambda g: evaluation.evaluate(g.y, g.y[::-1]), [("y", (N,)), ("yhat", (N,))]),
 }

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from oilcast.kpca import GaussianKernel, LinearKernel
-from oilcast.regressors import (ElmModel, elm_fit, elm_predict, kelm_fit, kelm_predict,
+from oilcast import regressors
+from oilcast.kpca import GaussianKernel, LinearKernel, _gram
+from oilcast.regressors import (ElmModel, _ridge_dual, elm_fit, elm_predict, kelm_fit, kelm_predict,
                                 regressor_fit)
 
 
@@ -12,6 +13,83 @@ def smooth_1d_problem(seed, n=20):
     rng = np.random.default_rng(seed)
     x = np.sort(rng.uniform(-1.0, 1.0, n))[:, None]
     return x, np.sin(x[:, 0])
+
+
+def ridge_beta(h, y, c):
+    """The ELM's output weights ``H' a`` for hidden features ``h``, ``a`` the
+    ridge dual of its linear Gram, as ``elm_fit`` forms them."""
+    alpha, _ = _ridge_dual(h, y, c, LinearKernel())
+    return h.T @ alpha
+
+
+def spy_on_solver(monkeypatch):
+    """Copies of every matrix handed to the Cholesky solver."""
+    seen = []
+    real = regressors._solve_spd
+
+    def spy(a, b):
+        seen.append(a.copy())
+        return real(a, b)
+
+    monkeypatch.setattr(regressors, "_solve_spd", spy)
+    return seen
+
+
+class TestRidgeDual:
+    def test_identity_design_hand_values(self):
+        # H = I, C = 1: beta = (I + I)^-1 y = y / 2.
+        beta = ridge_beta(np.eye(2), np.array([1.0, 2.0]), 1.0)
+        np.testing.assert_allclose(beta, [0.5, 1.0], atol=1e-12)
+
+    def test_satisfies_primal_normal_equations(self):
+        # The dual form equals the primal ridge solution:
+        # (H'H + I/C) beta = H'y
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            h = rng.standard_normal((30, 6))
+            y = rng.standard_normal(30)
+            c = float(rng.uniform(0.5, 50.0))
+            beta = ridge_beta(h, y, c)
+            lhs = (h.T @ h + np.eye(6) / c) @ beta
+            np.testing.assert_allclose(lhs, h.T @ y, atol=1e-8)
+
+    def test_large_c_approaches_min_norm_least_squares(self):
+        rng = np.random.default_rng(9)
+        h = rng.standard_normal((5, 8))
+        y = rng.standard_normal(5)
+        beta = ridge_beta(h, y, 1e12)
+        np.testing.assert_allclose(beta, np.linalg.pinv(h) @ y, atol=1e-6)
+
+    @pytest.mark.parametrize("rows", [167, 155, 1187, 20])
+    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
+    def test_ridge_gram_is_exactly_symmetric(self, rows, layout, monkeypatch):
+        # the ELM's H H' + I/C goes to the solver unscanned for symmetry: a
+        # rank-k update of a contiguous H is exactly symmetric, so a strided H
+        # is made contiguous first
+        rng = np.random.default_rng(rows)
+        h = 1.0 / (1.0 + np.exp(-rng.standard_normal((rows, 200))))
+        if layout == "strided":
+            h = h[:, ::2]
+        seen = spy_on_solver(monkeypatch)
+        ridge_beta(h, rng.standard_normal(rows), 100.0)
+        assert np.array_equal(seen[0], seen[0].T)
+
+    def test_elm_fit_solves_the_dual_of_its_hidden_features(self, monkeypatch):
+        # one solve, of order N: beta is H' a of the dual, bit for bit
+        x, y = smooth_1d_problem(4)
+        seen = spy_on_solver(monkeypatch)
+        model = elm_fit(x, y, n_hidden=30, c=50.0, seed=3)
+        assert [a.shape for a in seen] == [(20, 20)]
+        hidden = regressors._hidden_layer(x, model.weights, model.biases)
+        assert np.array_equal(model.beta, ridge_beta(hidden, y, 50.0))
+
+    def test_rejects_bad_c_and_shape_mismatch(self):
+        # the solver takes what it is given; elm_fit checks C and the rows
+        for c in (0.0, -3.0, 1e-310):  # 1/C of the last overflows
+            with pytest.raises(ValueError, match="^c must be positive, with 1/c finite, got "):
+                elm_fit(np.eye(2), [1.0, 2.0], c=c)
+        with pytest.raises(ValueError, match="rows"):
+            elm_fit(np.eye(2), [1.0, 2.0, 3.0], c=1.0)
 
 
 class TestElm:
@@ -128,7 +206,7 @@ class TestKelm:
         y = rng.standard_normal(20)
         c = 50.0
         model = kelm_fit(x, y, c=c, kernel=GaussianKernel(1.2))
-        omega = model.kernel(x)
+        omega, _ = _gram(x, model.kernel)
         resid = (omega + np.eye(20) / c) @ model.alpha - y
         assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(y)
 
