@@ -285,8 +285,9 @@ def atomic_write_text(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-# The last parse of each reader: parser -> (the file's bytes, parts). A kept
-# entry is replaced whole, by one assignment of an immutable tuple.
+# The last parse of each reader: parser -> ((length, hash) of the file's
+# bytes, parts). A kept entry is replaced whole, by one assignment of an
+# immutable tuple.
 _last_parse: dict = {}
 
 
@@ -322,17 +323,23 @@ def _content_lines(path: str, data: bytes) -> list:
 def _parse_once(path: str, parse) -> tuple:
     """``parse(path, numbered)`` of the file's ``_content_lines``, once per distinct content.
 
-    The file is opened once, in binary mode; its bytes are the key, so a
-    same-size rewrite within the mtime granularity is never served stale.
-    A parse that raises keeps nothing.
+    The file is opened once, in binary mode. The key is the length of those
+    bytes and their ``hash`` (SipHash under a key drawn per process), so a
+    same-size rewrite within the mtime granularity is served stale only on a
+    64-bit collision. Keeping the bytes themselves as the key would hold a
+    copy of the last large input for the life of the process. A parse that
+    raises keeps nothing.
     """
     with open(path, "rb") as fh:
         data = fh.read()
+    key = len(data), hash(data)
     kept = _last_parse.get(parse)
-    if kept is not None and kept[0] == data:
+    if kept is not None and kept[0] == key:
         return kept[1]
-    parts = parse(path, _content_lines(path, data))
-    _last_parse[parse] = (data, parts)
+    numbered = _content_lines(path, data)
+    del data  # released before the cells are converted
+    parts = parse(path, numbered)
+    _last_parse[parse] = (key, parts)
     return parts
 
 

@@ -696,7 +696,7 @@ def test_the_cli_runs_without_loading_scipy(tmp_path):
 
 
 def test_importing_the_cli_loads_no_hashlib():
-    # the kept parses are keyed by the files' bytes, not by a digest
+    # the kept parses are keyed by Python's own hash of the files' bytes
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     probe = "import sys, oilcast.cli; print('hashlib' in sys.modules)"
     child = subprocess.run([sys.executable, "-c", probe],

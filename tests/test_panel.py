@@ -371,7 +371,7 @@ class TestCsv:
 
 
 class TestReaderMemo:
-    """Each reader keeps its last parse, keyed by the SHA-256 of the file's bytes."""
+    """Each reader keeps its last parse, keyed by the length and hash of the file's bytes."""
 
     def test_same_size_rewrite_with_restored_mtime_is_read_again(self, tmp_path):
         path = tmp_path / "p.csv"
