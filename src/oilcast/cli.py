@@ -136,7 +136,7 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
                 data = fh.read()
         except OSError as err:
             raise CliError(f"cannot read config {path}: {err}") from None
-        for lineno, line in _content_lines(path, data):
+        for lineno, line in _content_lines(_decode_text(path, data)):
             stripped = line.strip()
             if "=" not in stripped:
                 raise CliError(f"{path}: line {lineno}: expected key = value")

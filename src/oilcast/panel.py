@@ -277,12 +277,38 @@ def normalize_fit(values: np.ndarray, names, dates) -> NormalizationParams:
 # --- CSV external interfaces -------------------------------------------------
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file and rename so readers never see partial output."""
+def _atomic_write(path: str, chunks) -> None:
+    """Write the strings of ``chunks`` in order via a temp file and a rename,
+    so readers never see partial output."""
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        for chunk in chunks:
+            fh.write(chunk)
     os.replace(tmp, path)
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    """Write via a temp file and rename so readers never see partial output."""
+    _atomic_write(path, (text,))
+
+
+def _check_names(names, file: str, comment_first: bool = False) -> None:
+    """Reject a column name that a read of ``file`` would not give back as itself:
+    the reader strips each cell, splits cells at ``,`` and lines at a line end,
+    and, with ``comment_first``, takes a line whose first cell is the name for a
+    ``#`` comment."""
+    for name in names:
+        if name != name.strip():
+            why = "leading or trailing whitespace, which the reader strips"
+        elif "," in name:
+            why = "',', which separates cells"
+        elif "\n" in name or "\r" in name:
+            why = "a line break, which ends a line"
+        elif comment_first and name.startswith("#"):
+            why = "a leading '#', which makes its line a comment"
+        else:
+            continue
+        raise ValueError(f"column {name!r} cannot be written to a {file}: it has {why}")
 
 
 # The last parse of each reader: parser -> ((length, hash) of the file's
@@ -310,14 +336,19 @@ def _decode_text(path: str, data: bytes) -> str:
     return text
 
 
-def _content_lines(path: str, data: bytes) -> list:
-    """(line number, line) for every line of ``_decode_text(path, data)`` that
-    is neither blank nor a ``#`` comment."""
-    return [
-        (no, line)
-        for no, line in enumerate(_decode_text(path, data).split("\n"), start=1)
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
+def _content_lines(text: str):
+    r"""Yield (line number, line) for every ``\n``-separated line of ``text``
+    that is neither blank nor a ``#`` comment, one line at a time."""
+    start, no = 0, 1
+    while start <= len(text):
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        line = text[start:end]
+        stripped = line.strip()
+        if stripped and stripped[0] != "#":
+            yield no, line
+        start, no = end + 1, no + 1
 
 
 def _parse_once(path: str, parse) -> tuple:
@@ -327,8 +358,9 @@ def _parse_once(path: str, parse) -> tuple:
     bytes and their ``hash`` (SipHash under a key drawn per process), so a
     same-size rewrite within the mtime granularity is served stale only on a
     64-bit collision. Keeping the bytes themselves as the key would hold a
-    copy of the last large input for the life of the process. A parse that
-    raises keeps nothing.
+    copy of the last large input for the life of the process. The bytes are
+    released once decoded, before the lines are split. A parse that raises
+    keeps nothing.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -336,9 +368,9 @@ def _parse_once(path: str, parse) -> tuple:
     kept = _last_parse.get(parse)
     if kept is not None and kept[0] == key:
         return kept[1]
-    numbered = _content_lines(path, data)
-    del data  # released before the cells are converted
-    parts = parse(path, numbered)
+    text = _decode_text(path, data)
+    del data
+    parts = parse(path, _content_lines(text))
     _last_parse[parse] = (key, parts)
     return parts
 
@@ -351,21 +383,26 @@ def read_panel_csv(path: str) -> FeaturePanel:
     Content read before in this process is not parsed again: the panel
     shares the kept read-only matrix and month array, and gets its own
     name map and dates list.
+
+    A parse holds the file's text (and its bytes while they are decoded),
+    the float64 rows read so far and about one row of Python objects: its
+    peak stays below twice the file's size plus twice the matrix's.
     """
     values, names, dates, months = _parse_once(path, _parse_panel)
     return FeaturePanel._share(values, {n: j for j, n in enumerate(names.split(","))},
                                dates.split(","), months, {})
 
 
-def _parse_panel(path: str, numbered: list) -> tuple:
-    """(matrix, names, dates, month array); names and dates are each one
-    ``,``-joined string, exact because neither can hold ``,`` or a newline.
-    One string each, not a tuple of the parsed strings: those are scattered
-    among the parse's temporary objects, and keeping them alive would keep
-    their allocator arenas too (3.5 MB more peak RSS at 1200 x 200)."""
-    if not numbered:
+def _parse_panel(path: str, numbered) -> tuple:
+    """(matrix, names, dates, month array) from an iterator of numbered lines;
+    names and dates are each one ``,``-joined string, exact because neither
+    can hold ``,`` or a newline. One string each, not a tuple of the parsed
+    strings: those are scattered among the parse's temporary objects, and
+    keeping them alive would keep their allocator arenas too (3.5 MB more
+    peak RSS at 1200 x 200). Each row becomes a float64 array as it is read."""
+    header_line_no, header_line = next(numbered, (None, None))
+    if header_line is None:
         raise ValueError(f"{path}: empty file")
-    header_line_no, header_line = numbered[0]
     header = [h.strip() for h in header_line.split(",")]
     if not header or header[0] != "date":
         raise ValueError(
@@ -380,8 +417,8 @@ def _parse_panel(path: str, numbered: list) -> tuple:
 
     dates: list[str] = []
     months: list[int] = []
-    rows: list[list[float]] = []
-    for lineno, line in numbered[1:]:
+    rows: list[np.ndarray] = []
+    for lineno, line in numbered:
         cells = line.split(",")
         if len(cells) != len(header):
             raise ValueError(
@@ -395,17 +432,18 @@ def _parse_panel(path: str, numbered: list) -> tuple:
         if months and month <= months[-1]:
             raise ValueError(f"{path}: line {lineno}: dates must be strictly increasing; "
                              f"{date!r} follows {dates[-1]!r}")
+        del cells[0]
         try:  # float() ignores surrounding whitespace itself
-            row = list(map(float, cells[1:]))
+            row = np.fromiter(map(float, cells), dtype=float, count=len(names))
         except ValueError:  # a missing or bad cell: convert cell by cell
-            row = []
-            for name, cell in zip(names, cells[1:]):
+            row = np.empty(len(names))
+            for j, (name, cell) in enumerate(zip(names, cells)):
                 cell = cell.strip()
                 if cell == "":
-                    row.append(np.nan)
+                    row[j] = np.nan
                     continue
                 try:
-                    row.append(float(cell))
+                    row[j] = float(cell)
                 except ValueError:
                     raise ValueError(
                         f"{path}: line {lineno}: non-numeric value {cell!r} in column {name!r}"
@@ -415,23 +453,33 @@ def _parse_panel(path: str, numbered: list) -> tuple:
         rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    values = np.array(rows, dtype=float)
+    values = np.stack(rows)
     values.flags.writeable = False
     months = np.array(months, dtype=np.int64)
     months.flags.writeable = False
     return values, ",".join(names), ",".join(dates), months
 
 
-def write_panel_csv(panel: FeaturePanel, path: str) -> None:
-    """Write the canonical panel CSV."""
-    lines = [",".join(["date", *panel.columns])]
-    gaps = np.isnan(panel._values).any(axis=1).tolist()
-    for date, row, gap in zip(panel.dates, panel._values.tolist(), gaps):
-        if gap:  # a missing value is an empty cell
-            lines.append(",".join([date] + ["" if math.isnan(v) else repr(v) for v in row]))
+def _panel_lines(panel: FeaturePanel):
+    """The lines of the panel CSV, each with its line end, formatted one row at a time."""
+    yield ",".join(["date", *panel._positions]) + "\n"
+    for date, row in zip(panel.dates, panel._values):
+        cells = row.tolist()
+        if np.isnan(row).any():  # a missing value is an empty cell
+            yield ",".join([date] + ["" if math.isnan(v) else repr(v) for v in cells]) + "\n"
         else:
-            lines.append(",".join([date, *map(repr, row)]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+            yield ",".join([date, *map(repr, cells)]) + "\n"
+
+
+def write_panel_csv(panel: FeaturePanel, path: str) -> None:
+    """Write the canonical panel CSV, one row at a time: beyond the panel, the
+    write holds about one row of Python objects.
+
+    A column name that would not read back as itself is rejected before the
+    file is opened.
+    """
+    _check_names(panel._positions, "panel CSV")
+    _atomic_write(path, _panel_lines(panel))
 
 
 def read_tags_csv(path: str) -> dict[str, str]:
@@ -443,14 +491,14 @@ def read_tags_csv(path: str) -> dict[str, str]:
     return dict(_parse_once(path, _parse_tags))
 
 
-def _parse_tags(path: str, numbered: list) -> tuple:
-    """The (name, tag) pairs in file order."""
-    header_line_no, header_line = numbered[0] if numbered else (1, "")
+def _parse_tags(path: str, numbered) -> tuple:
+    """The (name, tag) pairs in file order, from an iterator of numbered lines."""
+    header_line_no, header_line = next(numbered, (1, ""))
     if [c.strip() for c in header_line.split(",")] != ["name", "tag"]:
         raise ValueError(f"{path}: line {header_line_no}: header must be 'name,tag'")
     tags: dict[str, str] = {}
     target = None
-    for lineno, line in numbered[1:]:
+    for lineno, line in numbered:
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != 2:
             raise ValueError(f"{path}: line {lineno}: expected 'name,tag'")
@@ -469,5 +517,8 @@ def _parse_tags(path: str, numbered: list) -> tuple:
 
 
 def write_tags_csv(tags: dict[str, str], path: str) -> None:
+    """Write the provenance sidecar; a column name that would not read back as
+    itself is rejected before the file is opened."""
+    _check_names(tags, "tags CSV", comment_first=True)
     lines = ["name,tag"] + [f"{name},{tag}" for name, tag in tags.items()]
     atomic_write_text(path, "\n".join(lines) + "\n")

@@ -1,6 +1,7 @@
 """FeaturePanel: fuse, split, normalization, CSV round-trips."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -370,6 +371,85 @@ class TestCsv:
             read_panel_csv(str(path))
 
 
+class TestNamesThatCannotBeReadBack:
+    """A writer rejects, before it opens any file, a column name that a read
+    of its file would not give back as itself."""
+
+    @pytest.mark.parametrize("name, why", [
+        (" a", "leading or trailing whitespace, which the reader strips"),
+        ("a\t", "leading or trailing whitespace, which the reader strips"),
+        ("a,b", "',', which separates cells"),
+        ("a\nb", "a line break, which ends a line"),
+        ("a\rb", "a line break, which ends a line"),
+    ])
+    def test_panel_csv(self, tmp_path, name, why):
+        panel = make_panel(names=("ok", name))
+        with pytest.raises(ValueError) as raised:
+            write_panel_csv(panel, str(tmp_path / "p.csv"))
+        assert str(raised.value) == f"column {name!r} cannot be written to a panel CSV: it has {why}"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("name, why", [
+        (" a", "leading or trailing whitespace, which the reader strips"),
+        ("a,b", "',', which separates cells"),
+        ("a\nb", "a line break, which ends a line"),
+        ("#x", "a leading '#', which makes its line a comment"),
+    ])
+    def test_tags_csv(self, tmp_path, name, why):
+        with pytest.raises(ValueError) as raised:
+            write_tags_csv({"ok": "gsvi", name: "economic"}, str(tmp_path / "p.tags.csv"))
+        assert str(raised.value) == f"column {name!r} cannot be written to a tags CSV: it has {why}"
+        assert os.listdir(tmp_path) == []
+
+    def test_names_that_read_back_are_written(self, tmp_path):
+        # '#' starts a comment only at the start of a line, and a panel line starts with its date
+        names = ("#x", "a b", "", "x#")
+        panel = make_panel(names=names)
+        write_panel_csv(panel, str(tmp_path / "p.csv"))
+        assert list(read_panel_csv(str(tmp_path / "p.csv")).columns) == list(names)
+        tags = {"a b": "gsvi", "": "economic", "x#": "target"}
+        write_tags_csv(tags, str(tmp_path / "p.tags.csv"))
+        assert read_tags_csv(str(tmp_path / "p.tags.csv")) == tags
+
+
+class TestPeakMemory:
+    """Panel CSV I/O holds about one row of Python objects: on a 180 x 1500
+    panel the write's traced peak stays below the matrix's bytes, and the
+    read's below twice the file's bytes plus twice the matrix's."""
+
+    @staticmethod
+    def traced_peak(call) -> int:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        panel, _, _ = synth_generate(SynthSpec(seed=0, months=180, factors=6,
+                                               series_per_factor=250))
+        return panel
+
+    def test_write(self, tmp_path, wide):
+        path = str(tmp_path / "p.csv")
+        write_panel_csv(wide.row_slice(range(3)), path)  # let lazy set-up settle first
+        peak = self.traced_peak(lambda: write_panel_csv(wide, path))
+        assert peak < wide.matrix(list(wide.columns)).nbytes
+
+    def test_read(self, tmp_path, wide):
+        small, path = str(tmp_path / "small.csv"), str(tmp_path / "p.csv")
+        write_panel_csv(wide.row_slice(range(3)), small)
+        write_panel_csv(wide, path)
+        read_panel_csv(small)  # settles lazy set-up and replaces any kept parse of the file
+        peak = self.traced_peak(lambda: read_panel_csv(path))
+        matrix = read_panel_csv(path).matrix(list(wide.columns))
+        assert matrix.tobytes() == wide.matrix(list(wide.columns)).tobytes()
+        assert peak < 2 * os.path.getsize(path) + 2 * matrix.nbytes
+
+
 class TestReaderMemo:
     """Each reader keeps its last parse, keyed by the length and hash of the file's bytes."""
 
@@ -470,6 +550,10 @@ CELL_TOKENS = st.one_of(
 # a bare '\r' ends a line in text mode, so it occurs only in CRLF line ends;
 # float() keeps '\x1f', which str.strip() removes, so it forces the cell-wise path
 PADDING = st.text(alphabet=" \t\x0b\x0c\xa0\x1f", max_size=2)
+# a line the reader skips: blank, whitespace only, or a comment after optional whitespace
+SKIPPED_LINES = st.builds(lambda pad, comment: pad + comment,
+                          st.text(alphabet=" \t\x0b\x0c\xa0", max_size=2),
+                          st.sampled_from(["", "#", "# note, 2010-01,1.0", "#date,c0"]))
 
 
 def reference_cell(cell: str, where: str, name: str) -> float:
@@ -493,15 +577,22 @@ class TestReaderProperties:
                   for _ in names] for _ in range(n_rows)]
         end = data.draw(st.sampled_from(["\n", "\r\n"]))
         dates = month_range("2010-01", n_rows)
+        # blank, whitespace-only and comment lines may sit before, between and after rows
+        lines, row_line_numbers = [], []
+        for line in [",".join(["date", *names])] + [",".join([f" {d}\t", *row])
+                                                    for d, row in zip(dates, cells)]:
+            lines += data.draw(st.lists(SKIPPED_LINES, max_size=2))
+            lines.append(line)
+            row_line_numbers.append(len(lines))
+        lines += data.draw(st.lists(SKIPPED_LINES, max_size=2))
+        final_end = data.draw(st.sampled_from(["", end]))
         path = str(tmp_path_factory.mktemp("csv") / "p.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(end.join([",".join(["date", *names])]
-                              + [",".join([f" {d}\t", *row]) for d, row in zip(dates, cells)])
-                     + end)
+            fh.write(end.join(lines) + final_end)
         try:
-            expected = np.array([[reference_cell(c, f"{path}: line {i + 2}: ", name)
+            expected = np.array([[reference_cell(c, f"{path}: line {no}: ", name)
                                   for c, name in zip(row, names)]
-                                 for i, row in enumerate(cells)])
+                                 for no, row in zip(row_line_numbers[1:], cells)])
         except ValueError as err:
             for _ in range(2):  # the second read parses again and fails the same way
                 with pytest.raises(ValueError) as raised:

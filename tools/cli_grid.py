@@ -5,7 +5,9 @@ p_threshold 0.3, and every method x dataset mode (E, G, H) x Granger screen
 (off, on). Each run is a fresh ``python3 -m oilcast.cli`` process using the
 ``src/`` of the checkout this script sits in. One line per run gives the exit
 code and the sha256 of ``predictions.csv``, ``metrics.txt``, stdout and
-stderr; the last line is one digest over all of them.
+stderr. A first line gives the sha256 of the three files ``synth`` writes
+(panel, tags and labels CSV), so the writers are checked byte for byte too;
+the last line is one digest over all of them.
 
 Usage, from each of two checkouts on the same host:
 
@@ -50,6 +52,7 @@ METHODS = (
     "kmeans+kpca+kelm",
 )
 MODES = ("E", "G", "H")
+SYNTH_FILES = (("panel", ".csv"), ("tags", ".tags.csv"), ("labels", ".labels.csv"))
 
 
 def _cli(args: list[str]) -> tuple[int, bytes, bytes]:
@@ -98,6 +101,13 @@ def main() -> int:
         sys.stderr.write(err.decode())
         return 1
     total = hashlib.sha256()
+
+    def emit(line: str) -> None:
+        print(line, flush=True)
+        total.update(line.encode() + b"\n")
+
+    emit(f"synth exit={code} " + " ".join(f"{name}={_sha(_read(prefix + suffix))}"
+                                          for name, suffix in SYNTH_FILES))
     for method in METHODS:
         for mode in MODES:
             for granger in ("false", "true"):
@@ -111,8 +121,7 @@ def main() -> int:
                         f"predictions={_sha(_read(os.path.join(out_dir, 'predictions.csv')))} "
                         f"metrics={_sha(_read(os.path.join(out_dir, 'metrics.txt')))} "
                         f"stdout={_sha(out)} stderr={_sha(err)}")
-                print(line, flush=True)
-                total.update(line.encode() + b"\n")
+                emit(line)
     print(f"total {total.hexdigest()}")
     return 0
 
