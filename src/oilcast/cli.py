@@ -114,6 +114,10 @@ def _set_key(config: dict, key: str, raw: str, origin: str) -> None:
         raise CliError(f"{origin}: unknown config key {key!r}")
     if "\n" in raw or "\r" in raw:  # the preamble holds each value on one line
         raise CliError(f"{origin}: value for {key!r} holds a line break")
+    try:
+        raw.encode("utf-8")
+    except UnicodeEncodeError:  # argv is decoded with surrogateescape; files strictly
+        raise CliError(f"{origin}: value for {key!r} is not valid UTF-8") from None
     parser, _ = CONFIG_KEYS[key]
     try:
         value = parser(raw)

@@ -279,12 +279,18 @@ def normalize_fit(values: np.ndarray, names, dates) -> NormalizationParams:
 
 def _atomic_write(path: str, chunks) -> None:
     """Write the strings of ``chunks`` in order via a temp file and a rename,
-    so readers never see partial output."""
+    so readers never see partial output. A write that fails once the temp
+    file is open removes it and re-raises."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        for chunk in chunks:
-            fh.write(chunk)
-    os.replace(tmp, path)
+    fh = open(tmp, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -301,47 +301,43 @@ def _cpu_count() -> int:
 def _map_in_threads(task, count: int, scratch: list) -> list:
     """``[task(0, ...), ..., task(count - 1, ...)]`` on one thread per ``scratch`` item.
 
-    The calling thread is one of them, and each thread passes its own item
-    as ``task``'s second argument. Each takes the next index no thread has
-    taken until none is left. When tasks raise, the error of the lowest
-    failing index is raised, as a loop in index order would raise it;
-    higher indices not yet started are skipped. Every helper has stopped
-    before this returns or raises.
+    With W items, worker w runs indices w, w + W, ... in order and passes
+    ``scratch[w]`` as ``task``'s second argument; worker 0 is the calling
+    thread, and so is a helper that cannot be started. No state is shared:
+    each worker writes only its own results and stops at its first error.
+    When tasks raise, the error of the lowest failing index is raised, as a
+    loop in index order would raise it. Every helper has stopped before this
+    returns or raises.
     """
     results: list = [None] * count
-    failed: dict[int, Exception] = {}
-    indices = iter(range(count))
-    lock = threading.Lock()
-    stop = threading.Event()
+    failures: list = [None] * len(scratch)  # worker w's first (index, error)
 
-    def work(item):
-        while not stop.is_set():
-            with lock:
-                j = next(indices, None)
-                if j is None or (failed and j > min(failed)):
-                    return
+    def work(w: int) -> None:
+        for j in range(w, count, len(scratch)):
             try:
-                results[j] = task(j, item)
+                results[j] = task(j, scratch[w])
             except Exception as err:
-                with lock:
-                    failed[j] = err
+                failures[w] = (j, err)
+                return
 
-    helpers = []
+    helpers, own = [], [0]
     try:
-        for item in scratch[1:]:
-            helper = threading.Thread(target=work, args=(item,), name="oilcast-fit")
+        for w in range(1, len(scratch)):
+            helper = threading.Thread(target=work, args=(w,), name="oilcast-fit")
             try:
                 helper.start()
-            except RuntimeError:  # no thread to be had: fewer workers, same result
-                break
-            helpers.append(helper)
-        work(scratch[0])
+            except RuntimeError:  # no thread to be had: this thread runs that share
+                own.append(w)
+            else:
+                helpers.append(helper)
+        for w in own:
+            work(w)
     finally:
-        stop.set()
         for helper in helpers:
             helper.join()
+    failed = [failure for failure in failures if failure is not None]
     if failed:
-        raise failed[min(failed)]
+        raise min(failed)[1]  # the indices differ, so no two errors are compared
     return results
 
 
@@ -353,10 +349,11 @@ def pipeline_fit(panel: FeaturePanel, config: PipelineConfig) -> PipelineModel:
     over the training window, each cluster's columns feed one KPCA, and the
     concatenated component scores at month t regress the normalized target
     at month t + lag. From ``CONCURRENT_MIN_ROWS`` training rows on, the
-    clusters' KPCAs are fitted side by side, on up to one thread per CPU
-    the process may use and at most ``MAX_FIT_WORKERS``; each fit's
-    arithmetic is the same on any thread, so the model does not depend on
-    the thread count.
+    clusters' KPCAs are fitted side by side, on W workers: one per CPU the
+    process may use, at most ``MAX_FIT_WORKERS`` and at most one per
+    cluster. Worker w, the calling thread when w = 0, fits clusters w,
+    w + W, ... in order; each fit's arithmetic is the same on any thread,
+    so the model does not depend on the worker count.
     """
     target = panel.target_name
     if target is None:

@@ -1120,6 +1120,23 @@ class TestTextInput:
         assert err == "error: --set label: value for 'label' holds a line break\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("item, error", [
+        (b"label=a\xffb", b"--set label: value for 'label' is not valid UTF-8"),
+        (b"la\xffbel=a", b"--set la\\udcffbel: unknown config key 'la\\udcffbel'"),
+    ], ids=["value", "key"])
+    def test_set_text_that_utf8_cannot_encode_rejected(self, item, error, tmp_path):
+        # Python decodes argv with surrogateescape, so 0xff arrives as '\udcff';
+        # the missing panel shows that the error comes before any data is read
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        out = tmp_path / "out"
+        child = subprocess.run(
+            [sys.executable, "-m", "oilcast.cli", "run", "--set", f"panel={tmp_path / 'none.csv'}",
+             "--set", "split=2017-12", "--set", item, "--out-dir", str(out)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, timeout=120)
+        assert (child.returncode, child.stdout) == (1, b"")
+        assert child.stderr == b"error: " + error + b"\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("mark", ["\u2028", "\x0c", "\x85"], ids=["U+2028", "FF", "NEL"])
     def test_label_holding_a_unicode_line_break_compares(self, mark, tmp_path, capsys):
         label = f"a{mark}b"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oilcast.panel import (
     FeaturePanel,
+    atomic_write_text,
     fuse,
     month_index,
     month_range,
@@ -410,6 +411,35 @@ class TestNamesThatCannotBeReadBack:
         tags = {"a b": "gsvi", "": "economic", "x#": "target"}
         write_tags_csv(tags, str(tmp_path / "p.tags.csv"))
         assert read_tags_csv(str(tmp_path / "p.tags.csv")) == tags
+
+
+class TestFailedWriteLeavesNoTempFile:
+    """A write that fails once its temp file is open removes the temp file and
+    leaves the file it would have replaced as it was. A lone surrogate passes
+    the name check but cannot be encoded as UTF-8."""
+
+    @pytest.fixture()
+    def old(self, tmp_path):
+        (tmp_path / "f.csv").write_bytes(b"old\n")
+        return str(tmp_path / "f.csv")
+
+    def check_failed_write(self, path, write):
+        with pytest.raises(UnicodeEncodeError):
+            write()
+        assert os.listdir(os.path.dirname(path)) == ["f.csv"]
+        with open(path, "rb") as fh:
+            assert fh.read() == b"old\n"
+
+    def test_write_panel_csv(self, old):
+        panel = make_panel(names=("ok", "\ud800"))
+        self.check_failed_write(old, lambda: write_panel_csv(panel, old))
+
+    def test_write_tags_csv(self, old):
+        self.check_failed_write(old, lambda: write_tags_csv({"ok": "gsvi", "\ud800": "economic"},
+                                                            old))
+
+    def test_atomic_write_text(self, old):
+        self.check_failed_write(old, lambda: atomic_write_text(old, "a\ud800b\n"))
 
 
 class TestPeakMemory:

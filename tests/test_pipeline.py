@@ -767,3 +767,96 @@ def test_thread_map_runs_each_index_once_under_stress():
     assert not runner.is_alive()
     assert outcome["results"] == [j * j for j in range(len(calls))]
     assert all(len(seen) == 1 for seen in calls)
+
+
+class TestThreadMapContract:
+    """``_map_in_threads`` on W scratch items: worker w, the calling thread
+    when w = 0, runs indices w, w + W, ... in order with ``scratch[w]``, and
+    stops at its own first error."""
+
+    @staticmethod
+    def run(workers, count, failing=()):
+        """The results (or the error raised) and, per index run, its item and thread."""
+        ran = []
+
+        def task(j, item):
+            ran.append((j, item, threading.current_thread()))
+            if j in failing:
+                raise ValueError(f"index {j} fails")
+            return j * j
+
+        try:
+            return pipeline._map_in_threads(task, count, list(range(workers))), ran
+        except ValueError as err:
+            return err, ran
+
+    @staticmethod
+    def shares(workers, count, failing=()):
+        """Worker w's indices in order, up to its first failing one."""
+        shares = []
+        for w in range(workers):
+            share = []
+            for j in range(w, count, workers):
+                share.append(j)
+                if j in failing:
+                    break
+            shares.append(share)
+        return shares
+
+    @pytest.mark.parametrize("count", range(8))
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_index_j_runs_on_worker_j_mod_w(self, workers, count):
+        running = threading.active_count()
+        results, ran = self.run(workers, count)
+        assert results == [j * j for j in range(count)]
+        assert threading.active_count() == running
+        assert all(item == j % workers for j, item, _ in ran)
+        thread_of = {}
+        for j, _, thread in ran:
+            assert thread_of.setdefault(j % workers, thread) is thread
+        assert thread_of.get(0, threading.current_thread()) is threading.current_thread()
+        assert len(set(thread_of.values())) == len(thread_of)
+        for w, share in enumerate(self.shares(workers, count)):
+            assert [j for j, item, _ in ran if item == w] == share
+
+    @pytest.mark.parametrize("count", range(1, 8))
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_lowest_failing_index_is_raised(self, workers, count):
+        running = threading.active_count()
+        for mask in range(1, 1 << count):  # every nonempty set of failing indices
+            failing = {j for j in range(count) if mask >> j & 1}
+            error, ran = self.run(workers, count, failing)
+            assert isinstance(error, ValueError)
+            assert str(error) == f"index {min(failing)} fails"
+            assert threading.active_count() == running
+            for w, share in enumerate(self.shares(workers, count, failing)):
+                assert [j for j, item, _ in ran if item == w] == share
+
+    @pytest.mark.parametrize("started", [0, 1])
+    @pytest.mark.parametrize("count", range(8))
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_unstartable_helpers_share_runs_on_the_calling_thread(self, workers, count,
+                                                                  started, monkeypatch):
+        start = threading.Thread.start
+        starts = []
+
+        def start_or_fail(thread):
+            starts.append(thread)
+            if len(starts) > started:
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start_or_fail)
+        running = threading.active_count()
+        results, ran = self.run(workers, count)
+        assert results == self.run(1, count)[0]
+        assert threading.active_count() == running
+        assert len(starts) == workers - 1
+        own = {0, *range(started + 1, workers)}
+        assert all((thread is threading.current_thread()) == (item in own)
+                   for _, item, thread in ran)
+        for w, share in enumerate(self.shares(workers, count)):
+            assert [j for j, item, _ in ran if item == w] == share
+        if count:
+            error, _ = self.run(workers, count, failing={count - 1, 0})
+            assert str(error) == "index 0 fails"

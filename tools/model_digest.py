@@ -15,7 +15,8 @@ Usage, from each of two checkouts:
 then ``diff`` the two files. The models do not depend on the BLAS thread
 count or on the number of KPCA fit workers: CI runs this at
 ``OPENBLAS_NUM_THREADS=1`` and ``=2`` and under ``taskset -c 0`` (one fit
-worker) and diffs the three outputs.
+worker) and diffs the three outputs; its numpy-only job diffs a run on every
+CPU against one under ``taskset -c 0``.
 """
 
 from __future__ import annotations
