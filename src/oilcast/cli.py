@@ -45,6 +45,16 @@ class CliError(Exception):
     """Input or configuration problem; reported on stderr, exit code 1."""
 
 
+def _require_utf8(text: str, message: str) -> None:
+    """Raise ``CliError(message)`` when UTF-8 cannot encode ``text``: argv is
+    decoded with surrogateescape, files strictly, so a byte that is not UTF-8
+    reaches the program only from argv, as a lone surrogate."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise CliError(message) from None
+
+
 def _opt(parser):
     def parse(text: str):
         text = text.strip()
@@ -114,10 +124,7 @@ def _set_key(config: dict, key: str, raw: str, origin: str) -> None:
         raise CliError(f"{origin}: unknown config key {key!r}")
     if "\n" in raw or "\r" in raw:  # the preamble holds each value on one line
         raise CliError(f"{origin}: value for {key!r} holds a line break")
-    try:
-        raw.encode("utf-8")
-    except UnicodeEncodeError:  # argv is decoded with surrogateescape; files strictly
-        raise CliError(f"{origin}: value for {key!r} is not valid UTF-8") from None
+    _require_utf8(raw, f"{origin}: value for {key!r} is not valid UTF-8")
     parser, _ = CONFIG_KEYS[key]
     try:
         value = parser(raw)
@@ -334,6 +341,7 @@ def _read_fragment(path: str, tag: str) -> FeaturePanel:
 
 
 def cmd_ingest(args) -> int:
+    _require_utf8(args.out, "--out: path is not valid UTF-8")
     sources = [(path, "economic") for path in args.economic or []]
     sources += [(path, "gsvi") for path in args.gsvi or []] + [(args.target, "target")]
     fragments = [_read_fragment(path, tag) for path, tag in sources]
@@ -354,6 +362,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    _require_utf8(args.out, "--out: path is not valid UTF-8")
     panel, _, labels = synth_generate(_synth_spec(vars(args)))
     write_panel_csv(panel, f"{args.out}.csv")
     write_tags_csv(panel.tags, f"{args.out}.tags.csv")

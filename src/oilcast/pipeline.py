@@ -64,9 +64,9 @@ class GrangerResult:
 
 # A candidate whose lags, with the target's own lags and the constant
 # projected out, leave a diagonal entry of their R at or below this fraction of
-# the norm of the raw lags is rank-deficient for the batched screen; lstsq's
-# minimum-norm fit decides it instead. The same rule applies to the
-# restricted design against its own norm.
+# the norm of the raw lags is rank-deficient, and so is a restricted design
+# against its own norm. Such a block keeps the directions of its range whose
+# singular value exceeds this fraction of the same norm, and drops the rest.
 _RANK_RTOL = 1e-8
 
 # The screen projects and factors this many candidate-lag values at a time
@@ -75,18 +75,22 @@ _RANK_RTOL = 1e-8
 _BLOCK_DOUBLES = 1 << 16
 
 
-def _sse(design: np.ndarray, target: np.ndarray) -> float:
-    beta, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
-    if not np.all(np.isfinite(beta)):
-        return np.nan
-    resid = target - design @ beta
-    return float(resid @ resid)
+def _basis(blocks: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of the numerical ranges of a (b, t, m) stack of blocks.
 
-
-def _rank_deficient(r: np.ndarray, norm) -> np.ndarray:
-    """Whether each (stacked) R has a diagonal entry at most ``_RANK_RTOL * norm``."""
-    diagonal = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-    return (diagonal <= _RANK_RTOL * np.asarray(norm)[..., None]).any(axis=-1)
+    Q of the batched QR; a block whose R has a diagonal entry at or below
+    ``_RANK_RTOL`` times its norm gets Q U instead, U the left singular
+    vectors of R with each one whose singular value is at or below that
+    bound zeroed (Golub & Van Loan, Matrix Computations, 4th ed., 5.4-5.5).
+    """
+    q, r = np.linalg.qr(blocks)
+    bound = _RANK_RTOL * norms
+    deficient = (np.abs(np.diagonal(r, axis1=-2, axis2=-1)) <= bound[:, None]).any(axis=-1)
+    if deficient.any():
+        u, s, _ = np.linalg.svd(r[deficient])
+        u *= (s > bound[deficient, None])[:, None, :]
+        q[deficient] = q[deficient] @ u
+    return q
 
 
 def _f_upper_tail(f: np.ndarray, d1: int, d2: int) -> np.ndarray:
@@ -143,9 +147,11 @@ def granger_filter(panel: FeaturePanel, candidates, max_lag: int = DEFAULT_MAX_L
     orthonormal basis Q_c of its projected lags. By Frisch-Waugh-Lovell the
     unrestricted SSE is then |e_r - Q_c Q_c' e_r|^2, with e_r the restricted
     residual; it equals SSE_r - |Q_c' e_r|^2, but that difference cancels
-    when a candidate explains nearly all of e_r. A rank-deficient candidate
-    (see ``_RANK_RTOL``), or every candidate when the restricted design is
-    rank-deficient, is fitted by lstsq on the full design instead.
+    when a candidate explains nearly all of e_r. The restricted design and
+    every candidate follow one rank rule (``_basis``): a direction whose
+    singular value is at or below ``_RANK_RTOL`` times the block's norm is
+    dropped, even where lstsq's cutoff (about eps t sigma_max) would keep
+    it, and a candidate with no direction left scores F = 0 exactly.
     """
     max_lag = int(max_lag)
     check_rules(RULES, max_lag=max_lag, p_threshold=p_threshold)
@@ -173,41 +179,34 @@ def granger_filter(panel: FeaturePanel, candidates, max_lag: int = DEFAULT_MAX_L
     require_finite(values, names, panel.dates)
     y_reg = values[max_lag:, 0]
     own = _lag_matrix(values[:, 0], max_lag)
-    const = np.ones(t)
-    restricted = np.column_stack([own, const])
-
-    q, r = np.linalg.qr(restricted)
-    sse_r, sse_u = np.empty(len(candidates)), np.empty(len(candidates))
-    fallback = np.ones(len(candidates), dtype=bool)
-    if not _rank_deficient(r, np.linalg.norm(restricted)):
-        e_r = y_reg - q @ (q.T @ y_reg)
-        sse_r[:] = e_r @ e_r
-        step = max(1, _BLOCK_DOUBLES // (t * max_lag))
-        for lo in range(0, len(candidates), step):
-            # lags[:, c, j] is lag j + 1 of the block's candidate c
-            lags = _lag_matrix(values[:, 1 + lo : 1 + lo + step], max_lag)
-            flat = lags.reshape(t, -1)
-            raw_norms = np.linalg.norm(np.linalg.norm(flat, axis=0).reshape(-1, max_lag), axis=1)
-            flat -= q @ (q.T @ flat)  # the projected lags, in place
-            q_c, r_c = np.linalg.qr(lags.transpose(1, 0, 2))
-            fallback[lo : lo + step] = _rank_deficient(r_c, raw_norms)
-            resid = e_r - (q_c @ (e_r @ q_c)[:, :, None])[:, :, 0]
-            sse_u[lo : lo + step] = np.square(resid).sum(axis=1)
-    if fallback.any():  # both fits by lstsq, as the loop over candidates made them
-        sse_r[fallback] = _sse(restricted, y_reg)
-        for c in np.flatnonzero(fallback):
-            x_lags = _lag_matrix(values[:, 1 + c], max_lag)
-            sse_u[c] = _sse(np.column_stack([own, x_lags, const]), y_reg)
+    restricted = np.column_stack([own, np.ones(t)])
+    q = _basis(restricted[None], np.linalg.norm(restricted)[None])[0]
+    e_r = y_reg - q @ (q.T @ y_reg)
+    sse_r = float(e_r @ e_r)
+    sse_u = np.empty(len(candidates))
+    step = max(1, _BLOCK_DOUBLES // (t * max_lag))
+    for lo in range(0, len(candidates), step):
+        # lags[:, c, j] is lag j + 1 of the block's candidate c
+        lags = _lag_matrix(values[:, 1 + lo : 1 + lo + step], max_lag)
+        flat = lags.reshape(t, -1)
+        raw_norms = np.linalg.norm(np.linalg.norm(flat, axis=0).reshape(-1, max_lag), axis=1)
+        flat -= q @ (q.T @ flat)  # the projected lags, in place
+        q_c = _basis(lags.transpose(1, 0, 2), raw_norms)
+        proj = e_r @ q_c
+        resid = e_r - (q_c @ proj[:, :, None])[:, :, 0]
+        # Q_c' e_r = 0 leaves the residual e_r: SSE_u is SSE_r, whatever the sum order
+        sse_u[lo : lo + step] = np.where((proj == 0.0).all(axis=1), sse_r,
+                                         np.square(resid).sum(axis=1))
     zero_scale = 1e-12 * (float(y_reg @ y_reg) + 1.0)
 
     tested, fstats, inconclusive = [], {}, []
-    for name, r_sse, u_sse in zip(candidates, sse_r.tolist(), sse_u.tolist()):
-        if not math.isfinite(r_sse) or not math.isfinite(u_sse):
+    for name, u_sse in zip(candidates, sse_u.tolist()):
+        if not math.isfinite(sse_r) or not math.isfinite(u_sse):
             inconclusive.append(name)
             warnings.warn(f"granger test inconclusive for {name!r}: regression did not solve")
             continue
         if u_sse <= zero_scale:
-            if r_sse <= zero_scale:
+            if sse_r <= zero_scale:
                 inconclusive.append(name)
                 warnings.warn(
                     f"granger test inconclusive for {name!r}: both fits are exact"
@@ -215,7 +214,7 @@ def granger_filter(panel: FeaturePanel, candidates, max_lag: int = DEFAULT_MAX_L
                 continue
             f_stat = np.inf
         else:
-            f_stat = max(0.0, ((r_sse - u_sse) / max_lag) / (u_sse / dof2))
+            f_stat = max(0.0, ((sse_r - u_sse) / max_lag) / (u_sse / dof2))
         tested.append(name)
         fstats[name] = float(f_stat)
     # the F upper tail of every tested candidate in one call

@@ -106,6 +106,15 @@ class TestConfigHandling:
         assert "panel" in err and "synth_seed" in err
 
 
+def run_out_not_utf8(args, prefix):
+    """``oilcast`` in a fresh process with ``--out`` the prefix plus the raw
+    byte 0xff, which argv decodes as the lone surrogate '\\udcff'."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return subprocess.run([sys.executable, "-m", "oilcast.cli", *args,
+                           "--out", os.fsencode(prefix) + b"\xff"],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, timeout=120)
+
+
 @pytest.fixture()
 def fragment_files(tmp_path):
     panel, _, _ = synth_generate(SynthSpec(seed=3, months=60, factors=2, series_per_factor=3))
@@ -199,6 +208,15 @@ class TestIngest:
         assert err == ("warning: fused panel has calendar gaps; "
                        "lag alignment will treat rows as consecutive\n")
 
+    def test_out_that_utf8_cannot_encode_rejected(self, fragment_files):
+        before = sorted(fragment_files.iterdir())
+        child = run_out_not_utf8(["ingest", "--economic", str(fragment_files / "econ.csv"),
+                                  "--target", str(fragment_files / "price.csv")],
+                                 fragment_files / "fused")
+        assert (child.returncode, child.stdout) == (1, b"")
+        assert child.stderr == b"error: --out: path is not valid UTF-8\n"
+        assert sorted(fragment_files.iterdir()) == before
+
     def test_target_alone_rejected(self, tmp_path, capsys):
         b = tmp_path / "b.csv"
         b.write_text("date,price\n2004-01,5.0\n")
@@ -245,6 +263,12 @@ class TestSynthCommand:
         code, stdout, err = run_cli(["synth", option, value, "--out", str(tmp_path / "p")], capsys)
         assert (code, stdout) == (1, "")
         assert err == f"error: argument {option}: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_that_utf8_cannot_encode_rejected(self, tmp_path):
+        child = run_out_not_utf8(["synth"], tmp_path / "p")
+        assert (child.returncode, child.stdout) == (1, b"")
+        assert child.stderr == b"error: --out: path is not valid UTF-8\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_option_that_does_not_parse_names_its_type(self, tmp_path, capsys):

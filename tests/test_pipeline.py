@@ -94,6 +94,46 @@ class TestGrangerFilter:
         assert result.retained == []
         assert result.inconclusive == []
 
+    def test_candidate_within_the_rank_tolerance_of_the_target_scores_zero(self):
+        # noise at 1e-10 of the target's scale leaves the projected lags no
+        # singular value above _RANK_RTOL times their norm, so the candidate
+        # has no direction left and its F is exactly zero
+        rng = np.random.default_rng(11)
+        y = rng.standard_normal(120).cumsum()
+        x = y + 1e-10 * np.std(y) * rng.standard_normal(120)
+        panel = make_panel({"x": x, "price": y}, {"x": "gsvi", "price": "target"})
+        result = granger_filter(panel, ["x"], max_lag=2)
+        assert result.fstats["x"] == 0.0
+        assert result.pvalues["x"] == 1.0
+        assert result.retained == result.inconclusive == []
+
+    def test_rank_deficient_screens_need_no_lstsq(self):
+        # one least-squares path: a rank-deficient target or candidate takes its
+        # basis from the SVD of R, so lstsq is never called; the reference is
+        # computed with lstsq before it is patched out
+        rng = np.random.default_rng(7)
+        y = 50.0 + rng.standard_normal(90).cumsum()
+        x = rng.standard_normal(90).cumsum()
+        columns = {"x": x, "duplicate": x.copy(), "copy": y.copy(),
+                   "constant": np.full(90, 3.0), "shift": np.concatenate([[0.0], y[:-1]])}
+        panel = make_panel({**columns, "price": y},
+                           {**dict.fromkeys(columns, "gsvi"), "price": "target"})
+        flat = make_panel({"x": x, "price": np.full(90, 5.0)},
+                          {"x": "economic", "price": "target"})
+        expected, _ = per_candidate_screen(panel, list(columns), 2, 0.1)
+        with mock.patch.object(np.linalg, "lstsq", side_effect=AssertionError("lstsq called")):
+            result = granger_filter(panel, list(columns), max_lag=2)
+            with pytest.warns(UserWarning, match="both fits are exact"):
+                constant_target = granger_filter(flat, ["x"], max_lag=2)
+        assert constant_target.inconclusive == ["x"]
+        assert result.inconclusive == []
+        assert result.fstats["duplicate"] == result.fstats["x"]
+        assert result.fstats["copy"] == result.fstats["constant"] == 0.0
+        assert 0.0 < result.fstats["shift"] < np.inf
+        scale = (90 - 3 * 2 - 1) / 2
+        for name, want in expected.fstats.items():
+            assert abs(result.fstats[name] - want) <= 1e-12 * (want + scale), name
+
     def test_constant_target_inconclusive(self):
         rng = np.random.default_rng(3)
         panel = make_panel(
@@ -259,7 +299,7 @@ def per_candidate_screen(panel, candidates, max_lag, p_threshold):
     return GrangerResult(retained, pvalues, fstats, inconclusive), messages
 
 
-# Candidate kinds the batched screen must hand to lstsq or get right on its own:
+# Candidate kinds the batched screen must get right, rank-deficient or not:
 # a constant, a duplicate of another candidate, an exact copy of the target,
 # an affine image of the target and the target one month later (lags collinear
 # with the target's own), an exact driver of the target (F = inf), and a driver

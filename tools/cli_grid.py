@@ -1,9 +1,10 @@
 """Fingerprint 48 ``oilcast run`` invocations, to show a refactor changes no output.
 
 The grid: one panel CSV from ``oilcast synth --seed 7``, split 2017-12,
-p_threshold 0.3, and every method x dataset mode (E, G, H) x Granger screen
-(off, on). Each run is a fresh ``python3 -m oilcast.cli`` process using the
-``src/`` of the checkout this script sits in. One line per run gives the exit
+p_threshold 0.3, and every method (``oilcast.cli.METHODS``) x dataset mode
+(``oilcast.panel.MODES``: E, G, H) x Granger screen (off, on), in that order.
+Each run is a fresh ``python3 -m oilcast.cli`` process using the ``src/`` of
+the checkout this script sits in. One line per run gives the exit
 code and the sha256 of ``predictions.csv``, ``metrics.txt``, stdout and
 stderr. A first line gives the sha256 of the three files ``synth`` writes
 (panel, tags and labels CSV), so the writers are checked byte for byte too;
@@ -41,17 +42,6 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORK = os.path.join(tempfile.gettempdir(), "oilcast-cli-grid")
-METHODS = (
-    "naive",
-    "ar",
-    "elm",
-    "kelm",
-    "kpca+elm",
-    "kpca+kelm",
-    "kmeans+kpca+elm",
-    "kmeans+kpca+kelm",
-)
-MODES = ("E", "G", "H")
 SYNTH_FILES = (("panel", ".csv"), ("tags", ".tags.csv"), ("labels", ".labels.csv"))
 
 
@@ -89,10 +79,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--in-process", action="store_true",
                         help="call oilcast.cli.main in this process instead of a fresh one per run")
-    cli = _cli
-    if parser.parse_args().in_process:
-        sys.path.insert(0, os.path.join(ROOT, "src"))
-        cli = _cli_in_process
+    cli = _cli_in_process if parser.parse_args().in_process else _cli
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from oilcast.cli import METHODS
+    from oilcast.panel import MODES
+
     shutil.rmtree(WORK, ignore_errors=True)
     os.makedirs(WORK)
     prefix = os.path.join(WORK, "panel")
