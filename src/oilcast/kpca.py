@@ -5,8 +5,9 @@ operates on centered feature-space data), its leading eigenpairs are
 computed, and the top components kept either as a fixed count or by
 retained variance fraction. A fit computes the training distances once and
 derives both the median-heuristic width and the Gram matrix from them, and
-keeps the training rows' scores. Out-of-sample points are projected by
-centering their kernel row against the stored training statistics.
+keeps the training rows' scores and squared norms. Out-of-sample points are
+projected by centering their kernel row against the stored training
+statistics.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (BLOCK_ROWS, NumericalError, _eigenpairs, at_least, check_rules, finite_array,
-                       finite_rows, one_blas_thread, sq_distances)
+                       finite_rows, one_blas_thread, sq_distances, sq_norms)
 
 # Components with eigenvalue at or below EIGENVALUE_FLOOR_RATIO * lambda_max
 # are treated as numerical rank deficiency and never retained.
@@ -69,9 +70,10 @@ class GaussianKernel:
     def __post_init__(self):
         check_rules(RULES, sigma=self.sigma)
 
-    def __call__(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Kernel values between the rows of x and of z."""
-        return self.of_sq_distances(sq_distances(x, z))
+    def __call__(self, x: np.ndarray, z: np.ndarray, z_norms=None) -> np.ndarray:
+        """Kernel values between the rows of x and of z; ``z_norms``, the
+        ``sq_norms`` of z when a fit has kept them, spare computing them."""
+        return self.of_sq_distances(sq_distances(x, z, z_norms=z_norms))
 
     def of_sq_distances(self, sq: np.ndarray) -> np.ndarray:
         """The kernel of squared distances, computed in place over ``sq``."""
@@ -83,8 +85,9 @@ class GaussianKernel:
 class LinearKernel:
     """k(x, z) = x . z; used to cross-check against classical PCA and ridge regression."""
 
-    def __call__(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Kernel values between the rows of x and of z."""
+    def __call__(self, x: np.ndarray, z: np.ndarray, z_norms=None) -> np.ndarray:
+        """Kernel values between the rows of x and of z; ``z_norms`` is taken
+        as the Gaussian kernel takes it, and not needed."""
         return x @ z.T
 
 
@@ -235,6 +238,7 @@ def center_kernel(k) -> tuple[np.ndarray, np.ndarray, float]:
 @dataclass
 class KpcaModel:
     x_train: np.ndarray
+    train_norms: np.ndarray  # (N,) sq_norms of x_train, for kpca_transform's kernel rows
     kernel: GaussianKernel | LinearKernel
     eigenvalues: np.ndarray
     alphas: np.ndarray  # (N, n_components), scaled so lambda_j * |alpha_j|^2 = 1
@@ -278,8 +282,10 @@ def kpca_fit(x, kernel=None, n_components: int | None = None, theta: float | Non
 
     lam = values[:keep].copy()
     root = np.sqrt(lam)[None, :]
+    x_train = x.copy()
     return KpcaModel(
-        x_train=x.copy(),
+        x_train=x_train,
+        train_norms=sq_norms(x_train),
         kernel=kernel,
         eigenvalues=lam,
         # column-major: kpca_transform's product, and its last bits, follow this layout
@@ -357,7 +363,7 @@ def kpca_transform(model: KpcaModel, x) -> np.ndarray:
     overflow raise ``ValueError``.
     """
     rows = finite_rows(x, model.x_train.shape[1])
-    k_rows = model.kernel(rows, model.x_train)
+    k_rows = model.kernel(rows, model.x_train, model.train_norms)
     k_c = (
         k_rows
         - k_rows.mean(axis=1, keepdims=True)

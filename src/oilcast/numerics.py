@@ -121,8 +121,9 @@ def finite_array(x, name: str, ndim: int) -> np.ndarray:
     """``x`` as a float64 array of ``ndim`` dimensions holding finite values only.
 
     Raises ``ValueError`` naming ``name`` otherwise. A matrix is scanned
-    ``BLOCK_ROWS`` rows at a time, so an n x n input needs no n x n
-    temporary; a vector in one pass.
+    ``BLOCK_ROWS`` rows at a time in memory order (an F-ordered one, such
+    as the transpose of a C-ordered matrix, through its transpose), so an
+    n x n input needs no n x n temporary; a vector in one pass.
 
     The rule: a public function checks each array it receives once, with
     this; a private function never re-checks; a Gaussian Gram the library
@@ -132,9 +133,10 @@ def finite_array(x, name: str, ndim: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-D, got shape {x.shape}")
+    scan = x.T if x.flags.f_contiguous and not x.flags.c_contiguous else x
     step = BLOCK_ROWS if ndim > 1 else max(x.shape[0], 1)
-    for start in range(0, x.shape[0], step):
-        if not np.isfinite(x[start:start + step]).all():
+    for start in range(0, scan.shape[0], step):
+        if not np.isfinite(scan[start:start + step]).all():
             raise ValueError(f"{name} contains non-finite values")
     return x
 
@@ -169,7 +171,14 @@ def one_of(choices: tuple):
     return (lambda value: value in choices), f"one of {choices}"
 
 
-def sq_distances(x, z=None, out=None) -> np.ndarray:
+def sq_norms(x: np.ndarray) -> np.ndarray:
+    """The squared Euclidean norm of each row of a float64 matrix: the one
+    norm computation of ``sq_distances``, which a fit keeps for its training
+    rows so a later call can pass them."""
+    return np.einsum("ij,ij->i", x, x)
+
+
+def sq_distances(x, z=None, out=None, z_norms=None) -> np.ndarray:
     """Squared Euclidean distances between the rows of ``x`` and of ``z``.
 
     Uses the GEMM form ``-2 x z' + (|x|^2 + |z|^2)`` clamped at 0: the
@@ -178,19 +187,23 @@ def sq_distances(x, z=None, out=None) -> np.ndarray:
     ``x`` are paired with themselves: the product ``x x'`` is then a
     symmetric rank-k update, so the result is exactly symmetric, and its
     diagonal is exactly 0. ``out``, a float64 array of the result's shape,
-    receives the result instead of a new matrix.
+    receives the result instead of a new matrix. ``z_norms``, the
+    ``sq_norms`` of ``z`` kept by the caller, are used instead of computing
+    them again.
 
     Rows whose norms overflow can make ``inf - inf`` off the diagonal: the
     only way finite input gives a non-finite kernel value (an infinite
     distance gives a valid 0). Each block's NaN test raises ``ValueError``.
     """
     x = np.ascontiguousarray(x, dtype=float)
-    norms = np.einsum("ij,ij->i", x, x)
+    norms = sq_norms(x)
     if z is None:
         sq, z_norms = np.matmul(x, x.T, out=out), norms
     else:
         z = np.asarray(z, dtype=float)
-        sq, z_norms = np.matmul(x, z.T, out=out), np.einsum("ij,ij->i", z, z)
+        sq = np.matmul(x, z.T, out=out)
+        if z_norms is None:
+            z_norms = sq_norms(z)
     sq *= -2.0
     for start in range(0, sq.shape[0], BLOCK_ROWS):
         block = sq[start:start + BLOCK_ROWS]

@@ -133,7 +133,8 @@ class FeaturePanel:
     def matrix(self, names) -> np.ndarray:
         """The named columns as a new (n_rows, len(names)) matrix."""
         try:
-            return np.take(self._values, [self._positions[n] for n in names], axis=1)
+            where = np.fromiter(map(self._positions.__getitem__, names), np.intp, len(names))
+            return np.take(self._values, where, axis=1)
         except KeyError:  # one pass finds the columns; a second names every missing one
             missing = [n for n in names if n not in self._positions]
             raise ValueError(f"panel is missing columns: {missing}") from None
@@ -231,14 +232,20 @@ class NormalizationParams:
     mins: np.ndarray
     maxs: np.ndarray
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    def apply(self, x: np.ndarray, out=None) -> np.ndarray:
         """Map a (rows, columns) matrix of the fitted columns, in fitted order, to [0, 1].
 
-        Values outside the training range map outside [0, 1]; there is no clipping.
+        Values outside the training range map outside [0, 1]; there is no
+        clipping. One far enough outside a tiny range maps to +-inf, without a
+        warning: the caller checks the result. The result is one new matrix,
+        or ``out`` (``x`` itself, say) when given.
         """
         if x.shape[1] != self.mins.size:
             raise ValueError(f"expected {self.mins.size} columns to normalize, got {x.shape[1]}")
-        return (x - self.mins) / (self.maxs - self.mins)
+        with np.errstate(over="ignore"):
+            normed = np.subtract(x, self.mins, out=out)
+            normed /= self.maxs - self.mins
+        return normed
 
     def invert(self, z) -> np.ndarray:
         """Undo ``apply``; params fitted on one column also take that column as a vector."""
@@ -248,11 +255,13 @@ class NormalizationParams:
 def require_finite(values: np.ndarray, names, dates, where: str = "") -> None:
     """Reject a (rows, len(names)) matrix holding NaN or inf, naming the first bad cell.
 
-    The earliest row wins, then the first column in ``names`` order.
+    A matrix that passes costs one scan in memory order; the first bad cell
+    is looked for only when there is one. The earliest row wins, then the
+    first column in ``names`` order.
     """
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        row, col = bad[0]
+    finite = np.isfinite(values)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
         raise ValueError(f"column {names[col]!r} is not finite at {where}{dates[row]}")
 
 

@@ -152,6 +152,18 @@ def granger_filter(panel: FeaturePanel, candidates, max_lag: int = DEFAULT_MAX_L
     singular value is at or below ``_RANK_RTOL`` times the block's norm is
     dropped, even where lstsq's cutoff (about eps t sigma_max) would keep
     it, and a candidate with no direction left scores F = 0 exactly.
+
+    Each column is first divided by the power of two of its largest
+    magnitude (``np.frexp``): the division is exact, the screen does not
+    depend on the panel's units, and no finite panel overflows or underflows
+    a sum of squares. Householder QR is exact under a power-of-two scaling
+    of its columns, so where the undivided sums did not overflow, F and p
+    are the bits the undivided columns give, unless the restricted design's
+    rank decision differs: it is judged on the divided lags beside a
+    constant 1, not on lags in the target's units. The exact-fit threshold
+    is 1e-12 (|y|^2 + 1) in the target's units, y the regression target;
+    below |y| = 1/2 the 1 is counted in units of that power of two, so a
+    small target is not taken for an exact fit.
     """
     max_lag = int(max_lag)
     check_rules(RULES, max_lag=max_lag, p_threshold=p_threshold)
@@ -177,6 +189,9 @@ def granger_filter(panel: FeaturePanel, candidates, max_lag: int = DEFAULT_MAX_L
     names = [target, *candidates]
     values = panel.matrix(names)
     require_finite(values, names, panel.dates)
+    # each column over the power of two of its largest magnitude (see the docstring)
+    exponents = np.frexp(np.maximum(values.max(axis=0), -values.min(axis=0)))[1]
+    np.ldexp(values, -exponents, out=values)
     y_reg = values[max_lag:, 0]
     own = _lag_matrix(values[:, 0], max_lag)
     restricted = np.column_stack([own, np.ones(t)])
@@ -197,7 +212,8 @@ def granger_filter(panel: FeaturePanel, candidates, max_lag: int = DEFAULT_MAX_L
         # Q_c' e_r = 0 leaves the residual e_r: SSE_u is SSE_r, whatever the sum order
         sse_u[lo : lo + step] = np.where((proj == 0.0).all(axis=1), sse_r,
                                          np.square(resid).sum(axis=1))
-    zero_scale = 1e-12 * (float(y_reg @ y_reg) + 1.0)
+    # 1e-12 (|y|^2 + 1) in the target's units, or below |y| = 1/2 in units of its power of two
+    zero_scale = 1e-12 * (float(y_reg @ y_reg) + np.ldexp(1.0, -2 * max(int(exponents[0]), 0)))
 
     tested, fstats, inconclusive = [], {}, []
     for name, u_sse in zip(candidates, sse_u.tolist()):
@@ -271,12 +287,14 @@ class PipelineConfig:
 @dataclass
 class PipelineModel:
     """A fitted pipeline. ``norm`` and ``cluster.labels`` follow the order of
-    ``indicator_names``; cluster j's KPCA reads the columns labelled j."""
+    ``indicator_names``; cluster j's KPCA reads the columns labelled j, whose
+    positions, ascending, are ``cluster_columns[j]``."""
 
     norm: NormalizationParams
     target_norm: NormalizationParams
     indicator_names: list[str]
     cluster: ClusterModel
+    cluster_columns: list[np.ndarray]
     kpca_models: list[KpcaModel]
     regressor: object
     elbow_curve: dict[int, float] = field(default_factory=dict)
@@ -374,8 +392,7 @@ def pipeline_fit(panel: FeaturePanel, config: PipelineConfig) -> PipelineModel:
     values, target_values = panel.matrix(indicators), panel.matrix([target])
     norm = _stage("normalize", normalize_fit, values, indicators, panel.dates)
     target_norm = _stage("normalize", normalize_fit, target_values, [target], panel.dates)
-    normed = norm.apply(values)
-    del values  # the normalized copy serves the rest of the fit
+    normed = norm.apply(values, out=values)  # in place: the fit's one matrix of this size
     series = normed.T  # one row per indicator series
 
     elbow_curve: dict[int, float] = {}
@@ -386,9 +403,13 @@ def pipeline_fit(panel: FeaturePanel, config: PipelineConfig) -> PipelineModel:
     else:
         cluster = _stage("cluster", kmeans_fit, series, config.k, seed=config.seed)
 
+    cluster_columns = [np.flatnonzero(cluster.labels == j) for j in range(cluster.k)]
+
     def fit_cluster(j: int, gram: np.ndarray) -> KpcaModel:
         kernel = GaussianKernel(config.sigma) if config.sigma is not None else None
-        return _stage(f"kpca[{j}]", kpca_fit, normed[:, cluster.labels == j], kernel=kernel,
+        # np.take gathers C-ordered columns, which the distance product reads without a copy
+        columns = np.take(normed, cluster_columns[j], axis=1)
+        return _stage(f"kpca[{j}]", kpca_fit, columns, kernel=kernel,
                       n_components=config.n_components, theta=config.theta, out=gram)
 
     workers = 1
@@ -409,8 +430,9 @@ def pipeline_fit(panel: FeaturePanel, config: PipelineConfig) -> PipelineModel:
                        sigma=config.sigma, n_hidden=config.n_hidden, seed=config.seed)
 
     return PipelineModel(
-        norm=norm, target_norm=target_norm, indicator_names=indicators,
-        cluster=cluster, kpca_models=kpca_models, regressor=regressor, elbow_curve=elbow_curve,
+        norm=norm, target_norm=target_norm, indicator_names=indicators, cluster=cluster,
+        cluster_columns=cluster_columns, kpca_models=kpca_models, regressor=regressor,
+        elbow_curve=elbow_curve,
     )
 
 
@@ -418,14 +440,15 @@ def pipeline_fit(panel: FeaturePanel, config: PipelineConfig) -> PipelineModel:
 def pipeline_predict(model: PipelineModel, panel: FeaturePanel) -> np.ndarray:
     """Forecast the target, one value per input row, in original units.
 
-    Rejects a missing indicator column, or a non-finite value in one, by
-    name (and date) before any stage runs.
+    Rejects a missing indicator column, a non-finite value in one, or a
+    finite value that normalizes to +-inf (far outside a tiny training
+    range), by name (and date) before any stage runs.
     """
     names = model.indicator_names
     values = panel.matrix(names)
     require_finite(values, names, panel.dates, where="forecast origin ")
-    normed = model.norm.apply(values)
-    labels = model.cluster.labels
-    features = np.hstack([kpca_transform(kmodel, normed[:, labels == j])
-                          for j, kmodel in enumerate(model.kpca_models)])
+    normed = model.norm.apply(values, out=values)
+    require_finite(normed, names, panel.dates, where="normalized forecast origin ")
+    features = np.hstack([kpca_transform(kmodel, np.take(normed, columns, axis=1))
+                          for columns, kmodel in zip(model.cluster_columns, model.kpca_models)])
     return model.target_norm.invert(regressor_predict(model.regressor, features))

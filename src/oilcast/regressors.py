@@ -18,7 +18,7 @@ import numpy as np
 
 from .kpca import GaussianKernel, LinearKernel, _finite_prediction, _gram
 from .numerics import (_solve_spd, at_least, check_rules, finite_array, finite_rows,
-                       one_blas_thread, one_of)
+                       one_blas_thread, one_of, sq_norms)
 
 DEFAULT_C = 100.0
 DEFAULT_N_HIDDEN = 100
@@ -106,6 +106,7 @@ def elm_predict(model: ElmModel, x) -> np.ndarray:
 @dataclass
 class KelmModel:
     x_train: np.ndarray
+    train_norms: np.ndarray  # (N,) sq_norms of x_train, for kelm_predict's kernel rows
     kernel: GaussianKernel | LinearKernel
     alpha: np.ndarray  # (N,) dual coefficients
 
@@ -122,7 +123,8 @@ def kelm_fit(x, y, c: float = DEFAULT_C, kernel=None) -> KelmModel:
     check_rules(RULES, c=c)
     x, y = _as_xy(x, y)
     alpha, kernel = _ridge_dual(x, y, c, kernel)
-    return KelmModel(x_train=x.copy(), kernel=kernel, alpha=alpha)
+    x_train = x.copy()
+    return KelmModel(x_train=x_train, train_norms=sq_norms(x_train), kernel=kernel, alpha=alpha)
 
 
 @one_blas_thread()
@@ -130,7 +132,7 @@ def kelm_predict(model: KelmModel, x) -> np.ndarray:
     """Kernel rows against the training inputs times the dual coefficients;
     rows whose kernel values, or the sums of them, overflow raise ``ValueError``."""
     rows = finite_rows(x, model.x_train.shape[1])
-    return _finite_prediction(model.kernel(rows, model.x_train) @ model.alpha)
+    return _finite_prediction(model.kernel(rows, model.x_train, model.train_norms) @ model.alpha)
 
 
 # The dispatch calls the fit/predict functions through their module-level

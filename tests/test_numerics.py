@@ -22,6 +22,7 @@ from oilcast.numerics import (
     one_blas_thread,
     sq_distances,
 )
+from oilcast.panel import month_range, require_finite
 from oilcast.synth import SynthSpec, synth_generate
 
 
@@ -427,6 +428,39 @@ class TestOneArrayCheck:
         with pytest.raises(ValueError, match=rf"^{name} must be [12]-D, got shape \("):
             call(good, other_ndim)
         call(good, lambda v: v)  # the unaltered inputs pass
+
+    # up to 150 x 80: several BLOCK_ROWS blocks along either axis
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(rows=st.integers(1, 150), cols=st.integers(1, 80),
+           layout=st.sampled_from(["C", "F", "strided transpose"]), data=st.data())
+    def test_any_layout_is_rejected_at_any_bad_cell(self, rows, cols, layout, data):
+        # an F-ordered matrix (the transpose of a C-ordered one, as elbow_select
+        # receives its series) is scanned through its transpose; a strided one as it lies
+        cells = data.draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1),
+                                             st.sampled_from([np.nan, np.inf, -np.inf])),
+                                   max_size=3))
+        values = np.arange(rows * cols, dtype=float).reshape(rows, cols)
+        if layout == "C":
+            x = values
+        elif layout == "F":
+            x = np.asfortranarray(values)
+        else:  # every other column of a C-ordered (cols, 2 rows) matrix, transposed
+            holder = np.zeros((cols, 2 * rows))
+            holder[:, ::2] = values.T
+            x = holder[:, ::2].T
+        for row, col, value in cells:
+            x[row, col] = value
+        names, dates = [f"c{j}" for j in range(cols)], month_range("2010-01", rows)
+        if not cells:
+            assert np.array_equal(finite_array(x, "x", 2), x)
+            require_finite(x, names, dates)
+            return
+        with pytest.raises(ValueError, match="^x contains non-finite values$"):
+            finite_array(x, "x", 2)
+        row, col, _ = min(cells)  # the earliest row, then the first column
+        with pytest.raises(ValueError) as raised:
+            require_finite(x, names, dates)
+        assert str(raised.value) == f"column {names[col]!r} is not finite at {dates[row]}"
 
 
 def record_checks(monkeypatch):

@@ -8,6 +8,7 @@ against.
 import sys
 import threading
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -37,7 +38,7 @@ from oilcast.pipeline import (
     pipeline_fit,
     pipeline_predict,
 )
-from oilcast.regressors import kelm_fit, kelm_predict
+from oilcast.regressors import elm_predict, kelm_fit, kelm_predict
 from oilcast.synth import SynthSpec, synth_generate
 
 
@@ -230,6 +231,32 @@ class TestGrangerFilter:
             granger_filter(panel, ["a", "b"], max_lag=2)
         assert str(raised.value) == f"column {column!r} is not finite at {panel.dates[row]}"
         assert capfd.readouterr() == ("", "")  # no LAPACK complaint reaches stderr
+
+    @pytest.mark.parametrize("factor", [2.0**600, 1e200, 1e-200])
+    def test_the_screen_does_not_depend_on_the_panels_units(self, factor):
+        # sums of squares of the raw columns would overflow (2**600, 1e200) or
+        # fall below the exact-fit threshold (1e-200)
+        rng = np.random.default_rng(8)
+        t = 90
+        x = rng.standard_normal(t)
+        y = np.zeros(t)
+        y[1:] = 0.5 * x[:-1] + rng.standard_normal(t - 1)
+        columns = {f"n{i}": rng.standard_normal(t).cumsum() for i in range(12)}
+        columns.update(x=x, price=y)
+        tags = {**dict.fromkeys(columns, "economic"), "price": "target"}
+        candidates = [name for name in columns if name != "price"]
+        base = granger_filter(make_panel(columns, tags), candidates, max_lag=3, p_threshold=0.3)
+        scaled = make_panel({name: v * factor for name, v in columns.items()}, tags)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow, and no inconclusive candidate
+            result = granger_filter(scaled, candidates, max_lag=3, p_threshold=0.3)
+        assert 1 < len(base.retained) < len(candidates)
+        assert (result.retained, result.inconclusive) == (base.retained, [])
+        got, want = (np.array(list(r.fstats.values())) for r in (result, base))
+        if factor == 2.0**600:  # the same columns once each is divided by its power of two
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_too_few_rows_for_dof(self):
         rng = np.random.default_rng(7)
@@ -629,6 +656,21 @@ class TestPipelineFit:
         with pytest.raises(ValueError, match=r"'f0s3' is not finite at forecast origin 2018-02"):
             pipeline_predict(model, rows)
 
+    def test_predict_names_an_origin_value_that_normalizes_to_inf(self):
+        # a column spanning 1e-300 over the training rows: an origin value of
+        # 1e9 is finite, and normalizes to inf
+        panel, _, _ = synth_generate(SynthSpec(seed=0))
+        tiny = np.random.default_rng(0).integers(0, 2, panel.n_rows) * 1e-300
+        tiny[170] = 1e9
+        panel = FeaturePanel(dates=panel.dates, columns={**panel.columns, "f0s3": tiny},
+                             tags=panel.tags)
+        model = pipeline_fit(panel.row_slice(range(168)), PipelineConfig(k=3, theta=0.95, seed=5))
+        with pytest.raises(ValueError) as raised, warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no overflow warning on the way
+            pipeline_predict(model, panel.row_slice(range(167, 179)))
+        assert str(raised.value) == ("column 'f0s3' is not finite at normalized forecast origin "
+                                     f"{panel.dates[170]}")
+
     def test_cluster_stage_error_wrapped(self):
         panel, _, _ = synth_generate(SynthSpec(seed=0))
         train = panel.row_slice(range(168))
@@ -679,6 +721,50 @@ class TestPipelineFit:
         )
         with pytest.raises(ValueError, match="target"):
             pipeline_fit(panel, PipelineConfig(k=1, theta=0.95))
+
+
+class TestPredictFromStoredParts:
+    """A forecast reads the cluster columns and training-row norms its fit
+    stored; it equals, bit for bit, the public stages composed on ``labels
+    == j`` masks with every norm computed afresh."""
+
+    @pytest.mark.filterwarnings("ignore:WCSS curve has no elbow")
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16), factors=st.integers(2, 3),
+           series_per_factor=st.integers(2, 4), k=st.sampled_from([None, 1, 2, 3]),
+           regressor=st.sampled_from(["kelm", "elm"]), rows=st.integers(1, 6))
+    def test_predict_equals_the_stages_with_fresh_norms(self, seed, factors, series_per_factor,
+                                                        k, regressor, rows):
+        panel, _, _ = synth_generate(SynthSpec(seed=seed, months=48, factors=factors,
+                                               series_per_factor=series_per_factor))
+        config = PipelineConfig(k=k, theta=0.95, regressor=regressor, n_hidden=20, seed=seed % 7)
+        model = pipeline_fit(panel.row_slice(range(36)), config)
+        origins = panel.row_slice(range(35, 35 + rows))
+        forecast = pipeline_predict(model, origins)
+
+        def fresh(fitted):
+            norms = np.einsum("ij,ij->i", fitted.x_train, fitted.x_train)
+            assert fitted.train_norms.tobytes() == norms.tobytes()
+            return replace(fitted, train_norms=norms)
+
+        labels = model.cluster.labels
+        with one_blas_thread():
+            normed = model.norm.apply(origins.matrix(model.indicator_names))
+            parts = []
+            for j, kmodel in enumerate(model.kpca_models):
+                assert np.array_equal(model.cluster_columns[j], np.flatnonzero(labels == j))
+                x = normed[:, labels == j]
+                # the kernel rows with stored norms are those it computes itself
+                assert (kmodel.kernel(x, kmodel.x_train, kmodel.train_norms).tobytes()
+                        == kmodel.kernel(x, kmodel.x_train).tobytes())
+                parts.append(kpca_transform(fresh(kmodel), x))
+            features = np.hstack(parts)
+            if regressor == "kelm":
+                z = kelm_predict(fresh(model.regressor), features)
+            else:
+                z = elm_predict(model.regressor, features)
+            composed = model.target_norm.invert(z)
+        assert forecast.tobytes() == composed.tobytes()
 
 
 class TestConcurrentClusterFits:

@@ -14,11 +14,13 @@ Usage, from each of two checkouts on the same host:
 
     python3 tools/cli_grid.py > grid.txt
 
-then ``diff`` the two files. Outputs go to one fixed directory (removed and
-rebuilt on every call), because the predictions preamble echoes the panel
-path, so two checkouts must write to the same place to be comparable. The
+then ``diff`` the two files. Every run works inside ``oilcast-cli-grid``
+under the temp directory (removed and rebuilt on every call) and names its
+files by relative paths: the predictions preamble echoes the panel path, so
+the lines depend neither on ``TMPDIR`` nor on where the checkout is. The
 BLAS thread count is inherited and does not change the output: CI runs the
-grid at ``OPENBLAS_NUM_THREADS=1`` and ``=2`` and diffs the two.
+grid at ``OPENBLAS_NUM_THREADS=1`` and ``=2``, and under a second
+``TMPDIR``, and diffs the runs.
 
     python3 tools/cli_grid.py --in-process > grid-in-process.txt
 
@@ -86,7 +88,8 @@ def main() -> int:
 
     shutil.rmtree(WORK, ignore_errors=True)
     os.makedirs(WORK)
-    prefix = os.path.join(WORK, "panel")
+    os.chdir(WORK)  # every path below, and every path an output echoes, is relative
+    prefix = "panel"
     code, _, err = cli(["synth", "--seed", "7", "--out", prefix])
     if code != 0:
         sys.stderr.write(err.decode())
@@ -102,7 +105,7 @@ def main() -> int:
     for method in METHODS:
         for mode in MODES:
             for granger in ("false", "true"):
-                out_dir = os.path.join(WORK, "out")
+                out_dir = "out"
                 shutil.rmtree(out_dir, ignore_errors=True)
                 code, out, err = cli(["run", "--out-dir", out_dir,
                                       "--set", f"panel={prefix}.csv", "--set", "split=2017-12",
