@@ -4,8 +4,9 @@
 ``check_rules``, the one check of a run parameter against its rule; the
 one squared-distance computation of every kernel; unchecked eigenpair and
 Cholesky cores, written with numpy alone, that report breakdowns as
-``NumericalError``; and ``one_blas_thread``. Matrices are float64 numpy
-arrays; samples/equations are rows.
+``NumericalError``; ``one_blas_thread``; and ``_map_in_threads``, the one
+way a fit runs work on a second thread. Matrices are float64 numpy arrays;
+samples/equations are rows.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import contextlib
 import ctypes
 import functools
 import os
+import threading
 
 import numpy as np
 
@@ -41,6 +43,11 @@ LANCZOS_CHECK_STEPS = 2
 # would otherwise fault in on every call
 CHOLESKY_BLOCK = 96
 SOLVE_ROWS = 32
+
+# At most this many threads work on one fit at once, whatever the CPU count:
+# each KPCA worker holds its own n x n Gram matrix, and speed and peak memory
+# have been measured at this count only.
+MAX_FIT_WORKERS = 2
 
 # OpenBLAS thread-count entry points: the scipy-openblas build that numpy's
 # wheels bundle prefixes them, and a 64-bit-integer build adds a 64_ suffix
@@ -101,6 +108,78 @@ def one_blas_thread():
     finally:
         for put, count in changed:
             put(count)
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_in_threads(task, count: int, scratch: list) -> list:
+    """``[task(0, ...), ..., task(count - 1, ...)]`` on one thread per ``scratch`` item.
+
+    With W items, worker w runs indices w, w + W, ... in order and passes
+    ``scratch[w]`` as ``task``'s second argument; worker 0 is the calling
+    thread, and so is a helper that cannot be started. No state is shared:
+    each worker writes only its own results and stops at its first error.
+    When tasks raise, the error of the lowest failing index is raised, as a
+    loop in index order would raise it. Every helper has stopped before this
+    returns or raises.
+    """
+    results: list = [None] * count
+    failures: list = [None] * len(scratch)  # worker w's first (index, error)
+
+    def work(w: int) -> None:
+        for j in range(w, count, len(scratch)):
+            try:
+                results[j] = task(j, scratch[w])
+            except Exception as err:
+                failures[w] = (j, err)
+                return
+
+    helpers, own = [], [0]
+    try:
+        for w in range(1, len(scratch)):
+            helper = threading.Thread(target=work, args=(w,), name="oilcast-fit")
+            try:
+                helper.start()
+            except RuntimeError:  # no thread to be had: this thread runs that share
+                own.append(w)
+            else:
+                helpers.append(helper)
+        for w in own:
+            work(w)
+    finally:
+        for helper in helpers:
+            helper.join()
+    failed = [failure for failure in failures if failure is not None]
+    if failed:
+        raise min(failed)[1]  # the indices differ, so no two errors are compared
+    return results
+
+
+def _split_rows(task, start: int, stop: int, scratch: list, share: float = 0.5) -> list:
+    """``task(r0, r1, item)`` over the rows ``start:stop`` in one range per ``scratch`` item.
+
+    With two items the rows split at the multiple of ``BLOCK_ROWS`` past
+    ``start`` nearest ``share`` of them, and the second range runs on a
+    helper thread through ``_map_in_threads``; a split that would leave a
+    range empty, and a single item, run ``task`` once on this thread. Each
+    range gets its own item: the buffers a task writes through are allocated
+    by the caller, so they come from the calling thread's heap, not from a
+    helper's. The results come in row order, and the error of the lowest
+    range is raised.
+    """
+    if len(scratch) > 1:
+        cut = start + BLOCK_ROWS * round(share * (stop - start) / BLOCK_ROWS)
+        if start < cut < stop:
+            bounds = [start, cut, stop]
+            return _map_in_threads(lambda j, item: task(bounds[j], bounds[j + 1], item), 2,
+                                   scratch[:2])
+    return [task(start, stop, scratch[0])]
 
 
 class NumericalError(Exception):
@@ -195,6 +274,14 @@ def sq_distances(x, z=None, out=None, z_norms=None) -> np.ndarray:
     only way finite input gives a non-finite kernel value (an infinite
     distance gives a valid 0). Each block's NaN test raises ``ValueError``.
     """
+    return _sq_distances(x, z, out, z_norms)[0]
+
+
+def _sq_distances(x, z=None, out=None, z_norms=None,
+                  workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """``sq_distances`` and the ``sq_norms`` of ``x`` it computed, its
+    blocked pass split over ``workers`` row ranges (``_split_rows``); the
+    result is the same bits on any number of workers."""
     x = np.ascontiguousarray(x, dtype=float)
     norms = sq_norms(x)
     if z is None:
@@ -204,19 +291,33 @@ def sq_distances(x, z=None, out=None, z_norms=None) -> np.ndarray:
         sq = np.matmul(x, z.T, out=out)
         if z_norms is None:
             z_norms = sq_norms(z)
-    sq *= -2.0
-    for start in range(0, sq.shape[0], BLOCK_ROWS):
-        block = sq[start:start + BLOCK_ROWS]
-        block += np.add.outer(norms[start:start + BLOCK_ROWS], z_norms)
+    rows, cols = sq.shape
+    scratch = [np.empty((min(BLOCK_ROWS, rows), cols)) for _ in range(workers)]
+    if workers == 1:  # called directly: a forecast's kernel rows come this way
+        _add_norms(sq, norms, z_norms, z is None, 0, rows, scratch[0])
+    else:
+        _split_rows(lambda r0, r1, added: _add_norms(sq, norms, z_norms, z is None, r0, r1, added),
+                    0, rows, scratch)
+    return sq, norms
+
+
+def _add_norms(sq: np.ndarray, norms: np.ndarray, z_norms: np.ndarray, square: bool,
+               r0: int, r1: int, added: np.ndarray) -> None:
+    """Rows ``r0:r1`` of ``sq_distances`` from the product ``x z'`` in ``sq``,
+    ``BLOCK_ROWS`` at a time, with ``added`` as the block's scratch."""
+    for start in range(r0, r1, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, r1)
+        block, part = sq[start:stop], added[:stop - start]
+        block *= -2.0
+        block += np.add(norms[start:stop, None], z_norms, out=part)
         np.maximum(block, 0.0, out=block)
-        if z is None:
+        if square:
             np.fill_diagonal(block[:, start:], 0.0)  # the block's part of the diagonal
         if np.isnan(block).any():
             raise ValueError("inputs too large: squared distances overflow")
-    return sq
 
 
-def _eigenpairs(a: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+def _eigenpairs(a: np.ndarray, count: int, centering=None) -> tuple[np.ndarray, np.ndarray]:
     """The ``count`` largest eigenpairs of a finite symmetric matrix, unchecked.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues in descending
@@ -231,14 +332,22 @@ def _eigenpairs(a: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     ``count`` reaches half the order, the order is below
     ``PARTIAL_MIN_ORDER`` or Lanczos gives up. Raises ``NumericalError`` if
     the full eigensolver fails to converge.
+
+    ``centering``, when given, is ``(column_means, grand_mean, center)`` of an
+    uncentered Gram matrix ``a``, and the pairs are those of its double-centered
+    ``J a J``: Lanczos applies J inside each product, and ``center()``, which
+    must double-center ``a`` in place, is called before the full solver reads
+    it.
     """
     n = a.shape[0]
     if not 1 <= count <= n:
         raise ValueError(f"eigenpair count must be in [1, {n}], got {count}")
     pairs = None
     if 2 * count < n and n >= PARTIAL_MIN_ORDER:
-        pairs = _lanczos(a, count)
+        pairs = _lanczos(a, count, None if centering is None else centering[:2])
     if pairs is None:
+        if centering is not None:
+            centering[2]()
         try:
             pairs = np.linalg.eigh(a)
         except np.linalg.LinAlgError as err:
@@ -270,7 +379,8 @@ def _fix_signs(vectors: np.ndarray) -> None:
             block[:, j] *= -1.0
 
 
-def _lanczos(a: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray] | None:
+def _lanczos(a: np.ndarray, count: int,
+             centering=None) -> tuple[np.ndarray, np.ndarray] | None:
     """The ``count`` largest eigenpairs, ascending, or None when Lanczos gives up.
 
     Lanczos with full reorthogonalization (Golub & Van Loan, Matrix
@@ -284,6 +394,12 @@ def _lanczos(a: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray] | None:
     ``2 count + LANCZOS_SLACK`` vectors, or the order, unconverged, or when
     the Krylov space closes (an invariant subspace) before ``count`` Ritz
     pairs have converged.
+
+    ``centering``, when given, is ``(m, g)``: the column means and the grand
+    mean of a Gram matrix ``a``, positive semi-definite, whose double-centered
+    ``J a J`` is meant, and each product is ``_product``'s. Its rounding
+    scales with ``a``, not with ``J a J``, so the space counts as closed
+    against ``eps`` times ``n max(diag a)``, which bounds the norm of ``a``.
     """
     n = a.shape[0]
     eps = np.finfo(float).eps
@@ -295,10 +411,11 @@ def _lanczos(a: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray] | None:
     # full solver decides
     start = np.random.default_rng(0).standard_normal(n)
     basis[0] = start / np.sqrt(start @ start)
-    scale, check_at = 0.0, 2 * count
+    scale = 0.0 if centering is None else n * float(np.diagonal(a).max())
+    check_at = 2 * count
     for m in range(1, cap + 1):
         done = basis[:m]
-        w = a @ done[-1]
+        w = _product(a, done[-1], centering)
         coeffs = done @ w
         w -= coeffs @ done
         again = done @ w
@@ -322,7 +439,21 @@ def _lanczos(a: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray] | None:
         np.divide(w, beta, out=basis[m])
 
 
-def _solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _product(a: np.ndarray, v: np.ndarray, centering=None) -> np.ndarray:
+    """``a v``, or with ``centering = (m, g)``, the column means and the grand
+    mean of a symmetric ``a``, the product of its double-centered ``J a J``
+    (J = I - 11'/n) and ``v``: ``a v - 1 (m.v) - m sum(v) + g sum(v) 1``,
+    which needs no centered copy of ``a``."""
+    w = a @ v
+    if centering is not None:
+        col_means, grand_mean = centering
+        total = v.sum()
+        w -= col_means @ v - grand_mean * total
+        w -= total * col_means
+    return w
+
+
+def _solve_spd(a: np.ndarray, b: np.ndarray, workers: int = 1) -> np.ndarray:
     """Solve ``A x = b`` for a symmetric positive definite ``A`` via Cholesky.
 
     ``a`` (finite, exactly symmetric, float64) and ``b`` (a finite vector
@@ -340,10 +471,36 @@ def _solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Every triangular solve works ``SOLVE_ROWS`` rows of ``L`` at a time,
     through the inverse of their diagonal part, computed once per part:
     numpy's small solves cost far more per call than a product.
+
+    Each row of a panel depends on that row and on the factored block only,
+    so the panel's rows split over ``workers`` ranges (``_split_rows``), each
+    with its own product buffer. A product split at a multiple of
+    ``BLOCK_ROWS`` rows past the panel's first row gives the rows of the
+    whole one (a cut at a multiple of 50 rows can change the last bits), so
+    ``x`` and ``L`` are the same bits on any number of workers.
     """
     n = a.shape[0]
     starts = range(0, n, SOLVE_ROWS)
     inverses = []  # of each SOLVE_ROWS diagonal part of L, in order
+
+    def panel_rows(k0: int, k1: int, r0: int, r1: int, buffer: np.ndarray) -> None:
+        # rows r0:r1 of L21 = (A21 - L20 L10') L11^-T
+        def product(left, right):
+            return np.matmul(left, right, out=buffer[:left.shape[0] * right.shape[1]].reshape(
+                left.shape[0], right.shape[1]))
+
+        panel = a[r0:r1, k0:k1]
+        if k0:
+            panel -= product(a[r0:r1, :k0], a[k0:k1, :k0].T)
+        for s0 in range(k0, k1, SOLVE_ROWS):
+            cols = a[r0:r1, s0:s0 + SOLVE_ROWS]
+            cols -= product(a[r0:r1, k0:s0], a[s0:s0 + SOLVE_ROWS, k0:s0].T)
+            cols[...] = product(cols, inverses[s0 // SOLVE_ROWS].T)
+
+    # a product buffer per range, for its share of the first panel's rows
+    # (a cut lies within BLOCK_ROWS / 2 of the even share) times a block's columns
+    rows = -(-max(n - CHOLESKY_BLOCK, 0) // workers) + BLOCK_ROWS
+    buffers = [np.empty(rows * CHOLESKY_BLOCK) for _ in range(workers)]
     for k0 in range(0, n, CHOLESKY_BLOCK):
         k1 = min(k0 + CHOLESKY_BLOCK, n)
         done, block = a[k0:k1, :k0], a[k0:k1, k0:k1]
@@ -355,14 +512,9 @@ def _solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             raise NotPositiveDefiniteError(pivot=k0 + _failing_pivot(block)) from None
         inverses += [np.linalg.inv(a[s0:s0 + SOLVE_ROWS, s0:s0 + SOLVE_ROWS])
                      for s0 in range(k0, k1, SOLVE_ROWS)]
-        if k1 < n:  # the panel below: L21 = (A21 - L20 L10') L11^-T
-            panel = a[k1:, k0:k1]
-            if k0:
-                panel -= a[k1:, :k0] @ done.T
-            for s0 in range(k0, k1, SOLVE_ROWS):
-                cols = a[k1:, s0:s0 + SOLVE_ROWS]
-                cols -= a[k1:, k0:s0] @ a[s0:s0 + SOLVE_ROWS, k0:s0].T
-                cols[...] = cols @ inverses[s0 // SOLVE_ROWS].T
+        if k1 < n:
+            _split_rows(lambda r0, r1, buffer: panel_rows(k0, k1, r0, r1, buffer),
+                        k1, n, buffers)
     x = np.array(b, dtype=float)
     for s0, inverse in zip(starts, inverses):  # L y = b
         part = x[s0:s0 + SOLVE_ROWS]

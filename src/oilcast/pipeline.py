@@ -9,8 +9,6 @@ change the model.
 from __future__ import annotations
 
 import math
-import os
-import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -20,7 +18,8 @@ from .baselines import _lag_matrix
 from .clustering import ClusterModel, elbow_select, kmeans_fit
 from .kpca import (RULES as KPCA_RULES, GaussianKernel, KpcaModel, check_selection, kpca_fit,
                    kpca_transform)
-from .numerics import at_least, check_rules, one_blas_thread
+from .numerics import (MAX_FIT_WORKERS, _cpu_count, _map_in_threads, at_least, check_rules,
+                       one_blas_thread)
 from .panel import FeaturePanel, NormalizationParams, normalize_fit, require_finite
 from .regressors import (RULES as REGRESSOR_RULES, DEFAULT_C, DEFAULT_N_HIDDEN, regressor_fit,
                          regressor_predict)
@@ -39,11 +38,6 @@ RULES = {  # parameter -> (test of a valid value, stated rule)
 # several threads. Below it a Gram matrix is small enough that contention
 # for the interpreter lock costs more than a second core returns.
 CONCURRENT_MIN_ROWS = 512
-
-# At most this many threads fit KPCAs at once, whatever the CPU count: each
-# holds its own n x n Gram matrix, and speed and peak memory have been
-# measured at this count only.
-MAX_FIT_WORKERS = 2
 
 
 class PipelineStageError(RuntimeError):
@@ -305,57 +299,6 @@ def _stage(name: str, fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except Exception as err:
         raise PipelineStageError(name, err) from err
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _map_in_threads(task, count: int, scratch: list) -> list:
-    """``[task(0, ...), ..., task(count - 1, ...)]`` on one thread per ``scratch`` item.
-
-    With W items, worker w runs indices w, w + W, ... in order and passes
-    ``scratch[w]`` as ``task``'s second argument; worker 0 is the calling
-    thread, and so is a helper that cannot be started. No state is shared:
-    each worker writes only its own results and stops at its first error.
-    When tasks raise, the error of the lowest failing index is raised, as a
-    loop in index order would raise it. Every helper has stopped before this
-    returns or raises.
-    """
-    results: list = [None] * count
-    failures: list = [None] * len(scratch)  # worker w's first (index, error)
-
-    def work(w: int) -> None:
-        for j in range(w, count, len(scratch)):
-            try:
-                results[j] = task(j, scratch[w])
-            except Exception as err:
-                failures[w] = (j, err)
-                return
-
-    helpers, own = [], [0]
-    try:
-        for w in range(1, len(scratch)):
-            helper = threading.Thread(target=work, args=(w,), name="oilcast-fit")
-            try:
-                helper.start()
-            except RuntimeError:  # no thread to be had: this thread runs that share
-                own.append(w)
-            else:
-                helpers.append(helper)
-        for w in own:
-            work(w)
-    finally:
-        for helper in helpers:
-            helper.join()
-    failed = [failure for failure in failures if failure is not None]
-    if failed:
-        raise min(failed)[1]  # the indices differ, so no two errors are compared
-    return results
 
 
 @one_blas_thread()

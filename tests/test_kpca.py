@@ -49,13 +49,13 @@ def record_requests(monkeypatch):
     counts, lanczos = [], []
     real_eigenpairs, real_lanczos = kpca._eigenpairs, numerics._lanczos
 
-    def spy_eig(a, count):
+    def spy_eig(a, count, centering=None):
         counts.append(count)
-        return real_eigenpairs(a, count)
+        return real_eigenpairs(a, count, centering)
 
-    def spy_lanczos(a, count):
+    def spy_lanczos(a, count, centering=None):
         lanczos.append(count)
-        return real_lanczos(a, count)
+        return real_lanczos(a, count, centering)
 
     monkeypatch.setattr(kpca, "_eigenpairs", spy_eig)
     monkeypatch.setattr(numerics, "_lanczos", spy_lanczos)
@@ -405,7 +405,7 @@ class TestPartialEigensolve:
         assert lanczos == [4, 8, 16]
 
     def test_the_centered_gram_is_checked_once_however_wide_the_request(self, monkeypatch):
-        # a Gaussian Gram is never scanned; a linear one is checked once, centered
+        # a Gaussian Gram is never scanned; a linear one is checked once, uncentered
         counts, _ = record_requests(monkeypatch)
         checked = []
         real = kpca.finite_array
@@ -449,6 +449,103 @@ class TestPartialEigensolve:
         for field in ("eigenvalues", "alphas", "train_scores", "col_means"):
             assert getattr(first, field).tobytes() == getattr(second, field).tobytes()
         assert first.kernel == second.kernel and first.grand_mean == second.grand_mean
+
+
+class TestImplicitCentering:
+    """From IMPLICIT_CENTERING_MIN_ORDER samples on, a fit leaves its Gram
+    uncentered: Lanczos applies J K J inside each product, and
+    ``center_kernel`` runs once, only when the full solver serves a request.
+    Below that order the Gram is centered once, up front. The tests that
+    take the implicit path at small orders lower the threshold to 0."""
+
+    @pytest.fixture()
+    def implicit(self, monkeypatch):
+        monkeypatch.setattr(kpca, "IMPLICIT_CENTERING_MIN_ORDER", 0)
+
+    @pytest.mark.parametrize("n", [5, 40, 300])
+    def test_product_equals_the_centered_matrix_product(self, n):
+        rng = np.random.default_rng(n)
+        k, _, _ = _gram(rng.standard_normal((n, 4)), GaussianKernel(1.5))
+        centering = (k.mean(axis=0), float(k.mean()))
+        dense = center_kernel(k.copy())[0]
+        for v in rng.standard_normal((3, n)):
+            want = dense @ v
+            got = numerics._product(k, v, centering)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("selection", [{"n_components": 5}, {"theta": 0.9}])
+    @pytest.mark.parametrize("n", [40, 168, 600])
+    def test_a_fit_equals_the_explicitly_centered_reference(self, n, selection, implicit):
+        x = np.random.default_rng(n).random((n, 3))
+        model = kpca_fit(x, **selection)
+        k, _, _ = _gram(x, model.kernel)
+        values, vectors = numerics._eigenpairs(center_kernel(k)[0], model.n_components)
+        np.testing.assert_allclose(model.eigenvalues, values, rtol=1e-12, atol=0)
+        fitted = model.alphas * np.sqrt(model.eigenvalues)
+        np.testing.assert_allclose(align_signs(fitted, vectors), fitted, rtol=0, atol=1e-10)
+
+    @staticmethod
+    def count_centerings(monkeypatch):
+        calls = []
+        real = kpca.center_kernel
+        monkeypatch.setattr(kpca, "center_kernel", lambda k: calls.append(k.shape) or real(k))
+        return calls
+
+    @pytest.mark.parametrize("route, n, selection", [
+        ("half the order", 40, {"n_components": 20}),
+        ("below PARTIAL_MIN_ORDER", 7, {"theta": 0.99}),
+        ("Lanczos gives up", 40, {"theta": 0.9}),
+    ])
+    def test_each_full_solver_route_centers_exactly_once(self, route, n, selection, implicit,
+                                                         monkeypatch):
+        x = np.random.default_rng(26).random((n, 12))
+        expected = kpca_fit(x, **selection)
+        calls = self.count_centerings(monkeypatch)
+        counts, _ = record_requests(monkeypatch)
+        if route == "Lanczos gives up":
+            monkeypatch.setattr(numerics, "_lanczos", lambda a, count, centering=None: None)
+        model = kpca_fit(x, **selection)
+        assert calls == [(n, n)]
+        if route != "half the order":  # more than one request reads the centered Gram
+            assert len(counts) > 1
+        assert model.n_components == expected.n_components
+        np.testing.assert_allclose(model.eigenvalues, expected.eigenvalues, rtol=1e-12, atol=0)
+
+    def test_the_partial_solver_never_centers(self, implicit, monkeypatch):
+        calls = self.count_centerings(monkeypatch)
+        model = kpca_fit(np.random.default_rng(24).random((80, 6)), n_components=3)
+        assert calls == [] and model.n_components == 3
+
+    def test_below_the_order_the_gram_is_centered_once_up_front(self, monkeypatch):
+        x = np.random.default_rng(24).random((80, 6))
+        calls = self.count_centerings(monkeypatch)
+        centerings = []
+        real = numerics._lanczos
+        monkeypatch.setattr(numerics, "_lanczos", lambda a, count, centering=None:
+                            centerings.append(centering) or real(a, count, centering))
+        model = kpca_fit(x, n_components=3)
+        assert calls == [(80, 80)] and centerings == [None]
+        k, _, _ = _gram(x, model.kernel)
+        values, vectors = numerics._eigenpairs(center_kernel(k)[0], 3)
+        assert model.eigenvalues.tobytes() == values.tobytes()
+        assert model.alphas.tobytes() == np.divide(vectors, np.sqrt(values), order="F").tobytes()
+
+    def test_a_leading_eigenvalue_within_the_grams_rounding_is_no_spectrum(self):
+        noise = np.finfo(float).eps * 30  # eps n max(diag K) of a 30-sample Gaussian Gram
+        with pytest.raises(DegenerateKernelError, match="degenerate kernel"):
+            kpca._usable_count(np.array([noise, noise / 2]), noise)
+        assert kpca._usable_count(np.array([2 * noise, noise]), noise)[0] == 2
+
+    @pytest.mark.parametrize("threshold", [0, kpca.IMPLICIT_CENTERING_MIN_ORDER])
+    @pytest.mark.parametrize("n", [5, 30, 600])
+    def test_duplicated_samples_are_degenerate_at_any_order(self, n, threshold, monkeypatch):
+        # the implicit product's rounding, at eps times the uncentered Gram,
+        # is not taken for a spectrum
+        monkeypatch.setattr(kpca, "IMPLICIT_CENTERING_MIN_ORDER", threshold)
+        x = np.tile(np.array([1.0, 2.0, 3.0]), (n, 1))
+        for selection in ({"n_components": 2}, {"theta": 0.95}):
+            with pytest.raises(DegenerateKernelError, match="degenerate kernel"):
+                kpca_fit(x, kernel=GaussianKernel(1.0), **selection)
 
 
 class TestKpcaTransform:
@@ -507,7 +604,7 @@ class TestDistanceOverflow:
     ROWS = np.array([[1.1e200], [1.0]])
 
     def test_a_fit_whose_only_overflow_is_the_diagonal_still_fits(self):
-        k, _ = _gram(self.X, GaussianKernel(1.0))
+        k, _, _ = _gram(self.X, GaussianKernel(1.0))
         assert np.all(np.isfinite(k)) and np.array_equal(np.diag(k), np.ones(5))
         assert k[0, 1] == 0.0  # an infinite distance is a valid kernel value of 0
 

@@ -1,6 +1,8 @@
 """Symmetric eigensolver, SPD solve, Gram symmetry, array checks and BLAS thread
 contracts."""
 
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -140,7 +142,7 @@ class TestBuiltGramsNeedNoScan:
         x = layouts(np.random.default_rng(seed).standard_normal((n, d)) * scale, layout)
         out = np.empty((n, n)) if into_out else None
         kernel = None if sigma is None else kpca.GaussianKernel(sigma * scale)
-        k, _ = kpca._gram(x, kernel, out=out)
+        k, _, _ = kpca._gram(x, kernel, out=out)
         assert np.array_equal(k, k.T)
         assert np.all(np.isfinite(k))
         k_c, _, _ = center_kernel(k)
@@ -152,7 +154,7 @@ class TestBuiltGramsNeedNoScan:
     def test_linear_gram_is_exactly_symmetric(self, n, d, seed, layout, into_out):
         x = layouts(np.random.default_rng(seed).standard_normal((n, d)), layout)
         out = np.empty((n, n)) if into_out else None
-        k, _ = kpca._gram(x, kpca.LinearKernel(), out=out)
+        k, _, _ = kpca._gram(x, kpca.LinearKernel(), out=out)
         assert np.array_equal(k, k.T)
         assert out is None or k is out
 
@@ -348,6 +350,119 @@ class TestSolveSpd:
         with pytest.raises(NotPositiveDefiniteError) as exc:
             _solve_spd(a.copy(), np.ones(n))
         assert exc.value.pivot == pivot
+
+
+class TestTwoWorkers:
+    """From ``regressors.SPLIT_MIN_ROWS`` rows on, the regressor's Gram passes
+    and Cholesky panels split their rows over two workers: the result is the
+    bits one worker gives, and an error is the one a single worker raises."""
+
+    ORDERS = [511, 512, 600, 1187, 1300]
+
+    @staticmethod
+    def spd(n):
+        rng = np.random.default_rng(n)
+        a = kpca._gram(rng.standard_normal((n, 6)), None)[0]
+        a[np.diag_indices_from(a)] += 0.01
+        return a, rng.standard_normal(n)
+
+    # elementwise passes give the same bits at any cut, such as a multiple of 50
+    @pytest.mark.parametrize("block", [numerics.BLOCK_ROWS, 50])
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_gram_passes_give_the_bits_of_one_worker(self, n, block, monkeypatch):
+        monkeypatch.setattr(numerics, "BLOCK_ROWS", block)
+        monkeypatch.setattr(kpca, "BLOCK_ROWS", block)
+        x = np.random.default_rng(n).standard_normal((n, 7))
+        sq, norms = numerics._sq_distances(x, workers=1)
+        sq2, norms2 = numerics._sq_distances(x, workers=2)
+        assert sq2.tobytes() == sq.tobytes() and norms2.tobytes() == norms.tobytes()
+        assert kpca._median_distance(sq, 2) == kpca._median_distance(sq, 1)
+        gram, kernel, _ = kpca._gram(x, None, workers=1)
+        gram2, kernel2, _ = kpca._gram(x, None, workers=2)
+        assert kernel2 == kernel and gram2.tobytes() == gram.tobytes()
+
+    def test_the_median_count_takes_ranges_cut_anywhere(self, monkeypatch):
+        # its blocks stop at the range's end, so no row is counted twice
+        x = np.random.default_rng(7).standard_normal((600, 7))
+        sq, _ = numerics._sq_distances(x)
+        expected = kpca._median_distance(sq)
+        monkeypatch.setattr(kpca, "_split_rows", lambda task, start, stop, scratch, share:
+                            [task(start, 333, None), task(333, stop, None)])
+        assert kpca._median_distance(sq, 2) == expected
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_solve_spd_gives_the_bits_of_one_worker(self, n):
+        # each panel splits 64 k rows past its first row, which lies at a
+        # multiple of 96: the cuts are not all at multiples of 64
+        a, b = self.spd(n)
+        factor, factor2 = a.copy(), a.copy()
+        x, x2 = _solve_spd(factor, b, 1), _solve_spd(factor2, b, 2)
+        assert x2.tobytes() == x.tobytes() and factor2.tobytes() == factor.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_an_overflow_in_the_helpers_rows_raises_the_serial_error(self, monkeypatch):
+        # inf - inf between the two huge rows, both past the split
+        x = np.random.default_rng(5).standard_normal((1187, 3))
+        x[1100], x[1101] = 1e200, 1.1e200
+        message = "^inputs too large: squared distances overflow$"
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match=message):
+                numerics._sq_distances(x, workers=workers)
+        monkeypatch.setattr(regressors, "_cpu_count", lambda: 2)
+        with pytest.raises(ValueError, match=message):
+            regressors.kelm_fit(x, np.ones(1187))
+
+    def test_a_pivot_in_the_helpers_rows_raises_the_serial_error(self):
+        a, b = self.spd(1187)
+        a[1100, 1100] = -1.0
+        errors = []
+        for workers in (1, 2):
+            with pytest.raises(NotPositiveDefiniteError) as exc:
+                _solve_spd(a.copy(), b, workers)
+            errors.append((exc.value.pivot, str(exc.value)))
+        assert errors[0] == errors[1] and errors[0][0] == 1100
+
+    def test_split_passes_keep_their_bits_under_a_short_switch_interval(self):
+        # both ranges write one shared matrix: interleaved at every bytecode,
+        # a range that touched the other's rows would change some bits
+        x = np.random.default_rng(6).standard_normal((1187, 5))
+        a, b = self.spd(1187)
+        expected = (kpca._gram(x, None)[0].tobytes(), _solve_spd(a.copy(), b).tobytes())
+        outcome = []
+
+        def run():
+            outcome.extend((kpca._gram(x, None, workers=2)[0].tobytes(),
+                            _solve_spd(a.copy(), b, 2).tobytes()) for _ in range(3))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=run)
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert outcome == [expected] * 3
+
+    @pytest.mark.parametrize("start, stop, workers, ranges", [
+        (0, 1187, 2, [(0, 576), (576, 1187)]),
+        (96, 1187, 2, [(96, 672), (672, 1187)]),  # 576 rows past the start
+        (0, 1187, 1, [(0, 1187)]),
+        (0, 40, 2, [(0, 40)]),  # the nearest cut, 64, is past the end
+        (0, 0, 2, [(0, 0)]),
+    ])
+    def test_split_rows_cuts_at_a_multiple_of_block_rows(self, start, stop, workers, ranges):
+        seen = numerics._split_rows(lambda r0, r1, item: (r0, r1, item), start, stop,
+                                    list(range(workers)))
+        assert seen == [(r0, r1, w) for w, (r0, r1) in enumerate(ranges)]
+
+    def test_split_rows_raises_the_lowest_ranges_error(self):
+        def task(r0, r1, _):
+            raise ValueError(f"rows {r0}:{r1}")
+
+        with pytest.raises(ValueError, match="^rows 0:576$"):
+            numerics._split_rows(task, 0, 1187, [None, None])
 
 
 class TestVectorTargets:

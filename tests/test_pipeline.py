@@ -17,7 +17,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oilcast import pipeline
+from oilcast import numerics, pipeline, regressors
 from oilcast.clustering import kmeans_fit
 from oilcast.kpca import kpca_fit, kpca_transform
 from oilcast.numerics import one_blas_thread
@@ -778,10 +778,24 @@ class TestConcurrentClusterFits:
 
     def test_equals_the_serial_composition_bit_for_bit(self, long_train, monkeypatch):
         panel, train = long_train
-        # two workers whatever the host, and the first two fits must overlap
+        # two workers whatever the host, for the KPCAs and for the regressor
+        # stage, and the first two fits must overlap
         monkeypatch.setattr(pipeline, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(regressors, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(regressors, "SPLIT_MIN_ROWS", CONCURRENT_MIN_ROWS)
         meet = threading.Barrier(2, timeout=60)
         threads = []
+        splits = []  # (ranges, threads) of each row split the regressor stage makes
+        map_rows = numerics._map_in_threads
+
+        def recording_map(task, count, scratch):
+            ran = set()
+            results = map_rows(lambda j, item: ran.add(threading.current_thread()) or task(j, item),
+                               count, scratch)
+            splits.append((count, len(ran)))
+            return results
+
+        monkeypatch.setattr(numerics, "_map_in_threads", recording_map)
 
         def overlapping_fit(*args, **kwargs):
             threads.append(threading.current_thread())
@@ -793,8 +807,11 @@ class TestConcurrentClusterFits:
         config = PipelineConfig(k=3, theta=0.95, seed=5)
         model = pipeline_fit(train, config)
         assert len(set(threads[:2])) == 2
+        # the Gram passes and the Cholesky panels each ran as two row ranges on two threads
+        assert splits.count((2, 2)) >= 4
         rows = panel.row_slice(range(train.n_rows - 1, panel.n_rows))
         forecast = pipeline_predict(model, rows)
+        monkeypatch.setattr(regressors, "_cpu_count", lambda: 1)  # the composition: one worker
 
         names = panel.indicator_names("H")
         with one_blas_thread():
@@ -814,6 +831,8 @@ class TestConcurrentClusterFits:
         for got, want in zip(model.kpca_models, fits):
             assert got.kernel == want.kernel
             assert np.array_equal(got.alphas, want.alphas)
+        assert model.regressor.kernel == km.kernel
+        assert model.regressor.alpha.tobytes() == km.alpha.tobytes()
         assert np.array_equal(forecast, composed)
 
     @pytest.mark.parametrize("rows", [168, CONCURRENT_MIN_ROWS + 20])

@@ -18,7 +18,7 @@ def smooth_1d_problem(seed, n=20):
 def ridge_beta(h, y, c):
     """The ELM's output weights ``H' a`` for hidden features ``h``, ``a`` the
     ridge dual of its linear Gram, as ``elm_fit`` forms them."""
-    alpha, _ = _ridge_dual(h, y, c, LinearKernel())
+    alpha = _ridge_dual(h, y, c, LinearKernel())[0]
     return h.T @ alpha
 
 
@@ -27,9 +27,9 @@ def spy_on_solver(monkeypatch):
     seen = []
     real = regressors._solve_spd
 
-    def spy(a, b):
+    def spy(a, b, workers=1):
         seen.append(a.copy())
-        return real(a, b)
+        return real(a, b, workers)
 
     monkeypatch.setattr(regressors, "_solve_spd", spy)
     return seen
@@ -206,7 +206,7 @@ class TestKelm:
         y = rng.standard_normal(20)
         c = 50.0
         model = kelm_fit(x, y, c=c, kernel=GaussianKernel(1.2))
-        omega, _ = _gram(x, model.kernel)
+        omega = _gram(x, model.kernel)[0]
         resid = (omega + np.eye(20) / c) @ model.alpha - y
         assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(y)
 
