@@ -3,14 +3,16 @@
 The leading eigenpairs of the double-centered kernel Gram matrix (so the
 eigenproblem really operates on centered feature-space data) are computed,
 and the top components kept either as a fixed count or by retained variance
-fraction. From ``IMPLICIT_CENTERING_MIN_ORDER`` samples on, the Gram matrix
-itself stays uncentered: the partial eigensolver centers inside each
-product with the column and grand means, and the matrix is centered in
-place only when the full eigensolver serves a request. A fit computes the
-training distances and squared norms once and derives both the
-median-heuristic width and the Gram matrix from them, and keeps the
-training rows' scores and squared norms. Out-of-sample points are projected
-by centering their kernel row against the stored training statistics.
+fraction. Below ``IMPLICIT_CENTERING_MIN_ORDER`` samples a fit builds the
+whole n x n Gram matrix and centers it in place. From that order on it
+stores only the upper triangle, as a ``PackedGram`` of about n^2/2 + 64 n
+doubles, and leaves it uncentered: the partial eigensolver centers inside
+each product with the column and grand means, and only the full eigensolver
+unpacks a centered n x n temporary. A fit computes the training distances
+and squared norms once and derives both the median-heuristic width and the
+Gram matrix from them, and keeps the training rows' scores and squared
+norms. Out-of-sample points are projected by centering their kernel row
+against the stored training statistics.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (BLOCK_ROWS, NumericalError, _eigenpairs, _split_rows, _sq_distances, at_least,
-                       check_rules, finite_array, finite_rows, one_blas_thread, sq_distances)
+                       check_rules, finite_array, finite_rows, one_blas_thread, sq_distances,
+                       sq_norms)
 
 # Components with eigenvalue at or below EIGENVALUE_FLOOR_RATIO * lambda_max
 # are treated as numerical rank deficiency and never retained.
@@ -40,10 +43,18 @@ MEDIAN_BRACKET_SDS = 8.0
 # doubles the request until the fraction is reached.
 FIRST_REQUEST = 4
 
-# From this order on, a fit leaves its Gram uncentered and the partial
-# eigensolver centers inside each product; below it, the four extra terms of
-# every product cost more than centering the matrix once.
+# From this order on, a fit stores its Gram packed and uncentered, and the
+# partial eigensolver centers inside each product; below it, the four extra
+# terms of every product cost more than centering the matrix once, and the
+# whole matrix is small.
 IMPLICIT_CENTERING_MIN_ORDER = 512
+
+# Rows per block of a PackedGram, which stores about n^2/2 + PACKED_ROWS n / 2
+# doubles. Each block costs a few numpy calls per pass and per Lanczos
+# product, and the interpreter lock serializes those calls. The six KPCA fits
+# of long_panel draw 1 took (one worker / two workers, medians of 8 runs)
+# 119 / 105 ms at 64 rows and 112 / 88 ms at 128; whole Grams 153 / 101 ms.
+PACKED_ROWS = 128
 
 
 class DegenerateKernelError(NumericalError):
@@ -99,30 +110,131 @@ class LinearKernel:
         return x @ z.T
 
 
-def _median_distance(sq: np.ndarray, workers: int = 1) -> float:
-    """Median pairwise distance from a squared-distance matrix of one sample set.
+def _packed_size(n: int) -> int:
+    """Entries of a ``PackedGram`` of order n: PACKED_ROWS-row blocks of rows r0:n."""
+    return sum(min(PACKED_ROWS, n - r0) * (n - r0) for r0 in range(0, n, PACKED_ROWS))
+
+
+def gram_size(n: int) -> int:
+    """Float64 entries of the Gram storage a KPCA fit on ``n`` samples uses,
+    the size of ``kpca_fit``'s ``out``: n^2 below
+    ``IMPLICIT_CENTERING_MIN_ORDER`` samples, a ``PackedGram``'s from there."""
+    return n * n if n < IMPLICIT_CENTERING_MIN_ORDER else _packed_size(n)
+
+
+class PackedGram:
+    """A symmetric n x n matrix stored as its upper triangle in row blocks.
+
+    Block b holds rows r0:r1, r0 = b PACKED_ROWS: its diagonal square
+    ``K[r0:r1, r0:r1]``, whole, then its panel ``K[r0:r1, r1:]``, each one
+    contiguous array, back to back in one flat float64 buffer of
+    ``_packed_size(n)`` entries, about n^2/2 + 64 n. The layout depends on
+    n alone. ``blocks`` lists ``(r0, r1, square, panel)``; the store offers
+    what the fit reads: ``shape``, ``diagonal()``, ``K @ v`` and ``unpack()``.
+    """
+
+    def __init__(self, n: int, out=None):
+        size = _packed_size(n)
+        # a C-contiguous buffer, so the reshape is a view the blocks write through
+        self.buffer = np.empty(size) if out is None else out.reshape(-1)[:size]
+        self.shape = (n, n)
+        self.blocks = []
+        self.starts = []  # each block's offset in the buffer
+        offset = 0
+        for r0 in range(0, n, PACKED_ROWS):
+            r1 = min(r0 + PACKED_ROWS, n)
+            h = r1 - r0
+            square = self.buffer[offset:offset + h * h].reshape(h, h)
+            panel = self.buffer[offset + h * h:offset + h * (n - r0)].reshape(h, n - r1)
+            self.blocks.append((r0, r1, square, panel))
+            self.starts.append(offset)
+            offset += h * (n - r0)
+
+    def diagonal(self) -> np.ndarray:
+        return np.concatenate([np.diagonal(square) for _, _, square, _ in self.blocks])
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        """``K v``, block by block: D v + P v + P' v. ``np.dot`` lets go of the
+        interpreter lock for any product; ``matmul`` keeps it when the result
+        is short, as a block's rows are."""
+        w = np.zeros(self.shape[0])
+        for r0, r1, square, panel in self.blocks:
+            head = w[r0:r1]
+            head += np.dot(square, v[r0:r1])
+            head += np.dot(panel, v[r1:])
+            w[r1:] += np.dot(v[r0:r1], panel)
+        return w
+
+    def entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """``K[rows, cols]`` for index arrays of upper-triangle entries, each
+        row index below its column's."""
+        n = self.shape[0]
+        # per row i: where its square row starts less r0, where its panel row
+        # starts less r1, and r1, so the entry (i, j) sits at start + j
+        square_at, panel_at, stop = (np.empty(n, dtype=np.intp) for _ in range(3))
+        for (r0, r1, _, _), start in zip(self.blocks, self.starts):
+            row = np.arange(r1 - r0)
+            square_at[r0:r1] = start + row * (r1 - r0) - r0
+            panel_at[r0:r1] = start + (r1 - r0) ** 2 + row * (n - r1) - r1
+            stop[r0:r1] = r1
+        at = panel_at[rows]
+        inside = cols < stop[rows]
+        at[inside] = square_at[rows[inside]]
+        at += cols
+        return self.buffer[at]
+
+    def unpack(self) -> np.ndarray:
+        """The whole matrix as a new n x n array. The store lets go of its
+        buffer, and so frees it unless the caller's ``out`` holds it."""
+        n = self.shape[0]
+        full = np.empty((n, n))
+        for r0, r1, square, panel in self.blocks:
+            full[r0:r1, r0:r1] = square
+            full[r0:r1, r1:] = panel
+            full[r1:, r0:r1] = panel.T
+        self.buffer, self.blocks = None, []
+        return full
+
+
+def _upper_blocks(sq, r0: int, r1: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(square, panel)`` of each block of rows r0:r1 of the upper triangle
+    of a squared-distance matrix: a dense one's BLOCK_ROWS-row blocks, the
+    last stopping at r1, or each block of a packed one that starts in r0:r1."""
+    if isinstance(sq, PackedGram):
+        return [(square, panel) for start, _, square, panel in sq.blocks if r0 <= start < r1]
+    stops = [min(start + BLOCK_ROWS, r1) for start in range(r0, r1, BLOCK_ROWS)]
+    return [(sq[start:stop, start:stop], sq[start:stop, stop:])
+            for start, stop in zip(range(r0, r1, BLOCK_ROWS), stops)]
+
+
+def _median_distance(sq, workers: int = 1) -> float:
+    """Median pairwise distance from a squared-distance matrix of one sample
+    set, dense or a ``PackedGram``.
 
     Up to ``MEDIAN_COPY_MAX_ROWS`` samples one partition of a copy of the
-    whole matrix finds the two middle pairs: off the (exactly 0) diagonal
-    each of the P = n(n-1)/2 pairs appears twice, and no entry is negative,
-    so they sit at ranks n + P - 1 and n + P of the flattened matrix. Above
-    that the copy would be a second large matrix, so they are selected
-    from the matrix itself: a fixed sample of pairs brackets them, one pass
-    over the upper triangle, split over ``workers`` row ranges, counts the
-    pairs on either side of the bracket and gathers those inside it, and a
-    partition of those finds them. Should the bracket miss them, the copy
-    is made after all.
+    whole dense matrix finds the two middle pairs: off the (exactly 0)
+    diagonal each of the P = n(n-1)/2 pairs appears twice, and no entry is
+    negative, so they sit at ranks n + P - 1 and n + P of the flattened
+    matrix. Above that the copy would be a second large matrix, so they are
+    selected from the matrix itself: a fixed sample of pairs brackets them,
+    one pass over the upper triangle, split over ``workers`` row ranges,
+    counts the pairs on either side of the bracket and gathers those inside
+    it, and a partition of those finds them. Should the bracket miss them,
+    a dense matrix is copied after all. A packed one is never copied: where
+    a dense one would be, its pass takes a bracket that holds every pair.
     """
     n = sq.shape[0]
     if n < 2:
         raise ValueError("median heuristic needs at least 2 samples")
+    pairs = n * (n - 1) // 2
+    ranks = [(pairs - 1) // 2, pairs // 2]
     picked = None
     if n > MEDIAN_COPY_MAX_ROWS:
-        pairs = n * (n - 1) // 2
-        ranks = [(pairs - 1) // 2, pairs // 2]
         picked = _select_pairs(sq, ranks, *_median_bracket(sq, ranks), workers=workers)
+    if picked is None and isinstance(sq, PackedGram):
+        picked = _select_pairs(sq, ranks, -np.inf, np.inf, workers=workers)
     if picked is None:
-        mid = n + n * (n - 1) // 2
+        mid = n + pairs
         ranked = np.partition(sq, mid - 1, axis=None)
         picked = ranked[mid - 1], ranked[mid:].min()
     low, high = picked
@@ -132,7 +244,7 @@ def _median_distance(sq: np.ndarray, workers: int = 1) -> float:
     return med
 
 
-def _median_bracket(sq: np.ndarray, ranks: list[int]) -> tuple[float, float]:
+def _median_bracket(sq, ranks: list[int]) -> tuple[float, float]:
     """Values that hold the pairs at ``ranks`` between them with near certainty.
 
     They come from ``MEDIAN_SAMPLE_PER_ROW * n`` pairs drawn with a fixed
@@ -145,7 +257,10 @@ def _median_bracket(sq: np.ndarray, ranks: list[int]) -> tuple[float, float]:
     rows = rng.integers(0, n, size)
     cols = rng.integers(0, n - 1, size)
     cols += cols >= rows  # a column other than the row, uniformly
-    sample = np.sort(sq[rows, cols])
+    # the same pairs of a symmetric matrix, read in its upper triangle
+    swap = cols < rows
+    rows[swap], cols[swap] = cols[swap], rows[swap]
+    sample = np.sort(sq.entries(rows, cols) if isinstance(sq, PackedGram) else sq[rows, cols])
     pairs = n * (n - 1) // 2
     margin = MEDIAN_BRACKET_SDS * np.sqrt(size) / 2.0
     first = int(np.floor(size * ranks[0] / pairs - margin))
@@ -153,26 +268,27 @@ def _median_bracket(sq: np.ndarray, ranks: list[int]) -> tuple[float, float]:
     return sample[max(first, 0)], sample[min(last, size - 1)]
 
 
-def _select_pairs(sq: np.ndarray, ranks: list[int], lo: float, hi: float,
+def _select_pairs(sq, ranks: list[int], lo: float, hi: float,
                   workers: int = 1) -> tuple[float, float] | None:
     """The pair values at the two ``ranks`` if both lie in [lo, hi], else None.
 
-    Reads the strict upper triangle ``BLOCK_ROWS`` rows at a time: each
-    block's diagonal square through a mask, the rest of its rows whole. The
-    rows split over ``workers`` ranges at the row that halves the triangle,
-    and the ranges' counts and gathered values are joined in row order, so
-    the result does not depend on the worker count.
+    Reads the strict upper triangle a block of rows at a time
+    (``_upper_blocks``): each block's diagonal square through a mask, its
+    panel whole. The rows split over ``workers`` ranges at the row that
+    halves the triangle, and the ranges' counts and gathered values are
+    joined in row order, so the result does not depend on the worker count.
     """
     n = sq.shape[0]
-    upper = np.triu(np.ones((BLOCK_ROWS, BLOCK_ROWS), dtype=bool), 1)
 
     def count(r0: int, r1: int, _) -> tuple[int, int, list]:
         below = above = 0
         inside = []
-        for start in range(r0, r1, BLOCK_ROWS):
-            stop = min(start + BLOCK_ROWS, r1)
-            square = sq[start:stop, start:stop][upper[: stop - start, : stop - start]]
-            for values in (square, sq[start:stop, stop:]):
+        blocks = _upper_blocks(sq, r0, r1)
+        size = max((square.shape[0] for square, _ in blocks), default=0)
+        upper = np.triu(np.ones((size, size), dtype=bool), 1)
+        for square, panel in blocks:
+            h = square.shape[0]
+            for values in (square[upper[:h, :h]], panel):
                 keep = values >= lo
                 below += values.size - np.count_nonzero(keep)
                 under = values <= hi
@@ -217,17 +333,56 @@ def _gram(x: np.ndarray, kernel, out=None,
     checked here: huge finite rows can overflow ``x x'`` or its centering,
     so each fit checks the linear matrix it hands to its solver, once.
     """
+    _check_kernel(kernel)
     if isinstance(kernel, LinearKernel):
         x = np.ascontiguousarray(x)  # x x' of a contiguous x is a symmetric rank-k update
         return np.matmul(x, x.T, out=out), kernel, None
-    if not (kernel is None or isinstance(kernel, GaussianKernel)):
-        raise ValueError(f"kernel must be a GaussianKernel, a LinearKernel or None, got {kernel!r}")
     sq, norms = _sq_distances(x, out=out, workers=workers)
     if kernel is None:
         kernel = GaussianKernel(_median_distance(sq, workers))
     _split_rows(lambda r0, r1, _: kernel.of_sq_distances(sq[r0:r1]), 0, sq.shape[0],
                 [None] * workers)
     return sq, kernel, norms
+
+
+def _packed_gram(x: np.ndarray, kernel,
+                 out=None) -> tuple[PackedGram, GaussianKernel | LinearKernel, np.ndarray | None]:
+    """``_gram`` on the upper triangle only: the Gram matrix of sample rows as
+    a ``PackedGram``, in ``out`` when given (a C-contiguous float64 array of
+    at least ``_packed_size(n)`` entries), its kernel and the rows'
+    ``sq_norms`` (None for a linear Gram), on one worker.
+
+    Each block's square is ``sq_distances`` of its rows with themselves, so
+    it is exactly symmetric with a diagonal of exactly 0, and its panel their
+    distances to the rows below (for a linear kernel, the products ``x x'``
+    of the same rows, a symmetric rank-k update on the square). The kernel
+    rule, the median heuristic and the overflow error are ``_gram``'s.
+    """
+    _check_kernel(kernel)
+    x = np.ascontiguousarray(x, dtype=float)
+    store = PackedGram(x.shape[0], out)
+    linear = isinstance(kernel, LinearKernel)
+    norms = None if linear else sq_norms(x)
+    for r0, r1, square, panel in store.blocks:
+        rows, below = x[r0:r1], x[r1:]
+        if linear:
+            np.matmul(rows, rows.T, out=square)
+            np.matmul(rows, below.T, out=panel)
+        else:
+            sq_distances(rows, out=square)
+            sq_distances(rows, below, out=panel, z_norms=norms[r1:])
+    if linear:
+        return store, kernel, None
+    if kernel is None:
+        kernel = GaussianKernel(_median_distance(store))
+    kernel.of_sq_distances(store.buffer)
+    return store, kernel, norms
+
+
+def _check_kernel(kernel) -> None:
+    """``ValueError`` unless ``kernel`` is a ``GaussianKernel``, a ``LinearKernel`` or None."""
+    if not (kernel is None or isinstance(kernel, (GaussianKernel, LinearKernel))):
+        raise ValueError(f"kernel must be a GaussianKernel, a LinearKernel or None, got {kernel!r}")
 
 
 def _finite_prediction(values: np.ndarray) -> np.ndarray:
@@ -283,13 +438,17 @@ def kpca_fit(x, kernel=None, n_components: int | None = None, theta: float | Non
     (smallest count reaching that fraction of the usable eigenvalue sum);
     giving both is an error, giving neither selects theta = 0.95.
     ``kernel`` is a ``GaussianKernel``, a ``LinearKernel`` or None, a
-    Gaussian kernel at the median-heuristic width. The Gram matrix is
-    built in ``out`` when one is given, an n x n float64 array the fit
-    overwrites and does not keep. Below ``IMPLICIT_CENTERING_MIN_ORDER``
-    samples it is centered in place at once; from there on it is centered
-    only if the full eigensolver serves a request. A linear one is checked
-    for finiteness once, as its solver first receives it. Raises
-    ``DegenerateKernelError`` when no eigenvalue clears the floor.
+    Gaussian kernel at the median-heuristic width. Below
+    ``IMPLICIT_CENTERING_MIN_ORDER`` samples the fit builds the whole n x n
+    Gram matrix and centers it in place at once. From there on it stores
+    the upper triangle alone, as a ``PackedGram`` of about n^2/2 + 64 n
+    doubles, uncentered: the partial eigensolver centers inside its
+    products, and the full one, if it serves a request, reads a centered
+    n x n temporary unpacked from the store. ``out``, when given, is a
+    C-contiguous float64 array of ``gram_size(n)`` entries that receives
+    the Gram storage; the fit overwrites it and does not keep it. A linear
+    Gram is checked for finiteness once, as its solver first receives it.
+    Raises ``DegenerateKernelError`` when no eigenvalue clears the floor.
     """
     x = finite_array(x, "x", 2)
     n = x.shape[0]
@@ -300,17 +459,20 @@ def kpca_fit(x, kernel=None, n_components: int | None = None, theta: float | Non
         raise ValueError(f"n_components must be <= the {n} samples, got {n_components}")
     if n_components is None and theta is None:
         theta = DEFAULT_THETA
-    # the fit's one n x n matrix: the Gram matrix, centered in place only
-    # below IMPLICIT_CENTERING_MIN_ORDER
-    k, kernel, train_norms = _gram(x, kernel, out=out)
-    centering = None
+    linear = isinstance(kernel, LinearKernel)  # huge finite rows can overflow x x' or its centering
     if n < IMPLICIT_CENTERING_MIN_ORDER:
+        k, kernel, train_norms = _gram(x, kernel, out=None if out is None else out.reshape(n, n))
         k, col_means, grand_mean = center_kernel(k)
+        centering = None
+        if linear:
+            finite_array(k, "kernel matrix", 2)
     else:
-        col_means, grand_mean = k.mean(axis=0), float(k.mean())  # as center_kernel takes them
+        k, kernel, train_norms = _packed_gram(x, kernel, out)
+        if linear:
+            finite_array(k.buffer, "kernel matrix", 1)
+        col_means = (k @ np.ones(n)) / n  # the row sums of a symmetric K
+        grand_mean = float(col_means.mean())
         centering = (col_means, grand_mean)
-    if isinstance(kernel, LinearKernel):  # huge finite rows can overflow x x' or its centering
-        finite_array(k, "kernel matrix", 2)
     values, vectors, keep = _leading_components(k, n_components, theta, centering)
     del k  # freed before the coefficients are formed (unless it is the caller's ``out``)
 
@@ -343,15 +505,16 @@ def _usable_count(values: np.ndarray, noise: float) -> tuple[int, float]:
     return int(np.sum(values > floor)), floor
 
 
-def _leading_components(k: np.ndarray, n_components: int | None, theta: float,
+def _leading_components(k, n_components: int | None, theta: float,
                         centering=None) -> tuple[np.ndarray, np.ndarray, int]:
     """Leading eigenpairs of the centered Gram matrix and the count to keep.
 
     ``k`` is the centered Gram matrix, or with ``centering``, the column
-    means and grand mean of an uncentered ``k``, the uncentered one:
-    ``_eigenpairs`` then centers inside the partial solver's products, and
-    ``center_kernel`` centers ``k`` in place, once, before the full solver
-    first reads it. A fixed ``n_components`` asks ``_eigenpairs`` for that
+    means and grand mean of an uncentered ``k``, an uncentered
+    ``PackedGram``: ``_eigenpairs`` then centers inside the partial
+    solver's products, and before the full solver first reads it, ``k`` is
+    unpacked and centered by ``center_kernel``, once; later requests read
+    that matrix. A fixed ``n_components`` asks ``_eigenpairs`` for that
     many pairs. The ``theta`` rule asks for ``FIRST_REQUEST`` pairs and
     doubles the request until the cumulative share of ``trace(k_c)``
     (``trace(k) - n grand_mean`` for an uncentered ``k``) passes theta. The
@@ -371,21 +534,23 @@ def _leading_components(k: np.ndarray, n_components: int | None, theta: float,
     n = k.shape[0]
     if centering is None:
         trace, noise = float(np.trace(k)), 0.0
-    else:  # read before k is centered
-        diagonal = np.diagonal(k)
+    else:
+        diagonal = k.diagonal()
         trace = float(np.sum(diagonal - centering[1]))
         noise = np.finfo(float).eps * n * float(diagonal.max())
 
-    # set once k is centered: a list, not a rebound name, so no reference
-    # cycle keeps the Gram alive past the return
-    centered = [] if centering is not None else [True]
+    # what each request reads: the store until the full solver first needs the
+    # centered matrix, then that matrix; a list, not a rebound name, so no
+    # reference cycle keeps a Gram alive past the return
+    operand = [k]
 
-    def center() -> None:
-        center_kernel(k)
-        centered.append(True)
+    def dense() -> np.ndarray:
+        operand[0] = center_kernel(operand[0].unpack())[0]
+        return operand[0]
 
     def eigenpairs(count: int) -> tuple[np.ndarray, np.ndarray]:
-        return _eigenpairs(k, count, None if centered else (*centering, center))
+        a = operand[0]
+        return _eigenpairs(a, count, (*centering, dense) if isinstance(a, PackedGram) else None)
 
     if n_components is not None:
         values, vectors = eigenpairs(n_components)

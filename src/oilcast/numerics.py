@@ -45,8 +45,9 @@ CHOLESKY_BLOCK = 96
 SOLVE_ROWS = 32
 
 # At most this many threads work on one fit at once, whatever the CPU count:
-# each KPCA worker holds its own n x n Gram matrix, and speed and peak memory
-# have been measured at this count only.
+# each KPCA worker holds its own Gram storage (n^2 doubles below 512 samples,
+# about n^2/2 from there), and speed and peak memory have been measured at
+# this count only.
 MAX_FIT_WORKERS = 2
 
 # OpenBLAS thread-count entry points: the scipy-openblas build that numpy's
@@ -333,11 +334,12 @@ def _eigenpairs(a: np.ndarray, count: int, centering=None) -> tuple[np.ndarray, 
     ``PARTIAL_MIN_ORDER`` or Lanczos gives up. Raises ``NumericalError`` if
     the full eigensolver fails to converge.
 
-    ``centering``, when given, is ``(column_means, grand_mean, center)`` of an
+    ``centering``, when given, is ``(column_means, grand_mean, dense)`` of an
     uncentered Gram matrix ``a``, and the pairs are those of its double-centered
-    ``J a J``: Lanczos applies J inside each product, and ``center()``, which
-    must double-center ``a`` in place, is called before the full solver reads
-    it.
+    ``J a J``: Lanczos applies J inside each product, and the full solver reads
+    ``dense()``, which must return ``J a J`` as an n x n array. ``a`` itself
+    need only offer ``shape``, ``diagonal()`` and ``a @ v`` to Lanczos (a
+    ``kpca.PackedGram`` does), and be an array when no ``centering`` is given.
     """
     n = a.shape[0]
     if not 1 <= count <= n:
@@ -347,7 +349,7 @@ def _eigenpairs(a: np.ndarray, count: int, centering=None) -> tuple[np.ndarray, 
         pairs = _lanczos(a, count, None if centering is None else centering[:2])
     if pairs is None:
         if centering is not None:
-            centering[2]()
+            a = centering[2]()
         try:
             pairs = np.linalg.eigh(a)
         except np.linalg.LinAlgError as err:
@@ -411,7 +413,7 @@ def _lanczos(a: np.ndarray, count: int,
     # full solver decides
     start = np.random.default_rng(0).standard_normal(n)
     basis[0] = start / np.sqrt(start @ start)
-    scale = 0.0 if centering is None else n * float(np.diagonal(a).max())
+    scale = 0.0 if centering is None else n * float(a.diagonal().max())
     check_at = 2 * count
     for m in range(1, cap + 1):
         done = basis[:m]
@@ -474,7 +476,7 @@ def _solve_spd(a: np.ndarray, b: np.ndarray, workers: int = 1) -> np.ndarray:
 
     Each row of a panel depends on that row and on the factored block only,
     so the panel's rows split over ``workers`` ranges (``_split_rows``), each
-    with its own product buffer. A product split at a multiple of
+    with its own product buffer, allocated for that block step. A product split at a multiple of
     ``BLOCK_ROWS`` rows past the panel's first row gives the rows of the
     whole one (a cut at a multiple of 50 rows can change the last bits), so
     ``x`` and ``L`` are the same bits on any number of workers.
@@ -497,10 +499,6 @@ def _solve_spd(a: np.ndarray, b: np.ndarray, workers: int = 1) -> np.ndarray:
             cols -= product(a[r0:r1, k0:s0], a[s0:s0 + SOLVE_ROWS, k0:s0].T)
             cols[...] = product(cols, inverses[s0 // SOLVE_ROWS].T)
 
-    # a product buffer per range, for its share of the first panel's rows
-    # (a cut lies within BLOCK_ROWS / 2 of the even share) times a block's columns
-    rows = -(-max(n - CHOLESKY_BLOCK, 0) // workers) + BLOCK_ROWS
-    buffers = [np.empty(rows * CHOLESKY_BLOCK) for _ in range(workers)]
     for k0 in range(0, n, CHOLESKY_BLOCK):
         k1 = min(k0 + CHOLESKY_BLOCK, n)
         done, block = a[k0:k1, :k0], a[k0:k1, k0:k1]
@@ -513,8 +511,12 @@ def _solve_spd(a: np.ndarray, b: np.ndarray, workers: int = 1) -> np.ndarray:
         inverses += [np.linalg.inv(a[s0:s0 + SOLVE_ROWS, s0:s0 + SOLVE_ROWS])
                      for s0 in range(k0, k1, SOLVE_ROWS)]
         if k1 < n:
+            # a product buffer per range, allocated by this thread for this
+            # step only: its share of the panel's rows (a cut lies within
+            # BLOCK_ROWS / 2 of the even share) times the block's columns
+            rows = min(n - k1, -(-(n - k1) // workers) + BLOCK_ROWS)
             _split_rows(lambda r0, r1, buffer: panel_rows(k0, k1, r0, r1, buffer),
-                        k1, n, buffers)
+                        k1, n, [np.empty(rows * (k1 - k0)) for _ in range(workers)])
     x = np.array(b, dtype=float)
     for s0, inverse in zip(starts, inverses):  # L y = b
         part = x[s0:s0 + SOLVE_ROWS]

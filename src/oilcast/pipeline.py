@@ -16,8 +16,8 @@ import numpy as np
 
 from .baselines import _lag_matrix
 from .clustering import ClusterModel, elbow_select, kmeans_fit
-from .kpca import (RULES as KPCA_RULES, GaussianKernel, KpcaModel, check_selection, kpca_fit,
-                   kpca_transform)
+from .kpca import (RULES as KPCA_RULES, GaussianKernel, KpcaModel, check_selection, gram_size,
+                   kpca_fit, kpca_transform)
 from .numerics import (MAX_FIT_WORKERS, _cpu_count, _map_in_threads, at_least, check_rules,
                        one_blas_thread)
 from .panel import FeaturePanel, NormalizationParams, normalize_fit, require_finite
@@ -312,8 +312,9 @@ def pipeline_fit(panel: FeaturePanel, config: PipelineConfig) -> PipelineModel:
     clusters' KPCAs are fitted side by side, on W workers: one per CPU the
     process may use, at most ``MAX_FIT_WORKERS`` and at most one per
     cluster. Worker w, the calling thread when w = 0, fits clusters w,
-    w + W, ... in order; each fit's arithmetic is the same on any thread,
-    so the model does not depend on the worker count.
+    w + W, ... in order, in one Gram storage (``kpca.gram_size``) that this
+    thread allocates per worker; each fit's arithmetic is the same on any
+    thread, so the model does not depend on the worker count.
     """
     target = panel.target_name
     if target is None:
@@ -358,9 +359,11 @@ def pipeline_fit(panel: FeaturePanel, config: PipelineConfig) -> PipelineModel:
     workers = 1
     if panel.n_rows >= CONCURRENT_MIN_ROWS:
         workers = min(cluster.k, _cpu_count(), MAX_FIT_WORKERS)
-    # one Gram matrix per worker, allocated by this thread: a helper's own
-    # allocation would come from its own malloc arena and stay resident there
-    grams = [np.empty((panel.n_rows, panel.n_rows)) for _ in range(workers)]
+    # one Gram storage per worker (n^2 doubles, or about half that packed from
+    # kpca.IMPLICIT_CENTERING_MIN_ORDER rows), allocated by this thread: a
+    # helper's own allocation would come from its own malloc arena and stay
+    # resident there
+    grams = [np.empty(gram_size(panel.n_rows)) for _ in range(workers)]
     kpca_models = _map_in_threads(fit_cluster, cluster.k, grams)
     del grams  # freed before the regressor builds its own
 

@@ -8,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
-from oilcast import kpca, numerics
+from oilcast import kpca, numerics, pipeline
 from oilcast.kpca import (
     DegenerateKernelError,
     GaussianKernel,
     LinearKernel,
+    PackedGram,
     _gram,
+    _packed_gram,
     center_kernel,
+    gram_size,
     kpca_fit,
     kpca_transform,
 )
@@ -195,11 +198,12 @@ class TestMedianHeuristic:
 
 class TestPeakMemory:
     """One n x n matrix per fit: each peak stays below 1.5 n^2 doubles, and
-    below 2.5 on the full eigensolver's path."""
+    below 2.5 on the full eigensolver's path; from
+    IMPLICIT_CENTERING_MIN_ORDER samples a KPCA fit's Gram is about n^2/2."""
 
     N = 600
 
-    def peak_in_matrices(self, fit):
+    def peak_in_matrices(self, fit, n=N):
         fit()  # let every lazy import and cache settle first
         tracemalloc.start()
         try:
@@ -208,7 +212,30 @@ class TestPeakMemory:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        return peak / (8 * self.N**2)
+        return peak / (8 * n**2)
+
+    def test_packed_kpca_fit(self):
+        # the packed Gram (0.56 n^2 at n = 1000) and, at any time, at most one
+        # BLOCK_ROWS x n block of scratch (0.064) or the Lanczos basis; a whole
+        # Gram alone is 1.0
+        n = 1000
+        x = np.random.default_rng(0).random((n, 5))
+        assert self.peak_in_matrices(lambda: kpca_fit(x, n_components=3), n) < 0.7
+
+    def test_two_worker_pipeline_fit(self, monkeypatch):
+        # both workers' packed Grams (0.60 n^2 each at n = 600) are alive
+        # together, each fit with its scratch (a BLOCK_ROWS x n block is
+        # 0.11 n^2); two whole Grams alone would be 2.0
+        monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
+        workers = []
+        map_in_threads = pipeline._map_in_threads
+        monkeypatch.setattr(pipeline, "_map_in_threads", lambda task, count, scratch:
+                            workers.append(len(scratch)) or map_in_threads(task, count, scratch))
+        panel, _, _ = synth_generate(SynthSpec(seed=3, months=620, factors=2, series_per_factor=5))
+        train = panel.row_slice(range(600))
+        peak = self.peak_in_matrices(lambda: pipeline_fit(train, PipelineConfig(k=2, theta=0.95)))
+        assert workers == [2, 2]
+        assert peak < 1.7
 
     def data(self):
         rng = np.random.default_rng(0)
@@ -546,6 +573,115 @@ class TestImplicitCentering:
         for selection in ({"n_components": 2}, {"theta": 0.95}):
             with pytest.raises(DegenerateKernelError, match="degenerate kernel"):
                 kpca_fit(x, kernel=GaussianKernel(1.0), **selection)
+
+
+class TestPackedGram:
+    """From IMPLICIT_CENTERING_MIN_ORDER samples a fit stores its Gram as a
+    PackedGram: each PACKED_ROWS-row block's diagonal square and the panel to
+    its right. Orders 512, 600 and 1300; the last two end in a short block."""
+
+    ORDERS = [512, 600, 1300]
+
+    @pytest.mark.parametrize("n", ORDERS)
+    @pytest.mark.parametrize("kernel", [None, LinearKernel()], ids=["gaussian", "linear"])
+    def test_the_store_unpacks_to_the_full_gram(self, n, kernel):
+        x = np.random.default_rng(n).standard_normal((n, 9))
+        store, kernel, norms = _packed_gram(x, kernel)
+        full, _, dense_norms = _gram(x, kernel)
+        assert store.buffer.size == gram_size(n) <= n * n / 2 + kpca.PACKED_ROWS * n / 2
+        if isinstance(kernel, GaussianKernel):
+            assert kernel.sigma == pytest.approx(_gram(x, None)[1].sigma, rel=1e-14)
+            assert norms.tobytes() == dense_norms.tobytes()
+        for r0, r1, square, panel in store.blocks:
+            rows = x[r0:r1]
+            want = (rows @ rows.T if isinstance(kernel, LinearKernel)
+                    else kernel.of_sq_distances(sq_distances(rows)))
+            assert square.tobytes() == want.tobytes()
+            assert np.array_equal(square, square.T)
+            assert panel.shape == (r1 - r0, n - r1)
+        if isinstance(kernel, GaussianKernel):
+            assert np.array_equal(store.diagonal(), np.ones(n))
+        unpacked = store.unpack()
+        assert np.array_equal(unpacked, unpacked.T)
+        np.testing.assert_allclose(unpacked, full, rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_products_and_pairs_read_the_triangle(self, n):
+        x = np.random.default_rng(n).standard_normal((n, 9))
+        store, _, _ = _packed_gram(x, GaussianKernel(3.0))
+        rng = np.random.default_rng(1)
+        rows, cols = rng.integers(0, n, 4000), rng.integers(0, n, 4000)
+        upper = rows < cols
+        picked = store.entries(rows[upper], cols[upper])
+        v = rng.standard_normal(n)
+        product = store @ v
+        full = store.unpack()
+        assert picked.tobytes() == full[rows[upper], cols[upper]].tobytes()
+        np.testing.assert_allclose(product, full @ v, rtol=1e-13, atol=1e-12)
+
+    @pytest.mark.parametrize("n", ORDERS)
+    @pytest.mark.parametrize("kernel", [None, LinearKernel()], ids=["gaussian", "linear"])
+    @pytest.mark.parametrize("selection", [{"n_components": 3}, {"theta": 0.9}])
+    def test_a_fit_equals_the_full_explicitly_centered_reference(self, n, kernel, selection):
+        x = np.random.default_rng(n).standard_normal((n, 9))
+        model = kpca_fit(x, kernel=kernel, **selection)
+        k, _, _ = _gram(x, model.kernel)
+        values, vectors = numerics._eigenpairs(center_kernel(k)[0], model.n_components)
+        np.testing.assert_allclose(model.eigenvalues, values, rtol=1e-12, atol=0)
+        fitted = model.alphas * np.sqrt(model.eigenvalues)
+        np.testing.assert_allclose(align_signs(fitted, vectors), fitted, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("n", ORDERS)
+    @pytest.mark.parametrize("selection", [{"theta": 1.0}, "half"])
+    def test_the_full_solver_reads_the_unpacked_store(self, n, selection, monkeypatch):
+        x = np.random.default_rng(n).standard_normal((n, 40))
+        selection = {"n_components": n // 2} if selection == "half" else selection
+        unpacked = []
+        real = PackedGram.unpack
+        monkeypatch.setattr(PackedGram, "unpack", lambda store: unpacked.append(n) or real(store))
+        model = kpca_fit(x, kernel=GaussianKernel(8.0), **selection)
+        assert unpacked == [n]
+        dense = center_kernel(_gram(x, GaussianKernel(8.0))[0])[0]
+        values = np.linalg.eigvalsh(dense)[::-1][:model.n_components]
+        np.testing.assert_allclose(model.eigenvalues, values, rtol=1e-12, atol=0)
+        if "theta" in selection:
+            assert model.n_components == int(np.sum(values > 1e-10 * values[0]))
+
+    @pytest.mark.parametrize("n", ORDERS)
+    @pytest.mark.parametrize("kernel", [GaussianKernel(1.0), LinearKernel()],
+                             ids=["gaussian", "linear"])
+    def test_duplicated_samples_are_degenerate_for_every_request(self, n, kernel):
+        x = np.tile(np.array([1.0, 2.0, 3.0]), (n, 1))
+        for selection in ({"n_components": 2}, {"n_components": n // 2}, {"theta": 0.95},
+                          {"theta": 1.0}):
+            with pytest.raises(DegenerateKernelError, match="degenerate kernel"):
+                kpca_fit(x, kernel=kernel, **selection)
+        with pytest.raises(DegenerateKernelError, match="duplicated"):
+            kpca_fit(x)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.parametrize("n", ORDERS)
+    @pytest.mark.parametrize("where", ["square", "panel"])
+    def test_an_overflow_raises_the_fits_message(self, n, where):
+        # |x|^2 of the 1e200 rows overflows: inf - inf between two of them
+        x = np.random.default_rng(n).standard_normal((n, 3))
+        x[3] = 1e200
+        kpca_fit(x, kernel=GaussianKernel(1.0), n_components=2)  # one huge row: distances inf
+        x[5 if where == "square" else n - 2] = 1.1e200
+        with pytest.raises(ValueError, match="^inputs too large: squared distances overflow$"):
+            kpca_fit(x, kernel=GaussianKernel(1.0), n_components=2)
+        with pytest.raises(ValueError, match="^kernel matrix contains non-finite values$"):
+            kpca_fit(x, kernel=LinearKernel(), n_components=2)
+
+    @pytest.mark.parametrize("n", [100, 600])
+    def test_out_receives_the_storage_and_moves_no_bit(self, n):
+        x = np.random.default_rng(n).random((n, 4))
+        out = np.full(gram_size(n), np.nan)
+        into, alone = kpca_fit(x, theta=0.95, out=out), kpca_fit(x, theta=0.95)
+        assert not np.isnan(out).any()
+        assert into.kernel == alone.kernel
+        for field in ("eigenvalues", "alphas", "col_means"):
+            assert getattr(into, field).tobytes() == getattr(alone, field).tobytes()
 
 
 class TestKpcaTransform:

@@ -28,6 +28,11 @@ then the regressor's) and 12 forecasts as JSON; ``--against FILE`` reads such
 a file and, after the digest lines, prints every draw whose k (or number of
 widths) differs, how many draws' widths moved, and the largest relative
 width gap and forecast gap, each with where it is.
+
+``--peak`` writes the process's peak resident set size after the fits to
+stderr, ``peak_rss_mb 76.42``, in MB of 1024 KiB as ``perfbench`` reports
+it, so a memory change shows on the 32 pool draws without the benchmark;
+stdout is the same with or without it.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import sys
 
 import numpy as np
@@ -116,6 +122,8 @@ def main(argv: list[str]) -> int:
                         help="write each draw's k, widths and forecasts to FILE as JSON")
     parser.add_argument("--against", metavar="FILE",
                         help="report the forecast, k and width gaps to a --forecasts FILE")
+    parser.add_argument("--peak", action="store_true",
+                        help="write the process's peak RSS in MB to stderr after the fits")
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.join(ROOT, "src"))
     total = hashlib.sha256()
@@ -136,6 +144,9 @@ def main(argv: list[str]) -> int:
                 "forecasts": [float(value) for value in forecasts],
             }
     print(f"total {total.hexdigest()}")
+    if args.peak:
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
+        print(f"peak_rss_mb {peak:.2f}", file=sys.stderr)
     if args.forecasts:
         with open(args.forecasts, "w", encoding="utf-8") as fh:
             json.dump(records, fh, indent=1)
