@@ -237,6 +237,20 @@ class TestPeakMemory:
         assert workers == [2, 2]
         assert peak < 1.7
 
+    def test_two_worker_pipeline_fit_on_the_full_solver(self, monkeypatch):
+        # theta = 1 ends in eigh: each worker's packed Gram stays alive in
+        # pipeline_fit's buffer beside the n x n matrix unpacked from it and
+        # eigh's eigenvectors, 0.5 n^2 more per worker than a whole Gram
+        # centered in place (5.80 here, 4.70 with whole Grams). Allocating the
+        # store inside each fit instead would free it before the unpack, but
+        # on the partial solver's route it left about 5 MB more resident at
+        # 1188 rows, from the helper's own malloc arena
+        monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
+        panel, _, _ = synth_generate(SynthSpec(seed=3, months=620, factors=2, series_per_factor=5))
+        train = panel.row_slice(range(600))
+        peak = self.peak_in_matrices(lambda: pipeline_fit(train, PipelineConfig(k=2, theta=1.0)))
+        assert peak < 6.0
+
     def data(self):
         rng = np.random.default_rng(0)
         return rng.random((self.N, 5)), rng.random(self.N)
@@ -631,8 +645,11 @@ class TestPackedGram:
         fitted = model.alphas * np.sqrt(model.eigenvalues)
         np.testing.assert_allclose(align_signs(fitted, vectors), fitted, rtol=0, atol=1e-10)
 
-    @pytest.mark.parametrize("n", ORDERS)
-    @pytest.mark.parametrize("selection", [{"theta": 1.0}, "half"])
+    # theta = 1 doubles its Lanczos request up to about n/2 pairs before eigh
+    # serves it, which at 1300 rows takes seconds; n/2 pairs go to eigh at once
+    @pytest.mark.parametrize("n, selection", [(512, {"theta": 1.0}), (600, {"theta": 1.0}),
+                                              (512, "half"), (600, "half"), (1300, "half")],
+                             ids=["theta1-512", "theta1-600", "half-512", "half-600", "half-1300"])
     def test_the_full_solver_reads_the_unpacked_store(self, n, selection, monkeypatch):
         x = np.random.default_rng(n).standard_normal((n, 40))
         selection = {"n_components": n // 2} if selection == "half" else selection

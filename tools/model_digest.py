@@ -29,10 +29,10 @@ a file and, after the digest lines, prints every draw whose k (or number of
 widths) differs, how many draws' widths moved, and the largest relative
 width gap and forecast gap, each with where it is.
 
-``--peak`` writes the process's peak resident set size after the fits to
+After the total, the process's peak resident set size is written to
 stderr, ``peak_rss_mb 76.42``, in MB of 1024 KiB as ``perfbench`` reports
 it, so a memory change shows on the 32 pool draws without the benchmark;
-stdout is the same with or without it.
+stdout carries only the digests and the report.
 """
 
 from __future__ import annotations
@@ -122,8 +122,6 @@ def main(argv: list[str]) -> int:
                         help="write each draw's k, widths and forecasts to FILE as JSON")
     parser.add_argument("--against", metavar="FILE",
                         help="report the forecast, k and width gaps to a --forecasts FILE")
-    parser.add_argument("--peak", action="store_true",
-                        help="write the process's peak RSS in MB to stderr after the fits")
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.join(ROOT, "src"))
     total = hashlib.sha256()
@@ -144,9 +142,8 @@ def main(argv: list[str]) -> int:
                 "forecasts": [float(value) for value in forecasts],
             }
     print(f"total {total.hexdigest()}")
-    if args.peak:
-        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
-        print(f"peak_rss_mb {peak:.2f}", file=sys.stderr)
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
+    print(f"peak_rss_mb {peak:.2f}", file=sys.stderr)
     if args.forecasts:
         with open(args.forecasts, "w", encoding="utf-8") as fh:
             json.dump(records, fh, indent=1)
