@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (BLOCK_ROWS, NumericalError, _eigenpairs, _split_rows, _sq_distances, at_least,
-                       check_rules, finite_array, finite_rows, one_blas_thread, sq_distances,
-                       sq_norms)
+from .numerics import (BLOCK_ROWS, NumericalError, _eigenpairs, _full_eigenpairs, _split_rows,
+                       _sq_distances, at_least, check_rules, finite_array, finite_rows,
+                       one_blas_thread, sq_distances, sq_norms)
 
 # Components with eigenvalue at or below EIGENVALUE_FLOOR_RATIO * lambda_max
 # are treated as numerical rank deficiency and never retained.
@@ -449,8 +449,21 @@ def kpca_fit(x, kernel=None, n_components: int | None = None, theta: float | Non
     the Gram storage; the fit overwrites it and does not keep it. A linear
     Gram is checked for finiteness once, as its solver first receives it.
     Raises ``DegenerateKernelError`` when no eigenvalue clears the floor.
+
+    ``x`` is copied once, C-ordered, and the model keeps that copy as
+    ``x_train``: writing into the caller's array later changes nothing.
+    ``pipeline_fit`` calls the unchecked core ``_fit`` instead, which keeps
+    the block it is given.
     """
-    x = finite_array(x, "x", 2)
+    return _fit(finite_array(np.array(x, dtype=float, order="C"), "x", 2), kernel, n_components,
+                theta, out)
+
+
+def _fit(x: np.ndarray, kernel, n_components: int | None, theta: float | None,
+         out) -> KpcaModel:
+    """``kpca_fit`` of a finite 2-D C-contiguous float64 ``x``, which is not
+    checked, and which the model keeps as ``x_train`` without a copy: the
+    caller hands it over. Every other rule is ``kpca_fit``'s."""
     n = x.shape[0]
     if n < 2:
         raise ValueError(f"kpca_fit needs at least 2 samples, got {n}")
@@ -479,7 +492,7 @@ def kpca_fit(x, kernel=None, n_components: int | None = None, theta: float | Non
     lam = values[:keep].copy()
     root = np.sqrt(lam)[None, :]
     return KpcaModel(
-        x_train=x.copy(),
+        x_train=x,
         train_norms=train_norms,
         kernel=kernel,
         eigenvalues=lam,
@@ -512,18 +525,22 @@ def _leading_components(k, n_components: int | None, theta: float,
     ``k`` is the centered Gram matrix, or with ``centering``, the column
     means and grand mean of an uncentered ``k``, an uncentered
     ``PackedGram``: ``_eigenpairs`` then centers inside the partial
-    solver's products, and before the full solver first reads it, ``k`` is
-    unpacked and centered by ``center_kernel``, once; later requests read
-    that matrix. A fixed ``n_components`` asks ``_eigenpairs`` for that
-    many pairs. The ``theta`` rule asks for ``FIRST_REQUEST`` pairs and
-    doubles the request until the cumulative share of ``trace(k_c)``
-    (``trace(k) - n grand_mean`` for an uncentered ``k``) passes theta. The
-    trace is the whole spectrum's sum; for a positive semi-definite kernel
-    it differs from the sum of the usable eigenvalues by less than ``n``
-    times the floor, so ``tol`` below bounds the change to any share. When
-    a share lies within ``tol`` of theta, or the floor comes before theta,
-    the full spectrum is computed and the usable sum decides, as it always
-    did. ``k`` is not checked here: ``kpca_fit`` hands over a finite Gram,
+    solver's products, and for the full solver ``k`` is unpacked and
+    centered by ``center_kernel``. The full solver runs at most once: every
+    request after it reads its pairs. A fixed ``n_components`` asks
+    ``_eigenpairs`` for that many pairs. The ``theta`` rule asks for
+    ``FIRST_REQUEST`` pairs and doubles the request until the cumulative
+    share of ``trace(k_c)`` (``trace(k) - n grand_mean`` for an uncentered
+    ``k``) passes theta. The trace is the whole spectrum's sum; for a
+    positive semi-definite kernel it differs from the sum of the usable
+    eigenvalues by less than ``n`` times the floor, so ``tol`` below bounds
+    the change to any share. When a share lies within ``tol`` of theta, or
+    the floor comes before theta, the full spectrum is computed and the
+    usable sum decides, as it always did. No share is above
+    ``1 + n * EIGENVALUE_FLOOR_RATIO``, so a theta whose ``target + tol``
+    reaches that (a theta of 1 always does) ends on the full spectrum: it
+    asks for all n pairs at once.
+    ``k`` is not checked here: ``kpca_fit`` hands over a finite Gram,
     symmetric by construction up to centering's rounding.
 
     A centered spectrum from an uncentered ``k`` is exact only to the
@@ -539,18 +556,19 @@ def _leading_components(k, n_components: int | None, theta: float,
         trace = float(np.sum(diagonal - centering[1]))
         noise = np.finfo(float).eps * n * float(diagonal.max())
 
-    # what each request reads: the store until the full solver first needs the
-    # centered matrix, then that matrix; a list, not a rebound name, so no
-    # reference cycle keeps a Gram alive past the return
-    operand = [k]
+    solved = []  # all n pairs of the full solver, once it has run
 
-    def dense() -> np.ndarray:
-        operand[0] = center_kernel(operand[0].unpack())[0]
-        return operand[0]
+    def full() -> tuple[np.ndarray, np.ndarray]:
+        # a PackedGram is unpacked into a centered n x n temporary for it
+        solved.append(_full_eigenpairs(k if centering is None
+                                       else center_kernel(k.unpack())[0]))
+        return solved[0]
 
     def eigenpairs(count: int) -> tuple[np.ndarray, np.ndarray]:
-        a = operand[0]
-        return _eigenpairs(a, count, (*centering, dense) if isinstance(a, PackedGram) else None)
+        if solved:
+            values, vectors = solved[0]
+            return values[:count], vectors[:, :count]
+        return _eigenpairs(k, count, centering, full)
 
     if n_components is not None:
         values, vectors = eigenpairs(n_components)
@@ -562,7 +580,7 @@ def _leading_components(k, n_components: int | None, theta: float,
 
     tol = 1e-9 + n * EIGENVALUE_FLOOR_RATIO
     target = theta - 1e-12
-    count = min(FIRST_REQUEST, n)
+    count = n if target + tol >= 1 + n * EIGENVALUE_FLOOR_RATIO else min(FIRST_REQUEST, n)
     while True:
         values, vectors = eigenpairs(count)
         usable, _ = _usable_count(values, noise)

@@ -318,7 +318,8 @@ def _add_norms(sq: np.ndarray, norms: np.ndarray, z_norms: np.ndarray, square: b
             raise ValueError("inputs too large: squared distances overflow")
 
 
-def _eigenpairs(a: np.ndarray, count: int, centering=None) -> tuple[np.ndarray, np.ndarray]:
+def _eigenpairs(a: np.ndarray, count: int, centering=None,
+                full=None) -> tuple[np.ndarray, np.ndarray]:
     """The ``count`` largest eigenpairs of a finite symmetric matrix, unchecked.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues in descending
@@ -331,31 +332,45 @@ def _eigenpairs(a: np.ndarray, count: int, centering=None) -> tuple[np.ndarray, 
     The pairs come from ``_lanczos``, started from a fixed vector, so reruns
     are identical; the full solver serves the request instead when
     ``count`` reaches half the order, the order is below
-    ``PARTIAL_MIN_ORDER`` or Lanczos gives up. Raises ``NumericalError`` if
-    the full eigensolver fails to converge.
+    ``PARTIAL_MIN_ORDER`` or Lanczos gives up. Its pairs are
+    ``_full_eigenpairs(a)``, or ``full()`` when given, which must return all
+    n pairs of the meant matrix as ``_full_eigenpairs`` does, so that a
+    caller making several requests of one matrix can keep them. Raises
+    ``NumericalError`` if the full eigensolver fails to converge.
 
-    ``centering``, when given, is ``(column_means, grand_mean, dense)`` of an
+    ``centering``, when given, is ``(column_means, grand_mean)`` of an
     uncentered Gram matrix ``a``, and the pairs are those of its double-centered
-    ``J a J``: Lanczos applies J inside each product, and the full solver reads
-    ``dense()``, which must return ``J a J`` as an n x n array. ``a`` itself
-    need only offer ``shape``, ``diagonal()`` and ``a @ v`` to Lanczos (a
-    ``kpca.PackedGram`` does), and be an array when no ``centering`` is given.
+    ``J a J``: Lanczos applies J inside each product, and ``full`` must be
+    given, as the full solver needs ``J a J`` as an array. ``a`` itself need
+    only offer ``shape``, ``diagonal()`` and ``a @ v`` to Lanczos (a
+    ``kpca.PackedGram`` does), and be an array when no ``full`` is given.
     """
     n = a.shape[0]
     if not 1 <= count <= n:
         raise ValueError(f"eigenpair count must be in [1, {n}], got {count}")
     pairs = None
     if 2 * count < n and n >= PARTIAL_MIN_ORDER:
-        pairs = _lanczos(a, count, None if centering is None else centering[:2])
+        pairs = _lanczos(a, count, centering)
     if pairs is None:
-        if centering is not None:
-            a = centering[2]()
-        try:
-            pairs = np.linalg.eigh(a)
-        except np.linalg.LinAlgError as err:
-            raise NumericalError(f"eigendecomposition failed: {err}") from err
-    values, vectors = pairs
-    values, vectors = values[::-1][:count], vectors[:, ::-1][:, :count]
+        values, vectors = _full_eigenpairs(a) if full is None else full()
+        return values[:count], vectors[:, :count]
+    return _descending(*pairs)
+
+
+def _full_eigenpairs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every eigenpair of a finite symmetric array by ``np.linalg.eigh``, in
+    ``_eigenpairs``'s order and signs. Raises ``NumericalError`` if the
+    solver fails to converge."""
+    try:
+        pairs = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as err:
+        raise NumericalError(f"eigendecomposition failed: {err}") from err
+    return _descending(*pairs)
+
+
+def _descending(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenpairs as reversed views, each vector's sign fixed in place."""
+    values, vectors = values[::-1], vectors[:, ::-1]
     _fix_signs(vectors)
     return values, vectors
 

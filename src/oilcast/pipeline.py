@@ -16,8 +16,8 @@ import numpy as np
 
 from .baselines import _lag_matrix
 from .clustering import ClusterModel, elbow_select, kmeans_fit
-from .kpca import (RULES as KPCA_RULES, GaussianKernel, KpcaModel, check_selection, gram_size,
-                   kpca_fit, kpca_transform)
+from .kpca import (RULES as KPCA_RULES, GaussianKernel, KpcaModel, _fit as _kpca_fit,
+                   check_selection, gram_size, kpca_transform)
 from .numerics import (MAX_FIT_WORKERS, _cpu_count, _map_in_threads, at_least, check_rules,
                        one_blas_thread)
 from .panel import FeaturePanel, NormalizationParams, normalize_fit, require_finite
@@ -315,6 +315,13 @@ def pipeline_fit(panel: FeaturePanel, config: PipelineConfig) -> PipelineModel:
     w + W, ... in order, in one Gram storage (``kpca.gram_size``) that this
     thread allocates per worker; each fit's arithmetic is the same on any
     thread, so the model does not depend on the worker count.
+
+    Each cluster's columns are gathered once, C-ordered by ``np.take``,
+    right after the clustering stage, and the normalized indicator matrix is
+    released before the fits start. Each block goes to the unchecked KPCA
+    core (``kpca._fit``), whose model keeps it as ``x_train``: the fit
+    holds the clusters' columns once, not as the matrix, the blocks and the
+    models' copies. The clustering stage has already checked every value.
     """
     target = panel.target_name
     if target is None:
@@ -348,12 +355,14 @@ def pipeline_fit(panel: FeaturePanel, config: PipelineConfig) -> PipelineModel:
         cluster = _stage("cluster", kmeans_fit, series, config.k, seed=config.seed)
 
     cluster_columns = [np.flatnonzero(cluster.labels == j) for j in range(cluster.k)]
+    # np.take gathers C-ordered columns, which the distance product reads
+    # without a copy; each model keeps its block, and the matrix goes now
+    blocks = [np.take(normed, columns, axis=1) for columns in cluster_columns]
+    del values, normed, series
 
     def fit_cluster(j: int, gram: np.ndarray) -> KpcaModel:
         kernel = GaussianKernel(config.sigma) if config.sigma is not None else None
-        # np.take gathers C-ordered columns, which the distance product reads without a copy
-        columns = np.take(normed, cluster_columns[j], axis=1)
-        return _stage(f"kpca[{j}]", kpca_fit, columns, kernel=kernel,
+        return _stage(f"kpca[{j}]", _kpca_fit, blocks[j], kernel=kernel,
                       n_components=config.n_components, theta=config.theta, out=gram)
 
     workers = 1

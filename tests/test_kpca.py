@@ -52,9 +52,9 @@ def record_requests(monkeypatch):
     counts, lanczos = [], []
     real_eigenpairs, real_lanczos = kpca._eigenpairs, numerics._lanczos
 
-    def spy_eig(a, count, centering=None):
+    def spy_eig(a, count, centering=None, full=None):
         counts.append(count)
-        return real_eigenpairs(a, count, centering)
+        return real_eigenpairs(a, count, centering, full)
 
     def spy_lanczos(a, count, centering=None):
         lanczos.append(count)
@@ -63,6 +63,16 @@ def record_requests(monkeypatch):
     monkeypatch.setattr(kpca, "_eigenpairs", spy_eig)
     monkeypatch.setattr(numerics, "_lanczos", spy_lanczos)
     return counts, lanczos
+
+
+def record_full_solves(monkeypatch):
+    """Orders of the np.linalg.eigh calls made: a full solve of order n, or a
+    Lanczos tridiagonal of the basis's order."""
+    orders = []
+    real = numerics.np.linalg.eigh
+    monkeypatch.setattr(numerics.np.linalg, "eigh",
+                        lambda a: orders.append(a.shape[0]) or real(a))
+    return orders
 
 
 def align_signs(reference, candidate):
@@ -237,11 +247,23 @@ class TestPeakMemory:
         assert workers == [2, 2]
         assert peak < 1.7
 
+    def test_two_worker_pipeline_fit_holds_the_columns_once(self, monkeypatch):
+        # as many series as rows: the clusters' columns are 1.0 n^2 in all.
+        # pipeline_fit releases the normalized matrix once the blocks are
+        # gathered, and each model keeps its block: 3.01 here, against 3.88
+        # when the matrix lived through the fits and each model kept a copy
+        monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
+        panel, _, _ = synth_generate(SynthSpec(seed=3, months=620, factors=2,
+                                               series_per_factor=300))
+        train = panel.row_slice(range(600))
+        peak = self.peak_in_matrices(lambda: pipeline_fit(train, PipelineConfig(k=2, theta=0.95)))
+        assert peak < 3.3
+
     def test_two_worker_pipeline_fit_on_the_full_solver(self, monkeypatch):
-        # theta = 1 ends in eigh: each worker's packed Gram stays alive in
-        # pipeline_fit's buffer beside the n x n matrix unpacked from it and
-        # eigh's eigenvectors, 0.5 n^2 more per worker than a whole Gram
-        # centered in place (5.80 here, 4.70 with whole Grams). Allocating the
+        # theta = 1 goes straight to eigh: each worker's packed Gram stays
+        # alive in pipeline_fit's buffer beside the n x n matrix unpacked from
+        # it and eigh's eigenvectors, 0.5 n^2 more per worker than a whole
+        # Gram centered in place (5.46 here, 4.70 with whole Grams). Allocating the
         # store inside each fit instead would free it before the unpack, but
         # on the partial solver's route it left about 5 MB more resident at
         # 1188 rows, from the helper's own malloc arena
@@ -484,6 +506,27 @@ class TestPartialEigensolve:
         assert counts == [3] and lanczos == [3]
         assert model.n_components == 3
 
+    def test_theta_one_runs_the_full_solver_once(self, monkeypatch):
+        # no share passes 1 before the whole spectrum, so the first request
+        # asks for all 600 pairs: no Lanczos request, one order-n eigh
+        x = np.random.default_rng(0).random((600, 40))
+        expected = kpca_fit(x, theta=1.0)
+        counts, lanczos = record_requests(monkeypatch)
+        orders = record_full_solves(monkeypatch)
+        model = kpca_fit(x, theta=1.0)
+        assert orders == [600]
+        assert counts == [600] and lanczos == []
+        assert model.alphas.tobytes() == expected.alphas.tobytes()
+
+    def test_the_model_owns_a_copy_of_the_callers_rows(self):
+        x = np.random.default_rng(27).random((60, 4))
+        kept = x.copy()
+        model = kpca_fit(x, theta=0.95)
+        projected = kpca_transform(model, kept)
+        x[:] = 0.0
+        assert model.x_train.tobytes() == kept.tobytes()
+        assert kpca_transform(model, kept).tobytes() == projected.tobytes()
+
     def test_two_fits_are_byte_identical(self):
         x = np.random.default_rng(25).random((300, 8))
         first, second = kpca_fit(x, theta=0.95), kpca_fit(x.copy(), theta=0.95)
@@ -543,12 +586,14 @@ class TestImplicitCentering:
         expected = kpca_fit(x, **selection)
         calls = self.count_centerings(monkeypatch)
         counts, _ = record_requests(monkeypatch)
+        orders = record_full_solves(monkeypatch)
         if route == "Lanczos gives up":
             monkeypatch.setattr(numerics, "_lanczos", lambda a, count, centering=None: None)
         model = kpca_fit(x, **selection)
         assert calls == [(n, n)]
-        if route != "half the order":  # more than one request reads the centered Gram
-            assert len(counts) > 1
+        # the first request runs the full solver, once; any later one reads its pairs
+        assert counts == [selection.get("n_components", kpca.FIRST_REQUEST)]
+        assert orders == [n]
         assert model.n_components == expected.n_components
         np.testing.assert_allclose(model.eigenvalues, expected.eigenvalues, rtol=1e-12, atol=0)
 
@@ -645,11 +690,11 @@ class TestPackedGram:
         fitted = model.alphas * np.sqrt(model.eigenvalues)
         np.testing.assert_allclose(align_signs(fitted, vectors), fitted, rtol=0, atol=1e-10)
 
-    # theta = 1 doubles its Lanczos request up to about n/2 pairs before eigh
-    # serves it, which at 1300 rows takes seconds; n/2 pairs go to eigh at once
     @pytest.mark.parametrize("n, selection", [(512, {"theta": 1.0}), (600, {"theta": 1.0}),
-                                              (512, "half"), (600, "half"), (1300, "half")],
-                             ids=["theta1-512", "theta1-600", "half-512", "half-600", "half-1300"])
+                                              (1300, {"theta": 1.0}), (512, "half"),
+                                              (600, "half"), (1300, "half")],
+                             ids=["theta1-512", "theta1-600", "theta1-1300", "half-512",
+                                  "half-600", "half-1300"])
     def test_the_full_solver_reads_the_unpacked_store(self, n, selection, monkeypatch):
         x = np.random.default_rng(n).standard_normal((n, 40))
         selection = {"n_components": n // 2} if selection == "half" else selection

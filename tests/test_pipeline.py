@@ -797,13 +797,15 @@ class TestConcurrentClusterFits:
 
         monkeypatch.setattr(numerics, "_map_in_threads", recording_map)
 
+        real_fit = pipeline._kpca_fit
+
         def overlapping_fit(*args, **kwargs):
             threads.append(threading.current_thread())
             if len(threads) <= 2:
                 meet.wait()
-            return kpca_fit(*args, **kwargs)
+            return real_fit(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "kpca_fit", overlapping_fit)
+        monkeypatch.setattr(pipeline, "_kpca_fit", overlapping_fit)
         config = PipelineConfig(k=3, theta=0.95, seed=5)
         model = pipeline_fit(train, config)
         assert len(set(threads[:2])) == 2
@@ -849,18 +851,19 @@ class TestConcurrentClusterFits:
         monkeypatch.setattr(pipeline, "_cpu_count", lambda: 3)
         # on threads, cluster 1 fails only after cluster 2 has failed
         second_failed = threading.Event()
+        real_fit = pipeline._kpca_fit
 
         def failing_fit(x, **kwargs):
             j = cluster_of[np.ascontiguousarray(x[:, 0]).tobytes()]
             if j == 0:
-                return kpca_fit(x, **kwargs)
+                return real_fit(x, **kwargs)
             if j == 1 and rows >= CONCURRENT_MIN_ROWS:
                 assert second_failed.wait(timeout=60)
             if j == 2:
                 second_failed.set()
             raise ValueError(f"cluster {j} fails")
 
-        monkeypatch.setattr(pipeline, "kpca_fit", failing_fit)
+        monkeypatch.setattr(pipeline, "_kpca_fit", failing_fit)
         running = threading.active_count()
         with pytest.raises(PipelineStageError, match=r"cluster 1 fails") as excinfo:
             pipeline_fit(train, config)
