@@ -28,9 +28,9 @@ from .evaluation import evaluate, format_report, improvement_rate, parse_report
 from .kpca import RULES as KPCA_RULES, DEFAULT_THETA
 from .numerics import NumericalError, check_rules, one_blas_thread, one_of
 from .panel import RULES as PANEL_RULES
-from .panel import (FeaturePanel, _content_lines, _decode_text, atomic_write_text, fuse,
-                    read_panel_csv, read_tags_csv, require_finite, train_test_split,
-                    write_panel_csv, write_tags_csv)
+from .panel import (FeaturePanel, _file_lines, _read_text, atomic_write_text, fuse,
+                    read_panel_csv, read_tags_csv, train_test_split, write_panel_csv,
+                    write_tags_csv)
 from .pipeline import RULES as PIPELINE_RULES
 from .pipeline import (DEFAULT_MAX_LAG, DEFAULT_P_THRESHOLD, PipelineConfig, check_k_range,
                        granger_filter, pipeline_fit, pipeline_predict)
@@ -143,11 +143,10 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     config = {key: default for key, (_, default) in CONFIG_KEYS.items()}
     if path:
         try:
-            with open(path, "rb") as fh:
-                data = fh.read()
+            lines = list(_file_lines(path))
         except OSError as err:
             raise CliError(f"cannot read config {path}: {err}") from None
-        for lineno, line in _content_lines(_decode_text(path, data)):
+        for lineno, line in lines:
             stripped = line.strip()
             if "=" not in stripped:
                 raise CliError(f"{path}: line {lineno}: expected key = value")
@@ -264,7 +263,7 @@ def _run_forecast(config: dict, panel: FeaturePanel, y: np.ndarray, n_train: int
     if not names:
         raise CliError(f"no indicator columns for mode {config['mode']}")
     train = panel.row_slice(range(n_train))
-    require_finite(train.matrix(names), names, train.dates)
+    train.check_finite(names)
     if config["granger"]:
         result = granger_filter(
             train, names, max_lag=config["max_lag"], p_threshold=config["p_threshold"]
@@ -396,8 +395,7 @@ def cmd_compare(args) -> int:
         raise CliError("compare pairs consecutive reports; give an even count")
     reports = []
     for path in args.reports:
-        with open(path, "rb") as fh:
-            text = _decode_text(path, fh.read())
+        text = _read_text(path)
         try:
             reports.append(parse_report(text))
         except ValueError as err:

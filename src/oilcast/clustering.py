@@ -15,6 +15,12 @@ cluster's raw member series, so the fit is the member-mean k-means, with
 labels identical to it. Each fit has its own two products: a BLAS product's
 last bits depend on the operands' shapes, so stacking the ks of an elbow
 into shared products would make a fit depend on which others ran beside it.
+
+The public ``kmeans_fit`` and ``elbow_select`` check the series and
+standardize a copy. ``pipeline_fit`` calls the unchecked core ``_cluster``
+instead, which standardizes the matrix it is given in place, so a fit holds
+one matrix of the series' size. Neither forms the squares of ``S``: the
+column norms are summed ``BLOCK_ROWS`` rows at a time (``_column_norms``).
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import NumericalError, finite_array, one_blas_thread
+from .numerics import BLOCK_ROWS, NumericalError, finite_array, one_blas_thread
 
 MAX_ITER = 300
 
@@ -60,6 +66,39 @@ class ClusterModel:
     n_iter: int = 0
 
 
+def _column_norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, axis=0)`` of a C-contiguous matrix, to the bit, with
+    a scratch of ``BLOCK_ROWS + 1`` rows in place of the squares of ``x``.
+
+    numpy sums a reduced leading axis of two or more columns one row after
+    another, so summing each block of squares after the sum of the rows
+    before it, carried as the scratch's first row, adds the same numbers in
+    the same order. A single column is summed pairwise, so it goes whole:
+    its squares are one column.
+    """
+    rows, cols = x.shape
+    if cols == 1:
+        return np.linalg.norm(x, axis=0)
+    scratch, total = np.empty((BLOCK_ROWS + 1, cols)), np.zeros(cols)
+    for start in range(0, rows, BLOCK_ROWS):
+        block = x[start:start + BLOCK_ROWS]
+        scratch[0] = total
+        np.multiply(block, block, out=scratch[1:1 + block.shape[0]])
+        np.add.reduce(scratch[:1 + block.shape[0]], axis=0, out=total)
+    return np.sqrt(total, out=total)
+
+
+def _unit_columns(std: np.ndarray) -> np.ndarray:
+    """Scale the centered columns of ``std`` to unit norm in place; returns their
+    norms. A constant column is rejected by its index."""
+    norms = _column_norms(std)
+    bad = np.flatnonzero(norms < _CONSTANT_NORM)
+    if bad.size:
+        raise DegenerateSeriesError(f"series {bad[0]} is constant; correlation distance is undefined")
+    std /= norms
+    return norms
+
+
 def _standardized(series) -> tuple[np.ndarray, np.ndarray]:
     """Checked series rows as unit-norm centered columns, with their centered norms.
 
@@ -71,12 +110,7 @@ def _standardized(series) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("series need at least 2 observations for correlation distance")
     cols = series.T
     std = np.subtract(cols, cols.mean(axis=0), order="C")
-    norms = np.linalg.norm(std, axis=0)
-    bad = np.flatnonzero(norms < _CONSTANT_NORM)
-    if bad.size:
-        raise DegenerateSeriesError(f"series {bad[0]} is constant; correlation distance is undefined")
-    std /= norms
-    return std, norms
+    return std, _unit_columns(std)
 
 
 def _repair_empty_clusters(dist: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
@@ -166,9 +200,29 @@ def elbow_select(series, k_range, seed: int = 0) -> tuple[int, dict[int, Cluster
     ks = sorted(set(int(k) for k in np.atleast_1d(k_range)))
     if len(ks) < 3:
         raise ValueError(f"k_range needs at least 3 distinct values, got {ks}")
-    std, sigma = _standardized(series)
+    return _select(*_standardized(series), ks, seed)
+
+
+def _select(std: np.ndarray, sigma: np.ndarray, ks: list[int], seed: int) -> tuple:
+    """(k, every fit by k) for the ascending ``ks``: with one k that k, with
+    more the elbow's pick (``_pick_elbow``)."""
     fits = {k: _fit(std, sigma, k, seed) for k in ks}
+    if len(ks) == 1:
+        return ks[0], fits
     return _pick_elbow(ks, [fits[k].wcss for k in ks]), fits
+
+
+def _cluster(values: np.ndarray, ks: list[int], seed: int) -> tuple:
+    """``_select`` on the series that are the columns of ``values``, a
+    C-contiguous float64 (n_obs, n_series) matrix of finite values with at
+    least 2 rows, which it standardizes in place: no copy and no check.
+
+    The columns are centered by ``values.mean(axis=0)``, the mean that
+    ``_standardized`` takes of the transpose of ``values.T``, so the fits are
+    the bits that ``kmeans_fit`` and ``elbow_select`` give on ``values.T``.
+    """
+    values -= values.mean(axis=0)
+    return _select(values, _unit_columns(values), ks, seed)
 
 
 def _pick_elbow(ks: list[int], wcss_values: list[float]) -> int:

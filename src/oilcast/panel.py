@@ -139,6 +139,17 @@ class FeaturePanel:
             missing = [n for n in names if n not in self._positions]
             raise ValueError(f"panel is missing columns: {missing}") from None
 
+    def check_finite(self, names) -> None:
+        """``require_finite(self.matrix(names), names, self.dates)``, gathering the
+        named columns only when one of them holds NaN or inf: a column is
+        finite when its least and greatest values are, and those are two
+        reductions over the matrix with no temporary of its size."""
+        values = self._values
+        finite = np.isfinite(values.min(axis=0)) & np.isfinite(values.max(axis=0))
+        where = [self._positions.get(name, -1) for name in names]
+        if -1 in where or not finite[where].all():
+            require_finite(self.matrix(names), names, self.dates)
+
     def row_slice(self, rows) -> FeaturePanel:
         """Panel restricted to the given rows: a view for a slice or contiguous range."""
         n = self.n_rows
@@ -326,66 +337,162 @@ def _check_names(names, file: str, comment_first: bool = False) -> None:
         raise ValueError(f"column {name!r} cannot be written to a {file}: it has {why}")
 
 
-# The last parse of each reader: parser -> ((length, hash) of the file's
-# bytes, parts). A kept entry is replaced whole, by one assignment of an
-# immutable tuple.
+# Bytes per read of a text file. A read holds about two pieces at once (a
+# piece's bytes and their text) besides what it builds, whatever the file's
+# size. 1 MiB pieces were slower (each piece's bytes and text were fresh
+# mappings: a 5.3 MB panel parsed in about 1.6 times the time) and left more
+# resident (freeing a mapping raises glibc's mmap threshold to its size, so
+# later arrays below it stay on the heap): 0.5 MB more peak RSS in a
+# paper_grid set-up, against none at 256 KiB.
+READ_PIECE = 1 << 18
+
+# The last parse of each reader: parser -> (key of the bytes it parsed, parts),
+# the key as ``_fold`` builds it. A kept entry is replaced whole, by one
+# assignment of an immutable tuple.
 _last_parse: dict = {}
 
 
-def _decode_text(path: str, data: bytes) -> str:
-    r"""The text of a file's bytes: UTF-8 without a leading byte-order mark,
-    with every line end (``\r\n``, a lone ``\r``) read as ``\n``, as text mode reads it.
+def _line_ends(data: bytes) -> int:
+    r"""The line ends in ``data``: each ``\n``, ``\r\n`` and lone ``\r`` is one.
+    numpy counts the ``\n`` bytes three times as fast as ``bytes.count``;
+    ``\r`` is rare, so a scan for it comes first."""
+    ends = int(np.count_nonzero(np.frombuffer(data, np.uint8) == ord("\n")))
+    if b"\r" in data:
+        ends += data.count(b"\r") - data.count(b"\r\n")
+    return ends
+
+
+def _fold(key: list, piece: bytes) -> None:
+    """Fold the next piece of a file into ``key``, [length, hash] of the pieces
+    so far, the hash chained from each piece's ``hash`` (SipHash under a key
+    drawn per process). Both passes of ``_parse_once`` read the same pieces,
+    so equal bytes give equal keys; different bytes give equal keys only on a
+    64-bit collision."""
+    key[0] += len(piece)
+    key[1] = hash((key[1], piece))
+
+
+def _file_key(fh) -> tuple:
+    """The key of an open binary file's bytes (``_fold``), read ``READ_PIECE``
+    bytes at a time from the start."""
+    key = [0, 0]
+    while piece := fh.read(READ_PIECE):
+        _fold(key, piece)
+    return tuple(key)
+
+
+def _file_sizes(fh) -> tuple[int, int]:
+    """(line count, byte count) of an open binary file, read ``READ_PIECE``
+    bytes at a time from the start. A last line without a line end counts; an
+    empty file has no lines."""
+    ends, length, last = 0, 0, b""
+    while piece := fh.read(READ_PIECE):
+        length += len(piece)
+        ends += _line_ends(piece) - (last == b"\r" and piece[:1] == b"\n")
+        last = piece[-1:]
+    return ends + (last not in (b"", b"\n", b"\r")), length
+
+
+def _text_pieces(path: str, fh, key: list | None = None):
+    r"""Yield the text of an open binary file, read ``READ_PIECE`` bytes at a
+    time: UTF-8 without a leading byte-order mark, with every line end
+    (``\r\n``, a lone ``\r``) read as ``\n``, as text mode reads it. Each
+    piece of text but the last ends with ``\n``: a piece's bytes are decoded up
+    to their last line end and the rest waits for the next piece, so neither a
+    character nor a ``\r\n`` is ever cut. Each piece read is folded into
+    ``key`` (``_fold``) when given.
 
     A byte sequence that is not UTF-8 is rejected as ``<path>: line N: not
     valid UTF-8``.
     """
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as err:
-        head = data[: err.start]  # a newline byte is never part of a longer sequence
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise ValueError(f"{path}: line {line}: not valid UTF-8") from None
-    text = text.removeprefix("\ufeff")
-    if "\r" in text:  # the scan is far cheaper than a replace of "\r\n" that finds none
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
+    carry, line, more = b"", 1, True
+    while more:
+        piece = fh.read(READ_PIECE)
+        more = bool(piece)
+        if key is not None and more:
+            _fold(key, piece)
+        data = carry + piece
+        del piece
+        # before the end of the file, up to the last line end, except that a
+        # final "\r" waits: a "\n" may follow it
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1 if more else len(data)
+        if not cut:
+            carry = data
+            continue
+        try:
+            text = str(memoryview(data)[:cut], "utf-8")
+        except UnicodeDecodeError as err:  # a line end is never part of a longer sequence
+            raise ValueError(f"{path}: line {line + _line_ends(data[:err.start])}: "
+                             f"not valid UTF-8") from None
+        carry = data[cut:]
+        del data
+        if line == 1:  # the first piece: every later one follows a line end
+            text = text.removeprefix("\ufeff")
+        if "\r" in text:  # the scan is far cheaper than a replace of "\r\n" that finds none
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        line += text.count("\n")
+        yield text
+        del text  # before the next piece is read
 
 
-def _content_lines(text: str):
-    r"""Yield (line number, line) for every ``\n``-separated line of ``text``
-    that is neither blank nor a ``#`` comment, one line at a time."""
-    start, no = 0, 1
-    while start <= len(text):
-        end = text.find("\n", start)
-        if end < 0:
-            end = len(text)
-        line = text[start:end]
-        stripped = line.strip()
-        if stripped and stripped[0] != "#":
-            yield no, line
-        start, no = end + 1, no + 1
+def _content_lines(pieces):
+    r"""Yield (line number, line) for every ``\n``-separated line of the text
+    pieces that is neither blank nor a ``#`` comment, one line at a time. Each
+    piece but the last ends with ``\n``, as ``_text_pieces`` yields them."""
+    no = 1
+    for text in pieces:
+        start = 0
+        while start < len(text):
+            end = text.find("\n", start)
+            if end < 0:
+                end = len(text)
+            line = text[start:end]
+            stripped = line.strip()
+            if stripped and stripped[0] != "#":
+                yield no, line
+            start, no = end + 1, no + 1
+        del text  # before the next piece is decoded
 
 
-def _parse_once(path: str, parse) -> tuple:
-    """``parse(path, numbered)`` of the file's ``_content_lines``, once per distinct content.
+def _file_lines(path: str):
+    """The numbered content lines of the file at ``path`` (``_content_lines``)."""
+    with open(path, "rb") as fh:
+        yield from _content_lines(_text_pieces(path, fh))
 
-    The file is opened once, in binary mode. The key is the length of those
-    bytes and their ``hash`` (SipHash under a key drawn per process), so a
-    same-size rewrite within the mtime granularity is served stale only on a
-    64-bit collision. Keeping the bytes themselves as the key would hold a
-    copy of the last large input for the life of the process. The bytes are
-    released once decoded, before the lines are split. A parse that raises
-    keeps nothing.
+
+def _read_text(path: str) -> str:
+    """The whole text of the file at ``path``, decoded as every reader decodes it."""
+    with open(path, "rb") as fh:
+        return "".join(_text_pieces(path, fh))
+
+
+def _parse_once(path: str, parse, sized: bool = False) -> tuple:
+    """``parse(path, numbered)`` of the file's ``_content_lines``, once per
+    distinct content; when ``sized``, ``parse(path, numbered, lines, length)``
+    with the file's line and byte counts (``_file_sizes``).
+
+    The file is opened once, in binary mode. A first pass over its pieces
+    computes the key: the length of its bytes and a hash built from the
+    pieces (``_fold``). A kept parse with that key is returned as it is.
+    Otherwise, after the counting pass when ``sized``, a last pass decodes
+    the pieces one at a time into the parse, which reads every line, and
+    the key kept with the result is computed again from the bytes that pass
+    read: a file rewritten between the passes is kept under the key of what
+    was parsed, not of what was first seen. No pass holds more than about
+    two pieces of the file, and nothing of it is kept but the key. A parse
+    that raises keeps nothing.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    key = len(data), hash(data)
-    kept = _last_parse.get(parse)
-    if kept is not None and kept[0] == key:
-        return kept[1]
-    text = _decode_text(path, data)
-    del data
-    parts = parse(path, _content_lines(text))
+        key = _file_key(fh)
+        kept = _last_parse.get(parse)
+        if kept is not None and kept[0] == key:
+            return kept[1]
+        fh.seek(0)
+        sizes = _file_sizes(fh) if sized else ()
+        fh.seek(0)
+        parsed = [0, 0]
+        parts = parse(path, _content_lines(_text_pieces(path, fh, parsed)), *sizes)
+    key = tuple(parsed)
     _last_parse[parse] = (key, parts)
     return parts
 
@@ -399,22 +506,28 @@ def read_panel_csv(path: str) -> FeaturePanel:
     shares the kept read-only matrix and month array, and gets its own
     name map and dates list.
 
-    A parse holds the file's text (and its bytes while they are decoded),
-    the float64 rows read so far and about one row of Python objects: its
-    peak stays below twice the file's size plus twice the matrix's.
+    The file is read in ``READ_PIECE`` pieces (``_parse_once``) and its
+    rows are parsed straight into one float64 matrix, allocated once for
+    the file's line count: a read holds about two pieces of the file, the
+    matrix and one row of Python objects. A file larger than a piece
+    reports the first of its errors in file order; a smaller one reports a
+    byte that is not UTF-8 before any other error.
     """
-    values, names, dates, months = _parse_once(path, _parse_panel)
+    values, names, dates, months = _parse_once(path, _parse_panel, sized=True)
     return FeaturePanel._share(values, {n: j for j, n in enumerate(names.split(","))},
                                dates.split(","), months, {})
 
 
-def _parse_panel(path: str, numbered) -> tuple:
-    """(matrix, names, dates, month array) from an iterator of numbered lines;
-    names and dates are each one ``,``-joined string, exact because neither
-    can hold ``,`` or a newline. One string each, not a tuple of the parsed
-    strings: those are scattered among the parse's temporary objects, and
-    keeping them alive would keep their allocator arenas too (3.5 MB more
-    peak RSS at 1200 x 200). Each row becomes a float64 array as it is read."""
+def _parse_panel(path: str, numbered, lines: int, length: int) -> tuple:
+    """(matrix, names, dates, month array) from an iterator of numbered lines
+    of a file counted at ``lines`` lines and ``length`` bytes; names and dates
+    are each one ``,``-joined string, exact because neither can hold ``,`` or
+    a newline. One string
+    each, not a tuple of the parsed strings: those are scattered among the
+    parse's temporary objects, and keeping them alive would keep their
+    allocator arenas too (3.5 MB more peak RSS at 1200 x 200). Each row is
+    converted as it is read into the next row of the matrix, which has a row
+    for every line after the header that could hold one."""
     header_line_no, header_line = next(numbered, (None, None))
     if header_line is None:
         raise ValueError(f"{path}: empty file")
@@ -430,9 +543,13 @@ def _parse_panel(path: str, numbered) -> tuple:
     if dupes:
         raise ValueError(f"{path}: line {header_line_no}: duplicate column names {dupes}")
 
+    # a row for every later line, but no more than the bytes could hold: a
+    # data line has a 7-character date, a ',' per name and, but for the
+    # last, a line end; none when the counts are of a file since rewritten
+    values = np.empty((max(0, min(lines - header_line_no, (length + 1) // (len(names) + 8))),
+                       len(names)))
     dates: list[str] = []
     months: list[int] = []
-    rows: list[np.ndarray] = []
     for lineno, line in numbered:
         cells = line.split(",")
         if len(cells) != len(header):
@@ -448,27 +565,29 @@ def _parse_panel(path: str, numbered) -> tuple:
             raise ValueError(f"{path}: line {lineno}: dates must be strictly increasing; "
                              f"{date!r} follows {dates[-1]!r}")
         del cells[0]
+        i = len(dates)
+        if i == values.shape[0]:  # the file grew after its lines were counted
+            values.resize((2 * i + 1, len(names)), refcheck=False)
         try:  # float() ignores surrounding whitespace itself
-            row = np.fromiter(map(float, cells), dtype=float, count=len(names))
+            values[i] = np.fromiter(map(float, cells), dtype=float, count=len(names))
         except ValueError:  # a missing or bad cell: convert cell by cell
-            row = np.empty(len(names))
             for j, (name, cell) in enumerate(zip(names, cells)):
                 cell = cell.strip()
                 if cell == "":
-                    row[j] = np.nan
+                    values[i, j] = np.nan
                     continue
                 try:
-                    row[j] = float(cell)
+                    values[i, j] = float(cell)
                 except ValueError:
                     raise ValueError(
                         f"{path}: line {lineno}: non-numeric value {cell!r} in column {name!r}"
                     ) from None
         dates.append(date)
         months.append(month)
-        rows.append(row)
-    if not rows:
+    if not dates:
         raise ValueError(f"{path}: no data rows")
-    values = np.stack(rows)
+    if len(dates) < values.shape[0]:  # blank or comment lines: give their rows back
+        values.resize((len(dates), len(names)), refcheck=False)
     values.flags.writeable = False
     months = np.array(months, dtype=np.int64)
     months.flags.writeable = False

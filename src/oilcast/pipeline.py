@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import _lag_matrix
-from .clustering import ClusterModel, elbow_select, kmeans_fit
+from .clustering import ClusterModel, _cluster
 from .kpca import (RULES as KPCA_RULES, GaussianKernel, KpcaModel, _fit as _kpca_fit,
                    check_selection, gram_size, kpca_transform)
 from .numerics import (MAX_FIT_WORKERS, _cpu_count, _map_in_threads, at_least, check_rules,
@@ -316,12 +316,16 @@ def pipeline_fit(panel: FeaturePanel, config: PipelineConfig) -> PipelineModel:
     thread allocates per worker; each fit's arithmetic is the same on any
     thread, so the model does not depend on the worker count.
 
-    Each cluster's columns are gathered once, C-ordered by ``np.take``,
-    right after the clustering stage, and the normalized indicator matrix is
-    released before the fits start. Each block goes to the unchecked KPCA
-    core (``kpca._fit``), whose model keeps it as ``x_train``: the fit
-    holds the clusters' columns once, not as the matrix, the blocks and the
-    models' copies. The clustering stage has already checked every value.
+    The fit holds one matrix of the indicators' size at a time. The
+    normalized indicator matrix goes to the unchecked clustering core
+    (``clustering._cluster``), which standardizes it in place, and is
+    released after the clustering stage. Each cluster's columns are then
+    gathered from the panel and normalized by the same bounds, which is
+    elementwise, so each block has the bits of the normalized matrix's
+    columns. Each block goes to the unchecked KPCA core (``kpca._fit``),
+    whose model keeps it as ``x_train``: the fit holds the clusters' columns
+    once, not as the blocks and the models' copies. ``normalize_fit`` has
+    already checked every value.
     """
     target = panel.target_name
     if target is None:
@@ -343,22 +347,23 @@ def pipeline_fit(panel: FeaturePanel, config: PipelineConfig) -> PipelineModel:
     values, target_values = panel.matrix(indicators), panel.matrix([target])
     norm = _stage("normalize", normalize_fit, values, indicators, panel.dates)
     target_norm = _stage("normalize", normalize_fit, target_values, [target], panel.dates)
-    normed = norm.apply(values, out=values)  # in place: the fit's one matrix of this size
-    series = normed.T  # one row per indicator series
-
-    elbow_curve: dict[int, float] = {}
-    if config.k is None:
-        k, fits = _stage("cluster", elbow_select, series, range(lo, hi + 1), seed=config.seed)
-        cluster = fits[k]
-        elbow_curve = {j: fit.wcss for j, fit in fits.items()}
-    else:
-        cluster = _stage("cluster", kmeans_fit, series, config.k, seed=config.seed)
+    norm.apply(values, out=values)  # in place: the fit's one matrix of this size
+    ks = list(range(lo, hi + 1)) if config.k is None else [config.k]
+    k, fits = _stage("cluster", _cluster, values, ks, config.seed)  # standardizes values
+    del values
+    cluster = fits[k]
+    elbow_curve = {j: fit.wcss for j, fit in fits.items()} if config.k is None else {}
 
     cluster_columns = [np.flatnonzero(cluster.labels == j) for j in range(cluster.k)]
-    # np.take gathers C-ordered columns, which the distance product reads
-    # without a copy; each model keeps its block, and the matrix goes now
-    blocks = [np.take(normed, columns, axis=1) for columns in cluster_columns]
-    del values, normed, series
+
+    def normalized_block(columns: np.ndarray) -> np.ndarray:
+        # gathered C-ordered, which the distance product reads without a copy,
+        # and normalized in place by its columns' bounds: elementwise, so the
+        # bits of the whole matrix's normalization
+        block = panel.matrix([indicators[i] for i in columns])
+        return NormalizationParams(norm.mins[columns], norm.maxs[columns]).apply(block, out=block)
+
+    blocks = [normalized_block(columns) for columns in cluster_columns]
 
     def fit_cluster(j: int, gram: np.ndarray) -> KpcaModel:
         kernel = GaussianKernel(config.sigma) if config.sigma is not None else None

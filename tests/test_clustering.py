@@ -427,3 +427,35 @@ class TestAgainstReference:
         assert failing == [3, 4, 6, 7]
         assert outcome(lambda: elbow_select(series, range(1, 9), seed=3))[0] == alone[3]
         assert outcome(lambda: ref_elbow(series, range(1, 9), seed=3))[0] == alone[3]
+
+
+class TestInPlaceCore:
+    """The pipeline's core ``_cluster`` standardizes the matrix it is given in
+    place and fits what the public functions fit on its transpose, to the
+    bit; ``_column_norms`` gives ``np.linalg.norm``'s bits without its squares."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(rows=st.integers(1, 300), cols=st.integers(1, 12), seed=st.integers(0, 2**16),
+           spread=st.floats(-30, 30))
+    def test_column_norms_are_numpys_bits(self, rows, cols, seed, spread):
+        x = np.random.default_rng(seed).standard_normal((rows, cols)) * 2.0 ** spread
+        expected = np.linalg.norm(x, axis=0)
+        assert clustering._column_norms(x).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("ks", [[1], [3], [1, 2, 3, 4, 5]])
+    def test_core_fits_are_the_public_fits_of_the_transpose(self, ks):
+        series, _ = planted_series(n_groups=4, per_group=6, seed=3)
+        values = np.ascontiguousarray(series.T)  # one column per series, as pipeline_fit holds it
+        if len(ks) == 1:
+            public = {ks[0]: kmeans_fit(values.T, ks[0], seed=2)}
+            picked = ks[0]
+        else:
+            picked, public = elbow_select(values.T, ks, seed=2)
+        k, fits = clustering._cluster(values, ks, seed=2)
+        assert k == picked
+        for j, fit in fits.items():
+            assert np.array_equal(fit.labels, public[j].labels)
+            assert fit.wcss_history == public[j].wcss_history
+        # the matrix now holds the standardized series: centered unit columns
+        np.testing.assert_allclose(values.mean(axis=0), 0.0, atol=1e-15)
+        np.testing.assert_allclose(np.linalg.norm(values, axis=0), 1.0)

@@ -1,13 +1,16 @@
 """FeaturePanel: fuse, split, normalization, CSV round-trips."""
 
+import io
 import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oilcast import panel as panel_module
 from oilcast.panel import (
     FeaturePanel,
     atomic_write_text,
@@ -251,6 +254,28 @@ class TestNormalization:
         with pytest.raises(ValueError, match=r"^column 'b' is not finite at 2010-03$"):
             fit_columns(panel)
 
+    def test_check_finite_names_the_cell_and_gathers_only_then(self, monkeypatch):
+        panel = make_panel(names=("a", "b", "c", "d"))
+        columns = {name: values.copy() for name, values in panel.columns.items()}
+        columns["c"][2] = np.inf
+        columns["b"][2] = np.nan
+        columns["a"][5] = np.nan
+        columns["d"][0] = -np.inf
+        panel = FeaturePanel(dates=panel.dates, columns=columns)
+        gathered = []
+        matrix = FeaturePanel.matrix
+        monkeypatch.setattr(FeaturePanel, "matrix",
+                            lambda self, names: gathered.append(names) or matrix(self, names))
+        with pytest.raises(ValueError, match=r"^column 'c' is not finite at 2010-03$"):
+            panel.check_finite(["c", "a", "b"])  # the earliest row, then the first name
+        with pytest.raises(ValueError, match=r"^panel is missing columns: \['x'\]$"):
+            panel.check_finite(["x"])
+        assert gathered == [["c", "a", "b"], ["x"]]
+        finite = make_panel(names=("a", "b"))
+        mixed = FeaturePanel(dates=finite.dates, columns={**finite.columns, "c": columns["c"]})
+        mixed.check_finite(["b", "a"])  # a bad cell outside the named columns passes
+        assert gathered == [["c", "a", "b"], ["x"]]
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**16), data=st.data())
     def test_matrix_map_equals_the_per_column_formula(self, seed, data):
@@ -443,9 +468,10 @@ class TestFailedWriteLeavesNoTempFile:
 
 
 class TestPeakMemory:
-    """Panel CSV I/O holds about one row of Python objects: on a 180 x 1500
-    panel the write's traced peak stays below the matrix's bytes, and the
-    read's below twice the file's bytes plus twice the matrix's."""
+    """Panel CSV I/O holds about one row of Python objects besides the panel:
+    on a 180 x 1500 panel the write's traced peak stays below the matrix's
+    bytes, and the read's, which streams the file in ``READ_PIECE`` pieces,
+    below the matrix's bytes plus two pieces and 512 KiB."""
 
     @staticmethod
     def traced_peak(call) -> int:
@@ -477,7 +503,9 @@ class TestPeakMemory:
         peak = self.traced_peak(lambda: read_panel_csv(path))
         matrix = read_panel_csv(path).matrix(list(wide.columns))
         assert matrix.tobytes() == wide.matrix(list(wide.columns)).tobytes()
-        assert peak < 2 * os.path.getsize(path) + 2 * matrix.nbytes
+        # a piece's bytes and their text, a row of Python objects and the
+        # dates: 0.85 MiB beside the matrix for a 5.3 MB file
+        assert peak < matrix.nbytes + 2 * panel_module.READ_PIECE + 2**19
 
 
 class TestReaderMemo:
@@ -557,6 +585,49 @@ class TestReaderMemo:
             read_panel_csv(str(path))
         assert str(raised.value) == f"{path}: line 2002: not valid UTF-8"
 
+    @pytest.mark.parametrize("piece", [5, 4096])
+    def test_same_content_is_parsed_once(self, tmp_path, monkeypatch, piece):
+        monkeypatch.setattr(panel_module, "READ_PIECE", piece)
+        path = tmp_path / "p.csv"
+        path.write_text("date,a,b\n2010-01,1.0,2.0\n2010-02,3.0,4.0\n")
+        first, again = read_panel_csv(str(path)), read_panel_csv(str(path))
+        assert again._values is first._values  # the kept parse, not a second one
+        tags = tmp_path / "p.tags.csv"
+        tags.write_text("name,tag\na,gsvi\nb,target\n")
+        parse = panel_module._parse_tags
+        calls = []
+        monkeypatch.setattr(panel_module, "_parse_tags",
+                            lambda *args: calls.append(1) or parse(*args))
+        assert read_tags_csv(str(tags)) == read_tags_csv(str(tags)) == {"a": "gsvi", "b": "target"}
+        assert calls == [1]
+
+    @pytest.mark.parametrize("counted, first", [
+        ("_file_key", "date,a\n2010-01,1.0\n2010-02,2.0\n"),  # more rows than were counted
+        ("_file_sizes", ""),  # counted while truncated, parsed once written
+        ("_file_sizes", "date,a\n2010-01,1.0\n"),  # the header moved down past the count
+    ])
+    def test_rewrite_between_the_passes_is_kept_under_what_was_parsed(self, tmp_path, monkeypatch,
+                                                                      counted, first):
+        path = tmp_path / "p.csv"
+        later = "# one\n# two\ndate,a\n2010-01,5.0\n2010-02,6.0\n2010-03,7.0\n2010-04,8.0\n"
+        path.write_text(first)
+        count = getattr(panel_module, counted)
+
+        def rewrite_after_the_pass(fh):
+            result = count(fh)
+            path.write_text(later)  # in place
+            return result
+
+        monkeypatch.setattr(panel_module, counted, rewrite_after_the_pass)
+        assert read_panel_csv(str(path)).columns["a"].tolist() == [5.0, 6.0, 7.0, 8.0]
+        monkeypatch.setattr(panel_module, counted, count)
+        # the first content was never parsed, so it is not served from the kept parse
+        if first:
+            path.write_text(first)
+            assert read_panel_csv(str(path)).columns["a"].tolist() == [1.0, 2.0][:first.count("\n") - 1]
+        path.write_text(later)
+        assert read_panel_csv(str(path)).columns["a"].tolist() == [5.0, 6.0, 7.0, 8.0]
+
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
     def test_decode_error_counts_lines_as_text_mode_does(self, tmp_path, end):
         # "\n", "\r\n" and a lone "\r" each end one line
@@ -634,3 +705,73 @@ class TestReaderProperties:
             assert panel.dates == dates
             got = panel.matrix(names)
             assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+
+def whole_text_lines(path: str, data: bytes):
+    """The reference decoder: (content lines, None) of the whole text decoded at
+    once, or (the content lines before the bad line, the error message) when
+    the bytes are not UTF-8."""
+    def content(text):
+        text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+        return text, [(no, line) for no, line in enumerate(text.split("\n"), 1)
+                      if line.strip() and line.strip()[0] != "#"]
+
+    try:
+        return content(data.decode("utf-8")) + (None,)
+    except UnicodeDecodeError as err:
+        head = data[:err.start]
+        bad = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        _, lines = content(data.decode("utf-8", "replace"))
+        return None, [item for item in lines if item[0] < bad], f"{path}: line {bad}: not valid UTF-8"
+
+
+# a line's text: multibyte names, cells, comments, blanks and whitespace-only lines
+LINE_TEXT = st.text(alphabet=" \tab,1.#\u00e9\u20ac\U0001d11e", max_size=6)
+LINE_END = st.sampled_from(["\n", "\r", "\r\n"])
+BAD_BYTES = st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80"])
+
+
+class TestStreamedDecoder:
+    """``_text_pieces`` and ``_content_lines`` over pieces of a few bytes give the
+    lines, line numbers and errors of the whole text decoded at once."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(lines=st.lists(st.tuples(LINE_TEXT, LINE_END), max_size=8), bom=st.booleans(),
+           last_end=st.booleans(), bad=st.one_of(st.none(), st.tuples(st.integers(0), BAD_BYTES)),
+           piece=st.integers(1, 7))
+    def test_pieces_decode_as_the_whole_text(self, lines, bom, last_end, bad, piece):
+        text = "".join(line + end for line, end in lines)
+        if lines and not last_end:
+            text = text.removesuffix(lines[-1][1])
+        data = ("\ufeff" if bom else "").encode() + text.encode()
+        if bad is not None:
+            at = bad[0] % (len(data) + 1)
+            data = data[:at] + bad[1] + data[at:]
+        path = "p.csv"
+        whole, expected, error = whole_text_lines(path, data)
+        ends = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        with mock.patch.object(panel_module, "READ_PIECE", piece):
+            assert panel_module._file_sizes(io.BytesIO(data)) == (
+                ends.count(b"\n") + (ends != b"" and not ends.endswith(b"\n")), len(data))
+            got, message = [], None
+            try:  # a bad byte fails its piece: the lines before it in that piece are not given
+                for item in panel_module._content_lines(
+                        panel_module._text_pieces(path, io.BytesIO(data))):
+                    got.append(item)
+            except ValueError as err:
+                message = str(err)
+            assert message == error
+            assert got == (expected[:len(got)] if error else expected)
+            if error:
+                return
+            pieces = list(panel_module._text_pieces(path, io.BytesIO(data)))
+        assert "".join(pieces) == whole
+        assert all(text.endswith("\n") for text in pieces[:-1])
+
+    @pytest.mark.parametrize("piece", [1, 2, 3, 4])
+    def test_crlf_across_a_piece_boundary_ends_one_line(self, piece):
+        data = b"a\r\nb\r\n\r\nc"
+        with mock.patch.object(panel_module, "READ_PIECE", piece):
+            lines = list(panel_module._content_lines(
+                panel_module._text_pieces("p", io.BytesIO(data))))
+        assert lines == [(1, "a"), (2, "b"), (4, "c")]
